@@ -7,13 +7,14 @@ are pure; recognition info is computed on demand when not supplied.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
 from . import oracle, packing_classic
-from .errors import CapabilityError, ParameterError
+from .errors import CapabilityError, ParameterError, SolverError
 from .graphs import (
     GraphClassInfo,
     maximum_matching_general,
@@ -21,7 +22,7 @@ from .graphs import (
     recognize,
     restrict_class_info,
 )
-from .maxsize import MaxSizeConfig, max_size
+from .maxsize import MaxSizeConfig, greedy_growth, max_size, validate_initial
 from .model import (
     ConflictInstance,
     Packing,
@@ -68,9 +69,8 @@ def color_sets(instance: ConflictInstance, info: Optional[GraphClassInfo] = None
     chi = len(coloring)
     n_large, s_m, s_s = _class_bound_terms(instance)
     bound = chi + n_large + Fraction(3, 2) * s_m + Fraction(4, 3) * s_s
-    assert Fraction(result.bin_count) <= bound, (
-        f"coloring-based bound violated: {result.bin_count} > {bound}"
-    )
+    if Fraction(result.bin_count) > bound:
+        raise SolverError(f"coloring-based bound violated: {result.bin_count} > {bound}")
     return result
 
 
@@ -150,9 +150,13 @@ def split_approx(
     """Clique singletons plus guessed empty bins, grown, remainder by FFD.
 
     Tries every guess alpha of how many bins beyond the clique the optimum
-    uses, grows the initial packing with the split-graph single-bin scheme,
-    packs the leftovers (all from the independent side) with FFD, and keeps
-    the best guess.
+    uses: the clique singletons plus alpha empty bins are grown with the
+    split-graph single-bin scheme, the leftovers (all from the independent
+    side) are packed with FFD, and the first guess with the fewest bins is
+    kept. Greedy growth fills bins in order, so the growth for alpha is
+    the first |clique| + alpha bins of one growth over the largest guess;
+    every guess is read off that single growth, which stops once a guess
+    can no longer beat the best (it has at least |clique| + alpha bins).
     """
     info = _info(instance, info)
     if not info.is_split or info.split_partition is None:
@@ -164,19 +168,16 @@ def split_approx(
     clique, _stable = info.split_partition
     singles = tuple(frozenset({v}) for v in sorted(clique))
     alpha_top = math.ceil(2 * instance.total_size) + 1
+    start = Packing(singles + (frozenset(),) * alpha_top, "split_approx")
+    validate_initial(instance, start)
+    growth = greedy_growth(instance, start, info, eps, maxsize_config or MaxSizeConfig())
     best: Optional[Packing] = None
-    for alpha in range(alpha_top + 1):
-        start = Packing(singles + tuple(frozenset() for _ in range(alpha)), "split_approx")
-        grown = max_size(instance, start, info, eps=eps, config=maxsize_config)
-        covered = grown.augmented.items()
-        rest = [i for i in instance.items if i not in covered]
-        tail = packing_classic.ffd(rest, instance.sizes)
-        candidate = Packing(
-            grown.augmented.bins + tail.bins, "split_approx", grown.augmented.flags
-        )
-        if best is None or candidate.bin_count < best.bin_count:
-            best = candidate
-    assert best is not None
+    for bins, pool in itertools.islice(growth, len(singles), None):
+        if best is not None and len(bins) >= best.bin_count:
+            break
+        tail = packing_classic.ffd(pool, instance.sizes)
+        if best is None or len(bins) + tail.bin_count < best.bin_count:
+            best = Packing(tuple(bins) + tail.bins, "split_approx")
     return best
 
 
@@ -368,21 +369,24 @@ def assign(
     if outside:
         raise ParameterError(f"assignment items must be tiny at eps={config.eps}: {outside}")
     best = color_sets(instance, info).with_source("assign")
-    flags: list[str] = []
     bigs = sorted(classes.big)
     if len(bigs) > config.max_big_items:
         return best.with_flags("enumeration-skipped")
+    if not instance.is_independent(w):
+        raise ParameterError("assignment items must be mutually conflict-free (one side)")
     count = 0
     for big_packing in _enumerate_feasible_packings(instance, bigs, config.max_bins):
         count += 1
+        # Rounding keeps the bin count, so this packing cannot beat best.
+        if big_packing.bin_count >= best.bin_count:
+            continue
         rounded = round_assignment(instance, big_packing, w)
         rest = restrict_instance(instance, rounded.items(), mode="subtract")
         tail = color_sets(rest, restrict_class_info(info, rest.items))
         candidate = Packing(rounded.bins + tail.bins, "assign", rounded.flags)
         if candidate.bin_count < best.bin_count:
             best = candidate
-    flags.append(f"enumerated:{count}")
-    return best.with_flags(*flags)
+    return best.with_flags(f"enumerated:{count}")
 
 
 def abs_bpb(

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: solve, generate, bench, verify. Exit codes: 0 ok,
-2 parameter error, 3 capability error, 4 infeasible packing on verify.
+2 parameter error, 3 capability or solver error, 4 infeasible packing on
+verify.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import harness, oracle
-from .errors import CapabilityError, ParameterError
+from .errors import CapabilityError, ParameterError, SolverError
 from .graphs import recognize
 from .harness import ALGORITHMS
 from .model import validate_packing
@@ -139,6 +140,9 @@ def main(argv=None) -> int:
     except CapabilityError as exc:
         sys.stderr.write(f"capability error: {exc}\n")
         return 3
+    except SolverError as exc:
+        sys.stderr.write(f"solver error: {exc}\n")
+        return exc.exit_code
     except FileNotFoundError as exc:
         sys.stderr.write(f"parameter error: {exc}\n")
         return 2

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
 The CLI maps these onto its exit codes (parameter error -> 2,
-capability error -> 3).
+capability error -> 3, solver error -> 3).
 """
 
 
@@ -18,6 +18,7 @@ class CapabilityError(RuntimeError):
 
 
 class SolverError(RuntimeError):
-    """An internal solver failed to converge; carries diagnostic detail."""
+    """An internal solver failed or broke a guarantee it checks; carries
+    diagnostic detail."""
 
     exit_code = 3

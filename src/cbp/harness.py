@@ -13,6 +13,7 @@ import csv
 import json
 import os
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -669,6 +670,9 @@ def instance_to_dict(instance: ConflictInstance) -> dict:
 def instance_from_dict(data: dict) -> ConflictInstance:
     raw_items = data.get("items", [])
     ids = [entry["id"] for entry in raw_items]
+    duplicates = [i for i, count in Counter(ids).items() if count > 1]
+    if duplicates:
+        raise ParameterError(f"duplicate item ids: {duplicates}")
     dense = all(isinstance(i, int) for i in ids) and sorted(ids) == list(range(len(ids)))
     if dense:
         remap = {i: i for i in ids}

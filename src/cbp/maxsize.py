@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import bis
 from .errors import ParameterError
@@ -89,7 +89,8 @@ def _solve_single_bin(problem: bis.BisProblem, eps, enum_cap: int) -> frozenset[
     return bis.bis_ptas(problem, eps, enum_cap=enum_cap)
 
 
-def _validate_initial(instance: ConflictInstance, initial: Packing) -> None:
+def validate_initial(instance: ConflictInstance, initial: Packing) -> None:
+    """Raise ParameterError unless ``initial`` is a feasible partial packing."""
     report = validate_packing(instance, initial, require_cover=False)
     if not report.feasible:
         first = report.violations[0]
@@ -108,7 +109,7 @@ def max_size(
     if strategy not in STRATEGIES:
         raise ParameterError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
     config = config or MaxSizeConfig()
-    _validate_initial(instance, initial)
+    validate_initial(instance, initial)
     if strategy == "greedy-sequential":
         return _greedy_sequential(instance, initial, class_info, eps, config)
     solution = solve_config_lp(instance, initial, class_info, config)
@@ -119,6 +120,36 @@ def max_size(
     return round_config_lp(solution, config.seed)
 
 
+def greedy_growth(
+    instance: ConflictInstance,
+    initial: Packing,
+    class_info: GraphClassInfo,
+    eps,
+    config: MaxSizeConfig,
+) -> Iterator[tuple[list[frozenset[int]], list[int]]]:
+    """Greedy-sequential growth of ``initial``, one bin at a time.
+
+    Yields ``(bins, pool)`` for the start state and again after each bin:
+    ``bins`` holds the grown bins so far (one list, extended in place) and
+    ``pool`` the items no bin holds. Bin k's choice depends only on bins
+    0..k-1, so when the bins of ``initial`` after the k-th are empty, the
+    state after k bins is the whole growth of its first k bins.
+    """
+    packed = initial.items()
+    pool = [i for i in instance.items if i not in packed]
+    new_bins: list[frozenset[int]] = []
+    yield new_bins, pool
+    for bin_items in initial.bins:
+        if pool:
+            problem = _single_bin_problem(instance, class_info, bin_items, pool)
+            if problem.budget > ZERO and problem.vertices:
+                chosen = _solve_single_bin(problem, eps, config.enum_cap)
+                bin_items = bin_items | chosen
+                pool = [v for v in pool if v not in chosen]
+        new_bins.append(bin_items)
+        yield new_bins, pool
+
+
 def _greedy_sequential(
     instance: ConflictInstance,
     initial: Packing,
@@ -127,27 +158,14 @@ def _greedy_sequential(
     config: MaxSizeConfig,
 ) -> MaxSizeResult:
     eps = Fraction(eps) if not isinstance(eps, Fraction) else eps
-    packed = initial.items()
-    pool = [i for i in instance.items if i not in packed]
-    new_bins = []
-    added: set[int] = set()
-    for bin_items in initial.bins:
-        if not pool:
-            new_bins.append(bin_items)
-            continue
-        problem = _single_bin_problem(instance, class_info, bin_items, pool)
-        if problem.budget <= ZERO or not problem.vertices:
-            new_bins.append(bin_items)
-            continue
-        chosen = _solve_single_bin(problem, eps, config.enum_cap)
-        new_bins.append(bin_items | chosen)
-        added |= chosen
-        pool = [v for v in pool if v not in chosen]
-    augmented = Packing(tuple(new_bins), "max_size/greedy-sequential", initial.flags)
+    for bins, _pool in greedy_growth(instance, initial, class_info, eps, config):
+        pass
+    augmented = Packing(tuple(bins), "max_size/greedy-sequential", initial.flags)
+    added = augmented.items() - initial.items()
     ratio = float(1 - eps)
     return MaxSizeResult(
         augmented=augmented,
-        added_items=frozenset(added),
+        added_items=added,
         added_size=instance.size_of(added),
         strategy="greedy-sequential",
         guarantee=ratio / (1.0 + ratio),
@@ -212,7 +230,7 @@ def solve_config_lp(
     hit (``converged`` False, caller falls back to greedy).
     """
     config = config or MaxSizeConfig()
-    _validate_initial(instance, initial)
+    validate_initial(instance, initial)
     packed = initial.items()
     pool = sorted(i for i in instance.items if i not in packed)
     t = initial.bin_count

@@ -244,9 +244,6 @@ def make_packing(bins: Iterable[Iterable[int]], source: str = "", flags: tuple[s
     return Packing(tuple(frozenset(b) for b in bins), source, flags)
 
 
-EMPTY_PACKING = Packing(())
-
-
 class Violation(NamedTuple):
     bin_index: Optional[int]
     kind: str  # overflow | conflict | duplicate-item | unknown-item | uncovered-item

@@ -43,6 +43,3 @@ class SplitMix64:
         for i in range(len(seq) - 1, 0, -1):
             j = self.below(i + 1)
             seq[i], seq[j] = seq[j], seq[i]
-
-    def fork(self) -> "SplitMix64":
-        return SplitMix64(self.next_u64())

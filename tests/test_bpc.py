@@ -1,12 +1,19 @@
+import dataclasses
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import cbp
 from cbp import (
     AssignConfig,
     CapabilityError,
     ConflictInstance,
+    Packing,
     ParameterError,
     abs_bpb,
     approx_bpc,
@@ -25,8 +32,12 @@ from cbp import (
     split_approx,
     validate_packing,
 )
-from cbp.model import make_packing
-from cbp.packing_classic import asymptotic_bp
+from cbp.bpc import _enumerate_feasible_packings
+from cbp.graphs import restrict_class_info
+from cbp.harness import GeneratorSpec, SizeDist, generate, generate_b3dm
+from cbp.maxsize import max_size
+from cbp.model import make_packing, restrict_instance
+from cbp.packing_classic import asymptotic_bp, ffd
 
 from conftest import CLASSES, seeded_instance
 
@@ -66,6 +77,25 @@ def test_color_sets_bound_random():
         packing = color_sets(inst, info)
         assert validate_packing(inst, packing, require_cover=True).feasible
         assert Fraction(packing.bin_count) <= coloring_bound(inst, info)
+
+
+def test_color_sets_bound_check_survives_optimize():
+    # Zero the bound's item terms so two 0.6 items (chi = 1, two bins)
+    # break it; the check must raise even under python -O.
+    code = (
+        "import sys\n"
+        "from cbp import ConflictInstance, SolverError, bpc\n"
+        "bpc._class_bound_terms = lambda instance: (0, 0, 0)\n"
+        "try:\n"
+        "    bpc.color_sets(ConflictInstance({0: '0.6', 1: '0.6'}))\n"
+        "except SolverError as exc:\n"
+        "    print(sys.flags.optimize, exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cbp.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "1 coloring-based bound violated: 2 > 1\n"
 
 
 def test_max_solve_examples():
@@ -151,6 +181,49 @@ def test_split_approx_ceiling():
         assert validate_packing(inst, packing, require_cover=True).feasible
         _, opt = opt_bpc_exact(inst)
         assert packing.bin_count <= math.ceil(bound * opt)
+
+
+def _split_approx_per_guess(instance, info, eps=Fraction(1, 10)):
+    """Reference: a fresh max_size growth and FFD tail for every guess."""
+    clique, _ = info.split_partition
+    singles = tuple(frozenset({v}) for v in sorted(clique))
+    best = None
+    for alpha in range(math.ceil(2 * instance.total_size) + 2):
+        start = Packing(singles + (frozenset(),) * alpha, "split_approx")
+        grown = max_size(instance, start, info, eps=eps).augmented
+        rest = [i for i in instance.items if i not in grown.items()]
+        candidate = Packing(grown.bins + ffd(rest, instance.sizes).bins, "split_approx", grown.flags)
+        if best is None or candidate.bin_count < best.bin_count:
+            best = candidate
+    return best
+
+
+def test_split_approx_matches_per_guess_growth():
+    cases = []
+    for seed in range(12):
+        inst = seeded_instance("split", 5 + seed, 7450 + seed, density=0.2 + 0.05 * (seed % 8))
+        cases.append((inst, recognize(inst)))
+    decimal = SizeDist(kind="uniform", lo=0.05, hi=0.6)
+    for seed in range(4):
+        inst = generate(GeneratorSpec(klass="split", n=9, density=0.5, size_dist=decimal, seed=7470 + seed))
+        cases.append((inst, recognize(inst)))
+    edgeless = ConflictInstance({0: "0.6", 1: "0.6", 2: "0.3", 3: "0.25"})
+    no_clique = dataclasses.replace(
+        recognize(edgeless), split_partition=(frozenset(), frozenset(edgeless.items))
+    )
+    cases.append((edgeless, no_clique))
+    bps, _ = generate_b3dm(
+        GeneratorSpec(
+            klass="b3dm-reduction", x_count=3, y_count=3, z_count=3, t_count=4, guess=2,
+            variant="BPS", seed=7480,
+        )
+    )
+    cases.append((bps, recognize(bps)))
+    for inst, info in cases:
+        assert info.is_split
+        got = split_approx(inst, info)
+        want = _split_approx_per_guess(inst, info)
+        assert (got.bins, got.source, got.flags) == (want.bins, want.source, want.flags)
 
 
 def test_assignment_lp_examples():
@@ -244,6 +317,55 @@ def test_assign_examples():
     t_cfg = AssignConfig(eps=Fraction(1, 50))
     packing2 = assign(all_tiny, [0, 1], t_info, t_cfg)
     assert packing2.bin_count <= color_sets(all_tiny, t_info).bin_count
+
+
+def _assign_every_packing(instance, w, info, config):
+    """Reference: assign's loop, rounding every enumerated packing."""
+    best = color_sets(instance, info).with_source("assign")
+    bigs = sorted(classify_items(instance, eps=config.eps).big)
+    count = 0
+    for big_packing in _enumerate_feasible_packings(instance, bigs, config.max_bins):
+        count += 1
+        rounded = round_assignment(instance, big_packing, w)
+        rest = restrict_instance(instance, rounded.items(), mode="subtract")
+        tail = color_sets(rest, restrict_class_info(info, rest.items))
+        candidate = Packing(rounded.bins + tail.bins, "assign", rounded.flags)
+        if candidate.bin_count < best.bin_count:
+            best = candidate
+    return best.with_flags(f"enumerated:{count}")
+
+
+def test_assign_skipping_keeps_result():
+    inst = _tiny_testbed()
+    info = recognize(inst)
+    config = AssignConfig(eps=Fraction(1, 12), max_bins=4, max_big_items=6)
+    packing = assign(inst, [2, 3, 4, 5], info, config)
+    assert packing.bins == (frozenset({0, 2, 3, 4, 5}), frozenset({1}))
+    assert packing.flags == ("enumerated:1",)
+
+    sizes = SizeDist(kind="discrete", values=("2/5", "9/20", "1/2", "1/20", "1/25", "1/40"))
+    config = AssignConfig(eps=Fraction(1, 20))
+    winners = set()
+    for seed in range(16):
+        inst = generate(GeneratorSpec(klass="bipartite", n=9, density=0.3, size_dist=sizes, seed=7800 + seed))
+        info = recognize(inst)
+        tiny = classify_items(inst, eps=config.eps).tiny
+        for side in info.bipartition:
+            w = sorted(side & tiny)
+            got = assign(inst, w, info, config)
+            want = _assign_every_packing(inst, w, info, config)
+            assert (got.bins, got.source, got.flags) == (want.bins, want.source, want.flags)
+            winners.add("lemma12:ok" in got.flags)
+    assert winners == {True, False}  # both the LP rounding and coloring won
+
+
+def test_assign_rejects_conflicting_w_when_every_packing_is_skipped():
+    # Coloring's two bins are already optimal, so every packing is skipped.
+    inst = ConflictInstance({0: "0.5", 1: "0.5", 2: "0.05", 3: "0.05"}, edges=[(0, 1), (2, 3)])
+    with pytest.raises(ParameterError, match="conflict-free"):
+        assign(inst, [2, 3], recognize(inst), AssignConfig(eps=Fraction(1, 12)))
+    with pytest.raises(ParameterError, match="conflict-free"):
+        build_assignment_lp(inst, make_packing([{0}, {1}]), [2, 3])
 
 
 def test_assign_rejects_non_tiny_w():

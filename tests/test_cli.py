@@ -118,3 +118,29 @@ def test_bad_algorithm_name_exits_2(bipartite_file):
     with pytest.raises(SystemExit) as err:
         main(["solve", "--algo", "nonsense", "--in", str(path)])
     assert err.value.code == 2
+
+
+def test_solve_duplicate_item_ids_exits_2(tmp_path, capsys):
+    path = tmp_path / "dup.json"
+    items = [{"id": 0, "size": "1/2"}, {"id": 0, "size": "1/2"}, {"id": 1, "size": "1/3"}]
+    path.write_text(json.dumps({"items": items, "edges": []}))
+    assert main(["solve", "--algo", "ffd", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "duplicate item ids: [0]" in captured.err
+
+
+def test_solve_solver_error_exits_3(tmp_path, monkeypatch, capsys):
+    from cbp import ConflictInstance, bpc
+    from cbp.errors import SolverError
+
+    def broken_lp(*args, **kwargs):
+        raise SolverError("simplex iteration cap 0 exceeded")
+
+    monkeypatch.setattr(bpc, "solve_max_lp", broken_lp)
+    # Both halves fit one bin, which beats coloring's two, so the
+    # assignment LP runs on that packing.
+    path = tmp_path / "halves.json"
+    write_instance(ConflictInstance({0: "1/2", 1: "1/2", 2: "1/20000", 3: "1/20000"}), path)
+    assert main(["solve", "--algo", "abs_bpb", "--in", str(path)]) == 3
+    assert "solver error: simplex iteration cap 0 exceeded" in capsys.readouterr().err
