@@ -16,7 +16,7 @@ from typing import Iterable, Mapping
 
 from .errors import CapabilityError, ParameterError
 from .graphs import GraphClassInfo, restrict_class_info, _mwis_core
-from .model import ZERO
+from .model import ZERO, size_units
 
 DEFAULT_ENUM_CAP = 6
 EXACT_DP_DENOM_LIMIT = 4096
@@ -77,27 +77,22 @@ def knapsack_fptas(
     if not ids or budget < ZERO:
         return frozenset()
 
-    den = 1
-    for i in ids:
-        den = den * costs[i].denominator // math.gcd(den, costs[i].denominator)
-        if den > EXACT_DP_DENOM_LIMIT:
-            den = None
-            break
-    if den is not None:
-        cap = int(budget * den) if budget * den == int(budget * den) else math.floor(budget * den)
+    units, den = size_units(costs[i] for i in ids)
+    if den <= EXACT_DP_DENOM_LIMIT:
+        cap = math.floor(budget * den)
         if (cap + 1) * len(ids) <= EXACT_DP_CELL_LIMIT:
-            return _knapsack_exact(ids, profits, costs, den, cap)
+            return _knapsack_exact(ids, profits, units, cap)
     return _knapsack_scaled(ids, profits, costs, budget, eps)
 
 
-def _knapsack_exact(ids, profits, costs, den, cap) -> frozenset[int]:
-    # dp[c] = best profit at integer cost exactly <= c; parents rebuild the set.
-    dp: list[Fraction] = [ZERO] * (cap + 1)
-    take: list[int] = [0] * (cap + 1)
-    for idx, i in enumerate(ids):
-        c = int(costs[i] * den)
-        p = profits[i]
-        if p <= ZERO:
+def _knapsack_exact(ids, profits, units, cap) -> frozenset[int]:
+    # ``units`` are the costs in integer units; profits go over their own lcm.
+    # dp[c] = best profit at integer cost <= c; take rebuilds the set.
+    gains, _ = size_units(profits[i] for i in ids)
+    dp = [0] * (cap + 1)
+    take = [0] * (cap + 1)
+    for idx, (c, p) in enumerate(zip(units, gains)):
+        if p <= 0:
             continue
         for w in range(cap, c - 1, -1):
             cand = dp[w - c] + p
@@ -114,22 +109,23 @@ def _knapsack_scaled(ids, profits, costs, budget, eps) -> frozenset[int]:
         return frozenset()
     p_max = max(profits[i] for i in positive)
     scale = eps * p_max / len(positive)
-    scaled = {i: int(profits[i] / scale) for i in positive}
-    top = sum(scaled.values())
-    # dp[p] = minimal cost achieving scaled profit exactly p.
-    inf = budget + 1
-    dp: list[Fraction] = [inf] * (top + 1)
-    dp[0] = ZERO
+    scaled = [int(profits[i] / scale) for i in positive]
+    top = sum(scaled)
+    # Costs and budget in integer units over their common lcm.
+    units, den = size_units([*(costs[i] for i in positive), budget])
+    limit = units.pop()
+    # dp[p] = minimal cost achieving scaled profit exactly p (budget + 1: none).
+    inf = limit + den
+    dp = [inf] * (top + 1)
+    dp[0] = 0
     take: list[int] = [0] * (top + 1)
-    for idx, i in enumerate(positive):
-        sp = scaled[i]
-        c = costs[i]
+    for idx, (sp, c) in enumerate(zip(scaled, units)):
         for p in range(top, sp - 1, -1):
             cand = dp[p - sp] + c
             if cand < dp[p]:
                 dp[p] = cand
                 take[p] = take[p - sp] | (1 << idx)
-    best_p = max((p for p in range(top + 1) if dp[p] <= budget), default=0)
+    best_p = max((p for p in range(top + 1) if dp[p] <= limit), default=0)
     chosen = frozenset(positive[k] for k in range(len(positive)) if (take[best_p] >> k) & 1)
     return chosen
 

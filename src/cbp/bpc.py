@@ -29,6 +29,7 @@ from .model import (
     classify_items,
     concat_packings,
     restrict_instance,
+    size_units,
     validate_packing,
     ONE,
     ZERO,
@@ -52,8 +53,9 @@ def _class_bound_terms(instance: ConflictInstance) -> tuple[int, Fraction, Fract
 def color_sets(instance: ConflictInstance, info: Optional[GraphClassInfo] = None) -> Packing:
     """Pack each color class of a minimum coloring as a separate instance.
 
-    Per class the better of first-fit-decreasing and the exact-on-small
-    strategy is kept; the concatenation satisfies
+    Each class is packed by ``asymptotic_bp`` (first-fit decreasing, or
+    the exact optimum when that is strictly better); the concatenation
+    satisfies
     #bins <= chi + |large| + (3/2) s(medium) + (4/3) s(small), checked
     exactly on every run.
     """
@@ -61,11 +63,8 @@ def color_sets(instance: ConflictInstance, info: Optional[GraphClassInfo] = None
     coloring = minimum_coloring(instance, info)
     result = Packing((), "color_sets")
     for cls in coloring:
-        sizes = {i: instance.sizes[i] for i in cls}
-        a1 = packing_classic.ffd(cls, sizes)
-        a2 = packing_classic.asymptotic_bp(cls, sizes)
-        best = a1 if a1.bin_count <= a2.bin_count else a2
-        result = Packing(result.bins + best.bins, "color_sets")
+        packed = packing_classic.asymptotic_bp(cls, instance.sizes)
+        result = Packing(result.bins + packed.bins, "color_sets")
     chi = len(coloring)
     n_large, s_m, s_s = _class_bound_terms(instance)
     bound = chi + n_large + Fraction(3, 2) * s_m + Fraction(4, 3) * s_s
@@ -103,12 +102,16 @@ def matching_pack(instance: ConflictInstance, info: Optional[GraphClassInfo] = N
     info = _info(instance, info)
     classes = classify_items(instance)
     lm = sorted(classes.large | classes.medium)
-    aux_edges = [
-        (u, v)
-        for k, u in enumerate(lm)
-        for v in lm[k + 1 :]
-        if instance.sizes[u] + instance.sizes[v] <= ONE and not instance.has_edge(u, v)
-    ]
+    units, cap = size_units(instance.sizes[v] for v in lm)
+    aux_edges: list[tuple[int, int]] = []
+    for k, u in enumerate(lm):
+        room = cap - units[k]
+        blocked = instance.adjacency[u]
+        aux_edges += [
+            (u, v)
+            for v, w in zip(lm[k + 1 :], units[k + 1 :])
+            if w <= room and not (blocked >> v) & 1
+        ]
     matching = maximum_matching_general(lm, aux_edges)
     matched: set[int] = set()
     bins: list[frozenset[int]] = []
@@ -439,9 +442,5 @@ def multipartite_pack(instance: ConflictInstance, info: Optional[GraphClassInfo]
         raise CapabilityError("complete-multipartite certificate required")
     bins: tuple[frozenset[int], ...] = ()
     for part in info.parts:
-        sizes = {i: instance.sizes[i] for i in part}
-        a1 = packing_classic.ffd(part, sizes)
-        a2 = packing_classic.asymptotic_bp(part, sizes)
-        best = a1 if a1.bin_count <= a2.bin_count else a2
-        bins += best.bins
+        bins += packing_classic.asymptotic_bp(part, instance.sizes).bins
     return Packing(bins, "multipartite_pack")

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
-import networkx as nx
-
 from .errors import CapabilityError
 from .model import ConflictInstance, ZERO, _mask_to_ids
 
@@ -483,8 +481,11 @@ def maximum_matching_general(
     """Maximum-cardinality matching on an arbitrary graph.
 
     Backed by the blossom algorithm; returns disjoint edges as sorted
-    pairs.
+    pairs. networkx is imported here, on the first call, so that
+    ``import cbp`` does not pay for it.
     """
+    import networkx as nx
+
     g = nx.Graph()
     g.add_nodes_from(sorted(vertices))
     g.add_edges_from(sorted((min(u, v), max(u, v)) for u, v in edges))

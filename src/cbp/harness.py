@@ -668,8 +668,15 @@ def instance_to_dict(instance: ConflictInstance) -> dict:
 
 
 def instance_from_dict(data: dict) -> ConflictInstance:
+    if not isinstance(data, dict):
+        raise ParameterError(f"instance must be a JSON object, got {type(data).__name__}")
     raw_items = data.get("items", [])
+    if not isinstance(raw_items, list) or not all(isinstance(e, dict) for e in raw_items):
+        raise ParameterError("items must be a list of JSON objects")
     ids = [entry["id"] for entry in raw_items]
+    unhashable = [i for i in ids if isinstance(i, (list, dict))]
+    if unhashable:
+        raise ParameterError(f"item ids must be numbers or strings, got {unhashable[0]!r}")
     duplicates = [i for i, count in Counter(ids).items() if count > 1]
     if duplicates:
         raise ParameterError(f"duplicate item ids: {duplicates}")

@@ -71,8 +71,7 @@ def _single_bin_problem(
     for v in bin_items:
         bin_mask |= instance.adjacency[v]
     eligible = [v for v in pool if not (bin_mask >> v) & 1]
-    eset = set(eligible)
-    edges = frozenset((u, v) for (u, v) in instance.edges if u in eset and v in eset)
+    edges = frozenset(instance.conflicting_pairs(eligible))
     budget = Fraction(1) - instance.size_of(bin_items)
     return bis.BisProblem(
         vertices=tuple(eligible),

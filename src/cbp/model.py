@@ -1,14 +1,18 @@
 """Instance and packing data model.
 
-Items carry exact rational sizes in [0, 1] and a conflict graph on item
-ids. All size comparisons are exact (``fractions.Fraction``), so threshold
-classifications (1/3, 1/2, epsilon) never suffer float drift. Instances and
-packings are immutable after construction; every operation here is a pure
-function.
+Items carry exact rational sizes in [0, 1] (``fractions.Fraction``) and a
+conflict graph on item ids. The packing hot loops compare sizes in integer
+units: :func:`size_units` writes a set of sizes as numerators over the lcm
+D of their denominators, and a bin of capacity 1 holds D units. Python
+ints never round, so every capacity check stays exact, and the threshold
+classifications (1/3, 1/2, epsilon) and the validation below compare
+Fractions directly. Instances and packings are immutable after
+construction; every operation here is a pure function.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
@@ -42,6 +46,18 @@ def as_size(value: SizeLike) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ParameterError(f"cannot parse size {value!r}") from exc
     raise ParameterError(f"cannot parse size {value!r}")
+
+
+def size_units(sizes: Iterable[Fraction]) -> tuple[list[int], int]:
+    """Exact integer units: ``(units, den)`` with ``units[k] / den == sizes[k]``.
+
+    ``den`` is the lcm of the denominators (1 when there are none), so a
+    set of these items fits a bin of capacity 1 exactly when its units sum
+    to at most ``den``. There is no cap on ``den``; ints never overflow.
+    """
+    sizes = list(sizes)
+    den = math.lcm(*(s.denominator for s in sizes))
+    return [s.numerator * (den // s.denominator) for s in sizes], den
 
 
 class ConflictInstance:
@@ -130,10 +146,12 @@ class ConflictInstance:
             inside |= 1 << i
         pairs = []
         for u in ids:
-            hits = self.adjacency[u] & inside
-            for v in _mask_to_ids(hits):
-                if v > u:
-                    pairs.append((u, v))
+            # Bit k of ``later`` is the neighbour u + 1 + k.
+            later = (self.adjacency[u] & inside) >> (u + 1)
+            while later:
+                low = later & -later
+                pairs.append((u, u + low.bit_length()))
+                later ^= low
         return pairs
 
     def __eq__(self, other) -> bool:
@@ -331,6 +349,6 @@ def restrict_instance(
     else:
         raise ParameterError(f"mode must be 'intersect' or 'subtract', got {mode!r}")
     sizes = {i: instance.sizes[i] for i in kept}
-    edges = [(u, v) for (u, v) in instance.edges if u in kept and v in kept]
+    edges = instance.conflicting_pairs(kept)
     labels = {i: instance.labels[i] for i in kept}
     return ConflictInstance(sizes, edges, class_hint=instance.class_hint, labels=labels)

@@ -7,24 +7,13 @@ and trivially auditable.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Optional
 
 from .errors import CapabilityError
-from .model import ConflictInstance, Packing, ZERO, _mask_to_ids
+from .model import ConflictInstance, Packing, ZERO, _mask_to_ids, size_units
 
 DEFAULT_EXACT_LIMIT = 18
-
-
-def _scaled_sizes(sizes: list[Fraction]) -> tuple[list[int], int]:
-    """Integerize sizes on a common denominator (capacity = denominator)."""
-    den = 1
-    for s in sizes:
-        den = den * s.denominator // math.gcd(den, s.denominator)
-        if den > 10**9:
-            raise OverflowError
-    return [int(s * den) for s in sizes], den
 
 
 class _BnB:
@@ -38,18 +27,11 @@ class _BnB:
     """
 
     def __init__(self, instance: ConflictInstance, max_bins: Optional[int], node_budget: Optional[int]):
-        self.instance = instance
         order = sorted(instance.items, key=lambda i: (-instance.sizes[i], i))
         self.order = order
         self.n = len(order)
         self.pos = {v: k for k, v in enumerate(order)}
-        try:
-            sizes, den = _scaled_sizes([instance.sizes[i] for i in order])
-        except OverflowError:
-            # Rare in practice (file-level sizes are decimals or small
-            # fractions); exact Fractions still work, just slower.
-            sizes = [instance.sizes[i] for i in order]
-            den = Fraction(1)
+        sizes, den = size_units(instance.sizes[i] for i in order)
         self.sizes = sizes
         self.cap = den
         self.suffix = [0] * (self.n + 1)
@@ -79,7 +61,7 @@ class _BnB:
 
     def greedy(self) -> list[int]:
         """Conflict-aware first fit in the sorted order (initial incumbent)."""
-        loads: list = []
+        loads: list[int] = []
         blocks: list[int] = []
         assign = [0] * self.n
         for k in range(self.n):
@@ -98,13 +80,12 @@ class _BnB:
         return assign
 
     def root_lower_bound(self) -> int:
-        inst = self.instance
         if self.n == 0:
             return 0
-        size_lb = -(-self.suffix[0] // self.cap) if self.suffix[0] else 0
-        large = sum(1 for i in inst.items if inst.sizes[i] > Fraction(1, 2))
+        size_lb = -(-self.suffix[0] // self.cap)
+        large = sum(1 for s in self.sizes if 2 * s > self.cap)
         clique = self._greedy_clique()
-        return max(int(size_lb), large, clique, 1)
+        return max(size_lb, large, clique, 1)
 
     def _greedy_clique(self) -> int:
         by_degree = sorted(range(self.n), key=lambda k: (-self.adj[k].bit_count(), k))

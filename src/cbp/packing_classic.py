@@ -12,7 +12,7 @@ from typing import Iterable, Mapping
 
 from . import oracle
 from .errors import ParameterError
-from .model import ConflictInstance, Packing, SizeLike, as_size, ONE, ZERO
+from .model import ConflictInstance, Packing, SizeLike, as_size, size_units, ONE, ZERO
 
 DEFAULT_EXACT_THRESHOLD = 18
 
@@ -30,19 +30,19 @@ def _checked_sizes(items: Iterable[int], sizes: Mapping[int, SizeLike]) -> dict[
 def ffd(items: Iterable[int], sizes: Mapping[int, SizeLike]) -> Packing:
     """First-fit decreasing; ties in size broken by ascending item id."""
     sized = _checked_sizes(items, sizes)
-    order = sorted(sized, key=lambda i: (-sized[i], i))
+    units, cap = size_units(sized.values())
+    order = sorted(zip(sized, units), key=lambda iu: (-iu[1], iu[0]))
     bins: list[set[int]] = []
-    loads: list[Fraction] = []
-    for i in order:
-        s = sized[i]
-        for b in range(len(bins)):
-            if loads[b] + s <= ONE:
+    loads: list[int] = []
+    for i, u in order:
+        for b, load in enumerate(loads):
+            if load + u <= cap:
                 bins[b].add(i)
-                loads[b] += s
+                loads[b] = load + u
                 break
         else:
             bins.append({i})
-            loads.append(s)
+            loads.append(u)
     return Packing(tuple(frozenset(b) for b in bins), "ffd")
 
 

@@ -144,3 +144,23 @@ def test_solve_solver_error_exits_3(tmp_path, monkeypatch, capsys):
     write_instance(ConflictInstance({0: "1/2", 1: "1/2", 2: "1/20000", 3: "1/20000"}), path)
     assert main(["solve", "--algo", "abs_bpb", "--in", str(path)]) == 3
     assert "solver error: simplex iteration cap 0 exceeded" in capsys.readouterr().err
+
+
+def test_solve_top_level_list_exits_2(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps([{"id": 0, "size": "1/2"}]))
+    assert main(["solve", "--algo", "ffd", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "instance must be a JSON object, got list" in captured.err
+
+
+@pytest.mark.parametrize("bad_id", [[0], {"k": 0}])
+def test_solve_non_scalar_item_id_exits_2(tmp_path, capsys, bad_id):
+    path = tmp_path / "bad_id.json"
+    items = [{"id": bad_id, "size": "1/2"}, {"id": 1, "size": "1/3"}]
+    path.write_text(json.dumps({"items": items, "edges": []}))
+    assert main(["solve", "--algo", "ffd", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"item ids must be numbers or strings, got {bad_id!r}" in captured.err

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import networkx as nx
 import pytest
 
+import cbp
 from cbp import (
     CapabilityError,
     ConflictInstance,
@@ -202,6 +207,22 @@ def test_matching_matches_brute():
             assert u not in used and v not in used
             used |= {u, v}
         assert len(pairs) == brute_matching_size(inst.items, inst.edges)
+
+
+def test_import_cbp_leaves_networkx_unimported():
+    # networkx is imported on the first matching call, not by ``import cbp``.
+    code = (
+        "import sys\n"
+        "import cbp\n"
+        "print('networkx' in sys.modules)\n"
+        "cbp.maximum_matching_general([0, 1], [(0, 1)])\n"
+        "print('networkx' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cbp.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "False\nTrue\n"
 
 
 def test_restrict_class_info_certificates_hold():
