@@ -4,7 +4,9 @@ The budgeted problem: maximize w(S) over independent sets S with
 w(S) <= budget. Two schemes are provided — an enumeration-plus-exact-MWIS
 scheme for any class with exact weighted independent sets (bipartite,
 split, chordal, cluster, complete multipartite, edgeless), and a faster
-scheme for split graphs built on a knapsack FPTAS.
+scheme for split graphs built on a knapsack FPTAS. Weights and budgets
+are Fractions at the interface; both schemes and the knapsack compare
+them as Python ints over a common denominator (``model.size_units``).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import CapabilityError, ParameterError
-from .graphs import GraphClassInfo, restrict_class_info, _mwis_core
+from .graphs import GraphClassInfo, _mwis_core
 from .model import ZERO, size_units
 
 DEFAULT_ENUM_CAP = 6
@@ -25,27 +27,26 @@ EXACT_DP_CELL_LIMIT = 400_000
 
 @dataclass(frozen=True)
 class BisProblem:
-    """Graph + weights + budget, with class certificates for dispatch."""
+    """Graph + weights + budget, with class certificates for dispatch.
+
+    ``adjacency`` maps each vertex to a neighbour bitmask; only the bits
+    of ``vertices`` are read, so an instance's masks serve any induced
+    subproblem as they are. ``class_info`` may certify a supergraph: the
+    solvers intersect every certificate with their own vertex set.
+    """
 
     vertices: tuple[int, ...]
-    edges: frozenset[tuple[int, int]]
+    adjacency: Mapping[int, int]
     weights: Mapping[int, Fraction]
     budget: Fraction
     class_info: GraphClassInfo
 
     def __post_init__(self):
         for v in self.vertices:
-            if self.weights[v] < ZERO:
+            if self.weights[v].numerator < 0:
                 raise ParameterError(f"negative weight on vertex {v}")
-        if self.budget < ZERO:
+        if self.budget.numerator < 0:
             raise ParameterError(f"negative budget {self.budget}")
-
-    def adjacency(self) -> dict[int, int]:
-        adj = {v: 0 for v in self.vertices}
-        for u, v in self.edges:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        return adj
 
     def weight_of(self, items: Iterable[int]) -> Fraction:
         return sum((self.weights[v] for v in items), ZERO)
@@ -73,16 +74,22 @@ def knapsack_fptas(
     """
     eps = _check_eps(eps)
     ids = sorted(items)
-    ids = [i for i in ids if costs[i] <= budget]
-    if not ids or budget < ZERO:
+    # Costs and budget in integer units over one common lcm ``den``. The
+    # reduced lcm of the kept costs' denominators is den / gcd(den, their
+    # units), so the exact-DP test sees the denominator and the capacity it
+    # would see on the Fractions.
+    units, den = size_units([*(costs[i] for i in ids), budget])
+    limit = units.pop()
+    units = dict(zip(ids, units))
+    ids = [i for i in ids if units[i] <= limit]
+    if not ids or limit < 0:
         return frozenset()
-
-    units, den = size_units(costs[i] for i in ids)
-    if den <= EXACT_DP_DENOM_LIMIT:
-        cap = math.floor(budget * den)
+    step = math.gcd(den, *(units[i] for i in ids))
+    if den // step <= EXACT_DP_DENOM_LIMIT:
+        cap = limit // step
         if (cap + 1) * len(ids) <= EXACT_DP_CELL_LIMIT:
-            return _knapsack_exact(ids, profits, units, cap)
-    return _knapsack_scaled(ids, profits, costs, budget, eps)
+            return _knapsack_exact(ids, profits, [units[i] // step for i in ids], cap)
+    return _knapsack_scaled(ids, profits, units, limit, eps)
 
 
 def _knapsack_exact(ids, profits, units, cap) -> frozenset[int]:
@@ -104,7 +111,7 @@ def _knapsack_exact(ids, profits, units, cap) -> frozenset[int]:
 
 
 def _knapsack_scaled(ids, profits, costs, budget, eps) -> frozenset[int]:
-    positive = [i for i in ids if profits[i] > ZERO]
+    positive = [i for i in ids if profits[i] > 0]
     if not positive:
         return frozenset()
     p_max = max(profits[i] for i in positive)
@@ -138,7 +145,7 @@ def _independent_subsets(order, adj, weights, budget, max_size):
     """
     current: list[int] = []
 
-    def dfs(idx: int, banned: int, weight: Fraction):
+    def dfs(idx: int, banned: int, weight: int):
         yield list(current), weight
         if len(current) >= max_size:
             return
@@ -153,7 +160,14 @@ def _independent_subsets(order, adj, weights, budget, max_size):
             yield from dfs(j + 1, banned | adj[v] | (1 << v), weight + w)
             current.pop()
 
-    yield from dfs(0, 0, ZERO)
+    yield from dfs(0, 0, 0)
+
+
+def _problem_units(problem: BisProblem) -> tuple[dict[int, int], int]:
+    # (weights, budget): the problem in integer units over one denominator.
+    units, _ = size_units([*(problem.weights[v] for v in problem.vertices), problem.budget])
+    budget = units.pop()
+    return dict(zip(problem.vertices, units)), budget
 
 
 def bis_ptas(problem: BisProblem, eps, enum_cap: int = DEFAULT_ENUM_CAP) -> frozenset[int]:
@@ -171,18 +185,16 @@ def bis_ptas(problem: BisProblem, eps, enum_cap: int = DEFAULT_ENUM_CAP) -> froz
         raise ParameterError(
             f"enumeration bound ceil(1/eps) = {cap} exceeds cap {enum_cap}; use a larger eps"
         )
-    budget = problem.budget
-    weights = problem.weights
-    adj = problem.adjacency()
+    weights, budget = _problem_units(problem)
+    adj = problem.adjacency
     eligible = [v for v in sorted(problem.vertices) if weights[v] <= budget]
     if not eligible:
         return frozenset()
-    light_cut = eps * budget
-    total_eligible = sum((weights[v] for v in eligible), ZERO)
-    reachable = min(budget, total_eligible)
+    light_cut = eps.numerator * budget // eps.denominator
+    reachable = min(budget, sum(weights[v] for v in eligible))
 
     best: frozenset[int] = frozenset()
-    best_w = ZERO
+    best_w = 0
     for members, w_f in _independent_subsets(eligible, adj, weights, budget, cap):
         f_mask = 0
         for v in members:
@@ -196,12 +208,11 @@ def bis_ptas(problem: BisProblem, eps, enum_cap: int = DEFAULT_ENUM_CAP) -> froz
             sub_mask = 0
             for v in residual:
                 sub_mask |= 1 << v
-            info = restrict_class_info(problem.class_info, residual)
-            chosen = _mwis_core(residual, adj, sub_mask, info, weights)
+            chosen = _mwis_core(residual, adj, sub_mask, problem.class_info, weights)
         else:
             chosen = frozenset()
         picked = set(chosen)
-        total = w_f + sum((weights[v] for v in picked), ZERO)
+        total = w_f + sum(weights[v] for v in picked)
         while total > budget:
             z = min(picked, key=lambda v: (weights[v], v))
             picked.discard(z)
@@ -227,26 +238,24 @@ def bis_fptas_split(problem: BisProblem, eps) -> frozenset[int]:
     clique, stable = problem.class_info.split_partition
     vset = frozenset(problem.vertices)
     clique = sorted(clique & vset)
-    stable_set = stable & vset
-    adj = problem.adjacency()
-    weights = problem.weights
-    budget = problem.budget
+    stable = sorted(stable & vset)
+    adj = problem.adjacency
+    weights, budget = _problem_units(problem)
 
     best: frozenset[int] = frozenset()
-    best_w = ZERO
+    best_w = 0
     for v in clique:
         wv = weights[v]
         if wv > budget:
             continue
-        pool = [u for u in sorted(stable_set) if not (adj[v] >> u) & 1]
-        chosen = knapsack_fptas(pool, weights, weights, budget - wv, eps)
-        total = wv + problem.weight_of(chosen)
+        pool = [u for u in stable if not (adj[v] >> u) & 1]
+        residual = problem.budget - problem.weights[v]
+        chosen = knapsack_fptas(pool, problem.weights, problem.weights, residual, eps)
+        total = wv + sum(weights[u] for u in chosen)
         if total > best_w:
             best = frozenset({v}) | chosen
             best_w = total
-    chosen = knapsack_fptas(sorted(stable_set), weights, weights, budget, eps)
-    total = problem.weight_of(chosen)
-    if total > best_w:
+    chosen = knapsack_fptas(stable, problem.weights, problem.weights, problem.budget, eps)
+    if sum(weights[u] for u in chosen) > best_w:
         best = chosen
-        best_w = total
     return best

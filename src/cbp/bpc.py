@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from . import oracle, packing_classic
+from . import bis, oracle, packing_classic
 from .errors import CapabilityError, ParameterError, SolverError
 from .graphs import (
     GraphClassInfo,
@@ -50,6 +50,13 @@ def _class_bound_terms(instance: ConflictInstance) -> tuple[int, Fraction, Fract
     return len(classes.large), s_m, s_s
 
 
+def lemma4_bound(instance: ConflictInstance, chi: int) -> Fraction:
+    """Lemma 4's bin bound for packing the classes of a chi-coloring:
+    chi + |large| + (3/2) s(medium) + (4/3) s(small)."""
+    n_large, s_m, s_s = _class_bound_terms(instance)
+    return chi + n_large + Fraction(3, 2) * s_m + Fraction(4, 3) * s_s
+
+
 def color_sets(instance: ConflictInstance, info: Optional[GraphClassInfo] = None) -> Packing:
     """Pack each color class of a minimum coloring as a separate instance.
 
@@ -65,9 +72,7 @@ def color_sets(instance: ConflictInstance, info: Optional[GraphClassInfo] = None
     for cls in coloring:
         packed = packing_classic.asymptotic_bp(cls, instance.sizes)
         result = Packing(result.bins + packed.bins, "color_sets")
-    chi = len(coloring)
-    n_large, s_m, s_s = _class_bound_terms(instance)
-    bound = chi + n_large + Fraction(3, 2) * s_m + Fraction(4, 3) * s_s
+    bound = lemma4_bound(instance, len(coloring))
     if Fraction(result.bin_count) > bound:
         raise SolverError(f"coloring-based bound violated: {result.bin_count} > {bound}")
     return result
@@ -134,6 +139,7 @@ def approx_bpc(
     maxsize_config: Optional[MaxSizeConfig] = None,
 ) -> Packing:
     """Best of the three subroutines by bin count (ties by listed order)."""
+    bis._check_eps(eps)
     info = _info(instance, info)
     candidates = [
         color_sets(instance, info),
@@ -161,6 +167,7 @@ def split_approx(
     every guess is read off that single growth, which stops once a guess
     can no longer beat the best (it has at least |clique| + alpha bins).
     """
+    bis._check_eps(eps)
     info = _info(instance, info)
     if not info.is_split or info.split_partition is None:
         raise CapabilityError("split certificate required")

@@ -54,7 +54,10 @@ def _cmd_solve(args) -> int:
     if args.eps is not None:
         from . import bpc
 
-        eps = Fraction(args.eps)
+        try:
+            eps = Fraction(args.eps)
+        except ZeroDivisionError as exc:
+            raise ParameterError(f"--eps {args.eps!r} has a zero denominator") from exc
         if args.algo == "approx_bpc":
             packing = bpc.approx_bpc(instance, info, eps=eps)
         elif args.algo == "max_solve":

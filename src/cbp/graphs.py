@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
 from .errors import CapabilityError
-from .model import ConflictInstance, ZERO, _mask_to_ids
+from .model import ConflictInstance, _mask_to_ids
 
 Certificate = Optional[tuple]
 
@@ -321,7 +321,7 @@ def _mwis_chordal(
     marked = []
     for v in peo:
         rv = residual[v]
-        if rv <= ZERO:
+        if rv <= 0:
             continue
         marked.append(v)
         for u in _mask_to_ids(adj[v] & sub_mask):
@@ -346,17 +346,17 @@ def _mwis_bipartite(
     # Min-weight vertex cover via max flow (source->X with capacity w,
     # Y->sink with capacity w, conflict edges unbounded); the independent
     # set is the complement of the cover.
-    xs = sorted(v for v in vertices if v in sides[0] and weights[v] > ZERO)
-    ys = sorted(v for v in vertices if v in sides[1] and weights[v] > ZERO)
+    xs = sorted(v for v in vertices if v in sides[0] and weights[v] > 0)
+    ys = sorted(v for v in vertices if v in sides[1] and weights[v] > 0)
     node = {"s": 0, "t": 1}
     for v in xs + ys:
         node[v] = len(node)
     graph: list[dict[int, Fraction]] = [dict() for _ in range(len(node))]
-    inf = sum((weights[v] for v in xs + ys), ZERO) + 1
+    inf = sum(weights[v] for v in xs + ys) + 1
 
     def add_edge(a: int, b: int, cap: Fraction) -> None:
-        graph[a][b] = graph[a].get(b, ZERO) + cap
-        graph[b].setdefault(a, ZERO)
+        graph[a][b] = graph[a].get(b, 0) + cap
+        graph[b].setdefault(a, 0)
 
     for v in xs:
         add_edge(0, node[v], weights[v])
@@ -366,14 +366,14 @@ def _mwis_bipartite(
     for v in ys:
         add_edge(node[v], 1, weights[v])
 
-    # Dinic's algorithm with exact rational capacities.
+    # Dinic's algorithm with exact capacities (ints or Fractions).
     def bfs_levels() -> Optional[list[int]]:
         level = [-1] * len(graph)
         level[0] = 0
         queue = [0]
         for v in queue:
             for u, cap in graph[v].items():
-                if cap > ZERO and level[u] < 0:
+                if cap > 0 and level[u] < 0:
                     level[u] = level[v] + 1
                     queue.append(u)
         return level if level[1] >= 0 else None
@@ -383,15 +383,15 @@ def _mwis_bipartite(
             return limit
         while it[v]:
             u = it[v][-1]
-            cap = graph[v].get(u, ZERO)
-            if cap > ZERO and level[u] == level[v] + 1:
+            cap = graph[v].get(u, 0)
+            if cap > 0 and level[u] == level[v] + 1:
                 pushed = dfs_push(u, min(limit, cap), level, it)
-                if pushed > ZERO:
+                if pushed > 0:
                     graph[v][u] -= pushed
-                    graph[u][v] = graph[u].get(v, ZERO) + pushed
+                    graph[u][v] = graph[u].get(v, 0) + pushed
                     return pushed
             it[v].pop()
-        return ZERO
+        return 0
 
     while True:
         level = bfs_levels()
@@ -400,7 +400,7 @@ def _mwis_bipartite(
         iters = [sorted(graph[v], reverse=True) for v in range(len(graph))]
         while True:
             pushed = dfs_push(0, inf, level, iters)
-            if pushed <= ZERO:
+            if pushed <= 0:
                 break
 
     reach = {0}
@@ -408,7 +408,7 @@ def _mwis_bipartite(
     while stack:
         v = stack.pop()
         for u, cap in graph[v].items():
-            if cap > ZERO and u not in reach:
+            if cap > 0 and u not in reach:
                 reach.add(u)
                 stack.append(u)
     keep = [v for v in xs if node[v] in reach] + [v for v in ys if node[v] not in reach]
@@ -444,7 +444,7 @@ def _mwis_core(
     vset = frozenset(vertices)
     no_edges = all((adj[v] & sub_mask) == 0 for v in vertices)
     if no_edges:
-        return frozenset(v for v in vertices if weights[v] > ZERO)
+        return frozenset(v for v in vertices if weights[v] > 0)
     if info.is_chordal and info.elimination_order is not None:
         peo = tuple(v for v in info.elimination_order if v in vset)
         return _mwis_chordal(vertices, adj, sub_mask, peo, weights)
@@ -455,17 +455,17 @@ def _mwis_core(
         for comp in info.cluster_components:
             best = None
             for v in sorted(comp & vset):
-                if weights[v] > ZERO and (best is None or weights[v] > weights[best]):
+                if weights[v] > 0 and (best is None or weights[v] > weights[best]):
                     best = v
             if best is not None:
                 chosen.append(best)
         return frozenset(chosen)
     if info.is_complete_multipartite and info.parts is not None:
         best: frozenset[int] = frozenset()
-        best_w = ZERO
+        best_w = 0
         for part in info.parts:
-            cand = frozenset(v for v in part & vset if weights[v] > ZERO)
-            w = sum((weights[v] for v in cand), ZERO)
+            cand = frozenset(v for v in part & vset if weights[v] > 0)
+            w = sum(weights[v] for v in cand)
             if w > best_w:
                 best, best_w = cand, w
         return best

@@ -445,14 +445,7 @@ def _ffd_bounds_ok(instance: ConflictInstance, packing: Packing) -> bool:
 
 def _coloring_bound_ok(instance: ConflictInstance, info: GraphClassInfo, packing: Packing) -> bool:
     chi = len(minimum_coloring(instance, info))
-    classes = classify_items(instance)
-    bound = (
-        chi
-        + len(classes.large)
-        + Fraction(3, 2) * instance.size_of(classes.medium)
-        + Fraction(4, 3) * instance.size_of(classes.small)
-    )
-    return Fraction(packing.bin_count) <= bound
+    return packing.bin_count <= bpc.lemma4_bound(instance, chi)
 
 
 def _matching_bound_ok(

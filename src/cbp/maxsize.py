@@ -22,7 +22,7 @@ from typing import Iterator, Optional
 
 from . import bis
 from .errors import ParameterError
-from .graphs import GraphClassInfo, restrict_class_info
+from .graphs import GraphClassInfo
 from .model import ConflictInstance, Packing, validate_packing, ZERO
 from .rng import SplitMix64
 from .simplex import solve_max_lp
@@ -66,19 +66,20 @@ def _single_bin_problem(
     pool: list[int],
 ) -> bis.BisProblem:
     # Candidates are the unpacked items with no edge into the bin; the
-    # budget is the bin's residual capacity.
+    # budget is the bin's residual capacity. The instance's masks and
+    # certificates serve as they are: the solvers read only the bits and
+    # certificate members of the candidates.
     bin_mask = 0
     for v in bin_items:
         bin_mask |= instance.adjacency[v]
     eligible = [v for v in pool if not (bin_mask >> v) & 1]
-    edges = frozenset(instance.conflicting_pairs(eligible))
     budget = Fraction(1) - instance.size_of(bin_items)
     return bis.BisProblem(
         vertices=tuple(eligible),
-        edges=edges,
+        adjacency=instance.adjacency,
         weights=instance.sizes,
         budget=budget,
-        class_info=restrict_class_info(info, eligible),
+        class_info=info,
     )
 
 
@@ -107,6 +108,7 @@ def max_size(
     """Augment ``initial`` (bin count unchanged) with unpacked items."""
     if strategy not in STRATEGIES:
         raise ParameterError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
+    eps = bis._check_eps(eps)
     config = config or MaxSizeConfig()
     validate_initial(instance, initial)
     if strategy == "greedy-sequential":
@@ -134,6 +136,7 @@ def greedy_growth(
     0..k-1, so when the bins of ``initial`` after the k-th are empty, the
     state after k bins is the whole growth of its first k bins.
     """
+    eps = bis._check_eps(eps)
     packed = initial.items()
     pool = [i for i in instance.items if i not in packed]
     new_bins: list[frozenset[int]] = []
@@ -156,7 +159,6 @@ def _greedy_sequential(
     eps,
     config: MaxSizeConfig,
 ) -> MaxSizeResult:
-    eps = Fraction(eps) if not isinstance(eps, Fraction) else eps
     for bins, _pool in greedy_growth(instance, initial, class_info, eps, config):
         pass
     augmented = Packing(tuple(bins), "max_size/greedy-sequential", initial.flags)

@@ -51,13 +51,14 @@ def as_size(value: SizeLike) -> Fraction:
 def size_units(sizes: Iterable[Fraction]) -> tuple[list[int], int]:
     """Exact integer units: ``(units, den)`` with ``units[k] / den == sizes[k]``.
 
-    ``den`` is the lcm of the denominators (1 when there are none), so a
-    set of these items fits a bin of capacity 1 exactly when its units sum
-    to at most ``den``. There is no cap on ``den``; ints never overflow.
+    ``den`` is the lcm of the denominators (1 when there are none, or
+    when every size is an int), so a set of these items fits a bin of
+    capacity 1 exactly when its units sum to at most ``den``. There is no
+    cap on ``den``; ints never overflow.
     """
-    sizes = list(sizes)
-    den = math.lcm(*(s.denominator for s in sizes))
-    return [s.numerator * (den // s.denominator) for s in sizes], den
+    ratios = [s.as_integer_ratio() for s in sizes]
+    den = math.lcm(*(q for _, q in ratios))
+    return [p * (den // q) for p, q in ratios], den
 
 
 class ConflictInstance:

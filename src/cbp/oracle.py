@@ -206,10 +206,7 @@ def bis_brute(problem, limit_n: int = 20) -> tuple[frozenset[int], Fraction]:
     vertices = sorted(problem.vertices)
     if len(vertices) > limit_n:
         raise CapabilityError(f"brute-force BIS limited to n <= {limit_n}, got {len(vertices)}")
-    adj = {v: 0 for v in vertices}
-    for u, v in problem.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+    adj = problem.adjacency
     weights = problem.weights
     budget = problem.budget
     best: tuple[Fraction, tuple[int, ...]] = (ZERO, ())

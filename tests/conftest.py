@@ -83,7 +83,7 @@ def brute_mwis_value(instance: ConflictInstance, weights) -> Fraction:
     total = sum(weights.values(), Fraction(0)) + 1
     problem = BisProblem(
         vertices=tuple(instance.items),
-        edges=instance.edges,
+        adjacency=instance.adjacency,
         weights=weights,
         budget=total,
         class_info=recognize(instance),

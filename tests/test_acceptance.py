@@ -191,7 +191,7 @@ def _bis_problem(inst: ConflictInstance, rng: SplitMix64) -> BisProblem:
     budget = Fraction(1 + rng.below(6), 4)
     return BisProblem(
         vertices=tuple(inst.items),
-        edges=inst.edges,
+        adjacency=inst.adjacency,
         weights=dict(inst.sizes),
         budget=budget,
         class_info=recognize(inst),

@@ -21,7 +21,7 @@ from conftest import CLASSES, seeded_instance
 def problem_from(instance: ConflictInstance, weights, budget) -> BisProblem:
     return BisProblem(
         vertices=tuple(instance.items),
-        edges=instance.edges,
+        adjacency=instance.adjacency,
         weights=weights,
         budget=Fraction(budget) if not isinstance(budget, Fraction) else budget,
         class_info=recognize(instance),

@@ -136,6 +136,17 @@ def test_matching_pack_bound_with_oracle():
         assert Fraction(packing.bin_count) <= opt + chi + Fraction(4, 3) * inst.size_of(smalls)
 
 
+@pytest.mark.parametrize("algorithm", [approx_bpc, max_solve, split_approx])
+def test_bad_eps_rejected_before_any_work(algorithm):
+    # On a five-cycle (no supported class) the first subroutine would raise
+    # a CapabilityError; on an empty instance there is nothing to solve.
+    c5 = ConflictInstance({i: "0.6" for i in range(5)}, edges=[(i, (i + 1) % 5) for i in range(5)])
+    for inst in (c5, ConflictInstance({})):
+        for eps in (0, 2):
+            with pytest.raises(ParameterError, match="eps must be in"):
+                algorithm(inst, recognize(inst), eps=eps)
+
+
 def test_approx_bpc_examples():
     assert approx_bpc(ConflictInstance({})).bin_count == 0
     for seed in range(12):

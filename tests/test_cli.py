@@ -164,3 +164,27 @@ def test_solve_non_scalar_item_id_exits_2(tmp_path, capsys, bad_id):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"item ids must be numbers or strings, got {bad_id!r}" in captured.err
+
+
+@pytest.mark.parametrize("algo", ["max_solve", "approx_bpc", "split_approx"])
+@pytest.mark.parametrize(
+    "eps, message",
+    [
+        ("0", "eps must be in (0, 1), got 0"),
+        ("2", "eps must be in (0, 1), got 2"),
+        ("1/0", "--eps '1/0' has a zero denominator"),
+    ],
+)
+def test_solve_bad_eps_exits_2(tmp_path, capsys, algo, eps, message):
+    # Two items: no bin is ever solved, so only an up-front check can
+    # reject eps; neither a third, large item nor dropping the edge (one
+    # bin holds both) may change that.
+    items = [{"id": 0, "size": "1/2"}, {"id": 1, "size": "1/3"}]
+    large = [{"id": 2, "size": "3/5"}]
+    for extra, edges in (([], [[0, 1]]), (large, [[0, 1]]), ([], [])):
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps({"items": items + extra, "edges": edges}))
+        assert main(["solve", "--algo", algo, "--in", str(path), f"--eps={eps}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"parameter error: {message}" in captured.err

@@ -14,7 +14,7 @@ from cbp import (
     solve_config_lp,
     validate_packing,
 )
-from cbp.maxsize import _single_bin_problem
+from cbp.maxsize import _single_bin_problem, greedy_growth
 from cbp.model import make_packing
 from cbp.rng import SplitMix64
 
@@ -47,6 +47,19 @@ def test_infeasible_initial_rejected():
         max_size(inst, make_packing([{0}]), recognize(inst), strategy="bogus")
 
 
+@pytest.mark.parametrize("eps", [0, Fraction(-1, 2), 1, 2])
+def test_eps_checked_before_any_bin_is_solved(eps):
+    # No bin, or a bin with nothing to add: eps is still checked.
+    inst = ConflictInstance({0: "0.6", 1: "0.6"})
+    info = recognize(inst)
+    for start in (make_packing([]), make_packing([{0}, {1}])):
+        for strategy in ("greedy-sequential", "config-lp"):
+            with pytest.raises(ParameterError, match="eps must be in"):
+                max_size(inst, start, info, eps=eps, strategy=strategy)
+        with pytest.raises(ParameterError, match="eps must be in"):
+            next(greedy_growth(inst, start, info, eps, MaxSizeConfig()))
+
+
 def test_single_bin_subproblem_structure():
     inst = ConflictInstance(
         {0: "0.6", 1: "0.2", 2: "0.2", 3: "0.2"}, edges=[(0, 1), (2, 3)]
@@ -55,7 +68,9 @@ def test_single_bin_subproblem_structure():
     problem = _single_bin_problem(inst, info, frozenset({0}), [1, 2, 3])
     assert set(problem.vertices) == {2, 3}  # item 1 conflicts with the bin
     assert problem.budget == Fraction(2, 5)  # 1 - s(bin)
-    assert problem.edges == frozenset({(2, 3)})
+    vs = problem.vertices
+    pairs = {(min(u, v), max(u, v)) for u in vs for v in vs if (problem.adjacency[u] >> v) & 1}
+    assert pairs == {(2, 3)}
 
 
 def test_invariants_on_random_instances():

@@ -75,7 +75,7 @@ def test_bis_brute_examples():
     path = ConflictInstance({0: "0.1", 1: "0.1", 2: "0.1"}, edges=[(0, 1), (1, 2)])
     problem = BisProblem(
         vertices=(0, 1, 2),
-        edges=path.edges,
+        adjacency=path.adjacency,
         weights={0: Fraction(1), 1: Fraction(3), 2: Fraction(1)},
         budget=Fraction(10),
         class_info=recognize(path),
@@ -83,16 +83,16 @@ def test_bis_brute_examples():
     chosen, value = bis_brute(problem)
     assert chosen == {1} and value == 3
 
-    zero_budget = BisProblem((0, 1), frozenset(), {0: Fraction(1), 1: Fraction(2)}, Fraction(0), recognize(path))
+    zero_budget = BisProblem((0, 1), {0: 0, 1: 0}, {0: Fraction(1), 1: Fraction(2)}, Fraction(0), recognize(path))
     assert bis_brute(zero_budget) == (frozenset(), 0)
 
-    edgeless = BisProblem((0, 1, 2), frozenset(), {i: Fraction(1) for i in range(3)}, Fraction(10**9), recognize(path))
+    edgeless = BisProblem((0, 1, 2), {i: 0 for i in range(3)}, {i: Fraction(1) for i in range(3)}, Fraction(10**9), recognize(path))
     chosen, value = bis_brute(edgeless)
     assert chosen == {0, 1, 2} and value == 3
 
 
 def test_bis_brute_limit():
-    problem = BisProblem(tuple(range(21)), frozenset(), {i: Fraction(1) for i in range(21)}, Fraction(1), None)
+    problem = BisProblem(tuple(range(21)), {i: 0 for i in range(21)}, {i: Fraction(1) for i in range(21)}, Fraction(1), None)
     with pytest.raises(CapabilityError):
         bis_brute(problem)
 

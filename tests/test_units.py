@@ -1,26 +1,29 @@
 """Integer size units against Fraction references.
 
-The packing hot loops (FFD, the knapsack DPs, matching_pack's pair test)
-compare sizes as integers over a common denominator. The references here
+The packing hot loops (FFD, the knapsack DPs, matching_pack's pair test,
+the budgeted independent-set solvers) compare sizes as integers over a
+common denominator. The references here
 are the plain ``Fraction`` versions of those loops, kept in this file so
 they stay independent of the library code they check. Inputs are seeded
 and cover three size families: grid20 (k/20), 9-digit decimals, and
 pairwise-coprime denominators whose lcm exceeds 10^9.
 """
 
+import collections
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cbp import bis, bpc, graphs, opt_bpc_exact
+from cbp import BisProblem, bis, bis_brute, bpc, graphs, opt_bpc_exact
 from cbp.harness import GeneratorSpec, SizeDist, generate
 from cbp.maxsize import _single_bin_problem
 from cbp.model import ConflictInstance, classify_items, restrict_instance, size_units, validate_packing
 from cbp.packing_classic import ffd
 from cbp.rng import SplitMix64
 
-from conftest import CLASSES, brute_opt_bins
+from conftest import CLASSES, brute_opt_bins, seeded_instance
 
 PRIMES = (101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157)
 COPRIME = SizeDist(
@@ -30,11 +33,11 @@ COPRIME = SizeDist(
 FAMILIES = {"grid20": SizeDist(), "decimal": SizeDist(kind="uniform"), "coprime": COPRIME}
 
 
-def family_instances(family: str, count: int, n_lo: int, n_hi: int, seed: int):
+def family_instances(family: str, count: int, n_lo: int, n_hi: int, seed: int, classes=CLASSES):
     rng = SplitMix64(seed)
     for k in range(count):
         spec = GeneratorSpec(
-            klass=CLASSES[k % len(CLASSES)],
+            klass=classes[k % len(classes)],
             n=n_lo + rng.below(n_hi - n_lo + 1),
             density=0.2 + 0.4 * rng.unit(),
             size_dist=FAMILIES[family],
@@ -126,7 +129,105 @@ def ref_matching_pairs(instance) -> list[tuple[int, int]]:
 
 
 def ref_induced_edges(instance, kept) -> frozenset[tuple[int, int]]:
-    return frozenset((u, v) for (u, v) in instance.edges if u in kept and v in kept)
+    return ref_induced_edges_of(instance.edges, kept)
+
+
+def ref_induced_edges_of(edges, kept) -> frozenset[tuple[int, int]]:
+    return frozenset((u, v) for (u, v) in edges if u in kept and v in kept)
+
+
+def adjacency_pairs(problem) -> frozenset[tuple[int, int]]:
+    """The edges a BisProblem's masks give among its own vertices."""
+    vs = problem.vertices
+    return frozenset(
+        (min(u, v), max(u, v)) for u in vs for v in vs if (problem.adjacency[u] >> v) & 1
+    )
+
+
+def ref_adjacency(vertices, edges) -> dict[int, int]:
+    adj = {v: 0 for v in vertices}
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
+
+
+def ref_independent_subsets(order, adj, weights, budget, max_size):
+    current: list[int] = []
+
+    def dfs(idx, banned, weight):
+        yield list(current), weight
+        if len(current) >= max_size:
+            return
+        for j in range(idx, len(order)):
+            v = order[j]
+            if (banned >> v) & 1 or weight + weights[v] > budget:
+                continue
+            current.append(v)
+            yield from dfs(j + 1, banned | adj[v] | (1 << v), weight + weights[v])
+            current.pop()
+
+    yield from dfs(0, 0, Fraction(0))
+
+
+def ref_bis_ptas(edges, problem, eps, enum_cap=bis.DEFAULT_ENUM_CAP) -> frozenset[int]:
+    """bis_ptas on Fractions, with the edge set induced on the problem's
+    vertices and certificates restricted to each residual set."""
+    cap = math.ceil(1 / eps)
+    budget, weights = problem.budget, problem.weights
+    kept = set(problem.vertices)
+    adj = ref_adjacency(problem.vertices, ref_induced_edges_of(edges, kept))
+    info = graphs.restrict_class_info(problem.class_info, kept)
+    eligible = [v for v in sorted(problem.vertices) if weights[v] <= budget]
+    if not eligible:
+        return frozenset()
+    light_cut = eps * budget
+    reachable = min(budget, sum((weights[v] for v in eligible), Fraction(0)))
+    best, best_w = frozenset(), Fraction(0)
+    for members, w_f in ref_independent_subsets(eligible, adj, weights, budget, cap):
+        f_mask = sum(1 << v for v in members)
+        residual = [
+            v
+            for v in eligible
+            if not (f_mask >> v) & 1 and weights[v] <= light_cut and not (adj[v] & f_mask)
+        ]
+        chosen = frozenset()
+        if residual:
+            sub_info = graphs.restrict_class_info(info, residual)
+            sub_mask = sum(1 << v for v in residual)
+            chosen = graphs._mwis_core(residual, adj, sub_mask, sub_info, weights)
+        picked = set(chosen)
+        total = w_f + sum((weights[v] for v in picked), Fraction(0))
+        while total > budget:
+            z = min(picked, key=lambda v: (weights[v], v))
+            picked.discard(z)
+            total -= weights[z]
+        if total > best_w:
+            best, best_w = frozenset(members) | frozenset(picked), total
+            if best_w >= reachable:
+                break
+    return best
+
+
+def ref_bis_fptas_split(edges, problem, eps) -> frozenset[int]:
+    kept = set(problem.vertices)
+    adj = ref_adjacency(problem.vertices, ref_induced_edges_of(edges, kept))
+    clique, stable = problem.class_info.split_partition
+    weights, budget = problem.weights, problem.budget
+    stable = sorted(stable & kept)
+    best, best_w = frozenset(), Fraction(0)
+    for v in sorted(clique & kept):
+        if weights[v] > budget:
+            continue
+        pool = [u for u in stable if not (adj[v] >> u) & 1]
+        chosen = ref_knapsack_fptas(pool, weights, weights, budget - weights[v], eps)
+        total = weights[v] + problem.weight_of(chosen)
+        if total > best_w:
+            best, best_w = frozenset({v}) | chosen, total
+    chosen = ref_knapsack_fptas(stable, weights, weights, budget, eps)
+    if problem.weight_of(chosen) > best_w:
+        best = chosen
+    return best
 
 
 # --- tests ------------------------------------------------------------------
@@ -167,6 +268,89 @@ def test_knapsack_fptas_matches_fraction_reference(family):
     for items, sizes, budget in knapsack_inputs(family, 4242):
         got = bis.knapsack_fptas(items, sizes, sizes, budget, eps)
         assert got == ref_knapsack_fptas(items, sizes, sizes, budget, eps)
+
+
+def test_mwis_reads_only_its_own_vertices_of_a_certificate():
+    # The BIS solvers pass the whole instance's certificates: on any vertex
+    # subset, each class branch, given its certificate alone, must choose
+    # what it chooses with the certificate restricted to the subset.
+    rng = SplitMix64(31)
+    branches = collections.Counter()
+    for k in range(60):
+        inst = seeded_instance(CLASSES[k % len(CLASSES)], 6 + rng.below(10), rng.next_u64())
+        info = graphs.recognize(inst)
+        weights = {i: Fraction(rng.below(9), 1 + rng.below(4)) for i in inst.items}
+        for flag, field in (
+            ("is_chordal", "elimination_order"),
+            ("is_bipartite", "bipartition"),
+            ("is_cluster", "cluster_components"),
+            ("is_complete_multipartite", "parts"),
+        ):
+            if getattr(info, field) is None:
+                continue
+            cert = graphs.GraphClassInfo(**{flag: True, field: getattr(info, field)})
+            for _ in range(4):
+                sub = [i for i in inst.items if rng.below(3)]
+                mask = sum(1 << v for v in sub)
+                got = graphs._mwis_core(sub, inst.adjacency, mask, cert, weights)
+                restricted = graphs.restrict_class_info(cert, sub)
+                assert got == graphs._mwis_core(sub, inst.adjacency, mask, restricted, weights)
+                branches[field] += any(inst.adjacency[v] & mask for v in sub)
+    assert min(branches.values()) >= 20 and len(branches) == 4
+
+
+def ref_knapsack_path(items, costs, budget):
+    """The DP knapsack_fptas runs on the Fractions: ("exact", cap) or
+    ("scaled", None), or None when nothing fits."""
+    ids = [i for i in items if costs[i] <= budget]
+    if not ids or budget < 0:
+        return None
+    den = lcm_of(costs[i] for i in ids)
+    cap = math.floor(budget * den)
+    if den <= bis.EXACT_DP_DENOM_LIMIT and (cap + 1) * len(ids) <= bis.EXACT_DP_CELL_LIMIT:
+        return ("exact", cap)
+    return ("scaled", None)
+
+
+def knapsack_path_inputs():
+    # The three families, plus grid20 costs under budgets whose
+    # denominators are primes above EXACT_DP_DENOM_LIMIT and one item over
+    # budget with such a denominator: only the kept costs count.
+    for family in sorted(FAMILIES):
+        for items, sizes, budget in knapsack_inputs(family, 4343):
+            yield items, sizes, sizes, budget
+    rng = SplitMix64(99)
+    for p in (4099, 4111, 5003, 7919, 10007, 65537):
+        ids = list(range(12))
+        costs = {i: Fraction(1 + rng.below(20), 20) for i in ids[:-1]}
+        costs[ids[-1]] = Fraction(p + 1, p)
+        profits = {i: Fraction(1 + rng.below(97), 97) for i in ids}
+        yield ids, profits, costs, Fraction(rng.below(p) + p // 2, 2 * p)
+
+
+def test_knapsack_fptas_picks_the_dp_of_the_fraction_reference(monkeypatch):
+    calls = []
+    exact, scaled = bis._knapsack_exact, bis._knapsack_scaled
+
+    def recording_exact(ids, profits, units, cap):
+        calls.append(("exact", cap))
+        return exact(ids, profits, units, cap)
+
+    def recording_scaled(*args):
+        calls.append(("scaled", None))
+        return scaled(*args)
+
+    monkeypatch.setattr(bis, "_knapsack_exact", recording_exact)
+    monkeypatch.setattr(bis, "_knapsack_scaled", recording_scaled)
+    seen = set()
+    for items, profits, costs, budget in knapsack_path_inputs():
+        calls.clear()
+        got = bis.knapsack_fptas(items, profits, costs, budget, Fraction(1, 10))
+        assert got == ref_knapsack_fptas(items, profits, costs, budget, Fraction(1, 10))
+        want = ref_knapsack_path(items, costs, budget)
+        assert calls == ([want] if want else [])
+        seen.add(want[0] if want else None)
+    assert seen == {"exact", "scaled", None}
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -225,7 +409,7 @@ def test_induced_edges_match_edge_scan(family):
         first = frozenset(inst.items[:1])
         pool = [i for i in inst.items if i not in first]
         problem = _single_bin_problem(inst, info, first, pool)
-        assert problem.edges == ref_induced_edges(inst, set(problem.vertices))
+        assert adjacency_pairs(problem) == ref_induced_edges(inst, set(problem.vertices))
 
 
 def test_exact_oracle_on_sizes_with_lcm_above_1e9():
@@ -241,3 +425,88 @@ def test_exact_oracle_on_sizes_with_lcm_above_1e9():
         packing, count = opt_bpc_exact(inst)
         assert validate_packing(inst, packing, require_cover=True).feasible
         assert count == packing.bin_count == brute_opt_bins(inst)
+
+
+def size_problems(family: str, seed: int, classes=CLASSES):
+    """(instance, problem) pairs with sizes as weights: the single-bin
+    problem max_size builds for a bin holding the first item, and the whole
+    instance against one minus the first few items' load."""
+    for inst in family_instances(family, 24, 4, 24, seed, classes):
+        info = graphs.recognize(inst)
+        first = frozenset(inst.items[:1])
+        pool = [i for i in inst.items if i not in first]
+        yield inst, _single_bin_problem(inst, info, first, pool)
+        load = sum((inst.sizes[i] for i in inst.items[: SplitMix64(seed + inst.n).below(3)]), Fraction(0))
+        budget = max(Fraction(0), 1 - load)
+        yield inst, BisProblem(inst.items, inst.adjacency, inst.sizes, budget, info)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_bis_ptas_matches_fraction_reference(family):
+    picked = huge = 0
+    for inst, problem in size_problems(family, 1717):
+        for eps in (Fraction(1, 4), Fraction(2, 7), Fraction(1, 6)):
+            got = bis.bis_ptas(problem, eps)
+            assert got == ref_bis_ptas(inst.edges, problem, eps)
+            picked += len(got)
+        huge += lcm_of(problem.weights[v] for v in problem.vertices) > 10**9
+    assert picked > 100
+    assert huge >= 10 if family == "coprime" else huge == 0
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_bis_fptas_split_matches_fraction_reference(family):
+    picked = 0
+    for inst, problem in size_problems(family, 1818, classes=("split",)):
+        for eps in (Fraction(1, 10), Fraction(1, 3)):
+            got = bis.bis_fptas_split(problem, eps)
+            assert got == ref_bis_fptas_split(inst.edges, problem, eps)
+            picked += len(got)
+    assert picked > 100
+
+
+def test_bis_solvers_match_fraction_reference_on_other_weights():
+    # Weights above 1 and zero weights; budgets 0, small and 10^9.
+    rng = SplitMix64(515)
+    splits = 0
+    for k in range(48):
+        inst = seeded_instance(CLASSES[k % len(CLASSES)], 4 + rng.below(9), rng.next_u64())
+        info = graphs.recognize(inst)
+        weights = {i: Fraction(rng.below(60), 1 + rng.below(12)) for i in inst.items}
+        assert any(w > 1 for w in weights.values()) or inst.n < 6
+        for budget in (Fraction(0), Fraction(1 + rng.below(40), 3), Fraction(10**9)):
+            problem = BisProblem(inst.items, inst.adjacency, weights, budget, info)
+            eps = Fraction(2, 7)
+            assert bis.bis_ptas(problem, eps) == ref_bis_ptas(inst.edges, problem, eps)
+            if info.is_split:
+                splits += 1
+                got = bis.bis_fptas_split(problem, eps)
+                assert got == ref_bis_fptas_split(inst.edges, problem, eps)
+    assert splits >= 24
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    klass=st.sampled_from(CLASSES),
+    n=st.integers(1, 10),
+    seed=st.integers(0, 2**32),
+    eps=st.sampled_from([Fraction(1, 3), Fraction(2, 7), Fraction(1, 4), Fraction(1, 6)]),
+    data=st.data(),
+)
+def test_bis_solvers_property(klass, n, seed, eps, data):
+    inst = seeded_instance(klass, n, seed)
+    info = graphs.recognize(inst)
+    weight = st.fractions(min_value=0, max_value=3, max_denominator=10**4)
+    weights = {i: data.draw(weight) for i in inst.items}
+    budget = data.draw(st.fractions(min_value=0, max_value=5, max_denominator=10**4))
+    problem = BisProblem(inst.items, inst.adjacency, weights, budget, info)
+    _, opt = bis_brute(problem)
+    solvers = [(bis.bis_ptas, ref_bis_ptas)]
+    if info.is_split:
+        solvers.append((bis.bis_fptas_split, ref_bis_fptas_split))
+    for solve, ref in solvers:
+        chosen = solve(problem, eps)
+        assert chosen == ref(inst.edges, problem, eps)
+        assert inst.is_independent(chosen)
+        assert problem.weight_of(chosen) <= budget
+        assert problem.weight_of(chosen) >= (1 - eps) * opt
