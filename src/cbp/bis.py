@@ -5,8 +5,9 @@ w(S) <= budget. Two schemes are provided — an enumeration-plus-exact-MWIS
 scheme for any class with exact weighted independent sets (bipartite,
 split, chordal, cluster, complete multipartite, edgeless), and a faster
 scheme for split graphs built on a knapsack FPTAS. Weights and budgets
-are Fractions at the interface; both schemes and the knapsack compare
-them as Python ints over a common denominator (``model.size_units``).
+are Fractions at the interface; each call converts them once to Python
+ints over a common denominator (``model.size_units``), and both schemes
+and both knapsack dynamic programs run on integer profits and costs.
 """
 
 from __future__ import annotations
@@ -74,28 +75,31 @@ def knapsack_fptas(
     """
     eps = _check_eps(eps)
     ids = sorted(items)
-    # Costs and budget in integer units over one common lcm ``den``. The
-    # reduced lcm of the kept costs' denominators is den / gcd(den, their
-    # units), so the exact-DP test sees the denominator and the capacity it
-    # would see on the Fractions.
     units, den = size_units([*(costs[i] for i in ids), budget])
     limit = units.pop()
-    units = dict(zip(ids, units))
+    gains, _ = size_units(profits[i] for i in ids)
+    return _knapsack(ids, dict(zip(ids, gains)), dict(zip(ids, units)), limit, den, eps)
+
+
+def _knapsack(ids, gains, units, limit, den, eps) -> frozenset[int]:
+    # ``knapsack_fptas`` on ints: costs and budget over any common multiple
+    # ``den`` of their denominators. The kept costs' reduced lcm is
+    # den / gcd(den, their units), so the exact-DP test is that of the Fractions.
     ids = [i for i in ids if units[i] <= limit]
     if not ids or limit < 0:
         return frozenset()
+    kept_gains = [gains[i] for i in ids]
     step = math.gcd(den, *(units[i] for i in ids))
     if den // step <= EXACT_DP_DENOM_LIMIT:
         cap = limit // step
         if (cap + 1) * len(ids) <= EXACT_DP_CELL_LIMIT:
-            return _knapsack_exact(ids, profits, [units[i] // step for i in ids], cap)
-    return _knapsack_scaled(ids, profits, units, limit, eps)
+            return _knapsack_exact(ids, kept_gains, [units[i] // step for i in ids], cap)
+    return _knapsack_scaled(ids, kept_gains, [units[i] for i in ids], limit, eps)
 
 
-def _knapsack_exact(ids, profits, units, cap) -> frozenset[int]:
-    # ``units`` are the costs in integer units; profits go over their own lcm.
+def _knapsack_exact(ids, gains, units, cap) -> frozenset[int]:
+    # Integer profits ``gains`` and costs ``units``, aligned with ``ids``.
     # dp[c] = best profit at integer cost <= c; take rebuilds the set.
-    gains, _ = size_units(profits[i] for i in ids)
     dp = [0] * (cap + 1)
     take = [0] * (cap + 1)
     for idx, (c, p) in enumerate(zip(units, gains)):
@@ -110,31 +114,29 @@ def _knapsack_exact(ids, profits, units, cap) -> frozenset[int]:
     return frozenset(ids[k] for k in range(len(ids)) if (take[best_w] >> k) & 1)
 
 
-def _knapsack_scaled(ids, profits, costs, budget, eps) -> frozenset[int]:
-    positive = [i for i in ids if profits[i] > 0]
+def _knapsack_scaled(ids, gains, units, limit, eps) -> frozenset[int]:
+    # Integer profits and costs, aligned with ``ids``; each positive profit
+    # g scales to floor(g / (eps * g_max / n)).
+    positive = [k for k, g in enumerate(gains) if g > 0]
     if not positive:
         return frozenset()
-    p_max = max(profits[i] for i in positive)
-    scale = eps * p_max / len(positive)
-    scaled = [int(profits[i] / scale) for i in positive]
+    num = len(positive) * eps.denominator
+    div = eps.numerator * max(gains[k] for k in positive)
+    scaled = [gains[k] * num // div for k in positive]
     top = sum(scaled)
-    # Costs and budget in integer units over their common lcm.
-    units, den = size_units([*(costs[i] for i in positive), budget])
-    limit = units.pop()
-    # dp[p] = minimal cost achieving scaled profit exactly p (budget + 1: none).
-    inf = limit + den
-    dp = [inf] * (top + 1)
+    # dp[p] = least cost of scaled profit exactly p; limit + 1 marks none (only <= limit counts).
+    dp = [limit + 1] * (top + 1)
     dp[0] = 0
     take: list[int] = [0] * (top + 1)
-    for idx, (sp, c) in enumerate(zip(scaled, units)):
+    for idx, (sp, k) in enumerate(zip(scaled, positive)):
+        c = units[k]
         for p in range(top, sp - 1, -1):
             cand = dp[p - sp] + c
             if cand < dp[p]:
                 dp[p] = cand
                 take[p] = take[p - sp] | (1 << idx)
     best_p = max((p for p in range(top + 1) if dp[p] <= limit), default=0)
-    chosen = frozenset(positive[k] for k in range(len(positive)) if (take[best_p] >> k) & 1)
-    return chosen
+    return frozenset(ids[positive[j]] for j in range(len(positive)) if (take[best_p] >> j) & 1)
 
 
 def _independent_subsets(order, adj, weights, budget, max_size):
@@ -163,29 +165,31 @@ def _independent_subsets(order, adj, weights, budget, max_size):
     yield from dfs(0, 0, 0)
 
 
-def _problem_units(problem: BisProblem) -> tuple[dict[int, int], int]:
-    # (weights, budget): the problem in integer units over one denominator.
-    units, _ = size_units([*(problem.weights[v] for v in problem.vertices), problem.budget])
+def _problem_units(problem: BisProblem) -> tuple[dict[int, int], int, int]:
+    # (weights, budget, den): the problem in integer units over ``den``.
+    units, den = size_units([*(problem.weights[v] for v in problem.vertices), problem.budget])
     budget = units.pop()
-    return dict(zip(problem.vertices, units)), budget
+    return dict(zip(problem.vertices, units)), budget, den
 
 
-def bis_ptas(problem: BisProblem, eps, enum_cap: int = DEFAULT_ENUM_CAP) -> frozenset[int]:
+def bis_ptas(problem: BisProblem, eps) -> frozenset[int]:
     """Enumeration scheme: value >= (1 - eps) * optimum.
 
     Guesses every independent set F of at most ceil(1/eps) vertices within
     budget, extends it with an exact max-weight independent set over the
     light (weight <= eps * budget) vertices not adjacent to F, and evicts
     light vertices while over budget. Requires a class certificate with an
-    exact weighted-independent-set algorithm.
+    exact weighted-independent-set algorithm. ceil(1/eps) may not exceed
+    ``DEFAULT_ENUM_CAP``.
     """
     eps = _check_eps(eps)
     cap = math.ceil(1 / eps)
-    if cap > enum_cap:
+    if cap > DEFAULT_ENUM_CAP:
         raise ParameterError(
-            f"enumeration bound ceil(1/eps) = {cap} exceeds cap {enum_cap}; use a larger eps"
+            f"enumeration bound ceil(1/eps) = {cap} exceeds cap {DEFAULT_ENUM_CAP}; "
+            "use a larger eps"
         )
-    weights, budget = _problem_units(problem)
+    weights, budget, _ = _problem_units(problem)
     adj = problem.adjacency
     eligible = [v for v in sorted(problem.vertices) if weights[v] <= budget]
     if not eligible:
@@ -240,8 +244,9 @@ def bis_fptas_split(problem: BisProblem, eps) -> frozenset[int]:
     clique = sorted(clique & vset)
     stable = sorted(stable & vset)
     adj = problem.adjacency
-    weights, budget = _problem_units(problem)
+    weights, budget, den = _problem_units(problem)
 
+    # Profit equals cost: the knapsacks read the same units for both.
     best: frozenset[int] = frozenset()
     best_w = 0
     for v in clique:
@@ -249,13 +254,12 @@ def bis_fptas_split(problem: BisProblem, eps) -> frozenset[int]:
         if wv > budget:
             continue
         pool = [u for u in stable if not (adj[v] >> u) & 1]
-        residual = problem.budget - problem.weights[v]
-        chosen = knapsack_fptas(pool, problem.weights, problem.weights, residual, eps)
+        chosen = _knapsack(pool, weights, weights, budget - wv, den, eps)
         total = wv + sum(weights[u] for u in chosen)
         if total > best_w:
             best = frozenset({v}) | chosen
             best_w = total
-    chosen = knapsack_fptas(stable, problem.weights, problem.weights, problem.budget, eps)
+    chosen = _knapsack(stable, weights, weights, budget, den, eps)
     if sum(weights[u] for u in chosen) > best_w:
         best = chosen
     return best

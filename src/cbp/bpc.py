@@ -22,7 +22,7 @@ from .graphs import (
     recognize,
     restrict_class_info,
 )
-from .maxsize import MaxSizeConfig, greedy_growth, max_size, validate_initial
+from .maxsize import greedy_growth, max_size, validate_initial
 from .model import (
     ConflictInstance,
     Packing,
@@ -82,14 +82,13 @@ def max_solve(
     instance: ConflictInstance,
     info: Optional[GraphClassInfo] = None,
     eps=PRACTICAL_EPS,
-    maxsize_config: Optional[MaxSizeConfig] = None,
 ) -> Packing:
     """Singleton bins for the large items, grown greedily, rest by coloring."""
     info = _info(instance, info)
     classes = classify_items(instance)
     large = sorted(classes.large)
     seed = Packing(tuple(frozenset({v}) for v in large), "max_solve")
-    grown = max_size(instance, seed, info, eps=eps, config=maxsize_config)
+    grown = max_size(instance, seed, info, eps=eps)
     rest = restrict_instance(instance, grown.augmented.items(), mode="subtract")
     rest_info = restrict_class_info(info, rest.items)
     tail = color_sets(rest, rest_info)
@@ -136,14 +135,13 @@ def approx_bpc(
     instance: ConflictInstance,
     info: Optional[GraphClassInfo] = None,
     eps=PRACTICAL_EPS,
-    maxsize_config: Optional[MaxSizeConfig] = None,
 ) -> Packing:
     """Best of the three subroutines by bin count (ties by listed order)."""
     bis._check_eps(eps)
     info = _info(instance, info)
     candidates = [
         color_sets(instance, info),
-        max_solve(instance, info, eps=eps, maxsize_config=maxsize_config),
+        max_solve(instance, info, eps=eps),
         matching_pack(instance, info),
     ]
     best = min(candidates, key=lambda p: p.bin_count)
@@ -154,7 +152,6 @@ def split_approx(
     instance: ConflictInstance,
     info: Optional[GraphClassInfo] = None,
     eps=Fraction(1, 10),
-    maxsize_config: Optional[MaxSizeConfig] = None,
 ) -> Packing:
     """Clique singletons plus guessed empty bins, grown, remainder by FFD.
 
@@ -180,7 +177,7 @@ def split_approx(
     alpha_top = math.ceil(2 * instance.total_size) + 1
     start = Packing(singles + (frozenset(),) * alpha_top, "split_approx")
     validate_initial(instance, start)
-    growth = greedy_growth(instance, start, info, eps, maxsize_config or MaxSizeConfig())
+    growth = greedy_growth(instance, start, info, eps)
     best: Optional[Packing] = None
     for bins, pool in itertools.islice(growth, len(singles), None):
         if best is not None and len(bins) >= best.bin_count:

@@ -450,16 +450,6 @@ def _mwis_core(
         return _mwis_chordal(vertices, adj, sub_mask, peo, weights)
     if info.is_bipartite and info.bipartition is not None:
         return _mwis_bipartite(vertices, adj, sub_mask, info.bipartition, weights)
-    if info.is_cluster and info.cluster_components is not None:
-        chosen = []
-        for comp in info.cluster_components:
-            best = None
-            for v in sorted(comp & vset):
-                if weights[v] > 0 and (best is None or weights[v] > weights[best]):
-                    best = v
-            if best is not None:
-                chosen.append(best)
-        return frozenset(chosen)
     if info.is_complete_multipartite and info.parts is not None:
         best: frozenset[int] = frozenset()
         best_w = 0

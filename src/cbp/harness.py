@@ -100,6 +100,8 @@ class GeneratorSpec:
 
     @staticmethod
     def from_dict(data: dict) -> "GeneratorSpec":
+        if not isinstance(data, dict):
+            raise ParameterError(f"generator spec must be a JSON object, got {type(data).__name__}")
         klass = data.get("class", data.get("klass"))
         if klass not in GENERATOR_CLASSES:
             raise ParameterError(f"unknown generator class {klass!r}")
@@ -684,8 +686,14 @@ def instance_from_dict(data: dict) -> ConflictInstance:
         new_id = remap[entry["id"]]
         sizes[new_id] = as_size(entry["size"])
         labels[new_id] = str(entry["id"])
+    raw_edges = data.get("edges", [])
+    if not isinstance(raw_edges, list) or not all(
+        isinstance(e, list) and len(e) == 2 and not any(isinstance(x, (list, dict)) for x in e)
+        for e in raw_edges
+    ):
+        raise ParameterError("edges must be a list of [u, v] pairs of item ids")
     edges = []
-    for u, v in data.get("edges", []):
+    for u, v in raw_edges:
         if u not in remap or v not in remap:
             raise ParameterError(f"edge ({u}, {v}) references unknown items")
         edges.append((remap[u], remap[v]))
@@ -712,11 +720,17 @@ def packing_to_dict(packing: Packing) -> dict:
 
 
 def packing_from_dict(data: dict) -> Packing:
-    return Packing(
-        tuple(frozenset(b) for b in data.get("bins", [])),
-        data.get("source", ""),
-        tuple(data.get("flags", [])),
-    )
+    if not isinstance(data, dict):
+        raise ParameterError(f"packing must be a JSON object, got {type(data).__name__}")
+    bins = data.get("bins", [])
+    if not isinstance(bins, list) or not all(
+        isinstance(b, list) and not any(isinstance(v, (list, dict)) for v in b) for b in bins
+    ):
+        raise ParameterError("bins must be a list of lists of item ids")
+    flags = data.get("flags", [])
+    if not isinstance(flags, list):
+        raise ParameterError("flags must be a list")
+    return Packing(tuple(frozenset(b) for b in bins), data.get("source", ""), tuple(flags))
 
 
 def read_packing(path) -> Packing:

@@ -28,14 +28,14 @@ from .rng import SplitMix64
 from .simplex import solve_max_lp
 
 STRATEGIES = ("greedy-sequential", "config-lp")
+# Column generation stops after this many rounds per bin and unpacked item.
+ITERATION_CAP_FACTOR = 10
 
 
 @dataclass(frozen=True)
 class MaxSizeConfig:
     seed: int = 0
-    iteration_cap_factor: int = 10
     pricing_limit: int = 24
-    enum_cap: int = bis.DEFAULT_ENUM_CAP
 
 
 @dataclass(frozen=True)
@@ -83,10 +83,10 @@ def _single_bin_problem(
     )
 
 
-def _solve_single_bin(problem: bis.BisProblem, eps, enum_cap: int) -> frozenset[int]:
+def _solve_single_bin(problem: bis.BisProblem, eps) -> frozenset[int]:
     if problem.class_info.is_split and problem.class_info.split_partition is not None:
         return bis.bis_fptas_split(problem, eps)
-    return bis.bis_ptas(problem, eps, enum_cap=enum_cap)
+    return bis.bis_ptas(problem, eps)
 
 
 def validate_initial(instance: ConflictInstance, initial: Packing) -> None:
@@ -112,10 +112,10 @@ def max_size(
     config = config or MaxSizeConfig()
     validate_initial(instance, initial)
     if strategy == "greedy-sequential":
-        return _greedy_sequential(instance, initial, class_info, eps, config)
+        return _greedy_sequential(instance, initial, class_info, eps)
     solution = solve_config_lp(instance, initial, class_info, config)
     if not solution.converged:
-        result = _greedy_sequential(instance, initial, class_info, eps, config)
+        result = _greedy_sequential(instance, initial, class_info, eps)
         augmented = result.augmented.with_flags("config-lp-cap-fallback")
         return MaxSizeResult(augmented, result.added_items, result.added_size, result.strategy, result.guarantee)
     return round_config_lp(solution, config.seed)
@@ -126,7 +126,6 @@ def greedy_growth(
     initial: Packing,
     class_info: GraphClassInfo,
     eps,
-    config: MaxSizeConfig,
 ) -> Iterator[tuple[list[frozenset[int]], list[int]]]:
     """Greedy-sequential growth of ``initial``, one bin at a time.
 
@@ -145,7 +144,7 @@ def greedy_growth(
         if pool:
             problem = _single_bin_problem(instance, class_info, bin_items, pool)
             if problem.budget > ZERO and problem.vertices:
-                chosen = _solve_single_bin(problem, eps, config.enum_cap)
+                chosen = _solve_single_bin(problem, eps)
                 bin_items = bin_items | chosen
                 pool = [v for v in pool if v not in chosen]
         new_bins.append(bin_items)
@@ -157,9 +156,8 @@ def _greedy_sequential(
     initial: Packing,
     class_info: GraphClassInfo,
     eps,
-    config: MaxSizeConfig,
 ) -> MaxSizeResult:
-    for bins, _pool in greedy_growth(instance, initial, class_info, eps, config):
+    for bins, _pool in greedy_growth(instance, initial, class_info, eps):
         pass
     augmented = Packing(tuple(bins), "max_size/greedy-sequential", initial.flags)
     added = augmented.items() - initial.items()
@@ -261,7 +259,7 @@ def solve_config_lp(
             columns.append(col)
             seen_columns.add(col)
 
-    cap = config.iteration_cap_factor * (t + len(pool))
+    cap = ITERATION_CAP_FACTOR * (t + len(pool))
     iterations = 0
     converged = False
     values: tuple[Fraction, ...] = ()

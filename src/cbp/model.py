@@ -69,7 +69,7 @@ class ConflictInstance:
     original external names for reporting.
     """
 
-    __slots__ = ("items", "sizes", "edges", "class_hint", "labels", "adjacency", "_items_mask")
+    __slots__ = ("items", "sizes", "edges", "class_hint", "labels", "adjacency")
 
     def __init__(
         self,
@@ -109,10 +109,6 @@ class ConflictInstance:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         self.adjacency: dict[int, int] = adj
-        mask = 0
-        for i in self.items:
-            mask |= 1 << i
-        self._items_mask = mask
 
     @property
     def n(self) -> int:

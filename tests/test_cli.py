@@ -166,6 +166,45 @@ def test_solve_non_scalar_item_id_exits_2(tmp_path, capsys, bad_id):
     assert f"item ids must be numbers or strings, got {bad_id!r}" in captured.err
 
 
+@pytest.mark.parametrize("edges", [5, [3], [[[0], [1]]]])
+def test_solve_malformed_edges_exit_2(tmp_path, capsys, edges):
+    path = tmp_path / "bad_edges.json"
+    items = [{"id": 0, "size": "1/2"}, {"id": 1, "size": "1/3"}]
+    path.write_text(json.dumps({"items": items, "edges": edges}))
+    assert main(["solve", "--algo", "ffd", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "parameter error: edges must be a list of [u, v] pairs of item ids" in captured.err
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ([[0]], "packing must be a JSON object, got list"),
+        ({"bins": 5}, "bins must be a list of lists of item ids"),
+        ({"bins": [[[0]]]}, "bins must be a list of lists of item ids"),
+        ({"bins": [[0]], "flags": 5}, "flags must be a list"),
+    ],
+)
+def test_verify_malformed_packing_exits_2(bipartite_file, tmp_path, capsys, payload, message):
+    _, inst_path = bipartite_file
+    path = tmp_path / "bad_packing.json"
+    path.write_text(json.dumps(payload))
+    assert main(["verify", "--in", str(inst_path), "--packing", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"parameter error: {message}" in captured.err
+
+
+def test_generate_non_object_spec_exits_2(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps([1, 2]))
+    assert main(["generate", "--spec", str(path), "--out", str(tmp_path / "gen")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "parameter error: generator spec must be a JSON object, got int" in captured.err
+
+
 @pytest.mark.parametrize("algo", ["max_solve", "approx_bpc", "split_approx"])
 @pytest.mark.parametrize(
     "eps, message",

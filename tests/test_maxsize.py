@@ -57,7 +57,7 @@ def test_eps_checked_before_any_bin_is_solved(eps):
             with pytest.raises(ParameterError, match="eps must be in"):
                 max_size(inst, start, info, eps=eps, strategy=strategy)
         with pytest.raises(ParameterError, match="eps must be in"):
-            next(greedy_growth(inst, start, info, eps, MaxSizeConfig()))
+            next(greedy_growth(inst, start, info, eps))
 
 
 def test_single_bin_subproblem_structure():

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cbp import BisProblem, bis, bis_brute, bpc, graphs, opt_bpc_exact
+from cbp.errors import CapabilityError
 from cbp.harness import GeneratorSpec, SizeDist, generate
 from cbp.maxsize import _single_bin_problem
 from cbp.model import ConflictInstance, classify_items, restrict_instance, size_units, validate_packing
@@ -170,7 +171,7 @@ def ref_independent_subsets(order, adj, weights, budget, max_size):
     yield from dfs(0, 0, Fraction(0))
 
 
-def ref_bis_ptas(edges, problem, eps, enum_cap=bis.DEFAULT_ENUM_CAP) -> frozenset[int]:
+def ref_bis_ptas(edges, problem, eps) -> frozenset[int]:
     """bis_ptas on Fractions, with the edge set induced on the problem's
     vertices and certificates restricted to each residual set."""
     cap = math.ceil(1 / eps)
@@ -283,7 +284,6 @@ def test_mwis_reads_only_its_own_vertices_of_a_certificate():
         for flag, field in (
             ("is_chordal", "elimination_order"),
             ("is_bipartite", "bipartition"),
-            ("is_cluster", "cluster_components"),
             ("is_complete_multipartite", "parts"),
         ):
             if getattr(info, field) is None:
@@ -296,7 +296,18 @@ def test_mwis_reads_only_its_own_vertices_of_a_certificate():
                 restricted = graphs.restrict_class_info(cert, sub)
                 assert got == graphs._mwis_core(sub, inst.adjacency, mask, restricted, weights)
                 branches[field] += any(inst.adjacency[v] & mask for v in sub)
-    assert min(branches.values()) >= 20 and len(branches) == 4
+    assert min(branches.values()) >= 20 and len(branches) == 3
+
+
+def test_mwis_rejects_a_cluster_only_certificate():
+    # Every cluster graph is chordal, so recognize always certifies it
+    # with an elimination order; a cluster certificate alone is not read.
+    inst = ConflictInstance({0: "1/2", 1: "1/3", 2: "1/4"}, edges=[(0, 1)])
+    info = graphs.recognize(inst)
+    assert info.is_cluster and info.is_chordal
+    cert = graphs.GraphClassInfo(is_cluster=True, cluster_components=info.cluster_components)
+    with pytest.raises(CapabilityError):
+        graphs._mwis_core(list(inst.items), inst.adjacency, 0b111, cert, inst.sizes)
 
 
 def ref_knapsack_path(items, costs, budget):
@@ -365,8 +376,9 @@ def test_knapsack_exact_dp_matches_fraction_reference(family):
         for i in ids[::3]:
             profits[i] = -profits[i] if rng.below(2) else Fraction(0)
         units, den = size_units(costs[i] for i in ids)
+        gains, _ = size_units(profits[i] for i in ids)
         cap = math.floor(Fraction(rng.below(41), 20) * den)
-        got = bis._knapsack_exact(ids, profits, units, cap)
+        got = bis._knapsack_exact(ids, gains, units, cap)
         assert got == ref_knapsack_exact(ids, profits, costs, den, cap)
 
 
@@ -376,8 +388,11 @@ def test_knapsack_scaled_dp_matches_fraction_reference(family):
     for items, sizes, budget in knapsack_inputs(family, 6262):
         ids = [i for i in sorted(items) if sizes[i] <= budget]
         profits = {i: Fraction(1 + rng.below(97), 97) for i in ids}
+        units, _ = size_units([*(sizes[i] for i in ids), budget])
+        limit = units.pop()
+        gains, _ = size_units(profits[i] for i in ids)
         for eps in (Fraction(1, 10), Fraction(1, 3)):
-            got = bis._knapsack_scaled(ids, profits, sizes, budget, eps)
+            got = bis._knapsack_scaled(ids, gains, units, limit, eps)
             assert got == ref_knapsack_scaled(ids, profits, sizes, budget, eps)
 
 
@@ -463,6 +478,32 @@ def test_bis_fptas_split_matches_fraction_reference(family):
             assert got == ref_bis_fptas_split(inst.edges, problem, eps)
             picked += len(got)
     assert picked > 100
+
+
+def test_bis_solvers_convert_to_units_once_per_call(monkeypatch):
+    # One size_units call per solver call, however many knapsacks
+    # bis_fptas_split runs (one per clique vertex, plus one).
+    calls = []
+
+    def counting_size_units(sizes):
+        calls.append(1)
+        return size_units(sizes)
+
+    monkeypatch.setattr(bis, "size_units", counting_size_units)
+    pooled = 0
+    for inst, problem in size_problems("decimal", 1919, classes=("split",)):
+        clique, stable = problem.class_info.split_partition
+        vset = set(problem.vertices)
+        pooled += any(
+            problem.weights[v] <= problem.budget
+            and any(not (inst.adjacency[v] >> u) & 1 for u in stable & vset)
+            for v in clique & vset
+        )
+        for solve in (bis.bis_fptas_split, bis.bis_ptas):
+            calls.clear()
+            solve(problem, Fraction(1, 4))
+            assert len(calls) == 1
+    assert pooled >= 10
 
 
 def test_bis_solvers_match_fraction_reference_on_other_weights():
