@@ -6,11 +6,17 @@ independent split, cluster components, multipartite parts, or a perfect
 elimination ordering) and the certificate is re-checked before the flag is
 set. All supported classes are hereditary, so certificates restrict to
 induced subgraphs without re-verification (:func:`restrict_class_info`).
+
+Recognition works on the neighbour bitmasks of ``instance.adjacency``.
+Cluster components and multipartite parts are items grouped by closed or
+open neighbourhood. The elimination ordering comes from a maximum-
+cardinality search with one bitmask bucket per weight, and is checked as it
+is built with Tarjan & Yannakakis' one-parent test (SIAM J. Comput. 1984),
+one mask test per vertex.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
@@ -67,54 +73,34 @@ SUPPORTED_CLASS_NAMES = (
 )
 
 
-def _components(vertices: Iterable[int], adj: Mapping[int, int]) -> list[frozenset[int]]:
-    todo = set(vertices)
-    comps = []
-    while todo:
-        start = min(todo)
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for u in _mask_to_ids(adj[v]):
-                if u in todo and u not in comp:
-                    comp.add(u)
-                    frontier.append(u)
-        todo -= comp
-        comps.append(frozenset(comp))
-    return sorted(comps, key=min)
+def _ids_mask(ids: Iterable[int]) -> int:
+    mask = 0
+    for i in ids:
+        mask |= 1 << i
+    return mask
 
 
 def _try_bipartition(instance: ConflictInstance) -> Optional[tuple[frozenset[int], frozenset[int]]]:
-    color: dict[int, int] = {}
-    for start in instance.items:
-        if start in color:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for u in _mask_to_ids(instance.adjacency[v]):
-                if u not in color:
-                    color[u] = 1 - color[v]
-                    queue.append(u)
-                elif color[u] == color[v]:
-                    return None
-    x = frozenset(i for i in instance.items if color[i] == 0)
-    y = frozenset(i for i in instance.items if color[i] == 1)
-    return x, y
-
-
-def _is_clique(instance: ConflictInstance, items: Iterable[int]) -> bool:
-    ids = sorted(items)
-    inside = 0
-    for i in ids:
-        inside |= 1 << i
-    for i in ids:
-        missing = inside & ~(instance.adjacency[i] | (1 << i))
-        if missing:
-            return False
-    return True
+    # Breadth-first layers on masks, from the smallest item of each
+    # component. Layers alternate sides; an edge inside a layer closes an
+    # odd cycle.
+    adj = instance.adjacency
+    sides = [0, 0]
+    todo = _ids_mask(instance.items)
+    while todo:
+        layer = todo & -todo
+        side = 0
+        while layer:
+            todo ^= layer
+            sides[side] |= layer
+            reach = 0
+            for v in _mask_to_ids(layer):
+                reach |= adj[v]
+            if reach & layer:
+                return None
+            layer = reach & todo
+            side ^= 1
+    return frozenset(_mask_to_ids(sides[0])), frozenset(_mask_to_ids(sides[1]))
 
 
 def _try_split(instance: ConflictInstance) -> Optional[tuple[frozenset[int], frozenset[int]]]:
@@ -122,87 +108,90 @@ def _try_split(instance: ConflictInstance) -> Optional[tuple[frozenset[int], fro
     # m = max{i : d_i >= i-1}, the graph is split iff
     # sum_{i<=m} d_i = m(m-1) + sum_{i>m} d_i, and the m highest-degree
     # vertices then form a clique. The certificate is verified regardless.
-    if not instance.items:
-        return frozenset(), frozenset()
-    order = sorted(instance.items, key=lambda v: (-instance.adjacency[v].bit_count(), v))
-    degs = [instance.adjacency[v].bit_count() for v in order]
+    adj = instance.adjacency
+    order = sorted(instance.items, key=lambda v: (-adj[v].bit_count(), v))
+    degs = [adj[v].bit_count() for v in order]
     m = 0
     for i, d in enumerate(degs, start=1):
         if d >= i - 1:
             m = i
     if sum(degs[:m]) != m * (m - 1) + sum(degs[m:]):
         return None
-    clique = frozenset(order[:m])
-    stable = frozenset(order[m:])
-    if _is_clique(instance, clique) and instance.is_independent(stable):
-        return clique, stable
-    return None
+    clique, stable = order[:m], order[m:]
+    clique_mask = _ids_mask(clique)
+    if any((adj[v] | 1 << v) & clique_mask != clique_mask for v in clique):
+        return None
+    if not instance.is_independent(stable):
+        return None
+    return frozenset(clique), frozenset(stable)
 
 
 def _try_cluster(instance: ConflictInstance) -> Optional[tuple[frozenset[int], ...]]:
-    comps = _components(instance.items, instance.adjacency)
-    for comp in comps:
-        if not _is_clique(instance, comp):
-            return None
-    return tuple(comps)
+    # Group the items by closed neighbourhood. The graph is a disjoint union
+    # of cliques iff each group is its own closed neighbourhood; the groups
+    # are then the components. Items are scanned in increasing order, so
+    # the groups come out sorted by their smallest member.
+    groups: dict[int, int] = {}
+    for v in instance.items:
+        closed = instance.adjacency[v] | 1 << v
+        groups[closed] = groups.get(closed, 0) | 1 << v
+    if any(closed != members for closed, members in groups.items()):
+        return None
+    return tuple(frozenset(_mask_to_ids(members)) for members in groups.values())
 
 
 def _try_complete_multipartite(instance: ConflictInstance) -> Optional[tuple[frozenset[int], ...]]:
-    if not instance.items:
-        return ()
-    items_mask = 0
-    for i in instance.items:
-        items_mask |= 1 << i
-    # Complement components; each must be independent in G and all cross
-    # edges must be present.
-    co_adj = {v: items_mask & ~(instance.adjacency[v] | (1 << v)) for v in instance.items}
-    parts = _components(instance.items, co_adj)
-    for part in parts:
-        if not instance.is_independent(part):
-            return None
-    part_of = {}
-    for k, part in enumerate(parts):
-        for v in part:
-            part_of[v] = k
-    expected_edges = 0
-    sizes = [len(p) for p in parts]
-    total = sum(sizes)
-    for s in sizes:
-        expected_edges += s * (total - s)
-    if expected_edges // 2 != len(instance.edges):
+    # Group the items by open neighbourhood. The graph is complete
+    # multipartite iff each group's neighbourhood is every other item; the
+    # groups are then the parts, sorted by their smallest member.
+    groups: dict[int, int] = {}
+    for v in instance.items:
+        nbhd = instance.adjacency[v]
+        groups[nbhd] = groups.get(nbhd, 0) | 1 << v
+    items_mask = _ids_mask(instance.items)
+    if any(nbhd != items_mask ^ members for nbhd, members in groups.items()):
         return None
-    return tuple(parts)
+    return tuple(frozenset(_mask_to_ids(members)) for members in groups.values())
 
 
 def _try_peo(instance: ConflictInstance) -> Optional[tuple[int, ...]]:
-    # Maximum-cardinality search; the reverse visit order is a perfect
-    # elimination ordering iff the graph is chordal. Verified by a direct
-    # simpliciality check on every vertex.
-    items = instance.items
-    if not items:
-        return ()
-    weight = {v: 0 for v in items}
-    visited: set[int] = set()
-    heap = [(0, v) for v in items]
-    heapq.heapify(heap)
-    visit_order = []
-    while heap:
-        negw, v = heapq.heappop(heap)
-        if v in visited or -negw != weight[v]:
-            continue
-        visited.add(v)
-        visit_order.append(v)
-        for u in _mask_to_ids(instance.adjacency[v]):
-            if u not in visited:
-                weight[u] += 1
-                heapq.heappush(heap, (-weight[u], u))
-    peo = tuple(reversed(visit_order))
-    pos = {v: k for k, v in enumerate(peo)}
-    for v in peo:
-        later = [u for u in _mask_to_ids(instance.adjacency[v]) if pos[u] > pos[v]]
-        if not _is_clique(instance, later):
-            return None
-    return peo
+    # Maximum-cardinality search with one bitmask bucket per weight (count
+    # of visited neighbours): visit the smallest id in the heaviest bucket.
+    # The reverse visit order is a perfect elimination ordering iff the
+    # graph is chordal. Tarjan & Yannakakis' one-parent test checks it as
+    # each vertex v is visited: with p the neighbour of v visited last,
+    # v's other visited neighbours must all be neighbours of p.
+    adj = instance.adjacency
+    buckets = [0] * (len(instance.items) + 1)
+    buckets[0] = _ids_mask(instance.items)
+    parent: dict[int, int] = {}
+    visited = 0
+    top = 0
+    order = []
+    for _ in instance.items:
+        while not buckets[top]:
+            top -= 1
+        bit = buckets[top] & -buckets[top]
+        buckets[top] ^= bit
+        v = bit.bit_length() - 1
+        if v in parent:
+            p = parent[v]
+            if adj[v] & visited & ~(adj[p] | 1 << p):
+                return None
+        visited |= bit
+        order.append(v)
+        fresh = adj[v] & ~visited
+        if fresh:
+            # Each unvisited neighbour moves up one bucket; top down, so
+            # none moves twice.
+            for w in range(top, -1, -1):
+                moved = buckets[w] & fresh
+                if moved:
+                    buckets[w] ^= moved
+                    buckets[w + 1] |= moved
+            parent.update(dict.fromkeys(_mask_to_ids(fresh), v))
+        top += 1
+    return tuple(reversed(order))
 
 
 def recognize(instance: ConflictInstance) -> GraphClassInfo:
@@ -285,19 +274,17 @@ def minimum_coloring(instance: ConflictInstance, info: GraphClassInfo) -> tuple[
         x, y = info.bipartition
         return tuple(side for side in (x, y) if side)
     if info.is_chordal and info.elimination_order is not None:
-        peo = info.elimination_order
-        color: dict[int, int] = {}
-        for v in reversed(peo):
-            used = {color[u] for u in _mask_to_ids(instance.adjacency[v]) if u in color}
-            c = 0
-            while c in used:
-                c += 1
-            color[v] = c
-        k = max(color.values()) + 1
-        classes = [set() for _ in range(k)]
-        for v, c in color.items():
-            classes[c].add(v)
-        return tuple(frozenset(c) for c in classes)
+        # One mask per colour class; each vertex takes the first class it
+        # has no neighbour in.
+        classes: list[int] = []
+        for v in reversed(info.elimination_order):
+            for k, members in enumerate(classes):
+                if not instance.adjacency[v] & members:
+                    classes[k] = members | 1 << v
+                    break
+            else:
+                classes.append(1 << v)
+        return tuple(frozenset(_mask_to_ids(members)) for members in classes)
     if info.is_complete_multipartite and info.parts is not None:
         return info.parts
     raise CapabilityError(
@@ -426,9 +413,7 @@ def max_weight_independent_set(
     algorithm (deterministic, documented, not globally canonical).
     Zero-weight vertices are never included.
     """
-    sub_mask = 0
-    for v in instance.items:
-        sub_mask |= 1 << v
+    sub_mask = _ids_mask(instance.items)
     return _mwis_core(list(instance.items), instance.adjacency, sub_mask, info, weights)
 
 

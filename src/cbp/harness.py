@@ -50,6 +50,21 @@ B3DM_SIZES = {
 }
 
 
+_JSON_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
+
+
+def _spec_field(data: dict, key: str, default, kind: type):
+    """``data[key]`` (or ``default``) as ``kind``, which must match its JSON
+    type: an integer for int, any number for float, a string for str."""
+    value = data.get(key, default)
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ParameterError(
+            f"spec field {key!r} must be {_JSON_TYPE_NAMES[kind]}, got {type(value).__name__}"
+        )
+    return kind(value)
+
+
 @dataclass(frozen=True)
 class SizeDist:
     kind: str = "grid20"  # grid20 | uniform | discrete
@@ -72,13 +87,18 @@ class SizeDist:
 
     @staticmethod
     def from_dict(data: Optional[dict]) -> "SizeDist":
-        if not data:
+        if data is None:
             return SizeDist()
+        if not isinstance(data, dict):
+            raise ParameterError(f"spec field 'size_dist' must be a JSON object, got {type(data).__name__}")
+        values = data.get("values", [])
+        if not isinstance(values, list):
+            raise ParameterError(f"spec field 'values' must be a list, got {type(values).__name__}")
         return SizeDist(
-            kind=data.get("kind", "grid20"),
-            lo=float(data.get("lo", 0.05)),
-            hi=float(data.get("hi", 1.0)),
-            values=tuple(str(v) for v in data.get("values", ())),
+            kind=_spec_field(data, "kind", "grid20", str),
+            lo=_spec_field(data, "lo", 0.05, float),
+            hi=_spec_field(data, "hi", 1.0, float),
+            values=tuple(str(v) for v in values),
         )
 
 
@@ -107,17 +127,17 @@ class GeneratorSpec:
             raise ParameterError(f"unknown generator class {klass!r}")
         return GeneratorSpec(
             klass=klass,
-            n=int(data.get("n", 0)),
-            density=float(data.get("density", 0.3)),
+            n=_spec_field(data, "n", 0, int),
+            density=_spec_field(data, "density", 0.3, float),
             size_dist=SizeDist.from_dict(data.get("size_dist")),
-            seed=int(data.get("seed", 0)),
-            x_count=int(data.get("x_count", 0)),
-            y_count=int(data.get("y_count", 0)),
-            z_count=int(data.get("z_count", 0)),
-            t_count=int(data.get("t_count", 0)),
-            guess=int(data.get("guess", 0)),
-            variant=str(data.get("variant", "BPB")),
-            degree_cap=int(data.get("degree_cap", 3)),
+            seed=_spec_field(data, "seed", 0, int),
+            x_count=_spec_field(data, "x_count", 0, int),
+            y_count=_spec_field(data, "y_count", 0, int),
+            z_count=_spec_field(data, "z_count", 0, int),
+            t_count=_spec_field(data, "t_count", 0, int),
+            guess=_spec_field(data, "guess", 0, int),
+            variant=_spec_field(data, "variant", "BPB", str),
+            degree_cap=_spec_field(data, "degree_cap", 3, int),
         )
 
     def to_dict(self) -> dict:

@@ -6,10 +6,17 @@ they stay independent of the library paths they check.
 
 from fractions import Fraction
 
+from hypothesis import settings
+
 from cbp import BisProblem, ConflictInstance, recognize
 from cbp.harness import GeneratorSpec, generate
 from cbp.oracle import bis_brute
 
+
+# Property tests replay the same examples on every run, and a slow host
+# cannot fail them on a time limit; each test sets only max_examples.
+settings.register_profile("cbp", derandomize=True, deadline=None)
+settings.load_profile("cbp")
 
 CLASSES = ("edgeless", "bipartite", "split", "cluster", "complete-multipartite", "chordal")
 

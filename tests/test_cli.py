@@ -205,6 +205,22 @@ def test_generate_non_object_spec_exits_2(tmp_path, capsys):
     assert "parameter error: generator spec must be a JSON object, got int" in captured.err
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"class": "split", "n": [3]}, "spec field 'n' must be an integer, got list"),
+        ({"class": "split", "n": 3, "size_dist": 5}, "spec field 'size_dist' must be a JSON object, got int"),
+    ],
+)
+def test_generate_spec_field_of_wrong_type_exits_2(tmp_path, capsys, spec, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["generate", "--spec", str(path), "--out", str(tmp_path / "gen")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"parameter error: {message}" in captured.err
+
+
 @pytest.mark.parametrize("algo", ["max_solve", "approx_bpc", "split_approx"])
 @pytest.mark.parametrize(
     "eps, message",

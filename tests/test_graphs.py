@@ -84,6 +84,22 @@ def _random_instance(seed, n, p):
     return ConflictInstance(sizes(n), edges)
 
 
+def _cycle_off_clique(k, m, cone, fan):
+    """Clique 0..m-1 and a cycle on m..m+k-1, one edge apart. With ``cone``
+    every cycle vertex also joins the whole clique (a wheel for m = 1);
+    with ``fan`` the cycle is triangulated from vertex m, which makes the
+    graph chordal."""
+    cycle = list(range(m, m + k))
+    edges = {(u, v) for u in range(m) for v in range(u + 1, m)}
+    edges |= {(cycle[i], cycle[(i + 1) % k]) for i in range(k)}
+    edges.add((0, cycle[k // 2]))
+    if cone:
+        edges |= {(u, v) for u in range(m) for v in cycle}
+    if fan:
+        edges |= {(cycle[0], v) for v in cycle[2:-1]}
+    return ConflictInstance(sizes(m + k), edges)
+
+
 def test_recognizers_against_networkx_and_brute():
     for seed in range(60):
         n = 3 + seed % 7
@@ -93,6 +109,72 @@ def test_recognizers_against_networkx_and_brute():
         assert info.is_bipartite == nx.is_bipartite(g)
         assert info.is_chordal == nx.is_chordal(g)
         assert info.is_split == brute_split_partition_exists(inst)
+    # Larger graphs: sparse ones (forests, mostly chordal and bipartite),
+    # dense ones, and seeded chordal and bipartite graphs with an edge added.
+    answers = set()
+    for n in range(10, 61):
+        rng = SplitMix64(n)
+        for inst in (
+            _random_instance(100 + n, n, 1.5 / n),
+            _random_instance(200 + n, n, 0.3),
+            _random_instance(300 + n, n, 1 - 1.5 / n),
+            seeded_instance(("chordal", "bipartite")[n % 2], n, 700 + n),
+        ):
+            u, v = rng.below(n), rng.below(n)
+            plus_one = inst.edges | {(u, v)} if u != v else inst.edges
+            for edges in (inst.edges, plus_one):
+                g_inst = ConflictInstance(sizes(n), edges)
+                info = recognize(g_inst)
+                g = _as_nx(g_inst)
+                assert info.is_bipartite == nx.is_bipartite(g)
+                assert info.is_chordal == nx.is_chordal(g)
+                answers.add((info.is_bipartite, info.is_chordal))
+    assert len(answers) == 4
+    # Induced cycles C4..C12 hung off cliques, plus their triangulations.
+    for k in range(4, 13):
+        for m in range(1, 5):
+            for cone in (False, True):
+                for fan in (False, True):
+                    inst = _cycle_off_clique(k, m, cone, fan)
+                    info = recognize(inst)
+                    g = _as_nx(inst)
+                    assert info.is_chordal == nx.is_chordal(g) == fan
+                    assert info.is_bipartite == nx.is_bipartite(g)
+
+
+def assert_certificates_hold(inst, info):
+    """Every certificate in ``info`` checked edge by edge on ``inst``."""
+    items = set(inst.items)
+
+    def is_clique(vs):
+        return all(inst.has_edge(u, v) for u in vs for v in vs if u < v)
+
+    def is_partition(blocks):
+        return all(blocks) and sum(map(len, blocks)) == len(items) and set().union(*blocks) == items
+
+    if info.bipartition is not None:
+        x, y = info.bipartition
+        assert inst.is_independent(x) and inst.is_independent(y)
+        assert not (x & y) and (x | y) == items
+    if info.split_partition is not None:
+        k, s = info.split_partition
+        assert is_clique(k) and inst.is_independent(s)
+        assert not (k & s) and (k | s) == items
+    if info.cluster_components is not None:
+        comps = info.cluster_components
+        assert is_partition(comps) and all(is_clique(c) for c in comps)
+        assert not any(inst.has_edge(u, v) for a in comps for b in comps if a != b for u in a for v in b)
+    if info.parts is not None:
+        parts = info.parts
+        assert is_partition(parts) and all(inst.is_independent(p) for p in parts)
+        assert all(inst.has_edge(u, v) for a in parts for b in parts if a != b for u in a for v in b)
+    if info.elimination_order is not None:
+        order = info.elimination_order
+        assert sorted(order) == sorted(items)
+        pos = {v: i for i, v in enumerate(order)}
+        for v in order:
+            later = [u for u in inst.neighbors(v) if pos[u] > pos[v]]
+            assert is_clique(later)
 
 
 def test_certificates_verify():
@@ -103,30 +185,7 @@ def test_certificates_verify():
         assert klass in info.supported_classes() or (
             klass == "edgeless" and info.is_edgeless
         )
-        if info.bipartition:
-            x, y = info.bipartition
-            assert inst.is_independent(x) and inst.is_independent(y)
-            assert not (x & y) and (x | y) == set(inst.items)
-        if info.split_partition:
-            k, s = info.split_partition
-            assert inst.is_independent(s)
-            assert all(inst.has_edge(u, v) for u in k for v in k if u < v)
-        if info.cluster_components:
-            for comp in info.cluster_components:
-                assert all(inst.has_edge(u, v) for u in comp for v in comp if u < v)
-        if info.parts:
-            for part in info.parts:
-                assert inst.is_independent(part)
-            for a in info.parts:
-                for b in info.parts:
-                    if a != b:
-                        assert all(inst.has_edge(u, v) for u in a for v in b)
-        if info.elimination_order is not None:
-            order = info.elimination_order
-            pos = {v: i for i, v in enumerate(order)}
-            for v in order:
-                later = [u for u in inst.neighbors(v) if pos[u] > pos[v]]
-                assert all(inst.has_edge(a, b) for a in later for b in later if a < b)
+        assert_certificates_hold(inst, info)
 
 
 def test_minimum_coloring_examples():
@@ -237,8 +296,4 @@ def test_restrict_class_info_certificates_hold():
         for flag in ("is_bipartite", "is_split", "is_cluster", "is_complete_multipartite", "is_chordal"):
             if getattr(sub_info, flag):
                 assert getattr(fresh, flag)
-        if sub_info.elimination_order is not None and fresh.is_chordal:
-            pos = {v: i for i, v in enumerate(sub_info.elimination_order)}
-            for v in sub_info.elimination_order:
-                later = [u for u in sub.neighbors(v) if pos[u] > pos[v]]
-                assert all(sub.has_edge(a, b) for a in later for b in later if a < b)
+        assert_certificates_hold(sub, sub_info)

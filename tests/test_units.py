@@ -526,7 +526,7 @@ def test_bis_solvers_match_fraction_reference_on_other_weights():
     assert splits >= 24
 
 
-@settings(derandomize=True, max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(
     klass=st.sampled_from(CLASSES),
     n=st.integers(1, 10),
