@@ -13,6 +13,10 @@ open neighbourhood. The elimination ordering comes from a maximum-
 cardinality search with one bitmask bucket per weight, and is checked as it
 is built with Tarjan & Yannakakis' one-parent test (SIAM J. Comput. 1984),
 one mask test per vertex.
+
+Maximum matching is Edmonds' unweighted blossom algorithm, computed in this
+module on integer-indexed neighbour lists: no third-party library is
+imported, neither at import time nor lazily on the first call.
 """
 
 from __future__ import annotations
@@ -455,14 +459,93 @@ def maximum_matching_general(
 ) -> Matching:
     """Maximum-cardinality matching on an arbitrary graph.
 
-    Backed by the blossom algorithm; returns disjoint edges as sorted
-    pairs. networkx is imported here, on the first call, so that
-    ``import cbp`` does not pay for it.
+    Edmonds' blossom algorithm ("Paths, trees, and flowers", 1965), computed
+    here with no outside library: a greedy matching, then one breadth-first
+    search per free vertex for an augmenting path, contracting every odd
+    cycle (blossom) it closes into the cycle's base. A search that finds no
+    augmenting path leaves a Hungarian tree, which no later augmenting path
+    can enter, so its vertices are dropped from the remaining searches and
+    one search per vertex suffices: O(V^3) overall. Vertices and edges are
+    sorted first, so the result depends on the graph only, not on the input
+    order. Returns disjoint edges as sorted pairs; self-loops are ignored
+    and edge endpoints missing from ``vertices`` are added.
     """
-    import networkx as nx
+    pairs = sorted({(u, v) if u < v else (v, u) for u, v in edges if u != v})
+    ids = sorted(set(vertices).union(*zip(*pairs)))
+    index = {v: i for i, v in enumerate(ids)}
+    nbrs: list[list[int]] = [[] for _ in ids]
+    mate = [-1] * len(ids)
+    for u, v in pairs:
+        a, b = index[u], index[v]
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+        if mate[a] < 0 and mate[b] < 0:
+            mate[a], mate[b] = b, a
+    dead = [False] * len(ids)
+    for root in range(len(ids)):
+        if mate[root] < 0 and nbrs[root]:
+            _augment(root, nbrs, mate, dead)
+    return frozenset((ids[a], ids[b]) for a, b in enumerate(mate) if a < b)
 
-    g = nx.Graph()
-    g.add_nodes_from(sorted(vertices))
-    g.add_edges_from(sorted((min(u, v), max(u, v)) for u, v in edges))
-    mate = nx.max_weight_matching(g, maxcardinality=True)
-    return frozenset((min(u, v), max(u, v)) for u, v in mate)
+
+def _augment(root: int, nbrs: list[list[int]], mate: list[int], dead: list[bool]) -> None:
+    # One alternating BFS tree from the free ``root``. ``parent`` links each
+    # odd vertex to the even vertex that reached it (and, after a blossom is
+    # contracted, its even members back around the cycle); ``base`` maps a
+    # vertex to the base of its outermost blossom. Flips the first augmenting
+    # path found into ``mate``; if there is none, marks the tree ``dead``.
+    n = len(mate)
+    parent = [-1] * n
+    base = list(range(n))
+    even = [False] * n
+    even[root] = True
+    queue = [root]
+
+    def lca(a: int, b: int) -> int:
+        seen = [False] * n
+        while True:
+            a = base[a]
+            seen[a] = True
+            if mate[a] < 0:
+                break
+            a = parent[mate[a]]
+        while not seen[base[b]]:
+            b = parent[mate[base[b]]]
+        return base[b]
+
+    def mark(v: int, b: int, child: int, blossom: list[bool]) -> None:
+        while base[v] != b:
+            blossom[base[v]] = blossom[base[mate[v]]] = True
+            parent[v] = child
+            child = mate[v]
+            v = parent[child]
+
+    for v in queue:
+        for w in nbrs[v]:
+            if dead[w] or base[v] == base[w] or mate[v] == w:
+                continue
+            if w == root or (mate[w] >= 0 and parent[mate[w]] >= 0):
+                b = lca(v, w)
+                blossom = [False] * n
+                mark(v, b, w, blossom)
+                mark(w, b, v, blossom)
+                for i in range(n):
+                    if blossom[base[i]]:
+                        base[i] = b
+                        if not even[i]:
+                            even[i] = True
+                            queue.append(i)
+            elif parent[w] < 0:
+                parent[w] = v
+                if mate[w] < 0:
+                    while w >= 0:
+                        u = parent[w]
+                        w_next = mate[u]
+                        mate[u], mate[w] = w, u
+                        w = w_next
+                    return
+                even[mate[w]] = True
+                queue.append(mate[w])
+    for v in range(n):
+        if even[v] or parent[v] >= 0:
+            dead[v] = True

@@ -65,6 +65,14 @@ def _spec_field(data: dict, key: str, default, kind: type):
     return kind(value)
 
 
+def _spec_unit(data: dict, key: str, default: float) -> float:
+    """A number field of ``data`` that must lie in [0, 1]."""
+    value = _spec_field(data, key, default, float)
+    if not 0.0 <= value <= 1.0:
+        raise ParameterError(f"spec field {key!r} must be in [0, 1], got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class SizeDist:
     kind: str = "grid20"  # grid20 | uniform | discrete
@@ -94,10 +102,13 @@ class SizeDist:
         values = data.get("values", [])
         if not isinstance(values, list):
             raise ParameterError(f"spec field 'values' must be a list, got {type(values).__name__}")
+        lo, hi = _spec_unit(data, "lo", 0.05), _spec_unit(data, "hi", 1.0)
+        if lo > hi:
+            raise ParameterError(f"spec field 'lo' must not exceed 'hi', got lo {lo} > hi {hi}")
         return SizeDist(
             kind=_spec_field(data, "kind", "grid20", str),
-            lo=_spec_field(data, "lo", 0.05, float),
-            hi=_spec_field(data, "hi", 1.0, float),
+            lo=lo,
+            hi=hi,
             values=tuple(str(v) for v in values),
         )
 
@@ -128,7 +139,7 @@ class GeneratorSpec:
         return GeneratorSpec(
             klass=klass,
             n=_spec_field(data, "n", 0, int),
-            density=_spec_field(data, "density", 0.3, float),
+            density=_spec_unit(data, "density", 0.3),
             size_dist=SizeDist.from_dict(data.get("size_dist")),
             seed=_spec_field(data, "seed", 0, int),
             x_count=_spec_field(data, "x_count", 0, int),

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from hypothesis import settings
 
-from cbp import BisProblem, ConflictInstance, recognize
+from cbp import BisProblem, CapabilityError, ConflictInstance, harness, recognize
 from cbp.harness import GeneratorSpec, generate
 from cbp.oracle import bis_brute
 
@@ -23,6 +23,28 @@ CLASSES = ("edgeless", "bipartite", "split", "cluster", "complete-multipartite",
 
 def seeded_instance(klass: str, n: int, seed: int, density: float = 0.4) -> ConflictInstance:
     return generate(GeneratorSpec(klass=klass, n=n, density=density, seed=seed))
+
+
+def run_every_algorithm() -> dict[str, object]:
+    """Bins (or "unfit") of every harness algorithm on one seeded instance
+    of each generator class. Imports nothing beyond cbp, so it also runs
+    where networkx cannot be imported."""
+    out: dict[str, object] = {}
+    for klass in harness.GENERATOR_CLASSES:
+        if klass == "b3dm-reduction":
+            spec = GeneratorSpec(klass=klass, x_count=4, y_count=4, z_count=4, t_count=4, guess=2, seed=7)
+        else:
+            spec = GeneratorSpec(klass=klass, n=14, density=0.4, seed=7)
+        inst = generate(spec)
+        info = recognize(inst)
+        for name in harness.ALGORITHMS:
+            try:
+                packing = harness.run_algorithm(name, inst, info)
+            except CapabilityError:
+                out[f"{klass}/{name}"] = "unfit"
+            else:
+                out[f"{klass}/{name}"] = sorted(sorted(b) for b in packing.bins)
+    return out
 
 
 def brute_chromatic(instance: ConflictInstance) -> int:

@@ -6,9 +6,11 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import networkx as nx
 import pytest
 
 import cbp
+from cbp import bpc
 from cbp import (
     AssignConfig,
     CapabilityError,
@@ -134,6 +136,44 @@ def test_matching_pack_bound_with_oracle():
         chi = len(minimum_coloring(inst, info))
         smalls = classify_items(inst).small
         assert Fraction(packing.bin_count) <= opt + chi + Fraction(4, 3) * inst.size_of(smalls)
+
+
+def nx_maximum_matching(vertices, edges):
+    """Reference matcher: networkx's maximum-cardinality matching."""
+    g = nx.Graph()
+    g.add_nodes_from(vertices)
+    g.add_edges_from(edges)
+    return frozenset((min(u, v), max(u, v)) for u, v in nx.max_weight_matching(g, maxcardinality=True))
+
+
+def test_matching_pack_bin_count_independent_of_matcher(monkeypatch):
+    # matching_pack makes |large + medium| - |M| bins for those items and
+    # packs the small rest without looking at M, so any maximum matching M
+    # gives the same bin count, and approx_bpc the same count and winner.
+    instances = [seeded_instance(klass, n, 7300 + n) for klass in CLASSES for n in (12, 40, 80)]
+    for variant in ("BPB", "BPS"):
+        spec = GeneratorSpec(
+            klass="b3dm-reduction", x_count=8, y_count=8, z_count=8, t_count=8, guess=4, variant=variant, seed=7301
+        )
+        instances.append(generate_b3dm(spec)[0])
+
+    def run():
+        out = []
+        for inst in instances:
+            info = recognize(inst)
+            best = approx_bpc(inst, info)
+            out.append((matching_pack(inst, info), best.bin_count, best.flags))
+        return out
+
+    ours = run()
+    monkeypatch.setattr(bpc, "maximum_matching_general", nx_maximum_matching)
+    reference = run()
+    for (packing, count, flags), (ref_packing, ref_count, ref_flags) in zip(ours, reference):
+        assert packing.bin_count == ref_packing.bin_count
+        assert (count, flags) == (ref_count, ref_flags)
+    # The two matchers do pick different pairs, so the counts were not
+    # equal merely because the packings were.
+    assert any(a[0].bins != b[0].bins for a, b in zip(ours, reference))
 
 
 @pytest.mark.parametrize("algorithm", [approx_bpc, max_solve, split_approx])

@@ -213,6 +213,33 @@ def test_generate_non_object_spec_exits_2(tmp_path, capsys):
     ],
 )
 def test_generate_spec_field_of_wrong_type_exits_2(tmp_path, capsys, spec, message):
+    _assert_bad_spec(tmp_path, capsys, spec, message)
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"class": "split", "n": 6, "density": 7}, "spec field 'density' must be in [0, 1], got 7.0"),
+        ({"class": "split", "n": 6, "density": -0.5}, "spec field 'density' must be in [0, 1], got -0.5"),
+        (
+            {"class": "edgeless", "n": 4, "size_dist": {"kind": "uniform", "lo": 5, "hi": 9}},
+            "spec field 'lo' must be in [0, 1], got 5.0",
+        ),
+        (
+            {"class": "edgeless", "n": 4, "size_dist": {"kind": "uniform", "lo": 0.5, "hi": 9}},
+            "spec field 'hi' must be in [0, 1], got 9.0",
+        ),
+        (
+            {"class": "edgeless", "n": 4, "size_dist": {"kind": "uniform", "lo": 0.9, "hi": 0.1}},
+            "spec field 'lo' must not exceed 'hi', got lo 0.9 > hi 0.1",
+        ),
+    ],
+)
+def test_generate_spec_field_out_of_range_exits_2(tmp_path, capsys, spec, message):
+    _assert_bad_spec(tmp_path, capsys, spec, message)
+
+
+def _assert_bad_spec(tmp_path, capsys, spec, message):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     assert main(["generate", "--spec", str(path), "--out", str(tmp_path / "gen")]) == 2

@@ -1,16 +1,21 @@
+import json
 import os
+import random
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cbp
 from cbp import (
     CapabilityError,
     ConflictInstance,
+    harness,
     max_weight_independent_set,
     maximum_matching_general,
     minimum_coloring,
@@ -26,6 +31,7 @@ from conftest import (
     brute_matching_size,
     brute_mwis_value,
     brute_split_partition_exists,
+    run_every_algorithm,
     seeded_instance,
 )
 
@@ -268,20 +274,114 @@ def test_matching_matches_brute():
         assert len(pairs) == brute_matching_size(inst.items, inst.edges)
 
 
-def test_import_cbp_leaves_networkx_unimported():
-    # networkx is imported on the first matching call, not by ``import cbp``.
-    code = (
-        "import sys\n"
-        "import cbp\n"
-        "print('networkx' in sys.modules)\n"
-        "cbp.maximum_matching_general([0, 1], [(0, 1)])\n"
-        "print('networkx' in sys.modules)\n"
+def nx_matching_size(vertices, edges) -> int:
+    g = nx.Graph()
+    g.add_nodes_from(vertices)
+    g.add_edges_from(edges)
+    return len(nx.max_weight_matching(g, maxcardinality=True))
+
+
+def assert_maximum_matching(vertices, edges, seed=0):
+    """Valid, as large as networkx's, and blind to the input's order."""
+    vertices = list(vertices)
+    pairs = maximum_matching_general(vertices, edges)
+    sorted_edges = {(min(u, v), max(u, v)) for u, v in edges}
+    used = set()
+    for u, v in pairs:
+        assert (u, v) in sorted_edges
+        assert u not in used and v not in used
+        used |= {u, v}
+    assert len(pairs) == nx_matching_size(vertices, edges)
+    rng = random.Random(seed)
+    shuffled = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+    rng.shuffle(shuffled)
+    assert maximum_matching_general(vertices[::-1], shuffled) == pairs
+    assert maximum_matching_general(vertices, [(v, u) for u, v in edges]) == pairs
+    return pairs
+
+
+def cycle(vertices):
+    return [(vertices[i], vertices[(i + 1) % len(vertices)]) for i in range(len(vertices))]
+
+
+def test_matching_petersen_is_perfect():
+    g = nx.petersen_graph()
+    assert len(assert_maximum_matching(g.nodes, list(g.edges))) == 5
+
+
+@pytest.mark.parametrize("length", range(3, 16, 2))
+def test_matching_odd_cycles(length):
+    pairs = assert_maximum_matching(range(length), cycle(list(range(length))))
+    assert len(pairs) == length // 2
+    # A pendant vertex makes a perfect matching exist; reaching it from the
+    # other free vertex may need a path through the contracted cycle.
+    with_tail = cycle(list(range(length))) + [(length - 1, length)]
+    assert len(assert_maximum_matching(range(length + 1), with_tail)) == (length + 1) // 2
+
+
+def test_matching_two_triangles_joined_by_path():
+    for path_len in range(0, 5):
+        path = [2] + list(range(6, 6 + path_len)) + [3]
+        edges = cycle([0, 1, 2]) + cycle([3, 4, 5]) + list(zip(path, path[1:]))
+        assert_maximum_matching(range(6 + path_len), edges, seed=path_len)
+
+
+def test_matching_nested_blossom_flower():
+    # A stem 0-1 into the five-cycle 1..5, a triangle 3-6-7 hung on it and a
+    # triangle 6-8-9 hung on that: the odd cycles share vertices, so a search
+    # contracts blossoms that contain blossoms. A pendant vertex on one cycle
+    # vertex, or on all of them, moves where an augmenting path must leave.
+    base_edges = [(0, 1)] + cycle([1, 2, 3, 4, 5]) + cycle([3, 6, 7]) + cycle([6, 8, 9])
+    for extra, v in enumerate([2, 4, 5, 7, 9], start=10):
+        edges = base_edges + [(v, extra)]
+        assert_maximum_matching(range(extra + 1), edges, seed=extra)
+    pendants = [(v, 20 + k) for k, v in enumerate([2, 3, 4, 5, 6, 7, 8, 9])]
+    assert_maximum_matching(list(range(10)) + list(range(20, 28)), base_edges + pendants)
+
+
+@settings(max_examples=150)
+@given(
+    n=st.integers(0, 60),
+    density=st.sampled_from([0.03, 0.08, 0.3, 0.7]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_matching_size_equals_networkx(n, density, seed):
+    rng = random.Random(seed)
+    ids = rng.sample(range(4 * n + 1), n)
+    edges = [(ids[a], ids[b]) for a in range(n) for b in range(a + 1, n) if rng.random() < density]
+    assert_maximum_matching(ids, edges, seed=seed)
+
+
+def test_matching_size_equals_networkx_at_n_40_to_60():
+    for seed in range(24):
+        rng = random.Random(seed)
+        n = 40 + seed % 21
+        density = (0.04, 0.1, 0.5)[seed % 3]
+        edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < density]
+        assert_maximum_matching(range(n), edges, seed=seed)
+
+
+def test_algorithms_run_without_networkx():
+    # networkx is a test-only oracle: with every import of it failing, each
+    # harness algorithm runs on one seeded instance of every generator class
+    # and gives the bins it gives here.
+    code = textwrap.dedent(
+        """
+        import json, sys
+        sys.modules["networkx"] = None
+        from conftest import run_every_algorithm
+        print(json.dumps(run_every_algorithm()))
+        """
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(cbp.__file__).resolve().parents[1]))
+    src = Path(cbp.__file__).resolve().parents[1]
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, (src, tests))))
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out == "False\nTrue\n"
+    expected = run_every_algorithm()
+    assert json.loads(out) == expected
+    assert all(expected[f"{klass}/matching_pack"] != "unfit" for klass in harness.GENERATOR_CLASSES)
 
 
 def test_restrict_class_info_certificates_hold():
