@@ -237,7 +237,7 @@ def bis_fptas_split(problem: BisProblem, eps) -> frozenset[int]:
     the residual budget) plus the no-clique-vertex case.
     """
     eps = _check_eps(eps)
-    if not problem.class_info.is_split or problem.class_info.split_partition is None:
+    if problem.class_info.split_partition is None:
         raise CapabilityError("split certificate required for the split-graph scheme")
     clique, stable = problem.class_info.split_partition
     vset = frozenset(problem.vertices)

@@ -15,13 +15,7 @@ from typing import Iterable, Optional
 
 from . import bis, oracle, packing_classic
 from .errors import CapabilityError, ParameterError, SolverError
-from .graphs import (
-    GraphClassInfo,
-    maximum_matching_general,
-    minimum_coloring,
-    recognize,
-    restrict_class_info,
-)
+from .graphs import GraphClassInfo, maximum_matching_general, minimum_coloring, recognize
 from .maxsize import greedy_growth, max_size, validate_initial
 from .model import (
     ConflictInstance,
@@ -90,8 +84,7 @@ def max_solve(
     seed = Packing(tuple(frozenset({v}) for v in large), "max_solve")
     grown = max_size(instance, seed, info, eps=eps)
     rest = restrict_instance(instance, grown.augmented.items(), mode="subtract")
-    rest_info = restrict_class_info(info, rest.items)
-    tail = color_sets(rest, rest_info)
+    tail = color_sets(rest, info)
     out = concat_packings(grown.augmented, tail)
     return Packing(out.bins, "max_solve", grown.augmented.flags)
 
@@ -126,8 +119,7 @@ def matching_pack(instance: ConflictInstance, info: Optional[GraphClassInfo] = N
         if v not in matched:
             bins.append(frozenset({v}))
     rest = restrict_instance(instance, set(lm), mode="subtract")
-    rest_info = restrict_class_info(info, rest.items)
-    tail = color_sets(rest, rest_info)
+    tail = color_sets(rest, info)
     return Packing(tuple(bins) + tail.bins, "matching_pack")
 
 
@@ -166,13 +158,13 @@ def split_approx(
     """
     bis._check_eps(eps)
     info = _info(instance, info)
-    if not info.is_split or info.split_partition is None:
+    if info.split_partition is None:
         raise CapabilityError("split certificate required")
     if instance.n == 0:
         return Packing((), "split_approx")
     if instance.total_size <= ONE and instance.is_independent(instance.items):
         return Packing((frozenset(instance.items),), "split_approx")
-    clique, _stable = info.split_partition
+    clique = info.split_partition[0] & frozenset(instance.items)
     singles = tuple(frozenset({v}) for v in sorted(clique))
     alpha_top = math.ceil(2 * instance.total_size) + 1
     start = Packing(singles + (frozenset(),) * alpha_top, "split_approx")
@@ -366,7 +358,7 @@ def assign(
     fallback to the initialization (flagged, never fatal).
     """
     info = _info(instance, info)
-    if not info.is_bipartite:
+    if info.bipartition is None:
         raise CapabilityError("bipartite certificate required")
     config = config or AssignConfig()
     classes = classify_items(instance, eps=config.eps)
@@ -389,47 +381,36 @@ def assign(
             continue
         rounded = round_assignment(instance, big_packing, w)
         rest = restrict_instance(instance, rounded.items(), mode="subtract")
-        tail = color_sets(rest, restrict_class_info(info, rest.items))
+        tail = color_sets(rest, info)
         candidate = Packing(rounded.bins + tail.bins, "assign", rounded.flags)
         if candidate.bin_count < best.bin_count:
             best = candidate
     return best.with_flags(f"enumerated:{count}")
 
 
-def abs_bpb(
-    instance: ConflictInstance,
-    info: Optional[GraphClassInfo] = None,
-    config: Optional[AssignConfig] = None,
-    exact_limit: int = 16,
-    feasibility_node_budget: int = 200_000,
-) -> Packing:
+def abs_bpb(instance: ConflictInstance, info: Optional[GraphClassInfo] = None) -> Packing:
     """Best of coloring, small-optimum exact search, and both one-sided
     LP-assignment runs, on a bipartite conflict graph."""
     info = _info(instance, info)
-    if not info.is_bipartite or info.bipartition is None:
+    if info.bipartition is None:
         raise CapabilityError("bipartite certificate required")
-    config = config or AssignConfig()
     candidates: list[Packing] = [color_sets(instance, info).with_source("abs_bpb/color_sets")]
-    if instance.n <= exact_limit:
-        packing, _ = oracle.opt_bpc_exact(instance, limit_n=exact_limit)
+    if instance.n <= 16:
+        packing, _ = oracle.opt_bpc_exact(instance, limit_n=16)
         candidates.append(packing.with_source("abs_bpb/exact"))
     else:
+        # Too large to solve exactly: look only for a packing into at most
+        # 3 bins, and give up when the node budget runs out.
         try:
-            packing, _ = oracle.opt_bpc_exact(
-                instance,
-                limit_n=instance.n,
-                max_bins=3,
-                node_budget=feasibility_node_budget,
-            )
+            packing, _ = oracle.opt_bpc_exact(instance, limit_n=instance.n, max_bins=3, node_budget=200_000)
             candidates.append(packing.with_source("abs_bpb/exact-small"))
         except CapabilityError:
             pass
-    classes = classify_items(instance, eps=config.eps)
+    classes = classify_items(instance, eps=AssignConfig().eps)
     assert classes.tiny is not None
-    x_side, y_side = info.bipartition
-    for side in (x_side, y_side):
+    for side in info.bipartition:
         w = sorted(side & classes.tiny)
-        candidates.append(assign(instance, w, info, config))
+        candidates.append(assign(instance, w, info))
     best = min(candidates, key=lambda p: p.bin_count)
     return Packing(best.bins, "abs_bpb", best.flags + (f"winner:{best.source}",))
 
@@ -442,9 +423,10 @@ def multipartite_pack(instance: ConflictInstance, info: Optional[GraphClassInfo]
     good packing.
     """
     info = _info(instance, info)
-    if not info.is_complete_multipartite or info.parts is None:
+    if info.parts is None:
         raise CapabilityError("complete-multipartite certificate required")
+    items = frozenset(instance.items)
     bins: tuple[frozenset[int], ...] = ()
     for part in info.parts:
-        bins += packing_classic.asymptotic_bp(part, instance.sizes).bins
+        bins += packing_classic.asymptotic_bp(part & items, instance.sizes).bins
     return Packing(bins, "multipartite_pack")

@@ -3,9 +3,12 @@ sets, and general maximum matching.
 
 Every recognizer produces a verifiable certificate (bipartition, clique/
 independent split, cluster components, multipartite parts, or a perfect
-elimination ordering) and the certificate is re-checked before the flag is
-set. All supported classes are hereditary, so certificates restrict to
-induced subgraphs without re-verification (:func:`restrict_class_info`).
+elimination ordering), checked before it is kept, and a class flag holds
+exactly when its certificate exists. All supported classes are hereditary,
+so a certificate intersected with the items of an induced subgraph
+certifies the subgraph. Readers intersect certificates with their own
+items, so the certificates of an instance serve each of its subinstances
+(:func:`restrict_class_info` does the intersection up front).
 
 Recognition works on the neighbour bitmasks of ``instance.adjacency``.
 Cluster components and multipartite parts are items grouped by closed or
@@ -28,43 +31,8 @@ from typing import Iterable, Mapping, Optional
 from .errors import CapabilityError
 from .model import ConflictInstance, _mask_to_ids
 
-Certificate = Optional[tuple]
-
 # Disjoint vertex pairs, each an edge of the queried graph.
 Matching = frozenset[tuple[int, int]]
-
-
-@dataclass(frozen=True)
-class GraphClassInfo:
-    """Recognition flags plus the certificates backing them."""
-
-    is_edgeless: bool = False
-    is_bipartite: bool = False
-    bipartition: Optional[tuple[frozenset[int], frozenset[int]]] = None
-    is_split: bool = False
-    split_partition: Optional[tuple[frozenset[int], frozenset[int]]] = None
-    is_cluster: bool = False
-    cluster_components: Optional[tuple[frozenset[int], ...]] = None
-    is_complete_multipartite: bool = False
-    parts: Optional[tuple[frozenset[int], ...]] = None
-    is_chordal: bool = False
-    elimination_order: Optional[tuple[int, ...]] = None
-
-    def supported_classes(self) -> tuple[str, ...]:
-        names = []
-        if self.is_edgeless:
-            names.append("edgeless")
-        if self.is_bipartite:
-            names.append("bipartite")
-        if self.is_split:
-            names.append("split")
-        if self.is_cluster:
-            names.append("cluster")
-        if self.is_complete_multipartite:
-            names.append("complete-multipartite")
-        if self.is_chordal:
-            names.append("chordal")
-        return tuple(names)
 
 
 SUPPORTED_CLASS_NAMES = (
@@ -75,6 +43,35 @@ SUPPORTED_CLASS_NAMES = (
     "complete-multipartite",
     "chordal",
 )
+
+
+@dataclass(frozen=True)
+class GraphClassInfo:
+    """Verified certificates, one per recognized class.
+
+    ``is_edgeless`` and the five certificates are the only fields; each
+    other class flag is a property that holds exactly when its certificate
+    exists. A certificate may belong to a supergraph of the graph it is
+    read with: readers intersect it with their own items.
+    """
+
+    is_edgeless: bool = False
+    bipartition: Optional[tuple[frozenset[int], frozenset[int]]] = None
+    split_partition: Optional[tuple[frozenset[int], frozenset[int]]] = None
+    cluster_components: Optional[tuple[frozenset[int], ...]] = None
+    parts: Optional[tuple[frozenset[int], ...]] = None
+    elimination_order: Optional[tuple[int, ...]] = None
+
+    is_bipartite = property(lambda self: self.bipartition is not None)
+    is_split = property(lambda self: self.split_partition is not None)
+    is_cluster = property(lambda self: self.cluster_components is not None)
+    is_complete_multipartite = property(lambda self: self.parts is not None)
+    is_chordal = property(lambda self: self.elimination_order is not None)
+
+    def supported_classes(self) -> tuple[str, ...]:
+        return tuple(
+            name for name in SUPPORTED_CLASS_NAMES if getattr(self, "is_" + name.replace("-", "_"))
+        )
 
 
 def _ids_mask(ids: Iterable[int]) -> int:
@@ -199,28 +196,18 @@ def _try_peo(instance: ConflictInstance) -> Optional[tuple[int, ...]]:
 
 
 def recognize(instance: ConflictInstance) -> GraphClassInfo:
-    """Compute all class flags with verified certificates.
+    """Compute all class certificates, each verified.
 
     A declared class_hint on the instance is never trusted; only verified
     certificates drive algorithm dispatch.
     """
-    bip = _try_bipartition(instance)
-    split = _try_split(instance)
-    cluster = _try_cluster(instance)
-    parts = _try_complete_multipartite(instance)
-    peo = _try_peo(instance)
     return GraphClassInfo(
         is_edgeless=not instance.edges,
-        is_bipartite=bip is not None,
-        bipartition=bip,
-        is_split=split is not None,
-        split_partition=split,
-        is_cluster=cluster is not None,
-        cluster_components=cluster,
-        is_complete_multipartite=parts is not None,
-        parts=parts,
-        is_chordal=peo is not None,
-        elimination_order=peo,
+        bipartition=_try_bipartition(instance),
+        split_partition=_try_split(instance),
+        cluster_components=_try_cluster(instance),
+        parts=_try_complete_multipartite(instance),
+        elimination_order=_try_peo(instance),
     )
 
 
@@ -229,36 +216,25 @@ def restrict_class_info(info: GraphClassInfo, kept: Iterable[int]) -> GraphClass
 
     All supported classes are hereditary: a restricted bipartition stays a
     bipartition, a restricted PEO stays a PEO, and so on, so no
-    re-verification is needed.
+    re-verification is needed. Each certificate keeps existing (or not),
+    so every class flag is unchanged.
     """
     k = frozenset(kept)
-    bip = None
-    if info.bipartition is not None:
-        bip = (info.bipartition[0] & k, info.bipartition[1] & k)
-    split = None
-    if info.split_partition is not None:
-        split = (info.split_partition[0] & k, info.split_partition[1] & k)
-    cluster = None
-    if info.cluster_components is not None:
-        cluster = tuple(c & k for c in info.cluster_components if c & k)
-    parts = None
-    if info.parts is not None:
-        parts = tuple(p & k for p in info.parts if p & k)
-    peo = None
-    if info.elimination_order is not None:
-        peo = tuple(v for v in info.elimination_order if v in k)
+
+    def sides(cert):
+        return None if cert is None else (cert[0] & k, cert[1] & k)
+
+    def groups(cert):
+        return None if cert is None else tuple(g & k for g in cert if g & k)
+
+    peo = info.elimination_order
     return GraphClassInfo(
         is_edgeless=info.is_edgeless,
-        is_bipartite=info.is_bipartite,
-        bipartition=bip,
-        is_split=info.is_split,
-        split_partition=split,
-        is_cluster=info.is_cluster,
-        cluster_components=cluster,
-        is_complete_multipartite=info.is_complete_multipartite,
-        parts=parts,
-        is_chordal=info.is_chordal,
-        elimination_order=peo,
+        bipartition=sides(info.bipartition),
+        split_partition=sides(info.split_partition),
+        cluster_components=groups(info.cluster_components),
+        parts=groups(info.parts),
+        elimination_order=None if peo is None else tuple(v for v in peo if v in k),
     )
 
 
@@ -268,20 +244,24 @@ def minimum_coloring(instance: ConflictInstance, info: GraphClassInfo) -> tuple[
     Dispatch order: edgeless (one class), bipartite (the two sides),
     chordal (greedy on the reverse perfect elimination ordering, which uses
     exactly clique-number many colors), complete multipartite (one class
-    per part).
+    per part). ``info`` may certify a supergraph: each certificate is
+    intersected with ``instance.items``, which gives the same classes as
+    :func:`restrict_class_info` to those items.
     """
     if not instance.items:
         return ()
     if info.is_edgeless:
         return (frozenset(instance.items),)
-    if info.is_bipartite and info.bipartition is not None:
-        x, y = info.bipartition
-        return tuple(side for side in (x, y) if side)
-    if info.is_chordal and info.elimination_order is not None:
+    items = frozenset(instance.items)
+    if info.bipartition is not None:
+        return tuple(side & items for side in info.bipartition if side & items)
+    if info.elimination_order is not None:
         # One mask per colour class; each vertex takes the first class it
         # has no neighbour in.
         classes: list[int] = []
         for v in reversed(info.elimination_order):
+            if v not in items:
+                continue
             for k, members in enumerate(classes):
                 if not instance.adjacency[v] & members:
                     classes[k] = members | 1 << v
@@ -289,8 +269,8 @@ def minimum_coloring(instance: ConflictInstance, info: GraphClassInfo) -> tuple[
             else:
                 classes.append(1 << v)
         return tuple(frozenset(_mask_to_ids(members)) for members in classes)
-    if info.is_complete_multipartite and info.parts is not None:
-        return info.parts
+    if info.parts is not None:
+        return tuple(part & items for part in info.parts if part & items)
     raise CapabilityError(
         "minimum coloring needs a certificate for one of: "
         + ", ".join(SUPPORTED_CLASS_NAMES)
@@ -330,80 +310,58 @@ def _mwis_chordal(
 def _mwis_bipartite(
     vertices: list[int],
     adj: Mapping[int, int],
-    sub_mask: int,
     sides: tuple[frozenset[int], frozenset[int]],
     weights: Mapping[int, Fraction],
 ) -> frozenset[int]:
-    # Min-weight vertex cover via max flow (source->X with capacity w,
-    # Y->sink with capacity w, conflict edges unbounded); the independent
-    # set is the complement of the cover.
-    xs = sorted(v for v in vertices if v in sides[0] and weights[v] > 0)
-    ys = sorted(v for v in vertices if v in sides[1] and weights[v] > 0)
-    node = {"s": 0, "t": 1}
-    for v in xs + ys:
-        node[v] = len(node)
-    graph: list[dict[int, Fraction]] = [dict() for _ in range(len(node))]
-    inf = sum(weights[v] for v in xs + ys) + 1
-
-    def add_edge(a: int, b: int, cap: Fraction) -> None:
-        graph[a][b] = graph[a].get(b, 0) + cap
-        graph[b].setdefault(a, 0)
-
-    for v in xs:
-        add_edge(0, node[v], weights[v])
-        for u in _mask_to_ids(adj[v] & sub_mask):
-            if u in node and u in sides[1]:
-                add_edge(node[v], node[u], inf)
-    for v in ys:
-        add_edge(node[v], 1, weights[v])
-
-    # Dinic's algorithm with exact capacities (ints or Fractions).
-    def bfs_levels() -> Optional[list[int]]:
-        level = [-1] * len(graph)
-        level[0] = 0
-        queue = [0]
-        for v in queue:
-            for u, cap in graph[v].items():
-                if cap > 0 and level[u] < 0:
-                    level[u] = level[v] + 1
-                    queue.append(u)
-        return level if level[1] >= 0 else None
-
-    def dfs_push(v: int, limit: Fraction, level: list[int], it: list[list[int]]) -> Fraction:
-        if v == 1:
-            return limit
-        while it[v]:
-            u = it[v][-1]
-            cap = graph[v].get(u, 0)
-            if cap > 0 and level[u] == level[v] + 1:
-                pushed = dfs_push(u, min(limit, cap), level, it)
-                if pushed > 0:
-                    graph[v][u] -= pushed
-                    graph[u][v] = graph[u].get(v, 0) + pushed
-                    return pushed
-            it[v].pop()
-        return 0
-
+    # Min-weight vertex cover as a minimum cut (source->x with capacity w,
+    # y->sink with capacity w, conflict edges x->y unbounded); the
+    # independent set is the complement of the cover. Flow is augmented
+    # along breadth-first paths until none is left; the last search then
+    # reaches the source side of a minimum cut. Every maximum flow leaves
+    # the same set reachable, the inclusion-minimal minimum cut (Picard &
+    # Queyranne 1980), so the set does not depend on the paths taken.
+    xs = [v for v in vertices if v in sides[0] and weights[v] > 0]
+    ys = [v for v in vertices if v in sides[1] and weights[v] > 0]
+    y_mask = _ids_mask(ys)
+    nbrs = {x: list(_mask_to_ids(adj[x] & y_mask)) for x in xs}
+    source = {x: weights[x] for x in xs}  # residual capacity source->x
+    sink = {y: weights[y] for y in ys}  # residual capacity y->sink
+    flow: dict[int, dict[int, Fraction]] = {y: {} for y in ys}  # flow[y][x] on x->y
     while True:
-        level = bfs_levels()
-        if level is None:
-            break
-        iters = [sorted(graph[v], reverse=True) for v in range(len(graph))]
-        while True:
-            pushed = dfs_push(0, inf, level, iters)
-            if pushed <= 0:
+        # prev[x] is None (reached from the source) or a y; prev[y] is an x.
+        prev: dict[int, Optional[int]] = {x: None for x in xs if source[x] > 0}
+        queue = list(prev)
+        end = None
+        for x in queue:
+            for y in nbrs[x]:
+                if y in prev:
+                    continue
+                prev[y] = x
+                if sink[y] > 0:
+                    end = y
+                    break
+                for x2, f in flow[y].items():
+                    if f > 0 and x2 not in prev:
+                        prev[x2] = y
+                        queue.append(x2)
+            if end is not None:
                 break
-
-    reach = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for u, cap in graph[v].items():
-            if cap > 0 and u not in reach:
-                reach.add(u)
-                stack.append(u)
-    keep = [v for v in xs if node[v] in reach] + [v for v in ys if node[v] not in reach]
-    return frozenset(keep)
+        if end is None:
+            break
+        path = []  # forward edges (x, y), from the sink end back
+        y = end
+        while y is not None:
+            path.append((prev[y], y))
+            y = prev[prev[y]]
+        first = path[-1][0]
+        push = min([source[first], sink[end]] + [flow[prev[x]][x] for x, _ in path[:-1]])
+        for x, y in path:
+            flow[y][x] = flow[y].get(x, 0) + push
+            if prev[x] is not None:
+                flow[prev[x]][x] -= push
+        source[first] -= push
+        sink[end] -= push
+    return frozenset(x for x in xs if x in prev) | frozenset(y for y in ys if y not in prev)
 
 
 def max_weight_independent_set(
@@ -434,12 +392,12 @@ def _mwis_core(
     no_edges = all((adj[v] & sub_mask) == 0 for v in vertices)
     if no_edges:
         return frozenset(v for v in vertices if weights[v] > 0)
-    if info.is_chordal and info.elimination_order is not None:
+    if info.elimination_order is not None:
         peo = tuple(v for v in info.elimination_order if v in vset)
         return _mwis_chordal(vertices, adj, sub_mask, peo, weights)
-    if info.is_bipartite and info.bipartition is not None:
-        return _mwis_bipartite(vertices, adj, sub_mask, info.bipartition, weights)
-    if info.is_complete_multipartite and info.parts is not None:
+    if info.bipartition is not None:
+        return _mwis_bipartite(vertices, adj, info.bipartition, weights)
+    if info.parts is not None:
         best: frozenset[int] = frozenset()
         best_w = 0
         for part in info.parts:

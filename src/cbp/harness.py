@@ -15,7 +15,7 @@ import os
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -65,6 +65,12 @@ def _spec_field(data: dict, key: str, default, kind: type):
     return kind(value)
 
 
+def _reject_unknown_keys(data: dict, known: tuple[str, ...]) -> None:
+    unknown = [key for key in data if key not in known]
+    if unknown:
+        raise ParameterError(f"unknown spec field {unknown[0]!r}; known fields: {', '.join(known)}")
+
+
 def _spec_unit(data: dict, key: str, default: float) -> float:
     """A number field of ``data`` that must lie in [0, 1]."""
     value = _spec_field(data, key, default, float)
@@ -99,6 +105,7 @@ class SizeDist:
             return SizeDist()
         if not isinstance(data, dict):
             raise ParameterError(f"spec field 'size_dist' must be a JSON object, got {type(data).__name__}")
+        _reject_unknown_keys(data, tuple(f.name for f in fields(SizeDist)))
         values = data.get("values", [])
         if not isinstance(values, list):
             raise ParameterError(f"spec field 'values' must be a list, got {type(values).__name__}")
@@ -133,6 +140,8 @@ class GeneratorSpec:
     def from_dict(data: dict) -> "GeneratorSpec":
         if not isinstance(data, dict):
             raise ParameterError(f"generator spec must be a JSON object, got {type(data).__name__}")
+        # The field names, "klass" included, plus its JSON spelling "class".
+        _reject_unknown_keys(data, ("class",) + tuple(f.name for f in fields(GeneratorSpec)))
         klass = data.get("class", data.get("klass"))
         if klass not in GENERATOR_CLASSES:
             raise ParameterError(f"unknown generator class {klass!r}")
@@ -150,23 +159,6 @@ class GeneratorSpec:
             variant=_spec_field(data, "variant", "BPB", str),
             degree_cap=_spec_field(data, "degree_cap", 3, int),
         )
-
-    def to_dict(self) -> dict:
-        out = {"class": self.klass, "n": self.n, "density": self.density, "seed": self.seed}
-        out["size_dist"] = {"kind": self.size_dist.kind, "lo": self.size_dist.lo, "hi": self.size_dist.hi}
-        if self.size_dist.values:
-            out["size_dist"]["values"] = list(self.size_dist.values)
-        if self.klass == "b3dm-reduction":
-            out.update(
-                x_count=self.x_count,
-                y_count=self.y_count,
-                z_count=self.z_count,
-                t_count=self.t_count,
-                guess=self.guess,
-                variant=self.variant,
-                degree_cap=self.degree_cap,
-            )
-        return out
 
 
 def _draw_sizes(spec: GeneratorSpec, rng: SplitMix64) -> list[Fraction]:
@@ -465,15 +457,8 @@ def _ffd_bounds_ok(instance: ConflictInstance, packing: Packing) -> bool:
         return packing.bin_count <= 1
     max_s = max(instance.sizes.values())
     first = (1 + 2 * max_s) * instance.total_size + 1
-    classes = classify_items(instance)
-    second = (
-        len(classes.large)
-        + Fraction(3, 2) * instance.size_of(classes.medium)
-        + Fraction(4, 3) * instance.size_of(classes.small)
-        + 1
-    )
-    count = Fraction(packing.bin_count)
-    return count <= first and count <= second
+    # The second bound is Lemma 4's with one color class.
+    return packing.bin_count <= min(first, bpc.lemma4_bound(instance, 1))
 
 
 def _coloring_bound_ok(instance: ConflictInstance, info: GraphClassInfo, packing: Packing) -> bool:

@@ -84,7 +84,7 @@ def _single_bin_problem(
 
 
 def _solve_single_bin(problem: bis.BisProblem, eps) -> frozenset[int]:
-    if problem.class_info.is_split and problem.class_info.split_partition is not None:
+    if problem.class_info.split_partition is not None:
         return bis.bis_fptas_split(problem, eps)
     return bis.bis_ptas(problem, eps)
 

@@ -29,7 +29,6 @@ def solve_max_lp(
     objective: Sequence[Fraction],
     rows: Sequence[Sequence[Fraction]],
     rhs: Sequence[Fraction],
-    max_iterations: Optional[int] = None,
 ) -> LpResult:
     n = len(objective)
     m = len(rows)
@@ -72,8 +71,6 @@ def solve_max_lp(
         if leave < 0:
             raise SolverError("LP is unbounded")
         iterations += 1
-        if max_iterations is not None and iterations > max_iterations:
-            raise SolverError(f"simplex iteration cap {max_iterations} exceeded")
         pivot = tab[leave][enter]
         prow = tab[leave]
         inv = Fraction(1) / pivot

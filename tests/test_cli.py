@@ -219,6 +219,20 @@ def test_generate_spec_field_of_wrong_type_exits_2(tmp_path, capsys, spec, messa
 @pytest.mark.parametrize(
     "spec, message",
     [
+        ({"class": "split", "n": 6, "densty": 0.9}, "unknown spec field 'densty'"),
+        (
+            {"class": "edgeless", "n": 4, "size_dist": {"kind": "uniform", "low": 0.1}},
+            "unknown spec field 'low'",
+        ),
+    ],
+)
+def test_generate_unknown_spec_field_exits_2(tmp_path, capsys, spec, message):
+    _assert_bad_spec(tmp_path, capsys, spec, message)
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
         ({"class": "split", "n": 6, "density": 7}, "spec field 'density' must be in [0, 1], got 7.0"),
         ({"class": "split", "n": 6, "density": -0.5}, "spec field 'density' must be in [0, 1], got -0.5"),
         (

@@ -1,3 +1,4 @@
+import collections
 import json
 import os
 import random
@@ -15,6 +16,8 @@ import cbp
 from cbp import (
     CapabilityError,
     ConflictInstance,
+    GraphClassInfo,
+    graphs,
     harness,
     max_weight_independent_set,
     maximum_matching_general,
@@ -252,6 +255,76 @@ def test_mwis_ignores_zero_weight():
     edgeless = ConflictInstance(sizes(3))
     w = {0: Fraction(0), 1: Fraction(2), 2: Fraction(0)}
     assert max_weight_independent_set(edgeless, recognize(edgeless), w) == {1}
+
+
+def _brute_mwis_minimal_x(adj, vertices, x_side, weights):
+    """Among the maximum-weight independent sets of the positive-weight
+    ``vertices``, the one whose part in ``x_side`` is inclusion-minimal,
+    and the number of maximum-weight sets."""
+    positive = [v for v in vertices if weights[v] > 0]
+    best_w, optima = None, []
+    for bits in range(1 << len(positive)):
+        chosen = [v for k, v in enumerate(positive) if bits >> k & 1]
+        mask = sum(1 << v for v in chosen)
+        if any(adj[v] & mask for v in chosen):
+            continue
+        w = sum((weights[v] for v in chosen), Fraction(0))
+        if best_w is None or w > best_w:
+            best_w, optima = w, []
+        if w == best_w:
+            optima.append(frozenset(chosen))
+    minimal = [s for s in optima if all(s & x_side <= t & x_side for t in optima)]
+    assert len(minimal) == 1
+    return minimal[0], len(optima)
+
+
+def test_bipartite_mwis_is_the_minimal_cut_optimum():
+    # The flow-based MWIS returns the X side the last search reaches plus
+    # the Y side it does not: the inclusion-minimal minimum cut, which
+    # every maximum flow leaves. Small repeated weights, zeros included,
+    # make ties between optima common, so the tie rule is checked too.
+    rng = SplitMix64(2024)
+    ties = 0
+    for _ in range(300):
+        n = 2 + rng.below(11)
+        inst = seeded_instance("bipartite", n, rng.next_u64(), density=0.2 + 0.7 * rng.unit())
+        bipartition = recognize(inst).bipartition
+        weights = {v: Fraction(rng.below(3)) for v in inst.items}
+        sub = [v for v in inst.items if rng.below(4)]
+        mask = sum(1 << v for v in sub)
+        got = graphs._mwis_core(sub, inst.adjacency, mask, GraphClassInfo(bipartition=bipartition), weights)
+        want, optima = _brute_mwis_minimal_x(inst.adjacency, sub, bipartition[0], weights)
+        assert got == want
+        ties += optima > 1
+    assert ties >= 40
+
+
+def test_coloring_reads_supergraph_certificates():
+    # color_sets' callers hand minimum_coloring the certificates of the
+    # whole instance with a restricted instance: it must color exactly as
+    # with the certificates restricted to the kept items first.
+    rng = SplitMix64(77)
+    branches = collections.Counter()
+    for k in range(180):
+        inst = seeded_instance(CLASSES[k % len(CLASSES)], 4 + rng.below(14), rng.next_u64(), 0.2 + 0.7 * rng.unit())
+        info = recognize(inst)
+        # minimum_coloring's dispatch order.
+        branch = next(
+            name
+            for name, cert in (
+                ("edgeless", info.is_edgeless),
+                ("bipartite", info.bipartition),
+                ("chordal", info.elimination_order),
+                ("complete-multipartite", info.parts),
+            )
+            if cert
+        )
+        for _ in range(3):
+            kept = [v for v in inst.items if rng.below(3)]
+            sub = restrict_instance(inst, kept)
+            assert minimum_coloring(sub, info) == minimum_coloring(sub, restrict_class_info(info, kept))
+            branches[branch] += 1
+    assert min(branches[b] for b in ("bipartite", "chordal", "complete-multipartite")) >= 20
 
 
 def test_matching_examples():

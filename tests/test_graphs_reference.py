@@ -144,15 +144,10 @@ def ref_recognize(instance):
     peo = ref_peo(instance)
     return GraphClassInfo(
         is_edgeless=not instance.edges,
-        is_bipartite=bip is not None,
         bipartition=bip,
-        is_split=split is not None,
         split_partition=split,
-        is_cluster=cluster is not None,
         cluster_components=cluster,
-        is_complete_multipartite=parts is not None,
         parts=parts,
-        is_chordal=peo is not None,
         elimination_order=peo,
     )
 
@@ -228,6 +223,6 @@ def test_recognition_and_coloring_match_references(family, n, seed, density, res
     info = graphs.recognize(instance)
     assert info == ref_recognize(instance)
     if info.is_chordal and instance.items:
-        chordal_only = GraphClassInfo(is_chordal=True, elimination_order=info.elimination_order)
+        chordal_only = GraphClassInfo(elimination_order=info.elimination_order)
         coloring = graphs.minimum_coloring(instance, chordal_only)
         assert coloring == ref_chordal_coloring(instance, info.elimination_order)

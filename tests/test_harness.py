@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from cbp import ParameterError, recognize, validate_packing
+from cbp import ConflictInstance, Packing, ParameterError, packing_classic, recognize, validate_packing
 from cbp.harness import (
     CSV_COLUMNS,
     GeneratorSpec,
     SizeDist,
+    _ffd_bounds_ok,
     generate,
     generate_b3dm,
     instance_from_dict,
@@ -133,6 +134,20 @@ def test_instance_io_roundtrip(tmp_path):
         instance_from_dict({"items": [{"id": 0, "size": "0.5"}], "edges": [[0, 3]]})
 
 
+def test_spec_parses_valid_size_dists():
+    # "klass", the field's own name, is accepted for "class".
+    uniform = GeneratorSpec.from_dict(
+        {"klass": "edgeless", "n": 30, "seed": 3, "size_dist": {"kind": "uniform", "lo": 0.25, "hi": 0.5}}
+    )
+    assert uniform == GeneratorSpec(klass="edgeless", n=30, seed=3, size_dist=SizeDist(kind="uniform", lo=0.25, hi=0.5))
+    assert all(Fraction(1, 4) <= s <= Fraction(1, 2) for s in generate(uniform).sizes.values())
+    discrete = GeneratorSpec.from_dict(
+        {"class": "edgeless", "n": 30, "seed": 3, "size_dist": {"kind": "discrete", "values": ["1/3", "0.25"]}}
+    )
+    assert discrete.size_dist == SizeDist(kind="discrete", values=("1/3", "0.25"))
+    assert set(generate(discrete).sizes.values()) == {Fraction(1, 3), Fraction(1, 4)}
+
+
 def _suite_config(**overrides):
     config = {
         "seed": 9,
@@ -161,6 +176,24 @@ def test_run_suite_rows_and_files(tmp_path):
     assert (tmp_path / "summary.csv").exists()
     detail = json.loads((tmp_path / "results" / "bipartite-00000.json").read_text())
     assert detail["results"][0]["feasible"]
+
+
+def test_run_suite_lemma2_column(tmp_path):
+    config = _suite_config(
+        instances=[],
+        algorithms=["ffd", "asymptotic_bp"],
+        sweep={"classes": ["edgeless"], "count": 6, "n_min": 4, "n_max": 14},
+    )
+    report = run_suite(config, tmp_path)
+    assert len(report.rows) == 12
+    assert all(row.lemma2_ok is True for row in report.rows)
+
+
+def test_ffd_bounds_check_rejects_too_many_bins():
+    # Ten items of size 1/20: the bounds allow at most one bin.
+    inst = ConflictInstance({i: "1/20" for i in range(10)})
+    assert _ffd_bounds_ok(inst, packing_classic.ffd(inst.items, inst.sizes))
+    assert not _ffd_bounds_ok(inst, Packing(tuple(frozenset({v}) for v in inst.items), "singletons"))
 
 
 def test_run_suite_empty(tmp_path):

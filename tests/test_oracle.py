@@ -37,6 +37,17 @@ def test_exact_limit():
         opt_bpc_exact(inst, limit_n=18)
 
 
+def test_exact_node_budget_exhausted():
+    # First fit in size order packs 0 with 1 and needs a bin each for the
+    # conflicting 2 and 3: three bins, over max_bins=2, so the search must
+    # run, and one node is not enough for it.
+    inst = ConflictInstance({i: "1/2" for i in range(4)}, edges=[(2, 3)])
+    with pytest.raises(CapabilityError, match="exact solver node budget exhausted"):
+        opt_bpc_exact(inst, max_bins=2, node_budget=1)
+    packing, opt = opt_bpc_exact(inst, max_bins=2, node_budget=1000)
+    assert opt == 2 and validate_packing(inst, packing, require_cover=True).feasible
+
+
 def test_exact_matches_naive_partition_search():
     for seed in range(40):
         klass = CLASSES[seed % len(CLASSES)]

@@ -281,14 +281,10 @@ def test_mwis_reads_only_its_own_vertices_of_a_certificate():
         inst = seeded_instance(CLASSES[k % len(CLASSES)], 6 + rng.below(10), rng.next_u64())
         info = graphs.recognize(inst)
         weights = {i: Fraction(rng.below(9), 1 + rng.below(4)) for i in inst.items}
-        for flag, field in (
-            ("is_chordal", "elimination_order"),
-            ("is_bipartite", "bipartition"),
-            ("is_complete_multipartite", "parts"),
-        ):
+        for field in ("elimination_order", "bipartition", "parts"):
             if getattr(info, field) is None:
                 continue
-            cert = graphs.GraphClassInfo(**{flag: True, field: getattr(info, field)})
+            cert = graphs.GraphClassInfo(**{field: getattr(info, field)})
             for _ in range(4):
                 sub = [i for i in inst.items if rng.below(3)]
                 mask = sum(1 << v for v in sub)
@@ -305,7 +301,7 @@ def test_mwis_rejects_a_cluster_only_certificate():
     inst = ConflictInstance({0: "1/2", 1: "1/3", 2: "1/4"}, edges=[(0, 1)])
     info = graphs.recognize(inst)
     assert info.is_cluster and info.is_chordal
-    cert = graphs.GraphClassInfo(is_cluster=True, cluster_components=info.cluster_components)
+    cert = graphs.GraphClassInfo(cluster_components=info.cluster_components)
     with pytest.raises(CapabilityError):
         graphs._mwis_core(list(inst.items), inst.adjacency, 0b111, cert, inst.sizes)
 
