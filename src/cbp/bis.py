@@ -4,10 +4,13 @@ The budgeted problem: maximize w(S) over independent sets S with
 w(S) <= budget. Two schemes are provided — an enumeration-plus-exact-MWIS
 scheme for any class with exact weighted independent sets (bipartite,
 split, chordal, cluster, complete multipartite, edgeless), and a faster
-scheme for split graphs built on a knapsack FPTAS. Weights and budgets
-are Fractions at the interface; each call converts them once to Python
-ints over a common denominator (``model.size_units``), and both schemes
-and both knapsack dynamic programs run on integer profits and costs.
+scheme for split graphs built on a knapsack FPTAS. Both schemes and both
+knapsack dynamic programs run on integer profits and costs over a common
+denominator. Weights, budgets and eps are Fractions at the public
+interface (``BisProblem``, ``knapsack_fptas``), and each public call
+converts them once with ``model.size_units``; ``maxsize.greedy_growth``
+calls the same integer cores with its instance's unit table, so no
+single-bin subproblem converts sizes again.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Iterable, Mapping
 
 from .errors import CapabilityError, ParameterError
 from .graphs import GraphClassInfo, _mwis_core
-from .model import ZERO, size_units
+from .model import ZERO, as_size, size_units
 
 DEFAULT_ENUM_CAP = 6
 EXACT_DP_DENOM_LIMIT = 4096
@@ -54,7 +57,11 @@ class BisProblem:
 
 
 def _check_eps(eps) -> Fraction:
-    eps = Fraction(eps) if not isinstance(eps, Fraction) else eps
+    # A float means its shortest decimal, as everywhere sizes are read.
+    try:
+        eps = as_size(eps)
+    except ParameterError as exc:
+        raise ParameterError(f"eps must be a number in (0, 1), got {eps!r}") from exc
     if not (0 < eps < 1):
         raise ParameterError(f"eps must be in (0, 1), got {eps}")
     return eps
@@ -183,15 +190,19 @@ def bis_ptas(problem: BisProblem, eps) -> frozenset[int]:
     ``DEFAULT_ENUM_CAP``.
     """
     eps = _check_eps(eps)
+    weights, budget, den = _problem_units(problem)
+    return _ptas(problem.vertices, problem.adjacency, problem.class_info, weights, budget, den, eps)
+
+
+def _ptas(vertices, adj, info, weights, budget, den, eps) -> frozenset[int]:
+    # ``bis_ptas`` on integer weights and budget over ``den``; ``eps`` is checked.
     cap = math.ceil(1 / eps)
     if cap > DEFAULT_ENUM_CAP:
         raise ParameterError(
             f"enumeration bound ceil(1/eps) = {cap} exceeds cap {DEFAULT_ENUM_CAP}; "
             "use a larger eps"
         )
-    weights, budget, _ = _problem_units(problem)
-    adj = problem.adjacency
-    eligible = [v for v in sorted(problem.vertices) if weights[v] <= budget]
+    eligible = [v for v in sorted(vertices) if weights[v] <= budget]
     if not eligible:
         return frozenset()
     light_cut = eps.numerator * budget // eps.denominator
@@ -212,7 +223,7 @@ def bis_ptas(problem: BisProblem, eps) -> frozenset[int]:
             sub_mask = 0
             for v in residual:
                 sub_mask |= 1 << v
-            chosen = _mwis_core(residual, adj, sub_mask, problem.class_info, weights)
+            chosen = _mwis_core(residual, adj, sub_mask, info, weights)
         else:
             chosen = frozenset()
         picked = set(chosen)
@@ -237,14 +248,18 @@ def bis_fptas_split(problem: BisProblem, eps) -> frozenset[int]:
     the residual budget) plus the no-clique-vertex case.
     """
     eps = _check_eps(eps)
-    if problem.class_info.split_partition is None:
+    weights, budget, den = _problem_units(problem)
+    return _fptas_split(problem.vertices, problem.adjacency, problem.class_info, weights, budget, den, eps)
+
+
+def _fptas_split(vertices, adj, info, weights, budget, den, eps) -> frozenset[int]:
+    # ``bis_fptas_split`` on integer weights and budget over ``den``; ``eps`` is checked.
+    if info.split_partition is None:
         raise CapabilityError("split certificate required for the split-graph scheme")
-    clique, stable = problem.class_info.split_partition
-    vset = frozenset(problem.vertices)
+    clique, stable = info.split_partition
+    vset = frozenset(vertices)
     clique = sorted(clique & vset)
     stable = sorted(stable & vset)
-    adj = problem.adjacency
-    weights, budget, den = _problem_units(problem)
 
     # Profit equals cost: the knapsacks read the same units for both.
     best: frozenset[int] = frozenset()

@@ -23,7 +23,6 @@ from .model import (
     classify_items,
     concat_packings,
     restrict_instance,
-    size_units,
     validate_packing,
     ONE,
     ZERO,
@@ -62,10 +61,11 @@ def color_sets(instance: ConflictInstance, info: Optional[GraphClassInfo] = None
     """
     info = _info(instance, info)
     coloring = minimum_coloring(instance, info)
-    result = Packing((), "color_sets")
+    units, den = instance.unit_table
+    bins: tuple[frozenset[int], ...] = ()
     for cls in coloring:
-        packed = packing_classic.asymptotic_bp(cls, instance.sizes)
-        result = Packing(result.bins + packed.bins, "color_sets")
+        bins += packing_classic._best_bins(cls, units, den, instance.adjacency)
+    result = Packing(bins, "color_sets")
     bound = lemma4_bound(instance, len(coloring))
     if Fraction(result.bin_count) > bound:
         raise SolverError(f"coloring-based bound violated: {result.bin_count} > {bound}")
@@ -99,16 +99,12 @@ def matching_pack(instance: ConflictInstance, info: Optional[GraphClassInfo] = N
     info = _info(instance, info)
     classes = classify_items(instance)
     lm = sorted(classes.large | classes.medium)
-    units, cap = size_units(instance.sizes[v] for v in lm)
+    units, den = instance.unit_table
     aux_edges: list[tuple[int, int]] = []
     for k, u in enumerate(lm):
-        room = cap - units[k]
+        room = den - units[u]
         blocked = instance.adjacency[u]
-        aux_edges += [
-            (u, v)
-            for v, w in zip(lm[k + 1 :], units[k + 1 :])
-            if w <= room and not (blocked >> v) & 1
-        ]
+        aux_edges += [(u, v) for v in lm[k + 1 :] if units[v] <= room and not (blocked >> v) & 1]
     matching = maximum_matching_general(lm, aux_edges)
     matched: set[int] = set()
     bins: list[frozenset[int]] = []
@@ -162,21 +158,23 @@ def split_approx(
         raise CapabilityError("split certificate required")
     if instance.n == 0:
         return Packing((), "split_approx")
-    if instance.total_size <= ONE and instance.is_independent(instance.items):
+    total = instance.total_size
+    if total <= ONE and instance.is_independent(instance.items):
         return Packing((frozenset(instance.items),), "split_approx")
     clique = info.split_partition[0] & frozenset(instance.items)
     singles = tuple(frozenset({v}) for v in sorted(clique))
-    alpha_top = math.ceil(2 * instance.total_size) + 1
+    alpha_top = math.ceil(2 * total) + 1
     start = Packing(singles + (frozenset(),) * alpha_top, "split_approx")
     validate_initial(instance, start)
     growth = greedy_growth(instance, start, info, eps)
+    units, den = instance.unit_table
     best: Optional[Packing] = None
     for bins, pool in itertools.islice(growth, len(singles), None):
         if best is not None and len(bins) >= best.bin_count:
             break
-        tail = packing_classic.ffd(pool, instance.sizes)
-        if best is None or len(bins) + tail.bin_count < best.bin_count:
-            best = Packing(tuple(bins) + tail.bins, "split_approx")
+        tail = packing_classic._ffd_bins(pool, units, den)
+        if best is None or len(bins) + len(tail) < best.bin_count:
+            best = Packing(tuple(bins) + tail, "split_approx")
     return best
 
 
@@ -312,7 +310,8 @@ def _enumerate_feasible_packings(
     """
     items = sorted(items)
     n = len(items)
-    loads: list[Fraction] = []
+    units, den = instance.unit_table
+    loads: list[int] = []
     blocks: list[int] = []
     bins: list[list[int]] = []
 
@@ -321,9 +320,9 @@ def _enumerate_feasible_packings(
             yield Packing(tuple(frozenset(b) for b in bins), "enumerated")
             return
         v = items[k]
-        s = instance.sizes[v]
+        s = units[v]
         for b in range(len(bins)):
-            if loads[b] + s <= ONE and not (blocks[b] >> v) & 1:
+            if loads[b] + s <= den and not (blocks[b] >> v) & 1:
                 bins[b].append(v)
                 loads[b] += s
                 old = blocks[b]
@@ -426,7 +425,8 @@ def multipartite_pack(instance: ConflictInstance, info: Optional[GraphClassInfo]
     if info.parts is None:
         raise CapabilityError("complete-multipartite certificate required")
     items = frozenset(instance.items)
+    units, den = instance.unit_table
     bins: tuple[frozenset[int], ...] = ()
     for part in info.parts:
-        bins += packing_classic.asymptotic_bp(part & items, instance.sizes).bins
+        bins += packing_classic._best_bins(part & items, units, den, instance.adjacency)
     return Packing(bins, "multipartite_pack")

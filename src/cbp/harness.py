@@ -685,9 +685,10 @@ def instance_from_dict(data: dict) -> ConflictInstance:
     if not isinstance(raw_items, list) or not all(isinstance(e, dict) for e in raw_items):
         raise ParameterError("items must be a list of JSON objects")
     ids = [entry["id"] for entry in raw_items]
-    unhashable = [i for i in ids if isinstance(i, (list, dict))]
-    if unhashable:
-        raise ParameterError(f"item ids must be numbers or strings, got {unhashable[0]!r}")
+    # A JSON true would otherwise equal the id 1 and print as "True".
+    malformed = [i for i in ids if isinstance(i, bool) or not isinstance(i, (int, float, str))]
+    if malformed:
+        raise ParameterError(f"item ids must be numbers or strings, got {malformed[0]!r}")
     duplicates = [i for i, count in Counter(ids).items() if count > 1]
     if duplicates:
         raise ParameterError(f"duplicate item ids: {duplicates}")

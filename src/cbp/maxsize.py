@@ -59,34 +59,34 @@ class ConfigLpSolution:
     iterations: int
 
 
+def _bin_room(instance: ConflictInstance, bin_items: frozenset[int], pool: list[int]) -> tuple[list[int], int]:
+    # The single-bin subproblem: the unpacked items with no edge into the
+    # bin, and the bin's residual capacity in the instance's integer units.
+    units, den = instance.unit_table
+    bin_mask = 0
+    budget = den
+    for v in bin_items:
+        bin_mask |= instance.adjacency[v]
+        budget -= units[v]
+    return [v for v in pool if not (bin_mask >> v) & 1], budget
+
+
 def _single_bin_problem(
     instance: ConflictInstance,
     info: GraphClassInfo,
     bin_items: frozenset[int],
     pool: list[int],
 ) -> bis.BisProblem:
-    # Candidates are the unpacked items with no edge into the bin; the
-    # budget is the bin's residual capacity. The instance's masks and
-    # certificates serve as they are: the solvers read only the bits and
-    # certificate members of the candidates.
-    bin_mask = 0
-    for v in bin_items:
-        bin_mask |= instance.adjacency[v]
-    eligible = [v for v in pool if not (bin_mask >> v) & 1]
-    budget = Fraction(1) - instance.size_of(bin_items)
+    # The instance's masks and certificates serve as they are: the solvers
+    # read only the bits and certificate members of the candidates.
+    eligible, budget = _bin_room(instance, bin_items, pool)
     return bis.BisProblem(
         vertices=tuple(eligible),
         adjacency=instance.adjacency,
         weights=instance.sizes,
-        budget=budget,
+        budget=Fraction(budget, instance.unit_table[1]),
         class_info=info,
     )
-
-
-def _solve_single_bin(problem: bis.BisProblem, eps) -> frozenset[int]:
-    if problem.class_info.split_partition is not None:
-        return bis.bis_fptas_split(problem, eps)
-    return bis.bis_ptas(problem, eps)
 
 
 def validate_initial(instance: ConflictInstance, initial: Packing) -> None:
@@ -136,15 +136,19 @@ def greedy_growth(
     state after k bins is the whole growth of its first k bins.
     """
     eps = bis._check_eps(eps)
+    # The solvers' integer cores, on the instance's unit table: no
+    # single-bin subproblem converts sizes again.
+    solve = bis._fptas_split if class_info.split_partition is not None else bis._ptas
+    units, den = instance.unit_table
     packed = initial.items()
     pool = [i for i in instance.items if i not in packed]
     new_bins: list[frozenset[int]] = []
     yield new_bins, pool
     for bin_items in initial.bins:
         if pool:
-            problem = _single_bin_problem(instance, class_info, bin_items, pool)
-            if problem.budget > ZERO and problem.vertices:
-                chosen = _solve_single_bin(problem, eps)
+            eligible, budget = _bin_room(instance, bin_items, pool)
+            if budget > 0 and eligible:
+                chosen = solve(eligible, instance.adjacency, class_info, units, budget, den, eps)
                 bin_items = bin_items | chosen
                 pool = [v for v in pool if v not in chosen]
         new_bins.append(bin_items)

@@ -1,13 +1,15 @@
 """Instance and packing data model.
 
 Items carry exact rational sizes in [0, 1] (``fractions.Fraction``) and a
-conflict graph on item ids. The packing hot loops compare sizes in integer
-units: :func:`size_units` writes a set of sizes as numerators over the lcm
-D of their denominators, and a bin of capacity 1 holds D units. Python
-ints never round, so every capacity check stays exact, and the threshold
-classifications (1/3, 1/2, epsilon) and the validation below compare
-Fractions directly. Instances and packings are immutable after
-construction; every operation here is a pure function.
+conflict graph on item ids. Sizes are Fractions at the API and file
+boundary; the work runs on integer units. :func:`size_units` writes a set
+of sizes as numerators over the lcm D of their denominators, so a bin of
+capacity 1 holds D units, and each instance keeps one such table
+(:attr:`ConflictInstance.unit_table`), filled on first use and inherited
+by its restrictions. Size sums, the threshold classes (1/3, 1/2, eps),
+validation and every packing hot loop compare these ints; Python ints
+never round, so every capacity check stays exact. Instances and packings
+are immutable after construction; every operation here is a pure function.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ def as_size(value: SizeLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ParameterError(f"not a size: {value!r}")
         return Fraction(repr(value))
     if isinstance(value, str):
         try:
@@ -69,7 +73,7 @@ class ConflictInstance:
     original external names for reporting.
     """
 
-    __slots__ = ("items", "sizes", "edges", "class_hint", "labels", "adjacency")
+    __slots__ = ("items", "sizes", "edges", "class_hint", "labels", "adjacency", "_units")
 
     def __init__(
         self,
@@ -109,6 +113,20 @@ class ConflictInstance:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         self.adjacency: dict[int, int] = adj
+        self._units: Optional[tuple[dict[int, int], int]] = None
+
+    @property
+    def unit_table(self) -> tuple[dict[int, int], int]:
+        """``(units, den)``: ``units[i] / den == sizes[i]`` for every item.
+
+        Filled from ``sizes`` with :func:`size_units` on first use. A
+        restriction inherits its parent's ``den``, a common multiple of its
+        own denominators, which every integer comparison reads the same.
+        """
+        if self._units is None:
+            units, den = size_units(self.sizes.values())
+            self._units = (dict(zip(self.items, units)), den)
+        return self._units
 
     @property
     def n(self) -> int:
@@ -121,11 +139,13 @@ class ConflictInstance:
         return frozenset(_mask_to_ids(self.adjacency[v]))
 
     def size_of(self, items: Iterable[int]) -> Fraction:
-        return sum((self.sizes[i] for i in items), ZERO)
+        units, den = self.unit_table
+        return Fraction(sum(units[i] for i in items), den)
 
     @property
     def total_size(self) -> Fraction:
-        return self.size_of(self.items)
+        units, den = self.unit_table
+        return Fraction(sum(units.values()), den)
 
     def is_independent(self, items: Iterable[int]) -> bool:
         mask = 0
@@ -188,10 +208,6 @@ class ItemClasses:
     big: Optional[frozenset[int]] = None
 
 
-HALF = Fraction(1, 2)
-THIRD = Fraction(1, 3)
-
-
 def classify_items(instance: ConflictInstance, eps: Optional[SizeLike] = None) -> ItemClasses:
     """Partition items into large/medium/small (and tiny/big when eps given).
 
@@ -200,21 +216,24 @@ def classify_items(instance: ConflictInstance, eps: Optional[SizeLike] = None) -
     """
     eps_f: Optional[Fraction] = None
     if eps is not None:
-        eps_f = as_size(eps) if not isinstance(eps, Fraction) else eps
+        eps_f = as_size(eps)
         if not (ZERO < eps_f < Fraction(1, 10)):
             raise ParameterError(f"eps must be in (0, 0.1), got {eps_f}")
+    units, den = instance.unit_table
     large, medium, small = set(), set(), set()
     for i in instance.items:
-        s = instance.sizes[i]
-        if s > HALF:
+        u = units[i]
+        if 2 * u > den:
             large.add(i)
-        elif s > THIRD:
+        elif 3 * u > den:
             medium.add(i)
         else:
             small.add(i)
     tiny = big = None
     if eps_f is not None:
-        tiny = frozenset(i for i in instance.items if instance.sizes[i] <= eps_f)
+        # u / den <= p / q  <=>  u * q <= p * den
+        p, q = eps_f.numerator, eps_f.denominator
+        tiny = frozenset(i for i in instance.items if units[i] * q <= p * den)
         big = frozenset(instance.items) - tiny
     return ItemClasses(
         large=frozenset(large),
@@ -277,10 +296,12 @@ def validate_packing(
 ) -> ValidationReport:
     """Check a packing against an instance, reporting every problem found.
 
-    Problems are reported, never raised: overflows (exact rational size
-    sums), intra-bin conflict edges, items occurring in more than one bin,
-    unknown item ids, and (when require_cover) items missing from all bins.
+    Problems are reported, never raised: overflows (exact unit sums
+    against the instance's ``den``), intra-bin conflict edges, items
+    occurring in more than one bin, unknown item ids, and (when
+    require_cover) items missing from all bins.
     """
+    units, den = instance.unit_table
     violations: list[Violation] = []
     seen: set[int] = set()
     covered: set[int] = set()
@@ -295,9 +316,9 @@ def validate_packing(
                 violations.append(Violation(idx, "duplicate-item", f"item {i} already packed"))
             seen.add(i)
             covered.add(i)
-        total = instance.size_of(known)
-        if total > ONE:
-            violations.append(Violation(idx, "overflow", f"bin size {total} > 1"))
+        total = sum(units[i] for i in known)
+        if total > den:
+            violations.append(Violation(idx, "overflow", f"bin size {Fraction(total, den)} > 1"))
         for u, v in instance.conflicting_pairs(known):
             violations.append(Violation(idx, "conflict", f"items {u} and {v} conflict"))
     if require_cover:
@@ -333,10 +354,12 @@ def restrict_instance(
 ) -> ConflictInstance:
     """Induced sub-instance on ``subset`` (or its complement for subtract).
 
-    Item ids are preserved; edges are restricted to the kept items.
+    Item ids are preserved; edges are restricted to the kept items. The
+    parent's sizes are already checked, so the sub-instance is built from
+    them, its masks and its unit table without validating again.
     """
     sub = set(subset)
-    unknown = sub - set(instance.items)
+    unknown = sub - instance.sizes.keys()
     if unknown:
         raise ParameterError(f"subset contains unknown items: {sorted(unknown)}")
     if mode == "intersect":
@@ -345,7 +368,17 @@ def restrict_instance(
         kept = set(instance.items) - sub
     else:
         raise ParameterError(f"mode must be 'intersect' or 'subtract', got {mode!r}")
-    sizes = {i: instance.sizes[i] for i in kept}
-    edges = instance.conflicting_pairs(kept)
-    labels = {i: instance.labels[i] for i in kept}
-    return ConflictInstance(sizes, edges, class_hint=instance.class_hint, labels=labels)
+    items = tuple(sorted(kept))
+    inside = 0
+    for i in items:
+        inside |= 1 << i
+    units, den = instance.unit_table
+    out = object.__new__(ConflictInstance)
+    out.items = items
+    out.sizes = {i: instance.sizes[i] for i in items}
+    out.edges = frozenset(instance.conflicting_pairs(items))
+    out.class_hint = instance.class_hint
+    out.labels = {i: instance.labels[i] for i in items}
+    out.adjacency = {i: instance.adjacency[i] & inside for i in items}
+    out._units = ({i: units[i] for i in items}, den)
+    return out

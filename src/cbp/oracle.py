@@ -8,7 +8,7 @@ and trivially auditable.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Mapping, Optional
 
 from .errors import CapabilityError
 from .model import ConflictInstance, Packing, ZERO, _mask_to_ids, size_units
@@ -24,26 +24,40 @@ class _BnB:
     adjacency outside the pair) are forced into non-decreasing bin indices.
     Bins with identical residual capacity and identical conflict footprint
     on the remaining items are tried once.
+
+    Sizes are integer ``units`` over ``den`` (a bin holds ``den``), and
+    ``adjacency`` holds neighbour bitmasks of which only the bits of
+    ``items`` are read.
     """
 
-    def __init__(self, instance: ConflictInstance, max_bins: Optional[int], node_budget: Optional[int]):
-        order = sorted(instance.items, key=lambda i: (-instance.sizes[i], i))
+    def __init__(
+        self,
+        items: Iterable[int],
+        units: Mapping[int, int],
+        den: int,
+        adjacency: Mapping[int, int],
+        max_bins: Optional[int],
+        node_budget: Optional[int],
+    ):
+        order = sorted(items, key=lambda i: (-units[i], i))
         self.order = order
         self.n = len(order)
         self.pos = {v: k for k, v in enumerate(order)}
-        sizes, den = size_units(instance.sizes[i] for i in order)
+        sizes = [units[i] for i in order]
         self.sizes = sizes
         self.cap = den
         self.suffix = [0] * (self.n + 1)
         for k in range(self.n - 1, -1, -1):
             self.suffix[k] = self.suffix[k + 1] + sizes[k]
         # Adjacency in order-index space.
+        inside = 0
+        for v in order:
+            inside |= 1 << v
         self.adj = [0] * self.n
         for k, v in enumerate(order):
             mask = 0
-            for u in _mask_to_ids(instance.adjacency[v]):
-                if u in self.pos:
-                    mask |= 1 << self.pos[u]
+            for u in _mask_to_ids(adjacency[v] & inside):
+                mask |= 1 << self.pos[u]
             self.adj[k] = mask
         # Interchangeability groups: previous equal item in scan order.
         self.prev_equal = [-1] * self.n
@@ -166,11 +180,30 @@ class _BnB:
             blocks[used] = 0
 
 
-def _assignment_to_packing(instance: ConflictInstance, order: list[int], assign: list[int], count: int, source: str) -> Packing:
+def _exact_bins(
+    items: Iterable[int],
+    units: Mapping[int, int],
+    den: int,
+    adjacency: Mapping[int, int],
+    max_bins: Optional[int] = None,
+    node_budget: Optional[int] = None,
+) -> tuple[frozenset[int], ...]:
+    """Optimal bins of ``items`` by branch and bound, on integer units.
+
+    The search behind :func:`opt_bpc_exact`, for callers that already hold
+    sizes as ``units`` over ``den``; raises CapabilityError like it.
+    """
+    solver = _BnB(items, units, den, adjacency, max_bins, node_budget)
+    result = solver.solve()
+    if result is None:
+        if solver.budget_exhausted:
+            raise CapabilityError("exact solver node budget exhausted")
+        raise CapabilityError(f"no packing within {max_bins} bins")
+    assign, count = result
     bins: list[set[int]] = [set() for _ in range(count)]
     for k, b in enumerate(assign):
-        bins[b].add(order[k])
-    return Packing(tuple(frozenset(b) for b in bins), source)
+        bins[b].add(solver.order[k])
+    return tuple(frozenset(b) for b in bins)
 
 
 def opt_bpc_exact(
@@ -183,18 +216,16 @@ def opt_bpc_exact(
 
     With ``max_bins`` set, searches only packings within that many bins and
     raises CapabilityError if none exists (or the node budget runs out).
+    Sizes are converted here from ``instance.sizes``, not read from the
+    instance's unit table, so the ground truth stays independent of it.
     """
     if instance.n > limit_n:
         raise CapabilityError(f"exact solver limited to n <= {limit_n}, got {instance.n}")
-    solver = _BnB(instance, max_bins, node_budget)
-    result = solver.solve()
-    if result is None:
-        if solver.budget_exhausted:
-            raise CapabilityError("exact solver node budget exhausted")
-        raise CapabilityError(f"no packing within {max_bins} bins")
-    assign, count = result
-    packing = _assignment_to_packing(instance, solver.order, assign, count, "exact")
-    return packing, count
+    units, den = size_units(instance.sizes.values())
+    bins = _exact_bins(
+        instance.items, dict(zip(instance.items, units)), den, instance.adjacency, max_bins, node_budget
+    )
+    return Packing(bins, "exact"), len(bins)
 
 
 def bis_brute(problem, limit_n: int = 20) -> tuple[frozenset[int], Fraction]:
@@ -255,7 +286,8 @@ def maxsize_brute(
     if initial.bin_count > limit_bins:
         raise CapabilityError(f"brute-force limited to <= {limit_bins} bins")
     t = initial.bin_count
-    loads = [instance.size_of(b) for b in initial.bins]
+    # Fraction sums of ``instance.sizes``, independent of the instance's unit table.
+    loads = [sum((instance.sizes[v] for v in b), ZERO) for b in initial.bins]
     blocks = [0] * t
     for b, members in enumerate(initial.bins):
         for v in members:

@@ -136,7 +136,7 @@ def brute_opt_bins(instance: ConflictInstance) -> int:
             return
         v = items[idx]
         for b in bins:
-            if instance.size_of(b) + instance.sizes[v] <= 1 and all(
+            if sum((instance.sizes[u] for u in b), instance.sizes[v]) <= 1 and all(
                 not instance.has_edge(v, u) for u in b
             ):
                 b.append(v)

@@ -13,6 +13,9 @@ from cbp import (
     knapsack_fptas,
     recognize,
 )
+from cbp import bis
+from cbp.maxsize import max_size
+from cbp.model import Packing, classify_items
 from cbp.rng import SplitMix64
 
 from conftest import CLASSES, seeded_instance
@@ -110,6 +113,21 @@ def test_bis_ptas_parameter_errors():
         bis_ptas(problem, Fraction(1, 100))  # enumeration cap
     with pytest.raises(ParameterError):
         bis_ptas(problem, 2)
+
+
+def test_eps_floats_read_as_decimals_and_non_numbers_rejected():
+    # A float eps means its shortest decimal, as classify_items reads it.
+    inst = ConflictInstance({0: "1/20", 1: "0.06"})
+    assert bis._check_eps(0.05) == Fraction(1, 20) == classify_items(inst, eps=0.05).eps
+    problem = problem_from(inst, size_weights(inst), Fraction(1, 10))
+    assert bis_ptas(problem, 0.25) == bis_ptas(problem, Fraction(1, 4))
+    for bad in (None, "abc", float("nan"), [Fraction(1, 4)]):
+        with pytest.raises(ParameterError):
+            bis._check_eps(bad)
+        with pytest.raises(ParameterError):
+            bis_fptas_split(problem, bad)
+    with pytest.raises(ParameterError):
+        max_size(inst, Packing((frozenset({0}),)), recognize(inst), eps=None)
 
 
 def test_bis_ptas_unsupported_class():

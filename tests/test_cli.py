@@ -166,6 +166,29 @@ def test_solve_non_scalar_item_id_exits_2(tmp_path, capsys, bad_id):
     assert f"item ids must be numbers or strings, got {bad_id!r}" in captured.err
 
 
+@pytest.mark.parametrize("bad_id", [True, None])
+def test_solve_boolean_or_null_item_id_exits_2(tmp_path, capsys, bad_id):
+    # true next to 1 is not a duplicate id: it is no id at all.
+    path = tmp_path / "bad_id.json"
+    items = [{"id": bad_id, "size": "1/2"}, {"id": 1, "size": "1/3"}]
+    path.write_text(json.dumps({"items": items, "edges": []}))
+    assert main(["solve", "--algo", "ffd", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"parameter error: item ids must be numbers or strings, got {bad_id!r}" in captured.err
+
+
+@pytest.mark.parametrize("size", ["NaN", "Infinity", "-Infinity"])
+def test_solve_non_finite_size_exits_2(tmp_path, capsys, size):
+    # Python's json module reads these literals as floats.
+    path = tmp_path / "non_finite.json"
+    path.write_text('{"items": [{"id": 0, "size": %s}, {"id": 1, "size": "1/3"}], "edges": []}' % size)
+    assert main(["solve", "--algo", "ffd", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"parameter error: not a size: {float(size)!r}" in captured.err
+
+
 @pytest.mark.parametrize("edges", [5, [3], [[[0], [1]]]])
 def test_solve_malformed_edges_exit_2(tmp_path, capsys, edges):
     path = tmp_path / "bad_edges.json"

@@ -26,6 +26,14 @@ def test_as_size_parsing():
         as_size("abc")
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), "nan", "-inf"])
+def test_as_size_rejects_non_finite(value):
+    with pytest.raises(ParameterError):
+        as_size(value)
+    with pytest.raises(ParameterError):
+        ConflictInstance([value])
+
+
 def test_instance_validation():
     with pytest.raises(ParameterError):
         ConflictInstance({0: "1.2"})
@@ -121,7 +129,7 @@ def test_validate_matches_brute_recheck():
         packing = make_packing(bins)
         report = validate_packing(inst, packing, require_cover=True)
         brute_ok = all(
-            inst.size_of(b) <= 1
+            sum((inst.sizes[i] for i in b), Fraction(0)) <= 1
             and all(not inst.has_edge(u, v) for u in b for v in b if u < v)
             for b in bins
         )

@@ -1,8 +1,9 @@
 """Integer size units against Fraction references.
 
 The packing hot loops (FFD, the knapsack DPs, matching_pack's pair test,
-the budgeted independent-set solvers) compare sizes as integers over a
-common denominator. The references here
+the budgeted independent-set solvers) and the instance's own size sums,
+threshold classes and validation compare sizes as integers over a common
+denominator (``ConflictInstance.unit_table``). The references here
 are the plain ``Fraction`` versions of those loops, kept in this file so
 they stay independent of the library code they check. Inputs are seeded
 and cover three size families: grid20 (k/20), 9-digit decimals, and
@@ -16,11 +17,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cbp import BisProblem, bis, bis_brute, bpc, graphs, opt_bpc_exact
+from cbp import BisProblem, bis, bis_brute, bpc, graphs, harness, model, opt_bpc_exact, oracle, packing_classic
 from cbp.errors import CapabilityError
 from cbp.harness import GeneratorSpec, SizeDist, generate
 from cbp.maxsize import _single_bin_problem
-from cbp.model import ConflictInstance, classify_items, restrict_instance, size_units, validate_packing
+from cbp.model import ConflictInstance, classify_items, make_packing, restrict_instance, size_units, validate_packing
 from cbp.packing_classic import ffd
 from cbp.rng import SplitMix64
 
@@ -547,3 +548,113 @@ def test_bis_solvers_property(klass, n, seed, eps, data):
         assert inst.is_independent(chosen)
         assert problem.weight_of(chosen) <= budget
         assert problem.weight_of(chosen) >= (1 - eps) * opt
+
+
+# --- The instance's unit table ---------------------------------------------
+
+
+def outcome(name, instance):
+    try:
+        packing = harness.run_algorithm(name, instance, graphs.recognize(instance))
+    except CapabilityError:
+        return None
+    return packing.bins, packing.source, packing.flags
+
+
+@settings(max_examples=60)
+@given(
+    klass=st.sampled_from(CLASSES),
+    family=st.sampled_from(sorted(FAMILIES)),
+    n=st.integers(1, 12),
+    seed=st.integers(0, 2**32),
+    eps=st.sampled_from([Fraction(1, 20), Fraction(1, 11), 0.05, "0.07", Fraction(3, 100)]),
+    data=st.data(),
+)
+def test_unit_table_matches_fraction_references(klass, family, n, seed, eps, data):
+    base = generate(GeneratorSpec(klass=klass, n=n, density=0.4, size_dist=FAMILIES[family], seed=seed))
+    inst = base
+    if data.draw(st.booleans(), label="restrict"):
+        inst = restrict_instance(base, data.draw(st.sets(st.sampled_from(base.items)), label="kept"))
+        # Sparse ids, and the parent's den, a common multiple of the kept denominators.
+        assert inst.unit_table[1] == base.unit_table[1]
+    sizes = inst.sizes
+    fresh = ConflictInstance(dict(sizes), inst.edges, class_hint=inst.class_hint)
+
+    def ref_size(items):
+        return sum((sizes[i] for i in items), Fraction(0))
+
+    subset = data.draw(st.sets(st.sampled_from(inst.items)), label="subset") if inst.items else set()
+    assert inst.size_of(subset) == ref_size(subset)
+    assert inst.total_size == ref_size(inst.items)
+
+    classes = classify_items(inst, eps)
+    ref_eps = Fraction(str(eps))
+    assert classes.eps == ref_eps
+    assert classes.large == {i for i in inst.items if sizes[i] > Fraction(1, 2)}
+    assert classes.medium == {i for i in inst.items if Fraction(1, 3) < sizes[i] <= Fraction(1, 2)}
+    assert classes.small == {i for i in inst.items if sizes[i] <= Fraction(1, 3)}
+    assert classes.tiny == {i for i in inst.items if sizes[i] <= ref_eps}
+    assert classes.big == set(inst.items) - classes.tiny
+
+    slots = data.draw(st.lists(st.integers(0, 3), min_size=inst.n, max_size=inst.n), label="slots")
+    bins = [[i for i, k in zip(inst.items, slots) if k == b] for b in range(4)]
+    report = validate_packing(inst, make_packing(bins))
+    overflows = {v.bin_index: v.detail for v in report.violations if v.kind == "overflow"}
+    assert overflows == {b: f"bin size {ref_size(items)} > 1" for b, items in enumerate(bins) if ref_size(items) > 1}
+
+    # The restriction and a freshly built instance with the same sizes and
+    # edges pack alike, and every packing covers its instance feasibly.
+    for name in harness.ALGORITHMS:
+        got = outcome(name, inst)
+        assert got == outcome(name, fresh), name
+        if got is not None:
+            packing = make_packing(got[0])
+            assert validate_packing(inst, packing, require_cover=True).feasible, name
+            assert all(ref_size(b) <= 1 and inst.is_independent(b) for b in packing.bins), name
+
+
+def test_restriction_keeps_the_parents_den():
+    inst = ConflictInstance({0: "1/2", 1: "1/3", 2: "1/5"}, edges=[(0, 1)])
+    sub = restrict_instance(inst, {0, 2})
+    assert sub.unit_table == ({0: 15, 2: 6}, 30)
+    assert sub.size_of([0, 2]) == Fraction(7, 10) and sub.total_size == Fraction(7, 10)
+    assert sub.adjacency == {0: 0, 2: 0} and not sub.edges
+    classes = classify_items(sub, eps=Fraction(1, 20))
+    assert (classes.medium, classes.small, classes.tiny) == ({0}, {2}, frozenset())
+    report = validate_packing(sub, make_packing([[0, 2], [0]]))
+    assert [v.kind for v in report.violations] == ["duplicate-item"]
+
+
+def test_split_approx_and_max_solve_convert_sizes_once_per_instance(monkeypatch):
+    # However many bins or guesses they grow: the one conversion is the
+    # instance's unit table, which restrictions inherit.
+    conversions = []
+    solves = collections.Counter()
+
+    def counting_size_units(sizes):
+        conversions.append(1)
+        return size_units(sizes)
+
+    for module in (model, bis, oracle, packing_classic):
+        monkeypatch.setattr(module, "size_units", counting_size_units)
+    for core in ("_ptas", "_fptas_split"):
+
+        def counting(*args, _core=getattr(bis, core), _name=core):
+            solves[_name] += 1
+            return _core(*args)
+
+        monkeypatch.setattr(bis, core, counting)
+    runs = 0
+    for family in sorted(FAMILIES):
+        for base in family_instances(family, 12, 12, 30, 4242):
+            info = graphs.recognize(base)
+            algorithms = [bpc.max_solve] + ([bpc.split_approx] if info.split_partition is not None else [])
+            for algorithm in algorithms:
+                inst = ConflictInstance(dict(base.sizes), base.edges)
+                conversions.clear()
+                before = sum(solves.values())
+                algorithm(inst, info)
+                assert len(conversions) == 1, algorithm.__name__
+                runs += sum(solves.values()) - before > 1
+    assert runs >= 20
+    assert solves["_ptas"] >= 20 and solves["_fptas_split"] >= 100
