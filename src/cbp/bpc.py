@@ -99,11 +99,10 @@ def matching_pack(instance: ConflictInstance, info: Optional[GraphClassInfo] = N
     info = _info(instance, info)
     classes = classify_items(instance)
     lm = sorted(classes.large | classes.medium)
-    units, den = instance.unit_table
+    units = instance.unit_table[0]
     aux_edges: list[tuple[int, int]] = []
     for k, u in enumerate(lm):
-        room = den - units[u]
-        blocked = instance.adjacency[u]
+        blocked, room = instance.bin_state((u,))
         aux_edges += [(u, v) for v in lm[k + 1 :] if units[v] <= room and not (blocked >> v) & 1]
     matching = maximum_matching_general(lm, aux_edges)
     matched: set[int] = set()
@@ -225,14 +224,13 @@ def build_assignment_lp(
         first = report.violations[0]
         raise ParameterError(f"packed bins infeasible: {first.kind} ({first.detail})")
 
+    den = instance.unit_table[1]
     capacities = []
     eligible = []
     variables: list[tuple[int, int]] = []
     for i, members in enumerate(big_packing.bins):
-        capacities.append(ONE - instance.size_of(members))
-        blocked = 0
-        for u in members:
-            blocked |= instance.adjacency[u]
+        blocked, room = instance.bin_state(members)
+        capacities.append(Fraction(room, den))
         q = frozenset(v for v in w if not (blocked >> v) & 1)
         eligible.append(q)
         for v in w:

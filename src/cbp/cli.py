@@ -51,23 +51,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_solve(args) -> int:
     instance = harness.read_instance(args.infile)
     info = recognize(instance)
-    if args.eps is not None:
-        from . import bpc
-
+    if args.eps is None:
+        packing = harness.run_algorithm(args.algo, instance, info)
+    else:
         try:
             eps = Fraction(args.eps)
         except ZeroDivisionError as exc:
             raise ParameterError(f"--eps {args.eps!r} has a zero denominator") from exc
-        if args.algo == "approx_bpc":
-            packing = bpc.approx_bpc(instance, info, eps=eps)
-        elif args.algo == "max_solve":
-            packing = bpc.max_solve(instance, info, eps=eps)
-        elif args.algo == "split_approx":
-            packing = bpc.split_approx(instance, info, eps=eps)
-        else:
+        if args.algo not in harness.EPS_ALGORITHMS:
             raise ParameterError(f"--eps is not accepted by {args.algo}")
-    else:
-        packing = harness.run_algorithm(args.algo, instance, info)
+        packing = harness.SOLVERS[args.algo](instance, info, eps=eps)
     payload = harness.packing_to_dict(packing)
     payload["bin_count"] = packing.bin_count
     payload["labels"] = [[instance.labels[i] for i in sorted(b)] for b in packing.bins]
@@ -149,7 +142,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         sys.stderr.write(f"parameter error: {exc}\n")
         return 2
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"parameter error: {exc}\n")
         return 2
 

@@ -349,24 +349,6 @@ def generate_b3dm(spec: GeneratorSpec) -> tuple[ConflictInstance, Packing]:
 # Benchmark runner
 
 
-CSV_COLUMNS = (
-    "instance_id",
-    "class",
-    "n",
-    "algorithm",
-    "bins",
-    "opt",
-    "ratio",
-    "lemma2_ok",
-    "lemma4_ok",
-    "lemma8_ok",
-    "lemma12_ok",
-    "lemma16_ok",
-    "fallback_flags",
-    "micros",
-)
-
-
 @dataclass
 class RunRow:
     instance_id: str
@@ -385,25 +367,21 @@ class RunRow:
     micros: int = 0
 
     def as_csv(self) -> list[str]:
-        def b(v):
-            return "" if v is None else ("true" if v else "false")
+        """The row's cells in field order: None empty, booleans as
+        true/false, the ratio with six decimals."""
 
-        return [
-            self.instance_id,
-            self.klass,
-            str(self.n),
-            self.algorithm,
-            "" if self.bins is None else str(self.bins),
-            "" if self.opt is None else str(self.opt),
-            "" if self.ratio is None else f"{self.ratio:.6f}",
-            b(self.lemma2_ok),
-            b(self.lemma4_ok),
-            b(self.lemma8_ok),
-            b(self.lemma12_ok),
-            b(self.lemma16_ok),
-            self.fallback_flags,
-            str(self.micros),
-        ]
+        def cell(v) -> str:
+            if v is None:
+                return ""
+            if isinstance(v, bool):
+                return "true" if v else "false"
+            return f"{v:.6f}" if isinstance(v, float) else str(v)
+
+        return [cell(getattr(self, f.name)) for f in fields(self)]
+
+
+# report.csv's header: RunRow's fields, with ``klass`` spelled "class".
+CSV_COLUMNS = tuple("class" if f.name == "klass" else f.name for f in fields(RunRow))
 
 
 @dataclass
@@ -412,44 +390,48 @@ class RunReport:
     config: dict
 
 
-ALGORITHMS = (
-    "ffd",
-    "asymptotic_bp",
-    "color_sets",
-    "max_solve",
-    "matching_pack",
-    "approx_bpc",
-    "split_approx",
-    "abs_bpb",
-    "multipartite_pack",
-)
+def _conflict_free(name: str):
+    # ``packing_classic.<name>``, fit for edgeless instances only.
+    def solve(instance: ConflictInstance, info: GraphClassInfo) -> Packing:
+        if instance.edges:
+            raise CapabilityError(f"{name} handles conflict-free instances only")
+        return getattr(packing_classic, name)(instance.items, instance.sizes)
+
+    return solve
+
+
+def _conflict_graph(name: str):
+    # ``bpc.<name>``; keywords (``eps``) pass through.
+    def solve(instance: ConflictInstance, info: GraphClassInfo, **kw) -> Packing:
+        return getattr(bpc, name)(instance, info, **kw)
+
+    return solve
+
+
+# Algorithm name -> solver(instance, info), in report order. Each solver
+# looks its function up in the module at call time, so a wrapper rebound
+# there (as benchmarks/tracing.py installs) sees the call.
+SOLVERS = {
+    "ffd": _conflict_free("ffd"),
+    "asymptotic_bp": _conflict_free("asymptotic_bp"),
+    "color_sets": _conflict_graph("color_sets"),
+    "max_solve": _conflict_graph("max_solve"),
+    "matching_pack": _conflict_graph("matching_pack"),
+    "approx_bpc": _conflict_graph("approx_bpc"),
+    "split_approx": _conflict_graph("split_approx"),
+    "abs_bpb": _conflict_graph("abs_bpb"),
+    "multipartite_pack": _conflict_graph("multipartite_pack"),
+}
+ALGORITHMS = tuple(SOLVERS)
+# The solvers that also take the error parameter as ``eps=``.
+EPS_ALGORITHMS = ("max_solve", "approx_bpc", "split_approx")
 
 
 def run_algorithm(name: str, instance: ConflictInstance, info: GraphClassInfo) -> Packing:
     """Dispatch an algorithm by CLI/report name (CapabilityError if unfit)."""
-    if name == "ffd":
-        if instance.edges:
-            raise CapabilityError("ffd handles conflict-free instances only")
-        return packing_classic.ffd(instance.items, instance.sizes)
-    if name == "asymptotic_bp":
-        if instance.edges:
-            raise CapabilityError("asymptotic_bp handles conflict-free instances only")
-        return packing_classic.asymptotic_bp(instance.items, instance.sizes)
-    if name == "color_sets":
-        return bpc.color_sets(instance, info)
-    if name == "max_solve":
-        return bpc.max_solve(instance, info)
-    if name == "matching_pack":
-        return bpc.matching_pack(instance, info)
-    if name == "approx_bpc":
-        return bpc.approx_bpc(instance, info)
-    if name == "split_approx":
-        return bpc.split_approx(instance, info)
-    if name == "abs_bpb":
-        return bpc.abs_bpb(instance, info)
-    if name == "multipartite_pack":
-        return bpc.multipartite_pack(instance, info)
-    raise ParameterError(f"unknown algorithm {name!r}; choose from {ALGORITHMS}")
+    if name not in SOLVERS:
+        raise ParameterError(f"unknown algorithm {name!r}; choose from {ALGORITHMS}")
+    return SOLVERS[name](instance, info)
 
 
 def _ffd_bounds_ok(instance: ConflictInstance, packing: Packing) -> bool:
@@ -684,6 +666,10 @@ def instance_from_dict(data: dict) -> ConflictInstance:
     raw_items = data.get("items", [])
     if not isinstance(raw_items, list) or not all(isinstance(e, dict) for e in raw_items):
         raise ParameterError("items must be a list of JSON objects")
+    for k, entry in enumerate(raw_items):
+        for key in ("id", "size"):
+            if key not in entry:
+                raise ParameterError(f"item {k} has no {key!r}")
     ids = [entry["id"] for entry in raw_items]
     # A JSON true would otherwise equal the id 1 and print as "True".
     malformed = [i for i in ids if isinstance(i, bool) or not isinstance(i, (int, float, str))]
@@ -740,8 +726,9 @@ def packing_from_dict(data: dict) -> Packing:
     if not isinstance(data, dict):
         raise ParameterError(f"packing must be a JSON object, got {type(data).__name__}")
     bins = data.get("bins", [])
+    # Item ids are JSON integers; a JSON true would otherwise be item 1.
     if not isinstance(bins, list) or not all(
-        isinstance(b, list) and not any(isinstance(v, (list, dict)) for v in b) for b in bins
+        isinstance(b, list) and all(isinstance(v, int) and not isinstance(v, bool) for v in b) for b in bins
     ):
         raise ParameterError("bins must be a list of lists of item ids")
     flags = data.get("flags", [])

@@ -59,36 +59,6 @@ class ConfigLpSolution:
     iterations: int
 
 
-def _bin_room(instance: ConflictInstance, bin_items: frozenset[int], pool: list[int]) -> tuple[list[int], int]:
-    # The single-bin subproblem: the unpacked items with no edge into the
-    # bin, and the bin's residual capacity in the instance's integer units.
-    units, den = instance.unit_table
-    bin_mask = 0
-    budget = den
-    for v in bin_items:
-        bin_mask |= instance.adjacency[v]
-        budget -= units[v]
-    return [v for v in pool if not (bin_mask >> v) & 1], budget
-
-
-def _single_bin_problem(
-    instance: ConflictInstance,
-    info: GraphClassInfo,
-    bin_items: frozenset[int],
-    pool: list[int],
-) -> bis.BisProblem:
-    # The instance's masks and certificates serve as they are: the solvers
-    # read only the bits and certificate members of the candidates.
-    eligible, budget = _bin_room(instance, bin_items, pool)
-    return bis.BisProblem(
-        vertices=tuple(eligible),
-        adjacency=instance.adjacency,
-        weights=instance.sizes,
-        budget=Fraction(budget, instance.unit_table[1]),
-        class_info=info,
-    )
-
-
 def validate_initial(instance: ConflictInstance, initial: Packing) -> None:
     """Raise ParameterError unless ``initial`` is a feasible partial packing."""
     report = validate_packing(instance, initial, require_cover=False)
@@ -146,9 +116,10 @@ def greedy_growth(
     yield new_bins, pool
     for bin_items in initial.bins:
         if pool:
-            eligible, budget = _bin_room(instance, bin_items, pool)
-            if budget > 0 and eligible:
-                chosen = solve(eligible, instance.adjacency, class_info, units, budget, den, eps)
+            blocked, room = instance.bin_state(bin_items)
+            eligible = [v for v in pool if not (blocked >> v) & 1]
+            if room > 0 and eligible:
+                chosen = solve(eligible, instance.adjacency, class_info, units, room, den, eps)
                 bin_items = bin_items | chosen
                 pool = [v for v in pool if v not in chosen]
         new_bins.append(bin_items)
@@ -178,12 +149,13 @@ def _greedy_sequential(
 def _price_column(
     instance: ConflictInstance,
     eligible: list[int],
-    budget: Fraction,
+    room: int,
     profits: dict[int, Fraction],
 ) -> tuple[Fraction, frozenset[int]]:
-    """Exact max-profit independent set with size budget (small pools only)."""
+    """Exact max-profit independent set within ``room`` size units (small pools only)."""
+    units = instance.unit_table[0]
     order = sorted(
-        (v for v in eligible if profits[v] > ZERO and instance.sizes[v] <= budget),
+        (v for v in eligible if profits[v] > ZERO and units[v] <= room),
         key=lambda v: (-profits[v], v),
     )
     suffix = [ZERO] * (len(order) + 1)
@@ -192,7 +164,7 @@ def _price_column(
     best_profit = ZERO
     best_set: tuple[int, ...] = ()
 
-    def dfs(idx: int, banned: int, cost: Fraction, profit: Fraction, current: list[int]):
+    def dfs(idx: int, banned: int, cost: int, profit: Fraction, current: list[int]):
         nonlocal best_profit, best_set
         if profit > best_profit:
             best_profit = profit
@@ -203,19 +175,19 @@ def _price_column(
             if profit + suffix[j] <= best_profit:
                 return
             v = order[j]
-            if (banned >> v) & 1 or cost + instance.sizes[v] > budget:
+            if (banned >> v) & 1 or cost + units[v] > room:
                 continue
             current.append(v)
             dfs(
                 j + 1,
                 banned | instance.adjacency[v] | (1 << v),
-                cost + instance.sizes[v],
+                cost + units[v],
                 profit + profits[v],
                 current,
             )
             current.pop()
 
-    dfs(0, 0, ZERO, ZERO, [])
+    dfs(0, 0, 0, ZERO, [])
     return best_profit, frozenset(best_set)
 
 
@@ -242,21 +214,21 @@ def solve_config_lp(
     item_row = {v: t + k for k, v in enumerate(pool)}
 
     bin_eligible: list[list[int]] = []
-    bin_budget: list[Fraction] = []
+    bin_room: list[int] = []
     for bin_items in initial.bins:
-        problem = _single_bin_problem(instance, class_info, bin_items, pool)
-        bin_eligible.append(sorted(problem.vertices))
-        bin_budget.append(problem.budget)
+        blocked, room = instance.bin_state(bin_items)
+        bin_eligible.append([v for v in pool if not (blocked >> v) & 1])
+        bin_room.append(room)
     if max((len(e) for e in bin_eligible), default=0) > config.pricing_limit:
         return ConfigLpSolution(instance, initial, tuple(() for _ in range(t)), ZERO, False, 0)
 
     columns: list[tuple[int, frozenset[int]]] = []
     seen_columns: set[tuple[int, frozenset[int]]] = set()
     for j in range(t):
-        if not bin_eligible[j] or bin_budget[j] <= ZERO:
+        if not bin_eligible[j] or bin_room[j] <= 0:
             continue
         _, greedy_set = _price_column(
-            instance, bin_eligible[j], bin_budget[j], {v: instance.sizes[v] for v in bin_eligible[j]}
+            instance, bin_eligible[j], bin_room[j], {v: instance.sizes[v] for v in bin_eligible[j]}
         )
         if greedy_set:
             col = (j, greedy_set)
@@ -286,10 +258,10 @@ def solve_config_lp(
         lam = {v: result.duals[item_row[v]] for v in pool}
         improved = False
         for j in range(t):
-            if not bin_eligible[j] or bin_budget[j] <= ZERO:
+            if not bin_eligible[j] or bin_room[j] <= 0:
                 continue
             profits = {v: instance.sizes[v] - lam[v] for v in bin_eligible[j]}
-            profit, cfg = _price_column(instance, bin_eligible[j], bin_budget[j], profits)
+            profit, cfg = _price_column(instance, bin_eligible[j], bin_room[j], profits)
             if cfg and profit - mu[j] > ZERO and (j, cfg) not in seen_columns:
                 columns.append((j, cfg))
                 seen_columns.add((j, cfg))
@@ -346,19 +318,14 @@ def round_config_lp(solution: ConfigLpSolution, seed: int) -> MaxSizeResult:
                 added.add(v)
 
     # Deterministic fill-up with whatever still fits.
-    loads = [instance.size_of(b) for b in new_bins]
-    blocks = [0] * len(new_bins)
-    for j, b in enumerate(new_bins):
-        for v in b:
-            blocks[j] |= instance.adjacency[v]
+    units = instance.unit_table[0]
+    states = [instance.bin_state(b) for b in new_bins]
     packed = initial.items() | added
     for v in sorted(i for i in instance.items if i not in packed):
-        s = instance.sizes[v]
-        for j in range(len(new_bins)):
-            if loads[j] + s <= 1 and not (blocks[j] >> v) & 1:
+        for j, (blocked, room) in enumerate(states):
+            if units[v] <= room and not (blocked >> v) & 1:
                 new_bins[j].add(v)
-                loads[j] += s
-                blocks[j] |= instance.adjacency[v]
+                states[j] = (blocked | instance.adjacency[v], room - units[v])
                 added.add(v)
                 break
 

@@ -128,6 +128,20 @@ class ConflictInstance:
             self._units = (dict(zip(self.items, units)), den)
         return self._units
 
+    def bin_state(self, members: Iterable[int]) -> tuple[int, int]:
+        """``(blocked, room)`` of a bin holding ``members``.
+
+        ``blocked`` ORs the members' neighbour masks, so an item ``v`` may
+        join the bin only if bit ``v`` is clear; ``room`` is the capacity
+        left in the unit table's units (``den - Σ units``).
+        """
+        units, room = self.unit_table
+        blocked = 0
+        for v in members:
+            blocked |= self.adjacency[v]
+            room -= units[v]
+        return blocked, room
+
     @property
     def n(self) -> int:
         return len(self.items)

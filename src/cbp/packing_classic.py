@@ -52,13 +52,12 @@ def _best_bins(
     units: Mapping[int, int],
     den: int,
     adjacency: Mapping[int, int],
-    exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
 ) -> tuple[frozenset[int], ...]:
     # ``asymptotic_bp`` on integer units of an independent set ``items``;
     # ``adjacency`` holds masks of which only the bits of ``items`` are read.
     items = list(items)
     heuristic = _ffd_bins(items, units, den)
-    if len(items) > exact_threshold:
+    if len(items) > DEFAULT_EXACT_THRESHOLD:
         return heuristic
     exact = oracle._exact_bins(items, units, den, adjacency)
     return exact if len(exact) < len(heuristic) else heuristic
@@ -70,17 +69,14 @@ def ffd(items: Iterable[int], sizes: Mapping[int, SizeLike]) -> Packing:
     return Packing(_ffd_bins(units, units, den), "ffd")
 
 
-def asymptotic_bp(
-    items: Iterable[int],
-    sizes: Mapping[int, SizeLike],
-    exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
-) -> Packing:
-    """Best of first-fit decreasing and (for small n) the exact solver.
+def asymptotic_bp(items: Iterable[int], sizes: Mapping[int, SizeLike]) -> Packing:
+    """Best of first-fit decreasing and (for n <= DEFAULT_EXACT_THRESHOLD)
+    the exact solver.
 
     The returned bin count is never below the optimum, and equals the
     optimum whenever the exact path ran (flag "exact-opt").
     """
     units, den = _checked_units(items, sizes)
-    bins = _best_bins(units, units, den, dict.fromkeys(units, 0), exact_threshold)
-    flags = ("exact-opt",) if len(units) <= exact_threshold else ()
+    bins = _best_bins(units, units, den, dict.fromkeys(units, 0))
+    flags = ("exact-opt",) if len(units) <= DEFAULT_EXACT_THRESHOLD else ()
     return Packing(bins, "asymptotic_bp", flags)

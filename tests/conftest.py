@@ -25,6 +25,20 @@ def seeded_instance(klass: str, n: int, seed: int, density: float = 0.4) -> Conf
     return generate(GeneratorSpec(klass=klass, n=n, density=density, seed=seed))
 
 
+def single_bin_problem(instance: ConflictInstance, info, bin_items, pool) -> BisProblem:
+    """The single-bin subproblem max_size solves for a bin holding
+    ``bin_items``: the items of ``pool`` with no edge into the bin, and the
+    bin's room as the size budget."""
+    blocked, room = instance.bin_state(bin_items)
+    return BisProblem(
+        vertices=tuple(v for v in pool if not (blocked >> v) & 1),
+        adjacency=instance.adjacency,
+        weights=instance.sizes,
+        budget=Fraction(room, instance.unit_table[1]),
+        class_info=info,
+    )
+
+
 def run_every_algorithm() -> dict[str, object]:
     """Bins (or "unfit") of every harness algorithm on one seeded instance
     of each generator class. Imports nothing beyond cbp, so it also runs

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -35,9 +36,28 @@ def test_solve_eps_and_outfile(bipartite_file, tmp_path, capsys):
     assert payload["bins"]
 
 
-def test_solve_eps_rejected_for_wrong_algo(bipartite_file):
+def test_solve_eps_rejected_for_wrong_algo(bipartite_file, capsys):
     _, path = bipartite_file
     assert main(["solve", "--algo", "color_sets", "--in", str(path), "--eps", "1/5"]) == 2
+    assert "parameter error: --eps is not accepted by color_sets" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algo", ["max_solve", "approx_bpc", "split_approx"])
+def test_solve_eps_reaches_the_solver(bipartite_file, monkeypatch, capsys, algo):
+    # The solver is looked up in bpc at call time, so a rebound one is called.
+    from cbp import bpc
+
+    _, path = bipartite_file
+    seen = []
+
+    def recording(instance, info, eps):
+        seen.append(eps)
+        return make_packing([{i} for i in instance.items])
+
+    monkeypatch.setattr(bpc, algo, recording)
+    assert main(["solve", "--algo", algo, "--in", str(path), "--eps", "1/7"]) == 0
+    assert seen == [Fraction(1, 7)]
+    assert json.loads(capsys.readouterr().out)["feasible"]
 
 
 def test_solve_missing_file():
@@ -178,6 +198,18 @@ def test_solve_boolean_or_null_item_id_exits_2(tmp_path, capsys, bad_id):
     assert f"parameter error: item ids must be numbers or strings, got {bad_id!r}" in captured.err
 
 
+@pytest.mark.parametrize("key", ["id", "size"])
+def test_solve_item_without_id_or_size_exits_2(tmp_path, capsys, key):
+    path = tmp_path / "missing.json"
+    items = [{"id": 0, "size": "1/2"}, {"id": 1, "size": "1/3"}]
+    del items[1][key]
+    path.write_text(json.dumps({"items": items, "edges": []}))
+    assert main(["solve", "--algo", "ffd", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"parameter error: item 1 has no {key!r}" in captured.err
+
+
 @pytest.mark.parametrize("size", ["NaN", "Infinity", "-Infinity"])
 def test_solve_non_finite_size_exits_2(tmp_path, capsys, size):
     # Python's json module reads these literals as floats.
@@ -207,6 +239,10 @@ def test_solve_malformed_edges_exit_2(tmp_path, capsys, edges):
         ({"bins": 5}, "bins must be a list of lists of item ids"),
         ({"bins": [[[0]]]}, "bins must be a list of lists of item ids"),
         ({"bins": [[0]], "flags": 5}, "flags must be a list"),
+        # Only JSON integers are item ids: true is not item 1.
+        ({"bins": [[0], [True]]}, "bins must be a list of lists of item ids"),
+        ({"bins": [[0, "a"]]}, "bins must be a list of lists of item ids"),
+        ({"bins": [[0, None]]}, "bins must be a list of lists of item ids"),
     ],
 )
 def test_verify_malformed_packing_exits_2(bipartite_file, tmp_path, capsys, payload, message):

@@ -14,11 +14,11 @@ from cbp import (
     solve_config_lp,
     validate_packing,
 )
-from cbp.maxsize import _single_bin_problem, greedy_growth
+from cbp.maxsize import ConfigLpSolution, greedy_growth
 from cbp.model import make_packing
 from cbp.rng import SplitMix64
 
-from conftest import seeded_instance
+from conftest import seeded_instance, single_bin_problem
 
 
 def test_examples():
@@ -65,12 +65,23 @@ def test_single_bin_subproblem_structure():
         {0: "0.6", 1: "0.2", 2: "0.2", 3: "0.2"}, edges=[(0, 1), (2, 3)]
     )
     info = recognize(inst)
-    problem = _single_bin_problem(inst, info, frozenset({0}), [1, 2, 3])
+    problem = single_bin_problem(inst, info, frozenset({0}), [1, 2, 3])
     assert set(problem.vertices) == {2, 3}  # item 1 conflicts with the bin
     assert problem.budget == Fraction(2, 5)  # 1 - s(bin)
     vs = problem.vertices
     pairs = {(min(u, v), max(u, v)) for u in vs for v in vs if (problem.adjacency[u] >> v) & 1}
     assert pairs == {(2, 3)}
+
+
+def test_config_lp_fill_up_fills_to_exactly_one_and_skips_conflicts():
+    # No sampled configuration: the fill-up places every item first-fit in
+    # id order. Item 2 conflicts with item 0; item 3 fills bin 0 to exactly 1.
+    inst = ConflictInstance({0: "1/2", 1: "1/3", 2: "1/6", 3: "1/6"}, edges=[(0, 2)])
+    start = make_packing([set(), set()])
+    empty = ConfigLpSolution(inst, start, ((), ()), Fraction(0), True, 0)
+    res = round_config_lp(empty, 0)
+    assert res.augmented.bins == (frozenset({0, 1, 3}), frozenset({2}))
+    assert res.added_size == 1 + Fraction(1, 6)
 
 
 def test_invariants_on_random_instances():

@@ -4,6 +4,7 @@ import pytest
 
 from cbp import ParameterError, asymptotic_bp, classify_items, ffd, opt_bpc_exact, validate_packing
 from cbp.harness import GeneratorSpec, SizeDist, generate
+from cbp.packing_classic import DEFAULT_EXACT_THRESHOLD
 from cbp.rng import SplitMix64
 
 
@@ -112,7 +113,8 @@ def test_asymptotic_never_above_ffd_and_optimal_when_exact():
 
 
 def test_asymptotic_threshold_skips_exact():
-    sizes = {i: "0.3" for i in range(6)}
-    packing = asymptotic_bp(sizes.keys(), sizes, exact_threshold=3)
+    # One item beyond the exact threshold: FFD's bins, no exact-opt flag.
+    sizes = {i: "0.3" for i in range(DEFAULT_EXACT_THRESHOLD + 1)}
+    packing = asymptotic_bp(sizes.keys(), sizes)
     assert "exact-opt" not in packing.flags
-    assert packing.bin_count == ffd(sizes.keys(), sizes).bin_count
+    assert packing.bins == ffd(sizes.keys(), sizes).bins

@@ -20,12 +20,11 @@ from hypothesis import given, settings, strategies as st
 from cbp import BisProblem, bis, bis_brute, bpc, graphs, harness, model, opt_bpc_exact, oracle, packing_classic
 from cbp.errors import CapabilityError
 from cbp.harness import GeneratorSpec, SizeDist, generate
-from cbp.maxsize import _single_bin_problem
 from cbp.model import ConflictInstance, classify_items, make_packing, restrict_instance, size_units, validate_packing
 from cbp.packing_classic import ffd
 from cbp.rng import SplitMix64
 
-from conftest import CLASSES, brute_opt_bins, seeded_instance
+from conftest import CLASSES, brute_opt_bins, seeded_instance, single_bin_problem
 
 PRIMES = (101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157)
 COPRIME = SizeDist(
@@ -420,8 +419,42 @@ def test_induced_edges_match_edge_scan(family):
         info = graphs.recognize(inst)
         first = frozenset(inst.items[:1])
         pool = [i for i in inst.items if i not in first]
-        problem = _single_bin_problem(inst, info, first, pool)
+        problem = single_bin_problem(inst, info, first, pool)
         assert adjacency_pairs(problem) == ref_induced_edges(inst, set(problem.vertices))
+
+
+def ref_bin_state(instance, members) -> tuple[int, Fraction]:
+    """The mask of items with an edge into the bin, by edge scan, and the
+    bin's room 1 - s(bin) as a Fraction sum."""
+    blocked = 0
+    for u, v in instance.edges:
+        if u in members:
+            blocked |= 1 << v
+        if v in members:
+            blocked |= 1 << u
+    return blocked, 1 - sum((instance.sizes[v] for v in members), Fraction(0))
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_bin_state_matches_fraction_reference(family):
+    overfull = restricted = 0
+    for inst in family_instances(family, 24, 1, 30, 5151):
+        rng = SplitMix64(inst.n)
+        kept = {i for i in inst.items if rng.below(3)}
+        for sub in (inst, restrict_instance(inst, kept)):
+            den = sub.unit_table[1]
+            restricted += den != size_units(sub.sizes.values())[1]
+            for _ in range(4):
+                members = {i for i in sub.items if rng.below(4) == 0}
+                blocked, room = sub.bin_state(members)
+                ref_blocked, ref_room = ref_bin_state(sub, members)
+                assert blocked == ref_blocked
+                assert Fraction(room, den) == ref_room
+                overfull += room < 0
+    assert overfull >= 50
+    if family == "coprime":
+        # Restrictions whose inherited den is not their own lcm.
+        assert restricted >= 10
 
 
 def test_exact_oracle_on_sizes_with_lcm_above_1e9():
@@ -447,7 +480,7 @@ def size_problems(family: str, seed: int, classes=CLASSES):
         info = graphs.recognize(inst)
         first = frozenset(inst.items[:1])
         pool = [i for i in inst.items if i not in first]
-        yield inst, _single_bin_problem(inst, info, first, pool)
+        yield inst, single_bin_problem(inst, info, first, pool)
         load = sum((inst.sizes[i] for i in inst.items[: SplitMix64(seed + inst.n).below(3)]), Fraction(0))
         budget = max(Fraction(0), 1 - load)
         yield inst, BisProblem(inst.items, inst.adjacency, inst.sizes, budget, info)
