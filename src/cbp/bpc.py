@@ -36,18 +36,26 @@ def _info(instance: ConflictInstance, info: Optional[GraphClassInfo]) -> GraphCl
     return info if info is not None else recognize(instance)
 
 
-def _class_bound_terms(instance: ConflictInstance) -> tuple[int, Fraction, Fraction]:
-    classes = classify_items(instance)
-    s_m = instance.size_of(classes.medium)
-    s_s = instance.size_of(classes.small)
-    return len(classes.large), s_m, s_s
+def _class_bound_terms(instance: ConflictInstance) -> tuple[int, int, int]:
+    """``(|large|, medium units, small units)``: the large count and the unit
+    sums of the medium and small items, classified as ``classify_items``."""
+    units, den = instance.unit_table
+    n_large = medium = small = 0
+    for u in units.values():
+        if 2 * u > den:
+            n_large += 1
+        elif 3 * u > den:
+            medium += u
+        else:
+            small += u
+    return n_large, medium, small
 
 
 def lemma4_bound(instance: ConflictInstance, chi: int) -> Fraction:
     """Lemma 4's bin bound for packing the classes of a chi-coloring:
     chi + |large| + (3/2) s(medium) + (4/3) s(small)."""
-    n_large, s_m, s_s = _class_bound_terms(instance)
-    return chi + n_large + Fraction(3, 2) * s_m + Fraction(4, 3) * s_s
+    n_large, medium, small = _class_bound_terms(instance)
+    return chi + n_large + Fraction(9 * medium + 8 * small, 6 * instance.unit_table[1])
 
 
 def color_sets(instance: ConflictInstance, info: Optional[GraphClassInfo] = None) -> Packing:
@@ -66,8 +74,10 @@ def color_sets(instance: ConflictInstance, info: Optional[GraphClassInfo] = None
     for cls in coloring:
         bins += packing_classic._best_bins(cls, units, den, instance.adjacency)
     result = Packing(bins, "color_sets")
-    bound = lemma4_bound(instance, len(coloring))
-    if Fraction(result.bin_count) > bound:
+    # lemma4_bound in units: bins > chi + large + (9m + 8s) / (6 den).
+    n_large, medium, small = _class_bound_terms(instance)
+    if 6 * den * (result.bin_count - len(coloring) - n_large) > 9 * medium + 8 * small:
+        bound = lemma4_bound(instance, len(coloring))
         raise SolverError(f"coloring-based bound violated: {result.bin_count} > {bound}")
     return result
 
@@ -245,19 +255,18 @@ def solve_assignment_lp(instance: ConflictInstance, lp: AssignmentLp) -> LpSolut
     Basicness matters: it caps the number of fractionally assigned items by
     the number of bins, which the rounding step exploits.
     """
-    t = lp.bin_count
+    # Capacity rows in the unit table's units: the LP's rows scaled by den.
+    units, den = instance.unit_table
     cols = lp.variables
-    objective = [ONE] * len(cols)
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for i in range(t):
-        rows.append(
-            [instance.sizes[v] if ci == i else ZERO for (ci, v) in cols]
-        )
-        rhs.append(lp.capacities[i])
+    objective = [1] * len(cols)
+    rows: list[list[int]] = []
+    rhs: list[int] = []
+    for i, capacity in enumerate(lp.capacities):
+        rows.append([units[v] if ci == i else 0 for (ci, v) in cols])
+        rhs.append(int(capacity * den))
     for v in lp.items_w:
-        rows.append([ONE if cv == v else ZERO for (_, cv) in cols])
-        rhs.append(ONE)
+        rows.append([1 if cv == v else 0 for (_, cv) in cols])
+        rhs.append(1)
     result = solve_max_lp(objective, rows, rhs)
     values = {col: x for col, x in zip(cols, result.x)}
     fractional = frozenset(

@@ -83,7 +83,7 @@ def max_size(
     validate_initial(instance, initial)
     if strategy == "greedy-sequential":
         return _greedy_sequential(instance, initial, class_info, eps)
-    solution = solve_config_lp(instance, initial, class_info, config)
+    solution = solve_config_lp(instance, initial, config)
     if not solution.converged:
         result = _greedy_sequential(instance, initial, class_info, eps)
         augmented = result.augmented.with_flags("config-lp-cap-fallback")
@@ -194,7 +194,6 @@ def _price_column(
 def solve_config_lp(
     instance: ConflictInstance,
     initial: Packing,
-    class_info: GraphClassInfo,
     config: Optional[MaxSizeConfig] = None,
 ) -> ConfigLpSolution:
     """Column generation for the per-bin feasible-set LP.
@@ -247,11 +246,11 @@ def solve_config_lp(
         rows = []
         rhs = []
         for j in range(t):
-            rows.append([Fraction(1) if cj == j else ZERO for (cj, _) in columns])
-            rhs.append(Fraction(1))
+            rows.append([1 if cj == j else 0 for (cj, _) in columns])
+            rhs.append(1)
         for v in pool:
-            rows.append([Fraction(1) if v in cfg else ZERO for (_, cfg) in columns])
-            rhs.append(Fraction(1))
+            rows.append([1 if v in cfg else 0 for (_, cfg) in columns])
+            rhs.append(1)
         result = solve_max_lp(objective, rows, rhs)
         values = result.x
         mu = result.duals[:t]

@@ -5,12 +5,16 @@ they stay independent of the library paths they check.
 """
 
 from fractions import Fraction
+from typing import Optional, Sequence
 
 from hypothesis import settings
 
 from cbp import BisProblem, CapabilityError, ConflictInstance, harness, recognize
+from cbp.errors import SolverError
 from cbp.harness import GeneratorSpec, generate
+from cbp.model import ZERO
 from cbp.oracle import bis_brute
+from cbp.simplex import LpResult
 
 
 # Property tests replay the same examples on every run, and a slow host
@@ -165,3 +169,80 @@ def brute_opt_bins(instance: ConflictInstance) -> int:
     else:
         best = 0
     return best
+
+
+def ref_solve_max_lp(
+    objective: Sequence[Fraction],
+    rows: Sequence[Sequence[Fraction]],
+    rhs: Sequence[Fraction],
+) -> LpResult:
+    """The dense rational simplex ``cbp.simplex.solve_max_lp`` replaced: the
+    same Bland pivots on a Fraction tableau. The fraction-free solver must
+    return an identical ``LpResult`` or raise an identical ``SolverError``."""
+    n = len(objective)
+    m = len(rows)
+    for b in rhs:
+        if b < ZERO:
+            raise SolverError("rhs must be nonnegative (all-slack start)")
+    # Tableau columns: n structural + m slacks + rhs.
+    width = n + m + 1
+    tab: list[list[Fraction]] = []
+    for i in range(m):
+        row = [Fraction(v) for v in rows[i]] + [ZERO] * m + [Fraction(rhs[i])]
+        row[n + i] = Fraction(1)
+        tab.append(row)
+    # Objective row holds z_j - c_j; starts at -c for structural columns.
+    zrow: list[Fraction] = [-Fraction(c) for c in objective] + [ZERO] * (m + 1)
+    basis = list(range(n, n + m))
+
+    iterations = 0
+    while True:
+        enter = -1
+        for j in range(n + m):
+            if zrow[j] < ZERO:
+                enter = j  # Bland: lowest-index improving column
+                break
+        if enter < 0:
+            break
+        leave = -1
+        best_ratio: Optional[Fraction] = None
+        for i in range(m):
+            a = tab[i][enter]
+            if a > ZERO:
+                ratio = tab[i][width - 1] / a
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[i] < basis[leave])
+                ):
+                    best_ratio = ratio
+                    leave = i
+        if leave < 0:
+            raise SolverError("LP is unbounded")
+        iterations += 1
+        pivot = tab[leave][enter]
+        prow = tab[leave]
+        inv = Fraction(1) / pivot
+        for j in range(width):
+            prow[j] *= inv
+        for i in range(m):
+            if i == leave:
+                continue
+            factor = tab[i][enter]
+            if factor != ZERO:
+                row = tab[i]
+                for j in range(width):
+                    row[j] -= factor * prow[j]
+        factor = zrow[enter]
+        if factor != ZERO:
+            for j in range(width):
+                zrow[j] -= factor * prow[j]
+        basis[leave] = enter
+
+    x = [ZERO] * n
+    for i, bvar in enumerate(basis):
+        if bvar < n:
+            x[bvar] = tab[i][width - 1]
+    objective_value = sum((Fraction(c) * xv for c, xv in zip(objective, x)), ZERO)
+    duals = tuple(zrow[n + i] for i in range(m))
+    return LpResult(tuple(x), objective_value, duals, tuple(basis), iterations)

@@ -253,7 +253,7 @@ def test_criterion_06_maxsize_quality():
         greedy = max_size(inst, start, info)
         if greedy.added_size < Fraction(1, 2) * best:
             violations.append(("greedy", k, str(greedy.added_size), str(best)))
-        solution = solve_config_lp(inst, start, info)
+        solution = solve_config_lp(inst, start)
         if not solution.converged:
             violations.append(("lp-not-converged", k))
             continue

@@ -129,8 +129,7 @@ def test_greedy_at_least_half_of_brute():
 def test_config_lp_objective_bounds_brute():
     for seed in range(15):
         inst, start = small_case(100 + seed)
-        info = recognize(inst)
-        sol = solve_config_lp(inst, start, info)
+        sol = solve_config_lp(inst, start)
         assert sol.converged
         best = maxsize_brute(inst, start)
         assert sol.objective >= best  # LP relaxation dominates the integral optimum
@@ -140,11 +139,10 @@ def test_config_lp_rounding_mean():
     target = 1 - 1 / math.e - 0.05
     for seed in range(10):
         inst, start = small_case(200 + seed)
-        info = recognize(inst)
         best = maxsize_brute(inst, start)
         if best == 0:
             continue
-        sol = solve_config_lp(inst, start, info)
+        sol = solve_config_lp(inst, start)
         values = [round_config_lp(sol, s).added_size for s in range(100)]
         mean = sum(values, Fraction(0)) / len(values)
         assert mean >= Fraction(target).limit_denominator(10**6) * best

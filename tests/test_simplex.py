@@ -1,9 +1,24 @@
+"""The fraction-free simplex against the rational reference it replaced.
+
+``conftest.ref_solve_max_lp`` is the earlier Fraction tableau with the same
+Bland pivots; every comparison here requires an identical ``LpResult`` (x,
+objective, duals, basis, iterations) or an identical ``SolverError``.
+"""
+
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cbp import bpc, maxsize, recognize
 from cbp.errors import SolverError
+from cbp.harness import GeneratorSpec, SizeDist, generate
+from cbp.maxsize import max_size
+from cbp.rng import SplitMix64
 from cbp.simplex import solve_max_lp
+
+from conftest import ref_solve_max_lp
+from test_acceptance import _maxsize_case
 
 F = Fraction
 
@@ -66,3 +81,104 @@ def test_basic_solution_structure():
     assert len(res.basis) == 1
     positive = [v for v in res.x if v > 0]
     assert len(positive) <= 1
+
+
+@pytest.mark.parametrize(
+    "objective, rows, rhs, message",
+    [
+        # A long row would lose its extra entry to the slack column.
+        ([1], [[1, 5]], [2], "row 0 has 2 entries for 1 columns"),
+        ([1, 1], [[1, 1], [1]], [1, 1], "row 1 has 1 entries for 2 columns"),
+        ([1], [[1]], [1, 0], "rhs has 2 entries for 1 rows"),
+        ([1], [[1], [1]], [1], "rhs has 1 entries for 2 rows"),
+    ],
+)
+def test_malformed_shapes_rejected(objective, rows, rhs, message):
+    with pytest.raises(SolverError, match=message):
+        solve_max_lp(objective, rows, rhs)
+
+
+def outcome(solve, objective, rows, rhs):
+    try:
+        result = solve(objective, rows, rhs)
+    except SolverError as exc:
+        return "SolverError", str(exc)
+    assert all(type(v) is Fraction for v in (*result.x, result.objective, *result.duals))
+    return result
+
+
+def assert_same_as_reference(objective, rows, rhs):
+    expected = outcome(ref_solve_max_lp, objective, rows, rhs)
+    assert outcome(solve_max_lp, objective, rows, rhs) == expected
+    return expected
+
+
+ENTRY = st.one_of(
+    st.just(0),
+    st.integers(-4, 6),
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+)
+RHS = st.one_of(st.just(0), st.integers(0, 6), st.fractions(min_value=0, max_value=5, max_denominator=12))
+
+
+@pytest.mark.parametrize(
+    "objective, rows, rhs",
+    [
+        ([F(1), 3], [[0, 0], [F(-1, 2), 1]], [F(2), 0]),  # zero row, degenerate, unbounded
+        ([1, F(1, 3)], [[0, 0], [0, 0]], [0, F(5)]),  # zero rows only: unbounded
+        ([F(-1), 0], [[F(1, 2), 1]], [F(3, 4)]),  # optimal at the start
+        ([], [[], []], [1, 0]),  # no columns
+    ],
+)
+def test_edge_cases_match_rational_reference(objective, rows, rhs):
+    assert_same_as_reference(objective, rows, rhs)
+
+
+@settings(max_examples=200)
+@given(n=st.integers(0, 7), m=st.integers(0, 7), data=st.data())
+def test_matches_rational_reference(n, m, data):
+    objective = data.draw(st.lists(ENTRY, min_size=n, max_size=n))
+    rows = []
+    for _ in range(m):
+        zero_row = data.draw(st.integers(0, 7)) == 0
+        rows.append([0] * n if zero_row else data.draw(st.lists(ENTRY, min_size=n, max_size=n)))
+    rhs = data.draw(st.lists(RHS, min_size=m, max_size=m))
+    assert_same_as_reference(objective, rows, rhs)
+
+
+def record_lps(monkeypatch, module):
+    """Every (objective, rows, rhs) ``module`` passes to solve_max_lp."""
+    calls = []
+
+    def recording(objective, rows, rhs):
+        calls.append(([*objective], [[*row] for row in rows], [*rhs]))
+        return solve_max_lp(objective, rows, rhs)
+
+    monkeypatch.setattr(module, "solve_max_lp", recording)
+    return calls
+
+
+def test_assignment_lps_of_abs_bpb_match_reference(monkeypatch):
+    calls = record_lps(monkeypatch, bpc)
+    sizes = SizeDist(kind="discrete", values=("1/20000", "1/10000") * 2 + ("2/5", "9/20", "1/2"))
+    rng = SplitMix64(20261018)
+    for k in range(6):
+        density = 0.2 + 0.2 * rng.unit()
+        spec = GeneratorSpec(klass="bipartite", n=12 + 2 * (k % 3), density=density, size_dist=sizes, seed=rng.next_u64())
+        bpc.abs_bpb(generate(spec))
+    pivots = 0
+    for objective, rows, rhs in calls:
+        pivots += assert_same_as_reference(objective, rows, rhs).iterations
+    assert len(calls) >= 50 and pivots >= 100
+
+
+def test_config_lps_of_max_size_match_reference(monkeypatch):
+    calls = record_lps(monkeypatch, maxsize)
+    for k in range(100):
+        inst, start = _maxsize_case(20260806 + k)
+        max_size(inst, start, recognize(inst), strategy="config-lp")
+    nonzero_duals = 0
+    for objective, rows, rhs in calls:
+        # Column generation prices with these duals: they must be exact.
+        nonzero_duals += sum(1 for y in assert_same_as_reference(objective, rows, rhs).duals if y)
+    assert len(calls) >= 100 and nonzero_duals >= 100

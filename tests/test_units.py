@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cbp import BisProblem, bis, bis_brute, bpc, graphs, harness, model, opt_bpc_exact, oracle, packing_classic
-from cbp.errors import CapabilityError
+from cbp.errors import CapabilityError, SolverError
 from cbp.harness import GeneratorSpec, SizeDist, generate
 from cbp.model import ConflictInstance, classify_items, make_packing, restrict_instance, size_units, validate_packing
 from cbp.packing_classic import ffd
@@ -455,6 +455,45 @@ def test_bin_state_matches_fraction_reference(family):
     if family == "coprime":
         # Restrictions whose inherited den is not their own lcm.
         assert restricted >= 10
+
+
+def ref_lemma4_bound(instance, chi) -> tuple[int, Fraction, Fraction, Fraction]:
+    """Lemma 4's terms and bound by size comparisons in Fractions:
+    ``(|large|, s(medium), s(small), bound)``."""
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    sizes = [instance.sizes[i] for i in instance.items]
+    n_large = sum(1 for s in sizes if s > half)
+    s_m = sum((s for s in sizes if third < s <= half), Fraction(0))
+    s_s = sum((s for s in sizes if s <= third), Fraction(0))
+    return n_large, s_m, s_s, chi + n_large + Fraction(3, 2) * s_m + Fraction(4, 3) * s_s
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_lemma4_terms_match_fraction_reference(family):
+    for inst in family_instances(family, 24, 1, 30, 6161):
+        rng = SplitMix64(inst.n)
+        kept = {i for i in inst.items if rng.below(3)}
+        for sub in (inst, restrict_instance(inst, kept)):
+            den = sub.unit_table[1]
+            chi = rng.below(5)
+            n_large, medium, small = bpc._class_bound_terms(sub)
+            ref_large, ref_m, ref_s, ref_bound = ref_lemma4_bound(sub, chi)
+            assert (n_large, Fraction(medium, den), Fraction(small, den)) == (ref_large, ref_m, ref_s)
+            assert bpc.lemma4_bound(sub, chi) == ref_bound
+
+
+def test_color_sets_bound_check_is_exact_at_equality(monkeypatch):
+    # Empty instance: no colors, no bins, bound 0 -- equal, so no raise.
+    assert bpc.color_sets(ConflictInstance({})).bin_count == 0
+    # Two 3/4 items take two bins of one color class (den 4). Small units
+    # 3 put the bound at 1 + 24/24 = 2 bins exactly; units 2 put it below.
+    inst = ConflictInstance({0: "3/4", 1: "3/4"})
+    monkeypatch.setattr(bpc, "_class_bound_terms", lambda instance: (0, 0, 3))
+    assert bpc.lemma4_bound(inst, 1) == 2
+    assert bpc.color_sets(inst).bin_count == 2
+    monkeypatch.setattr(bpc, "_class_bound_terms", lambda instance: (0, 0, 2))
+    with pytest.raises(SolverError, match="2 > 5/3"):
+        bpc.color_sets(inst)
 
 
 def test_exact_oracle_on_sizes_with_lcm_above_1e9():
