@@ -7,19 +7,21 @@ are pure; recognition info is computed on demand when not supplied.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from . import bis, oracle, packing_classic
 from .errors import CapabilityError, ParameterError, SolverError
 from .graphs import GraphClassInfo, maximum_matching_general, minimum_coloring, recognize
-from .maxsize import greedy_growth, max_size, validate_initial
+from .maxsize import _greedy_sequential, greedy_growth, validate_initial
 from .model import (
     ConflictInstance,
     Packing,
+    bin_lower_bound,
     classify_items,
     concat_packings,
     restrict_instance,
@@ -34,6 +36,28 @@ PRACTICAL_EPS = Fraction(1, 6)
 
 def _info(instance: ConflictInstance, info: Optional[GraphClassInfo]) -> GraphClassInfo:
     return info if info is not None else recognize(instance)
+
+
+def _best_of(
+    instance: ConflictInstance, source: str, *solvers: Callable[[], Optional[Packing]]
+) -> Packing:
+    """The first packing with the fewest bins, flagged ``winner:<source>``.
+
+    Calls ``solvers`` in order; one may return None for no candidate. No
+    packing of ``instance`` uses fewer than ``bin_lower_bound`` bins, so a
+    packing that meets it can at most be tied, and the solvers after it
+    are not called.
+    """
+    units, den = instance.unit_table
+    bound = bin_lower_bound(units.values(), den)
+    best: Optional[Packing] = None
+    for solve in solvers:
+        candidate = solve()
+        if candidate is not None and (best is None or candidate.bin_count < best.bin_count):
+            best = candidate
+            if best.bin_count <= bound:
+                break
+    return Packing(best.bins, source, best.flags + (f"winner:{best.source}",))
 
 
 def _class_bound_terms(instance: ConflictInstance) -> tuple[int, int, int]:
@@ -87,12 +111,18 @@ def max_solve(
     info: Optional[GraphClassInfo] = None,
     eps=PRACTICAL_EPS,
 ) -> Packing:
-    """Singleton bins for the large items, grown greedily, rest by coloring."""
+    """Singleton bins for the large items, grown greedily, rest by coloring.
+
+    The singletons are a feasible start by construction (a size is at most
+    1, a singleton has no inner edge), so the growth core runs on them
+    without ``max_size``'s check of its start packing.
+    """
+    eps = bis._check_eps(eps)
     info = _info(instance, info)
     classes = classify_items(instance)
     large = sorted(classes.large)
     seed = Packing(tuple(frozenset({v}) for v in large), "max_solve")
-    grown = max_size(instance, seed, info, eps=eps)
+    grown = _greedy_sequential(instance, seed, info, eps)
     rest = restrict_instance(instance, grown.augmented.items(), mode="subtract")
     tail = color_sets(rest, info)
     out = concat_packings(grown.augmented, tail)
@@ -133,16 +163,20 @@ def approx_bpc(
     info: Optional[GraphClassInfo] = None,
     eps=PRACTICAL_EPS,
 ) -> Packing:
-    """Best of the three subroutines by bin count (ties by listed order)."""
+    """Best of the three subroutines by bin count (ties by listed order).
+
+    ``color_sets``, ``max_solve`` and ``matching_pack`` run in that order
+    until one meets ``bin_lower_bound``; the later ones could only tie.
+    """
     bis._check_eps(eps)
     info = _info(instance, info)
-    candidates = [
-        color_sets(instance, info),
-        max_solve(instance, info, eps=eps),
-        matching_pack(instance, info),
-    ]
-    best = min(candidates, key=lambda p: p.bin_count)
-    return Packing(best.bins, "approx_bpc", best.flags + (f"winner:{best.source}",))
+    return _best_of(
+        instance,
+        "approx_bpc",
+        functools.partial(color_sets, instance, info),
+        functools.partial(max_solve, instance, info, eps=eps),
+        functools.partial(matching_pack, instance, info),
+    )
 
 
 def split_approx(
@@ -396,29 +430,38 @@ def assign(
 
 def abs_bpb(instance: ConflictInstance, info: Optional[GraphClassInfo] = None) -> Packing:
     """Best of coloring, small-optimum exact search, and both one-sided
-    LP-assignment runs, on a bipartite conflict graph."""
+    LP-assignment runs, on a bipartite conflict graph.
+
+    The candidates run in that order until one meets ``bin_lower_bound``;
+    the later ones could only tie. For n <= 16 the exact search is the
+    optimum, so the assignment runs follow only when the optimum lies
+    above the bound.
+    """
     info = _info(instance, info)
     if info.bipartition is None:
         raise CapabilityError("bipartite certificate required")
-    candidates: list[Packing] = [color_sets(instance, info).with_source("abs_bpb/color_sets")]
-    if instance.n <= 16:
-        packing, _ = oracle.opt_bpc_exact(instance, limit_n=16)
-        candidates.append(packing.with_source("abs_bpb/exact"))
-    else:
+
+    def exact() -> Optional[Packing]:
+        if instance.n <= 16:
+            packing, _ = oracle.opt_bpc_exact(instance, limit_n=16)
+            return packing.with_source("abs_bpb/exact")
         # Too large to solve exactly: look only for a packing into at most
         # 3 bins, and give up when the node budget runs out.
         try:
             packing, _ = oracle.opt_bpc_exact(instance, limit_n=instance.n, max_bins=3, node_budget=200_000)
-            candidates.append(packing.with_source("abs_bpb/exact-small"))
         except CapabilityError:
-            pass
-    classes = classify_items(instance, eps=AssignConfig().eps)
-    assert classes.tiny is not None
-    for side in info.bipartition:
-        w = sorted(side & classes.tiny)
-        candidates.append(assign(instance, w, info))
-    best = min(candidates, key=lambda p: p.bin_count)
-    return Packing(best.bins, "abs_bpb", best.flags + (f"winner:{best.source}",))
+            return None
+        return packing.with_source("abs_bpb/exact-small")
+
+    tiny = classify_items(instance, eps=AssignConfig().eps).tiny
+    assert tiny is not None
+    return _best_of(
+        instance,
+        "abs_bpb",
+        lambda: color_sets(instance, info).with_source("abs_bpb/color_sets"),
+        exact,
+        *(functools.partial(assign, instance, sorted(side & tiny), info) for side in info.bipartition),
+    )
 
 
 def multipartite_pack(instance: ConflictInstance, info: Optional[GraphClassInfo] = None) -> Packing:

@@ -65,6 +65,18 @@ def size_units(sizes: Iterable[Fraction]) -> tuple[list[int], int]:
     return [p * (den // q) for p, q in ratios], den
 
 
+def bin_lower_bound(units: Iterable[int], den: int) -> int:
+    """The L1 bound max(⌈Σ units / den⌉, #{2u > den}) on the bins of any
+    packing of items of ``units`` over ``den`` (Martello & Toth 1990):
+    the bins hold the total size, and no two items larger than 1/2 share
+    one. It ignores conflicts, so it bounds every conflict graph too."""
+    total = large = 0
+    for u in units:
+        total += u
+        large += 2 * u > den
+    return max(-(-total // den), large)
+
+
 class ConflictInstance:
     """A set of items with sizes and a conflict graph.
 

@@ -1,8 +1,9 @@
 """Conflict-free bin packing subroutines.
 
 ``ffd`` is the deterministic first-fit-decreasing heuristic; ``asymptotic_bp``
-is a best-of strategy that additionally runs the exact solver on small
-inputs and therefore returns an optimal packing whenever that path ran.
+is a best-of strategy that on small inputs also runs the exact solver,
+unless FFD already meets the lower bound, and therefore returns an
+optimal packing whenever its input is small.
 Both check and convert their sizes once, then run the integer cores
 ``_ffd_bins`` and ``_best_bins``, which the conflict-graph algorithms call
 directly with an instance's unit table.
@@ -14,7 +15,7 @@ from typing import Iterable, Mapping
 
 from . import oracle
 from .errors import ParameterError
-from .model import Packing, SizeLike, as_size, size_units, ONE, ZERO
+from .model import Packing, SizeLike, as_size, bin_lower_bound, size_units, ONE, ZERO
 
 DEFAULT_EXACT_THRESHOLD = 18
 
@@ -59,6 +60,9 @@ def _best_bins(
     heuristic = _ffd_bins(items, units, den)
     if len(items) > DEFAULT_EXACT_THRESHOLD:
         return heuristic
+    # FFD bins at the lower bound are optimal: no search can beat them.
+    if len(heuristic) <= bin_lower_bound((units[i] for i in items), den):
+        return heuristic
     exact = oracle._exact_bins(items, units, den, adjacency)
     return exact if len(exact) < len(heuristic) else heuristic
 
@@ -73,8 +77,10 @@ def asymptotic_bp(items: Iterable[int], sizes: Mapping[int, SizeLike]) -> Packin
     """Best of first-fit decreasing and (for n <= DEFAULT_EXACT_THRESHOLD)
     the exact solver.
 
-    The returned bin count is never below the optimum, and equals the
-    optimum whenever the exact path ran (flag "exact-opt").
+    The exact solver runs only when FFD uses more bins than
+    ``model.bin_lower_bound``: FFD at that bound is already optimal. So
+    for n <= DEFAULT_EXACT_THRESHOLD the bin count is the optimum (flag
+    "exact-opt"), whichever path gave it.
     """
     units, den = _checked_units(items, sizes)
     bins = _best_bins(units, units, den, dict.fromkeys(units, 0))

@@ -9,10 +9,10 @@ from typing import Optional, Sequence
 
 from hypothesis import settings
 
-from cbp import BisProblem, CapabilityError, ConflictInstance, harness, recognize
+from cbp import BisProblem, CapabilityError, ConflictInstance, bpc, harness, oracle, packing_classic, recognize
 from cbp.errors import SolverError
 from cbp.harness import GeneratorSpec, generate
-from cbp.model import ZERO
+from cbp.model import Packing, ZERO, classify_items
 from cbp.oracle import bis_brute
 from cbp.simplex import LpResult
 
@@ -246,3 +246,47 @@ def ref_solve_max_lp(
     objective_value = sum((Fraction(c) * xv for c, xv in zip(objective, x)), ZERO)
     duals = tuple(zrow[n + i] for i in range(m))
     return LpResult(tuple(x), objective_value, duals, tuple(basis), iterations)
+
+
+# --- Eager best-of references ---------------------------------------------
+# The best-of searches as they were before they stopped at the bin lower
+# bound: every candidate computed, the first with the fewest bins kept.
+# The library must give identical bins, ``source`` and ``flags``.
+
+
+def ref_best_bins(items, units, den, adjacency):
+    """The better of FFD and (up to the exact threshold) the exact search."""
+    items = list(items)
+    heuristic = packing_classic._ffd_bins(items, units, den)
+    if len(items) > packing_classic.DEFAULT_EXACT_THRESHOLD:
+        return heuristic
+    exact = oracle._exact_bins(items, units, den, adjacency)
+    return exact if len(exact) < len(heuristic) else heuristic
+
+
+def ref_approx_bpc(instance, info, eps=bpc.PRACTICAL_EPS) -> Packing:
+    candidates = [
+        bpc.color_sets(instance, info),
+        bpc.max_solve(instance, info, eps=eps),
+        bpc.matching_pack(instance, info),
+    ]
+    best = min(candidates, key=lambda p: p.bin_count)
+    return Packing(best.bins, "approx_bpc", best.flags + (f"winner:{best.source}",))
+
+
+def ref_abs_bpb(instance, info) -> Packing:
+    candidates = [bpc.color_sets(instance, info).with_source("abs_bpb/color_sets")]
+    if instance.n <= 16:
+        packing, _ = oracle.opt_bpc_exact(instance, limit_n=16)
+        candidates.append(packing.with_source("abs_bpb/exact"))
+    else:
+        try:
+            packing, _ = oracle.opt_bpc_exact(instance, limit_n=instance.n, max_bins=3, node_budget=200_000)
+            candidates.append(packing.with_source("abs_bpb/exact-small"))
+        except CapabilityError:
+            pass
+    tiny = classify_items(instance, eps=bpc.AssignConfig().eps).tiny
+    for side in info.bipartition:
+        candidates.append(bpc.assign(instance, sorted(side & tiny), info))
+    best = min(candidates, key=lambda p: p.bin_count)
+    return Packing(best.bins, "abs_bpb", best.flags + (f"winner:{best.source}",))

@@ -5,12 +5,14 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cbp
-from cbp import bpc
+from cbp import bpc, packing_classic
 from cbp import (
     AssignConfig,
     CapabilityError,
@@ -41,7 +43,11 @@ from cbp.maxsize import max_size
 from cbp.model import make_packing, restrict_instance
 from cbp.packing_classic import asymptotic_bp, ffd
 
-from conftest import CLASSES, seeded_instance
+from conftest import CLASSES, ref_abs_bpb, ref_approx_bpc, ref_best_bins, seeded_instance
+
+# Sizes of the tiny-item bipartite instances: tiny items at or below
+# AssignConfig's eps = 1/10000, big ones between 2/5 and 1/2.
+TINY_SIZES = SizeDist(kind="discrete", values=("1/20000", "1/10000") * 2 + ("2/5", "9/20", "1/2"))
 
 
 def coloring_bound(instance, info):
@@ -449,6 +455,79 @@ def test_abs_bpb_large_instance_uses_bounded_search():
     packing = abs_bpb(inst)
     assert packing.bin_count == 2
     assert validate_packing(inst, packing, require_cover=True).feasible
+    # Coloring's 4 bins sit above the bound of 3, so the bounded search runs and wins.
+    inst = generate(GeneratorSpec(klass="bipartite", n=18, density=0.3, size_dist=TINY_SIZES, seed=1))
+    packing = abs_bpb(inst)
+    assert "winner:abs_bpb/exact-small" in packing.flags
+    assert validate_packing(inst, packing, require_cover=True).feasible
+
+
+def assert_best_of_matches_eager_reference(inst) -> list[Packing]:
+    """``approx_bpc`` and, on a bipartite graph, ``abs_bpb``, each equal to
+    its eager reference in ``conftest`` (every candidate computed, FFD and
+    the exact search both run in ``_best_bins``): same bins, source, flags."""
+    info = recognize(inst)
+    runs = [(approx_bpc, ref_approx_bpc)]
+    if info.bipartition is not None:
+        runs.append((abs_bpb, ref_abs_bpb))
+    packings = []
+    for algorithm, reference in runs:
+        packing = algorithm(inst, info)
+        with mock.patch.object(packing_classic, "_best_bins", ref_best_bins):
+            want = reference(inst, info)
+        assert (packing.bins, packing.source, packing.flags) == (want.bins, want.source, want.flags)
+        packings.append(packing)
+    return packings
+
+
+@settings(max_examples=200)
+@given(
+    klass=st.sampled_from(CLASSES + ("tiny-bipartite",)),
+    n=st.integers(0, 14),
+    density=st.sampled_from((0.2, 0.4, 0.6)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_best_of_matches_eager_reference(klass, n, density, seed):
+    if klass == "tiny-bipartite":
+        spec = GeneratorSpec(klass="bipartite", n=n, density=density, size_dist=TINY_SIZES, seed=seed)
+    else:
+        spec = GeneratorSpec(klass=klass, n=n, density=density, seed=seed)
+    assert_best_of_matches_eager_reference(generate(spec))
+
+
+def _assign_wins_instance():
+    # a0..a3 (3/5) and b0..b3 (39/100) on opposite sides, joined by a0-b0
+    # only; tiny items s0..s2 join b_i, b_i+1 and t0..t2 join a_i, a_i+1,
+    # which fixes the 2-coloring; three tiny items are isolated. Coloring
+    # packs 4 + 2 bins; {a_i, b_i+1 mod 4} with the s items in them plus
+    # one bin for the t items make 5. The bound is 4 and so is the
+    # optimum, so the bounded exact search (at most 3 bins) finds nothing.
+    sizes = {i: "3/5" for i in range(4)} | {i: "39/100" for i in range(4, 8)} | {i: "1/20000" for i in range(8, 17)}
+    edges = [(0, 4)] + [(8 + i, 4 + j) for i in range(3) for j in (i, i + 1)]
+    edges += [(11 + i, j) for i in range(3) for j in (i, i + 1)]
+    return ConflictInstance(sizes, edges)
+
+
+@pytest.mark.parametrize(
+    "make, winners",
+    [
+        (lambda: seeded_instance("chordal", 12, 0, density=0.2), ["winner:max_solve"]),
+        (lambda: seeded_instance("chordal", 26, 14, density=0.4), ["winner:matching_pack"]),
+        (lambda: seeded_instance("split", 16, 104, density=0.4), ["winner:matching_pack"]),
+        (
+            lambda: generate(GeneratorSpec(klass="bipartite", n=14, density=0.4, size_dist=TINY_SIZES, seed=14)),
+            ["winner:color_sets", "winner:abs_bpb/exact"],
+        ),
+        (
+            lambda: generate(GeneratorSpec(klass="bipartite", n=18, density=0.3, size_dist=TINY_SIZES, seed=1)),
+            ["winner:color_sets", "winner:abs_bpb/exact-small"],
+        ),
+        (_assign_wins_instance, ["winner:max_solve", "winner:assign"]),
+    ],
+)
+def test_best_of_matches_eager_reference_when_a_later_candidate_wins(make, winners):
+    packings = assert_best_of_matches_eager_reference(make())
+    assert [p.flags[-1] for p in packings] == winners
 
 
 def test_multipartite_examples():

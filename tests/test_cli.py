@@ -154,16 +154,23 @@ def test_solve_solver_error_exits_3(tmp_path, monkeypatch, capsys):
     from cbp import ConflictInstance, bpc
     from cbp.errors import SolverError
 
+    calls = []
+
     def broken_lp(*args, **kwargs):
+        calls.append(1)
         raise SolverError("simplex iteration cap 0 exceeded")
 
     monkeypatch.setattr(bpc, "solve_max_lp", broken_lp)
-    # Both halves fit one bin, which beats coloring's two, so the
-    # assignment LP runs on that packing.
+    # {0, 1, 2} completely joined to {3, 4}: the optimum {0, 1}, {2}, {3, 4}
+    # lies above the bound ceil(s) = 2, so coloring and the exact search
+    # leave abs_bpb to the assignment runs, and the big-item packing
+    # {0, 1}, {3, 4} sends the tiny item 2 to the LP.
+    sizes = {0: "1/2", 1: "1/2", 2: "1/20000", 3: "2/5", 4: "2/5"}
     path = tmp_path / "halves.json"
-    write_instance(ConflictInstance({0: "1/2", 1: "1/2", 2: "1/20000", 3: "1/20000"}), path)
+    write_instance(ConflictInstance(sizes, edges=[(u, v) for u in (0, 1, 2) for v in (3, 4)]), path)
     assert main(["solve", "--algo", "abs_bpb", "--in", str(path)]) == 3
     assert "solver error: simplex iteration cap 0 exceeded" in capsys.readouterr().err
+    assert calls
 
 
 def test_solve_top_level_list_exits_2(tmp_path, capsys):

@@ -14,6 +14,7 @@ from cbp import bpc, maxsize, recognize
 from cbp.errors import SolverError
 from cbp.harness import GeneratorSpec, SizeDist, generate
 from cbp.maxsize import max_size
+from cbp.model import classify_items
 from cbp.rng import SplitMix64
 from cbp.simplex import solve_max_lp
 
@@ -159,13 +160,20 @@ def record_lps(monkeypatch, module):
 
 
 def test_assignment_lps_of_abs_bpb_match_reference(monkeypatch):
+    # abs_bpb stops at the bin lower bound, which its exact search meets
+    # on these instances, so the assignment runs it would make come from
+    # calling assign on both sides directly.
     calls = record_lps(monkeypatch, bpc)
     sizes = SizeDist(kind="discrete", values=("1/20000", "1/10000") * 2 + ("2/5", "9/20", "1/2"))
     rng = SplitMix64(20261018)
     for k in range(6):
         density = 0.2 + 0.2 * rng.unit()
         spec = GeneratorSpec(klass="bipartite", n=12 + 2 * (k % 3), density=density, size_dist=sizes, seed=rng.next_u64())
-        bpc.abs_bpb(generate(spec))
+        inst = generate(spec)
+        info = recognize(inst)
+        tiny = classify_items(inst, eps=bpc.AssignConfig().eps).tiny
+        for side in info.bipartition:
+            bpc.assign(inst, sorted(side & tiny), info)
     pivots = 0
     for objective, rows, rhs in calls:
         pivots += assert_same_as_reference(objective, rows, rhs).iterations

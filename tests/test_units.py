@@ -24,7 +24,7 @@ from cbp.model import ConflictInstance, classify_items, make_packing, restrict_i
 from cbp.packing_classic import ffd
 from cbp.rng import SplitMix64
 
-from conftest import CLASSES, brute_opt_bins, seeded_instance, single_bin_problem
+from conftest import CLASSES, brute_opt_bins, ref_best_bins, seeded_instance, single_bin_problem
 
 PRIMES = (101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157)
 COPRIME = SizeDist(
@@ -251,6 +251,72 @@ def test_ffd_matches_fraction_reference(family):
         assert list(packing.bins) == ref_ffd(inst.items, inst.sizes)
         huge += lcm_of(inst.sizes.values()) > 10**9
     assert huge >= 20 if family == "coprime" else huge == 0
+
+
+def ref_bin_lower_bound(sizes) -> int:
+    """max(ceil(s(I)), #items larger than 1/2), in Fractions."""
+    sizes = list(sizes)
+    return max(math.ceil(sum(sizes, Fraction(0))), sum(1 for s in sizes if s > Fraction(1, 2)))
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_bin_lower_bound_matches_fraction_reference(family):
+    restricted = 0
+    for inst in family_instances(family, 30, 0, 40, 7171):
+        rng = SplitMix64(inst.n)
+        kept = {i for i in inst.items if rng.below(3)}
+        for sub in (inst, restrict_instance(inst, kept)):
+            units, den = sub.unit_table
+            restricted += den != size_units(sub.sizes.values())[1]
+            assert model.bin_lower_bound(units.values(), den) == ref_bin_lower_bound(sub.sizes.values())
+    if family == "coprime":
+        # Restrictions whose inherited den is not their own lcm.
+        assert restricted >= 10
+
+
+def test_bin_lower_bound_boundaries():
+    assert model.bin_lower_bound([], 1) == model.bin_lower_bound([], 20) == 0
+    assert model.bin_lower_bound([0, 0], 7) == 0
+    # 2u = den is not large: two halves share one bin; one unit more is large.
+    assert model.bin_lower_bound([10, 10], 20) == 1
+    assert model.bin_lower_bound([11, 9], 20) == 1
+    assert model.bin_lower_bound([11, 11, 11], 20) == 3
+    # A total of exactly k bins gives k; one unit more gives k + 1.
+    assert model.bin_lower_bound([7, 7, 6] * 3, 20) == 3
+    assert model.bin_lower_bound([7, 7, 6] * 3 + [1], 20) == 4
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_best_bins_matches_eager_reference(family):
+    # Color classes are independent sets; _best_bins skips the exact search
+    # when FFD meets the bound, and must return what running it would.
+    skipped = 0
+    for inst in family_instances(family, 40, 4, 30, 8181):
+        units, den = inst.unit_table
+        for cls in graphs.minimum_coloring(inst, graphs.recognize(inst)):
+            got = packing_classic._best_bins(cls, units, den, inst.adjacency)
+            assert got == ref_best_bins(cls, units, den, inst.adjacency)
+            skipped += len(cls) <= packing_classic.DEFAULT_EXACT_THRESHOLD and len(got) == model.bin_lower_bound(
+                (units[i] for i in cls), den
+            )
+    assert skipped >= 100
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(0, 20), max_size=14))
+def test_best_bins_matches_eager_reference_on_grid20(numerators):
+    # Sizes k/20, where FFD misses the optimum often enough, e.g. on
+    # 2/5, 2/5, 3/10 x 4: FFD 3 bins, optimum 2.
+    units = dict(enumerate(numerators))
+    adjacency = dict.fromkeys(units, 0)
+    assert packing_classic._best_bins(units, units, 20, adjacency) == ref_best_bins(units, units, 20, adjacency)
+
+
+def test_best_bins_searches_when_ffd_misses_the_bound():
+    units = dict(enumerate([8, 8, 6, 6, 6, 6]))
+    adjacency = dict.fromkeys(units, 0)
+    assert len(packing_classic._ffd_bins(units, units, 20)) == 3
+    assert len(packing_classic._best_bins(units, units, 20, adjacency)) == model.bin_lower_bound(units.values(), 20) == 2
 
 
 def knapsack_inputs(family: str, seed: int):
