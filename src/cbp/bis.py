@@ -11,6 +11,12 @@ interface (``BisProblem``, ``knapsack_fptas``), and each public call
 converts them once with ``model.size_units``; ``maxsize.greedy_growth``
 calls the same integer cores with its instance's unit table, so no
 single-bin subproblem converts sizes again.
+
+Costs are never negative (``knapsack_fptas`` rejects one), so in the
+profit-scaling DP an entry whose least cost is within the budget comes
+only from another such entry: each item extends only these live entries
+rather than the whole profit table, and the result is that of the full
+scan.
 """
 
 from __future__ import annotations
@@ -78,12 +84,16 @@ def knapsack_fptas(
 
     When the costs share a small common denominator the exact dynamic
     program over integer costs runs instead (profit-optimal); otherwise a
-    profit-scaling dynamic program gives the usual FPTAS guarantee.
+    profit-scaling dynamic program gives the usual FPTAS guarantee. A
+    negative cost raises ``ParameterError``.
     """
     eps = _check_eps(eps)
     ids = sorted(items)
     units, den = size_units([*(costs[i] for i in ids), budget])
     limit = units.pop()
+    for i, u in zip(ids, units):
+        if u < 0:
+            raise ParameterError(f"negative cost on item {i}")
     gains, _ = size_units(profits[i] for i in ids)
     return _knapsack(ids, dict(zip(ids, gains)), dict(zip(ids, units)), limit, den, eps)
 
@@ -117,8 +127,8 @@ def _knapsack_exact(ids, gains, units, cap) -> frozenset[int]:
             if cand > dp[w]:
                 dp[w] = cand
                 take[w] = take[w - c] | (1 << idx)
-    best_w = max(range(cap + 1), key=lambda w: (dp[w], -w))
-    return frozenset(ids[k] for k in range(len(ids)) if (take[best_w] >> k) & 1)
+    best = take[dp.index(max(dp))]  # the least cost of the best profit
+    return frozenset(ids[k] for k in range(len(ids)) if (best >> k) & 1)
 
 
 def _knapsack_scaled(ids, gains, units, limit, eps) -> frozenset[int]:
@@ -131,19 +141,40 @@ def _knapsack_scaled(ids, gains, units, limit, eps) -> frozenset[int]:
     div = eps.numerator * max(gains[k] for k in positive)
     scaled = [gains[k] * num // div for k in positive]
     top = sum(scaled)
-    # dp[p] = least cost of scaled profit exactly p; limit + 1 marks none (only <= limit counts).
+    # dp[p] = least cost of scaled profit exactly p; limit + 1 marks none.
+    # Only the live entries (ascending in ``live``) have dp[p] <= limit.
+    # Costs are >= 0, so a live entry only comes from a live one: each
+    # item extends the live entries alone, descending so that it reads
+    # every source before a write can reach it. Every live dp[p] and
+    # take[p] is then that of the full table scan, and an item whose
+    # profit scales to 0 never improves an entry.
     dp = [limit + 1] * (top + 1)
     dp[0] = 0
     take: list[int] = [0] * (top + 1)
+    live = [0]
     for idx, (sp, k) in enumerate(zip(scaled, positive)):
+        if not sp:
+            continue
         c = units[k]
-        for p in range(top, sp - 1, -1):
-            cand = dp[p - sp] + c
-            if cand < dp[p]:
-                dp[p] = cand
-                take[p] = take[p - sp] | (1 << idx)
-    best_p = max((p for p in range(top + 1) if dp[p] <= limit), default=0)
-    return frozenset(ids[positive[j]] for j in range(len(positive)) if (take[best_p] >> j) & 1)
+        room = limit - c
+        bit = 1 << idx
+        born = []
+        for p in reversed(live):
+            cost = dp[p]
+            if cost > room:
+                continue
+            q = p + sp
+            cost += c
+            if cost < dp[q]:
+                if dp[q] > limit:
+                    born.append(q)
+                dp[q] = cost
+                take[q] = take[p] | bit
+        if born:
+            live += born
+            live.sort()
+    best = take[live[-1]]
+    return frozenset(ids[positive[j]] for j in range(len(positive)) if (best >> j) & 1)
 
 
 def _independent_subsets(order, adj, weights, budget, max_size):

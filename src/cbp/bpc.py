@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
@@ -17,7 +16,7 @@ from typing import Callable, Iterable, Optional
 from . import bis, oracle, packing_classic
 from .errors import CapabilityError, ParameterError, SolverError
 from .graphs import GraphClassInfo, maximum_matching_general, minimum_coloring, recognize
-from .maxsize import _greedy_sequential, greedy_growth, validate_initial
+from .maxsize import _greedy_sequential, greedy_growth
 from .model import (
     ConflictInstance,
     Packing,
@@ -194,6 +193,8 @@ def split_approx(
     the first |clique| + alpha bins of one growth over the largest guess;
     every guess is read off that single growth, which stops once a guess
     can no longer beat the best (it has at least |clique| + alpha bins).
+    The start packing is feasible by construction: the model bounds every
+    size by 1, and a singleton or an empty bin holds no edge.
     """
     bis._check_eps(eps)
     info = _info(instance, info)
@@ -201,16 +202,15 @@ def split_approx(
         raise CapabilityError("split certificate required")
     if instance.n == 0:
         return Packing((), "split_approx")
-    total = instance.total_size
-    if total <= ONE and instance.is_independent(instance.items):
+    units, den = instance.unit_table
+    total = sum(units.values())
+    if total <= den and instance.is_independent(instance.items):
         return Packing((frozenset(instance.items),), "split_approx")
     clique = info.split_partition[0] & frozenset(instance.items)
     singles = tuple(frozenset({v}) for v in sorted(clique))
-    alpha_top = math.ceil(2 * total) + 1
+    alpha_top = -(-2 * total // den) + 1  # ceil(2 s(I)) + 1
     start = Packing(singles + (frozenset(),) * alpha_top, "split_approx")
-    validate_initial(instance, start)
     growth = greedy_growth(instance, start, info, eps)
-    units, den = instance.unit_table
     best: Optional[Packing] = None
     for bins, pool in itertools.islice(growth, len(singles), None):
         if best is not None and len(bins) >= best.bin_count:

@@ -290,3 +290,32 @@ def ref_abs_bpb(instance, info) -> Packing:
         candidates.append(bpc.assign(instance, sorted(side & tiny), info))
     best = min(candidates, key=lambda p: p.bin_count)
     return Packing(best.bins, "abs_bpb", best.flags + (f"winner:{best.source}",))
+
+
+# --- Dense scaled knapsack reference ----------------------------------------
+# ``bis._knapsack_scaled`` as it was before it extended only the entries
+# within the cost limit: every item scans the whole profit table. The
+# library must return the identical set.
+
+
+def ref_knapsack_scaled_int(ids, gains, units, limit, eps) -> frozenset[int]:
+    positive = [k for k, g in enumerate(gains) if g > 0]
+    if not positive:
+        return frozenset()
+    num = len(positive) * eps.denominator
+    div = eps.numerator * max(gains[k] for k in positive)
+    scaled = [gains[k] * num // div for k in positive]
+    top = sum(scaled)
+    # dp[p] = least cost of scaled profit exactly p; limit + 1 marks none (only <= limit counts).
+    dp = [limit + 1] * (top + 1)
+    dp[0] = 0
+    take: list[int] = [0] * (top + 1)
+    for idx, (sp, k) in enumerate(zip(scaled, positive)):
+        c = units[k]
+        for p in range(top, sp - 1, -1):
+            cand = dp[p - sp] + c
+            if cand < dp[p]:
+                dp[p] = cand
+                take[p] = take[p - sp] | (1 << idx)
+    best_p = max((p for p in range(top + 1) if dp[p] <= limit), default=0)
+    return frozenset(ids[positive[j]] for j in range(len(positive)) if (take[best_p] >> j) & 1)

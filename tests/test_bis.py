@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cbp import (
     BisProblem,
@@ -18,7 +19,7 @@ from cbp.maxsize import max_size
 from cbp.model import Packing, classify_items
 from cbp.rng import SplitMix64
 
-from conftest import CLASSES, seeded_instance
+from conftest import CLASSES, ref_knapsack_scaled_int, seeded_instance
 
 
 def problem_from(instance: ConflictInstance, weights, budget) -> BisProblem:
@@ -45,12 +46,64 @@ def test_knapsack_examples():
     single = {0: Fraction(3, 10)}
     assert knapsack_fptas([0], single, single, Fraction(1), Fraction(1, 10)) == {0}
 
+    # Equal profits: the exact DP keeps the least cost of the best profit.
+    ones = {0: Fraction(1), 1: Fraction(1)}
+    costs = {0: Fraction(1, 2), 1: Fraction(1, 4)}
+    assert knapsack_fptas([0, 1], ones, costs, Fraction(1, 2), Fraction(1, 10)) == {1}
+
 
 def test_knapsack_eps_range():
     with pytest.raises(ParameterError):
         knapsack_fptas([0], {0: Fraction(1)}, {0: Fraction(1)}, Fraction(1), 0)
     with pytest.raises(ParameterError):
         knapsack_fptas([0], {0: Fraction(1)}, {0: Fraction(1)}, Fraction(1), 1)
+
+
+def test_knapsack_negative_cost_rejected():
+    # The exact DP would index a cost table with a negative cost, and the
+    # scaled DP's live-entry rule needs costs >= 0.
+    ones = {0: Fraction(1), 1: Fraction(1)}
+    costs = {0: Fraction(-1, 2), 1: Fraction(1, 2)}
+    with pytest.raises(ParameterError, match="negative cost on item 0"):
+        knapsack_fptas([0, 1], ones, costs, Fraction(1, 2), Fraction(1, 10))
+
+
+# Small gains beside a large one scale to 0; small costs collide often, so
+# equal costs meet the strict-< tie rule.
+_GAINS = st.one_of(st.integers(-3, 0), st.integers(1, 8), st.integers(1, 10**6))
+
+
+@settings(max_examples=250)
+@given(
+    rows=st.lists(st.tuples(_GAINS, st.integers(0, 12)), max_size=9),
+    limit=st.one_of(st.just(0), st.integers(0, 40)),
+    eps=st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100), max_denominator=100),
+)
+def test_knapsack_scaled_matches_dense_reference(rows, limit, eps):
+    ids = [10 + 3 * k for k in range(len(rows))]
+    gains = [g for g, _ in rows]
+    units = [c for _, c in rows]
+    got = bis._knapsack_scaled(ids, gains, units, limit, eps)
+    assert got == ref_knapsack_scaled_int(ids, gains, units, limit, eps)
+    assert sum(units[ids.index(i)] for i in got) <= limit
+
+
+@pytest.mark.parametrize(
+    "n, hi, eps",
+    [(60, 20, Fraction(1, 10)), (200, 3, Fraction(1, 2))],
+)
+@pytest.mark.parametrize("budget", [Fraction(1), Fraction(1, 2)])
+def test_knapsack_scaled_large_matches_dense_reference(n, hi, eps, budget):
+    # Decimal-like sizes over den = 10^9: n items of at most 1/hi, profit
+    # equal to cost as in the split-graph scheme.
+    den = 10**9
+    rng = SplitMix64(n * hi)
+    units = [1 + rng.below(den // hi) for _ in range(n)]
+    ids = list(range(n))
+    limit = int(budget * den)
+    got = bis._knapsack_scaled(ids, units, units, limit, eps)
+    assert got == ref_knapsack_scaled_int(ids, units, units, limit, eps)
+    assert got and sum(units[i] for i in got) <= limit
 
 
 def brute_knapsack(ids, profits, costs, budget):

@@ -283,6 +283,40 @@ def test_split_approx_matches_per_guess_growth():
         assert (got.bins, got.source, got.flags) == (want.bins, want.source, want.flags)
 
 
+@settings(max_examples=150)
+@given(
+    n=st.integers(1, 12),
+    density=st.sampled_from((0.2, 0.5, 0.8)),
+    decimal=st.booleans(),
+    full=st.integers(0, 11),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_split_approx_start_packing_is_feasible(n, density, decimal, full, seed):
+    # split_approx grows its start packing without validating it: clique
+    # singletons plus empty bins are feasible for any sizes in [0, 1],
+    # here with one clique item of size 1 when the clique is not empty.
+    sizes = SizeDist(kind="uniform", lo=0.05, hi=1.0) if decimal else SizeDist()
+    inst = generate(GeneratorSpec(klass="split", n=n, density=density, size_dist=sizes, seed=seed))
+    clique = sorted(recognize(inst).split_partition[0])
+    if clique:
+        inst = ConflictInstance({**inst.sizes, clique[full % len(clique)]: 1}, inst.edges)
+    info = recognize(inst)
+    starts = []
+    growth = bpc.greedy_growth
+
+    def recording_growth(instance, initial, class_info, eps):
+        starts.append(initial)
+        return growth(instance, initial, class_info, eps)
+
+    with mock.patch.object(bpc, "greedy_growth", recording_growth):
+        packing = split_approx(inst, info)
+    assert validate_packing(inst, packing, require_cover=True).feasible
+    assert starts or packing.bin_count == 1
+    for start in starts:
+        assert validate_packing(inst, start, require_cover=False).feasible
+        assert [b for b in start.bins if b] == [frozenset({v}) for v in sorted(info.split_partition[0])]
+
+
 def test_assignment_lp_examples():
     inst = ConflictInstance({0: "0.5", 1: "0.2", 2: "0.2", 3: "0.2"})
     big = make_packing([{0}])
