@@ -17,18 +17,28 @@ profit-scaling DP an entry whose least cost is within the budget comes
 only from another such entry: each item extends only these live entries
 rather than the whole profit table, and the result is that of the full
 scan.
+
+In the split-graph scheme every knapsack has profit equal to cost, so its
+exact DP is a subset-sum: reachable sums are the bits of one integer,
+extended per item by ``reach |= (reach << c) & full``, and the history of
+that integer rebuilds the DP's own set. In the DP an exactly reached sum
+never improves again, so its set for the best sum x is the first item k
+whose step reaches x plus its set for x - c_k; the history grows
+monotonically, and bisection over it finds that k. General profits keep
+the table DP.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import CapabilityError, ParameterError
-from .graphs import GraphClassInfo, _mwis_core
-from .model import ZERO, as_size, size_units
+from .graphs import GraphClassInfo, _ids_mask, _mwis_core
+from .model import ZERO, _mask_to_ids, as_size, size_units
 
 DEFAULT_ENUM_CAP = 6
 EXACT_DP_DENOM_LIMIT = 4096
@@ -102,15 +112,19 @@ def _knapsack(ids, gains, units, limit, den, eps) -> frozenset[int]:
     # ``knapsack_fptas`` on ints: costs and budget over any common multiple
     # ``den`` of their denominators. The kept costs' reduced lcm is
     # den / gcd(den, their units), so the exact-DP test is that of the Fractions.
+    # ``gains`` None means profit equals cost: the exact DP is then a subset-sum.
     ids = [i for i in ids if units[i] <= limit]
     if not ids or limit < 0:
         return frozenset()
-    kept_gains = [gains[i] for i in ids]
     step = math.gcd(den, *(units[i] for i in ids))
     if den // step <= EXACT_DP_DENOM_LIMIT:
         cap = limit // step
         if (cap + 1) * len(ids) <= EXACT_DP_CELL_LIMIT:
-            return _knapsack_exact(ids, kept_gains, [units[i] // step for i in ids], cap)
+            costs = [units[i] // step for i in ids]
+            if gains is None:
+                return _subset_sum(ids, costs, cap)
+            return _knapsack_exact(ids, [gains[i] for i in ids], costs, cap)
+    kept_gains = [(units if gains is None else gains)[i] for i in ids]
     return _knapsack_scaled(ids, kept_gains, [units[i] for i in ids], limit, eps)
 
 
@@ -129,6 +143,25 @@ def _knapsack_exact(ids, gains, units, cap) -> frozenset[int]:
                 take[w] = take[w - c] | (1 << idx)
     best = take[dp.index(max(dp))]  # the least cost of the best profit
     return frozenset(ids[k] for k in range(len(ids)) if (best >> k) & 1)
+
+
+def _subset_sum(ids, units, cap) -> frozenset[int]:
+    # ``_knapsack_exact``'s set with profits equal to the costs ``units``
+    # (see the module docstring). Bit x of ``history[k]`` says items 0..k
+    # reach the sum x exactly; the answer is the largest reachable sum.
+    full = (1 << (cap + 1)) - 1
+    reach = 1
+    history = []
+    for c in units:
+        reach |= (reach << c) & full
+        history.append(reach)
+    x = reach.bit_length() - 1
+    chosen = []
+    while x:
+        k = bisect_left(history, 1, key=lambda r: (r >> x) & 1)
+        chosen.append(ids[k])
+        x -= units[k]
+    return frozenset(chosen)
 
 
 def _knapsack_scaled(ids, gains, units, limit, eps) -> frozenset[int]:
@@ -227,7 +260,7 @@ def bis_ptas(problem: BisProblem, eps) -> frozenset[int]:
 
 def _ptas(vertices, adj, info, weights, budget, den, eps) -> frozenset[int]:
     # ``bis_ptas`` on integer weights and budget over ``den``; ``eps`` is checked.
-    cap = math.ceil(1 / eps)
+    cap = -(-eps.denominator // eps.numerator)  # ceil(1 / eps)
     if cap > DEFAULT_ENUM_CAP:
         raise ParameterError(
             f"enumeration bound ceil(1/eps) = {cap} exceeds cap {DEFAULT_ENUM_CAP}; "
@@ -291,21 +324,21 @@ def _fptas_split(vertices, adj, info, weights, budget, den, eps) -> frozenset[in
     vset = frozenset(vertices)
     clique = sorted(clique & vset)
     stable = sorted(stable & vset)
+    stable_mask = _ids_mask(stable)
 
-    # Profit equals cost: the knapsacks read the same units for both.
+    # Profit equals cost: each knapsack is a subset-sum over the units.
     best: frozenset[int] = frozenset()
     best_w = 0
     for v in clique:
         wv = weights[v]
         if wv > budget:
             continue
-        pool = [u for u in stable if not (adj[v] >> u) & 1]
-        chosen = _knapsack(pool, weights, weights, budget - wv, den, eps)
+        chosen = _knapsack(_mask_to_ids(stable_mask & ~adj[v]), None, weights, budget - wv, den, eps)
         total = wv + sum(weights[u] for u in chosen)
         if total > best_w:
             best = frozenset({v}) | chosen
             best_w = total
-    chosen = _knapsack(stable, weights, weights, budget, den, eps)
+    chosen = _knapsack(stable, None, weights, budget, den, eps)
     if sum(weights[u] for u in chosen) > best_w:
         best = chosen
     return best

@@ -15,14 +15,16 @@ from typing import Callable, Iterable, Optional
 
 from . import bis, oracle, packing_classic
 from .errors import CapabilityError, ParameterError, SolverError
-from .graphs import GraphClassInfo, maximum_matching_general, minimum_coloring, recognize
+from .graphs import GraphClassInfo, maximum_matching_masks, minimum_coloring, recognize
 from .maxsize import _greedy_sequential, greedy_growth
 from .model import (
     ConflictInstance,
     Packing,
+    _mask_to_ids,
     bin_lower_bound,
     classify_items,
     concat_packings,
+    fits_within,
     restrict_instance,
     validate_packing,
     ONE,
@@ -133,17 +135,15 @@ def matching_pack(instance: ConflictInstance, info: Optional[GraphClassInfo] = N
 
     The auxiliary graph joins two non-conflicting large-or-medium items
     whose sizes sum to at most one; a maximum matching of it gives the
-    two-item bins.
+    two-item bins. Each item's auxiliary neighbours are one mask: the
+    items that fit its room, less its conflicts.
     """
     info = _info(instance, info)
     classes = classify_items(instance)
     lm = sorted(classes.large | classes.medium)
-    units = instance.unit_table[0]
-    aux_edges: list[tuple[int, int]] = []
-    for k, u in enumerate(lm):
-        blocked, room = instance.bin_state((u,))
-        aux_edges += [(u, v) for v in lm[k + 1 :] if units[v] <= room and not (blocked >> v) & 1]
-    matching = maximum_matching_general(lm, aux_edges)
+    units, den = instance.unit_table
+    fits = fits_within(lm, units)
+    matching = maximum_matching_masks({u: fits(den - units[u]) & ~instance.adjacency[u] for u in lm})
     matched: set[int] = set()
     bins: list[frozenset[int]] = []
     for u, v in sorted(matching):
@@ -215,7 +215,7 @@ def split_approx(
     for bins, pool in itertools.islice(growth, len(singles), None):
         if best is not None and len(bins) >= best.bin_count:
             break
-        tail = packing_classic._ffd_bins(pool, units, den)
+        tail = packing_classic._ffd_bins(_mask_to_ids(pool), units, den)
         if best is None or len(bins) + len(tail) < best.bin_count:
             best = Packing(tuple(bins) + tail, "split_approx")
     return best
@@ -400,14 +400,25 @@ def assign(
     info = _info(instance, info)
     if info.bipartition is None:
         raise CapabilityError("bipartite certificate required")
-    config = config or AssignConfig()
+    return _assign(instance, w_items, info, config or AssignConfig(), color_sets(instance, info))
+
+
+def _assign(
+    instance: ConflictInstance,
+    w_items: Iterable[int],
+    info: GraphClassInfo,
+    config: AssignConfig,
+    colored: Packing,
+) -> Packing:
+    # ``assign`` from ``colored``, the coloring-based packing of the whole
+    # instance, which ``abs_bpb`` computes once for its candidates.
     classes = classify_items(instance, eps=config.eps)
     assert classes.tiny is not None and classes.big is not None
     w = sorted(set(w_items))
     outside = [v for v in w if v not in classes.tiny]
     if outside:
         raise ParameterError(f"assignment items must be tiny at eps={config.eps}: {outside}")
-    best = color_sets(instance, info).with_source("assign")
+    best = colored.with_source("assign")
     bigs = sorted(classes.big)
     if len(bigs) > config.max_big_items:
         return best.with_flags("enumeration-skipped")
@@ -453,14 +464,19 @@ def abs_bpb(instance: ConflictInstance, info: Optional[GraphClassInfo] = None) -
             return None
         return packing.with_source("abs_bpb/exact-small")
 
-    tiny = classify_items(instance, eps=AssignConfig().eps).tiny
+    config = AssignConfig()
+    tiny = classify_items(instance, eps=config.eps).tiny
     assert tiny is not None
+    colored = color_sets(instance, info)
     return _best_of(
         instance,
         "abs_bpb",
-        lambda: color_sets(instance, info).with_source("abs_bpb/color_sets"),
+        lambda: colored.with_source("abs_bpb/color_sets"),
         exact,
-        *(functools.partial(assign, instance, sorted(side & tiny), info) for side in info.bipartition),
+        *(
+            functools.partial(_assign, instance, sorted(side & tiny), info, config, colored)
+            for side in info.bipartition
+        ),
     )
 
 

@@ -18,8 +18,12 @@ is built with Tarjan & Yannakakis' one-parent test (SIAM J. Comput. 1984),
 one mask test per vertex.
 
 Maximum matching is Edmonds' unweighted blossom algorithm, computed in this
-module on integer-indexed neighbour lists: no third-party library is
-imported, neither at import time nor lazily on the first call.
+module: no third-party library is imported, neither at import time nor
+lazily on the first call. Its core, :func:`maximum_matching_masks`, reads
+a graph as neighbour bitmasks, the form ``bpc.matching_pack`` builds its
+auxiliary graph in; :func:`maximum_matching_general` is a thin wrapper
+that writes an edge list as such masks, so both give the same matching
+of the same graph.
 """
 
 from __future__ import annotations
@@ -202,7 +206,7 @@ def recognize(instance: ConflictInstance) -> GraphClassInfo:
     certificates drive algorithm dispatch.
     """
     return GraphClassInfo(
-        is_edgeless=not instance.edges,
+        is_edgeless=not any(instance.adjacency.values()),
         bipartition=_try_bipartition(instance),
         split_partition=_try_split(instance),
         cluster_components=_try_cluster(instance),
@@ -415,30 +419,49 @@ def _mwis_core(
 def maximum_matching_general(
     vertices: Iterable[int], edges: Iterable[tuple[int, int]]
 ) -> Matching:
-    """Maximum-cardinality matching on an arbitrary graph.
+    """Maximum-cardinality matching on an arbitrary graph given by edges.
 
-    Edmonds' blossom algorithm ("Paths, trees, and flowers", 1965), computed
-    here with no outside library: a greedy matching, then one breadth-first
+    Writes the graph as neighbour masks and returns
+    :func:`maximum_matching_masks` of them, so the result depends on the
+    graph only, not on the input order. Returns disjoint edges as sorted
+    pairs; self-loops are ignored and edge endpoints missing from
+    ``vertices`` are added.
+    """
+    adjacency = dict.fromkeys(vertices, 0)
+    for u, v in edges:
+        adjacency[u] = adjacency.get(u, 0) | 1 << v
+        adjacency[v] = adjacency.get(v, 0) | 1 << u
+    return maximum_matching_masks(adjacency)
+
+
+def maximum_matching_masks(adjacency: Mapping[int, int]) -> Matching:
+    """Maximum-cardinality matching of the graph whose vertices are the
+    keys of ``adjacency`` and whose neighbour masks are its values.
+
+    Each mask holds the bits of the vertex's neighbours, all of them keys;
+    the relation must be symmetric, and a vertex's own bit is ignored.
+    Edmonds' blossom algorithm ("Paths, trees, and flowers", 1965),
+    computed here with no outside library: a greedy matching (each vertex,
+    in ascending order, takes its first free higher neighbour, which is
+    the greedy pass over the edges in sorted order), then one breadth-first
     search per free vertex for an augmenting path, contracting every odd
     cycle (blossom) it closes into the cycle's base. A search that finds no
     augmenting path leaves a Hungarian tree, which no later augmenting path
     can enter, so its vertices are dropped from the remaining searches and
-    one search per vertex suffices: O(V^3) overall. Vertices and edges are
-    sorted first, so the result depends on the graph only, not on the input
-    order. Returns disjoint edges as sorted pairs; self-loops are ignored
-    and edge endpoints missing from ``vertices`` are added.
+    one search per vertex suffices: O(V^3) overall. Returns disjoint edges
+    as sorted pairs.
     """
-    pairs = sorted({(u, v) if u < v else (v, u) for u, v in edges if u != v})
-    ids = sorted(set(vertices).union(*zip(*pairs)))
+    ids = sorted(adjacency)
     index = {v: i for i, v in enumerate(ids)}
-    nbrs: list[list[int]] = [[] for _ in ids]
+    # Ascending neighbour indices per vertex, as the ids ascend.
+    nbrs = [[index[w] for w in _mask_to_ids(adjacency[v] & ~(1 << v))] for v in ids]
     mate = [-1] * len(ids)
-    for u, v in pairs:
-        a, b = index[u], index[v]
-        nbrs[a].append(b)
-        nbrs[b].append(a)
-        if mate[a] < 0 and mate[b] < 0:
-            mate[a], mate[b] = b, a
+    for a, row in enumerate(nbrs):
+        if mate[a] < 0:
+            for b in row:
+                if b > a and mate[b] < 0:
+                    mate[a], mate[b] = b, a
+                    break
     dead = [False] * len(ids)
     for root in range(len(ids)):
         if mate[root] < 0 and nbrs[root]:

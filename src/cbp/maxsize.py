@@ -5,7 +5,12 @@ Two strategies:
 * greedy-sequential — walk the bins in order, solve the single-bin
   budgeted-independent-set subproblem over the remaining items, commit.
   With a (1-eps)-approximate single-bin solver the added size is at least
-  a (1-eps)/(2-eps) fraction of the optimum.
+  a (1-eps)/(2-eps) fraction of the optimum. :func:`greedy_growth` keeps
+  the remaining items as one bitmask and yields it with the bins; a bin is
+  offered ``pool & ~blocked & fits(room)``, the items with no edge into it
+  that fit its room, found by bisection over prefix masks of the items
+  sorted by size (``model.fits_within``). Both single-bin solvers drop
+  larger items first, so this choice is theirs on the whole pool.
 * config-lp — a configuration LP over feasible sets per bin, priced by an
   exact budgeted-set search and solved by column generation, then
   randomized rounding with first-bin deduplication and a deterministic
@@ -23,7 +28,7 @@ from typing import Iterator, Optional
 from . import bis
 from .errors import ParameterError
 from .graphs import GraphClassInfo
-from .model import ConflictInstance, Packing, validate_packing, ZERO
+from .model import ConflictInstance, Packing, _mask_to_ids, fits_within, validate_packing, ZERO
 from .rng import SplitMix64
 from .simplex import solve_max_lp
 
@@ -96,32 +101,38 @@ def greedy_growth(
     initial: Packing,
     class_info: GraphClassInfo,
     eps,
-) -> Iterator[tuple[list[frozenset[int]], list[int]]]:
+) -> Iterator[tuple[list[frozenset[int]], int]]:
     """Greedy-sequential growth of ``initial``, one bin at a time.
 
     Yields ``(bins, pool)`` for the start state and again after each bin:
     ``bins`` holds the grown bins so far (one list, extended in place) and
-    ``pool`` the items no bin holds. Bin k's choice depends only on bins
-    0..k-1, so when the bins of ``initial`` after the k-th are empty, the
-    state after k bins is the whole growth of its first k bins.
+    ``pool`` is the bitmask of the items no bin holds. Bin k's choice
+    depends only on bins 0..k-1, so when the bins of ``initial`` after the
+    k-th are empty, the state after k bins is the whole growth of its
+    first k bins.
     """
     eps = bis._check_eps(eps)
     # The solvers' integer cores, on the instance's unit table: no
     # single-bin subproblem converts sizes again.
     solve = bis._fptas_split if class_info.split_partition is not None else bis._ptas
     units, den = instance.unit_table
-    packed = initial.items()
-    pool = [i for i in instance.items if i not in packed]
+    fits = fits_within(instance.items, units)
+    pool = fits(den)  # every item fits an empty bin
+    for v in initial.items():
+        pool &= ~(1 << v)
     new_bins: list[frozenset[int]] = []
     yield new_bins, pool
     for bin_items in initial.bins:
         if pool:
             blocked, room = instance.bin_state(bin_items)
-            eligible = [v for v in pool if not (blocked >> v) & 1]
-            if room > 0 and eligible:
-                chosen = solve(eligible, instance.adjacency, class_info, units, room, den, eps)
+            # Both solvers drop the items larger than the room, so only the
+            # pool items that fit it and have no edge into the bin are offered.
+            eligible = pool & ~blocked & fits(room) if room > 0 else 0
+            if eligible:
+                chosen = solve(_mask_to_ids(eligible), instance.adjacency, class_info, units, room, den, eps)
                 bin_items = bin_items | chosen
-                pool = [v for v in pool if v not in chosen]
+                for v in chosen:
+                    pool ^= 1 << v
         new_bins.append(bin_items)
         yield new_bins, pool
 

@@ -10,14 +10,20 @@ by its restrictions. Size sums, the threshold classes (1/3, 1/2, eps),
 validation and every packing hot loop compare these ints; Python ints
 never round, so every capacity check stays exact. Instances and packings
 are immutable after construction; every operation here is a pure function.
+
+The conflict graph is held twice: as the edge set ``edges`` and as one
+neighbour bitmask per item in ``adjacency``, which every algorithm reads.
+A restriction takes its masks from its parent's and fills its ``edges``
+from them on first read, so restricting scans no edges.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import ParameterError
 
@@ -77,6 +83,20 @@ def bin_lower_bound(units: Iterable[int], den: int) -> int:
     return max(-(-total // den), large)
 
 
+def fits_within(ids: Iterable[int], units: Mapping[int, int]) -> Callable[[int], int]:
+    """``fits(room)``: the bitmask of the ``ids`` of at most ``room`` units.
+
+    One prefix mask per item of ``ids`` sorted by units; a call finds its
+    prefix by bisection, so it costs O(log n) whatever the answer holds.
+    """
+    order = sorted(ids, key=units.__getitem__)
+    caps = [units[v] for v in order]
+    masks = [0]
+    for v in order:
+        masks.append(masks[-1] | 1 << v)
+    return lambda room: masks[bisect_right(caps, room)]
+
+
 class ConflictInstance:
     """A set of items with sizes and a conflict graph.
 
@@ -85,7 +105,7 @@ class ConflictInstance:
     original external names for reporting.
     """
 
-    __slots__ = ("items", "sizes", "edges", "class_hint", "labels", "adjacency", "_units")
+    __slots__ = ("items", "sizes", "_edges", "class_hint", "labels", "adjacency", "_units")
 
     def __init__(
         self,
@@ -114,18 +134,29 @@ class ConflictInstance:
             if u not in size_map or v not in size_map:
                 raise ParameterError(f"edge ({u}, {v}) references unknown items")
             norm.add((u, v) if u < v else (v, u))
-        self.edges: frozenset[tuple[int, int]] = frozenset(norm)
+        self._edges: Optional[frozenset[tuple[int, int]]] = frozenset(norm)
         self.class_hint = class_hint
         self.labels: dict[int, str] = (
             {i: str(labels[i]) for i in self.items} if labels else {i: str(i) for i in self.items}
         )
 
         adj = {i: 0 for i in self.items}
-        for u, v in self.edges:
+        for u, v in norm:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         self.adjacency: dict[int, int] = adj
         self._units: Optional[tuple[dict[int, int], int]] = None
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The conflict edges as sorted pairs.
+
+        A restriction fills them from its masks on first read: the
+        algorithms read ``adjacency`` only, so no hot path builds them.
+        """
+        if self._edges is None:
+            self._edges = frozenset(self.conflicting_pairs(self.items))
+        return self._edges
 
     @property
     def unit_table(self) -> tuple[dict[int, int], int]:
@@ -382,7 +413,8 @@ def restrict_instance(
 
     Item ids are preserved; edges are restricted to the kept items. The
     parent's sizes are already checked, so the sub-instance is built from
-    them, its masks and its unit table without validating again.
+    them, its masks and its unit table without validating again. Its
+    ``edges`` are filled from its masks on first read.
     """
     sub = set(subset)
     unknown = sub - instance.sizes.keys()
@@ -402,7 +434,7 @@ def restrict_instance(
     out = object.__new__(ConflictInstance)
     out.items = items
     out.sizes = {i: instance.sizes[i] for i in items}
-    out.edges = frozenset(instance.conflicting_pairs(items))
+    out._edges = None
     out.class_hint = instance.class_hint
     out.labels = {i: instance.labels[i] for i in items}
     out.adjacency = {i: instance.adjacency[i] & inside for i in items}

@@ -9,10 +9,10 @@ from typing import Optional, Sequence
 
 from hypothesis import settings
 
-from cbp import BisProblem, CapabilityError, ConflictInstance, bpc, harness, oracle, packing_classic, recognize
+from cbp import BisProblem, CapabilityError, ConflictInstance, bis, bpc, graphs, harness, oracle, packing_classic, recognize
 from cbp.errors import SolverError
 from cbp.harness import GeneratorSpec, generate
-from cbp.model import Packing, ZERO, classify_items
+from cbp.model import Packing, ZERO, _mask_to_ids, classify_items
 from cbp.oracle import bis_brute
 from cbp.simplex import LpResult
 
@@ -110,6 +110,12 @@ def brute_matching_size(vertices, edges) -> int:
         return best
 
     return dfs(0, frozenset(), 0)
+
+
+def mask_pairs(adjacency) -> list[tuple[int, int]]:
+    """The edges of a graph given as neighbour masks (``graphs.
+    maximum_matching_masks``'s input), as sorted pairs in sorted order."""
+    return [(u, v) for u in sorted(adjacency) for v in _mask_to_ids(adjacency[u]) if u < v]
 
 
 def brute_split_partition_exists(instance: ConflictInstance) -> bool:
@@ -319,3 +325,51 @@ def ref_knapsack_scaled_int(ids, gains, units, limit, eps) -> frozenset[int]:
                 take[p] = take[p - sp] | (1 << idx)
     best_p = max((p for p in range(top + 1) if dp[p] <= limit), default=0)
     return frozenset(ids[positive[j]] for j in range(len(positive)) if (take[best_p] >> j) & 1)
+
+
+# --- List-pool growth and edge-list matching references ----------------------
+# ``maxsize.greedy_growth`` and ``graphs.maximum_matching_general`` as they
+# were before growth kept its pool as a bitmask and matching read neighbour
+# masks. The library must give identical bins, pools and matchings.
+
+
+def ref_greedy_growth(instance, initial, class_info, eps):
+    """Yields ``(bins, pool)`` with ``pool`` an ascending list of ids."""
+    eps = bis._check_eps(eps)
+    solve = bis._fptas_split if class_info.split_partition is not None else bis._ptas
+    units, den = instance.unit_table
+    packed = initial.items()
+    pool = [i for i in instance.items if i not in packed]
+    new_bins: list[frozenset[int]] = []
+    yield new_bins, pool
+    for bin_items in initial.bins:
+        if pool:
+            blocked, room = instance.bin_state(bin_items)
+            eligible = [v for v in pool if not (blocked >> v) & 1]
+            if room > 0 and eligible:
+                chosen = solve(eligible, instance.adjacency, class_info, units, room, den, eps)
+                bin_items = bin_items | chosen
+                pool = [v for v in pool if v not in chosen]
+        new_bins.append(bin_items)
+        yield new_bins, pool
+
+
+def ref_maximum_matching_general(vertices, edges):
+    """Sorted pairs, a greedy pass over them in order, then the blossom
+    searches of ``graphs._augment`` on the neighbour lists they give."""
+    pairs = sorted({(u, v) if u < v else (v, u) for u, v in edges if u != v})
+    ids = sorted(set(vertices).union(*zip(*pairs)))
+    index = {v: i for i, v in enumerate(ids)}
+    nbrs: list[list[int]] = [[] for _ in ids]
+    mate = [-1] * len(ids)
+    for u, v in pairs:
+        a, b = index[u], index[v]
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+        if mate[a] < 0 and mate[b] < 0:
+            mate[a], mate[b] = b, a
+    dead = [False] * len(ids)
+    for root in range(len(ids)):
+        if mate[root] < 0 and nbrs[root]:
+            graphs._augment(root, nbrs, mate, dead)
+    return frozenset((ids[a], ids[b]) for a, b in enumerate(mate) if a < b)

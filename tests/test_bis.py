@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -88,6 +89,28 @@ def test_knapsack_scaled_matches_dense_reference(rows, limit, eps):
     assert sum(units[ids.index(i)] for i in got) <= limit
 
 
+@settings(max_examples=300)
+@given(
+    costs=st.lists(st.one_of(st.just(0), st.integers(1, 6), st.integers(1, 60)), max_size=12),
+    cap=st.one_of(st.just(0), st.integers(0, 50)),
+    scale=st.integers(1, 4),
+    den=st.sampled_from((60, 10**9)),
+)
+def test_subset_sum_matches_exact_dp(costs, cap, scale, den):
+    # Profit equal to cost, times the gcd step ``_knapsack`` divides out:
+    # the bitset subset-sum returns the exact DP's set. Zero costs, cap 0,
+    # equal costs and costs over the cap all occur.
+    ids = [10 + 3 * k for k in range(len(costs))]
+    got = bis._subset_sum(ids, costs, cap)
+    assert got == bis._knapsack_exact(ids, [scale * c for c in costs], costs, cap)
+    assert sum(costs[ids.index(i)] for i in got) <= cap
+    # ``_knapsack`` without gains (exact path at den 60, mostly scaled at
+    # 10^9) picks what it picks with the costs as gains.
+    units = dict(zip(ids, costs))
+    eps = Fraction(1, 10)
+    assert bis._knapsack(ids, None, units, cap, den, eps) == bis._knapsack(ids, units, units, cap, den, eps)
+
+
 @pytest.mark.parametrize(
     "n, hi, eps",
     [(60, 20, Fraction(1, 10)), (200, 3, Fraction(1, 2))],
@@ -166,6 +189,18 @@ def test_bis_ptas_parameter_errors():
         bis_ptas(problem, Fraction(1, 100))  # enumeration cap
     with pytest.raises(ParameterError):
         bis_ptas(problem, 2)
+    # The enumeration bound is ceil(1/eps) exactly, at and between the
+    # unit fractions around the cap.
+    for eps in {Fraction(p, q) for q in range(1, 40) for p in range(1, q)}:
+        cap = math.ceil(1 / eps)
+        if cap <= bis.DEFAULT_ENUM_CAP:
+            assert bis_ptas(problem, eps) == frozenset({0})
+            continue
+        with pytest.raises(ParameterError) as err:
+            bis_ptas(problem, eps)
+        assert str(err.value) == (
+            f"enumeration bound ceil(1/eps) = {cap} exceeds cap {bis.DEFAULT_ENUM_CAP}; use a larger eps"
+        )
 
 
 def test_eps_floats_read_as_decimals_and_non_numbers_rejected():

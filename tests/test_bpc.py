@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cbp
-from cbp import bpc, packing_classic
+from cbp import bpc, graphs, packing_classic
 from cbp import (
     AssignConfig,
     CapabilityError,
@@ -43,7 +43,15 @@ from cbp.maxsize import max_size
 from cbp.model import make_packing, restrict_instance
 from cbp.packing_classic import asymptotic_bp, ffd
 
-from conftest import CLASSES, ref_abs_bpb, ref_approx_bpc, ref_best_bins, seeded_instance
+from conftest import (
+    CLASSES,
+    mask_pairs,
+    ref_abs_bpb,
+    ref_approx_bpc,
+    ref_best_bins,
+    ref_maximum_matching_general,
+    seeded_instance,
+)
 
 # Sizes of the tiny-item bipartite instances: tiny items at or below
 # AssignConfig's eps = 1/10000, big ones between 2/5 and 1/2.
@@ -172,7 +180,9 @@ def test_matching_pack_bin_count_independent_of_matcher(monkeypatch):
         return out
 
     ours = run()
-    monkeypatch.setattr(bpc, "maximum_matching_general", nx_maximum_matching)
+    monkeypatch.setattr(
+        bpc, "maximum_matching_masks", lambda adjacency: nx_maximum_matching(sorted(adjacency), mask_pairs(adjacency))
+    )
     reference = run()
     for (packing, count, flags), (ref_packing, ref_count, ref_flags) in zip(ours, reference):
         assert packing.bin_count == ref_packing.bin_count
@@ -180,6 +190,36 @@ def test_matching_pack_bin_count_independent_of_matcher(monkeypatch):
     # The two matchers do pick different pairs, so the counts were not
     # equal merely because the packings were.
     assert any(a[0].bins != b[0].bins for a, b in zip(ours, reference))
+
+
+def test_mask_matching_equals_edge_list_reference(monkeypatch):
+    # The auxiliary graphs matching_pack builds as neighbour masks: the mask
+    # core's matching is the edge-list reference's (sorted pairs, a greedy
+    # pass over them, the same blossom searches) and is maximum.
+    instances = [seeded_instance(klass, n, 7400 + n) for klass in CLASSES for n in (12, 40, 80, 160)]
+    for variant in ("BPB", "BPS"):
+        spec = GeneratorSpec(
+            klass="b3dm-reduction", x_count=16, y_count=16, z_count=16, t_count=16, guess=8, variant=variant, seed=7401
+        )
+        instances.append(generate_b3dm(spec)[0])
+    seen = []
+
+    def recording(adjacency):
+        seen.append(adjacency)
+        return graphs.maximum_matching_masks(adjacency)
+
+    monkeypatch.setattr(bpc, "maximum_matching_masks", recording)
+    for inst in instances:
+        matching_pack(inst, recognize(inst))
+    assert len(seen) == len(instances)
+    pairs_total = 0
+    for adjacency in seen:
+        pairs = mask_pairs(adjacency)
+        got = graphs.maximum_matching_masks(adjacency)
+        assert got == ref_maximum_matching_general(sorted(adjacency), pairs)
+        assert len(got) == len(nx_maximum_matching(sorted(adjacency), pairs))
+        pairs_total += len(pairs)
+    assert pairs_total > 1000
 
 
 @pytest.mark.parametrize("algorithm", [approx_bpc, max_solve, split_approx])
@@ -562,6 +602,30 @@ def _assign_wins_instance():
 def test_best_of_matches_eager_reference_when_a_later_candidate_wins(make, winners):
     packings = assert_best_of_matches_eager_reference(make())
     assert [p.flags[-1] for p in packings] == winners
+
+
+def test_abs_bpb_colors_its_instance_once(monkeypatch):
+    # Its own candidate and both one-sided assign runs share one coloring
+    # of the whole instance; bins, source and flags stay the eager
+    # reference's, where each assign colors the instance again.
+    inst = _assign_wins_instance()
+    info = recognize(inst)
+    want = ref_abs_bpb(inst, info)
+    calls = []
+    coloring = bpc.color_sets
+
+    def counting(instance, info=None):
+        calls.append(instance is inst)
+        return coloring(instance, info)
+
+    monkeypatch.setattr(bpc, "color_sets", counting)
+    packing = abs_bpb(inst, info)
+    assert (packing.bins, packing.source, packing.flags) == (want.bins, want.source, want.flags)
+    assert "winner:assign" in packing.flags
+    assert calls.count(True) == 1
+    calls.clear()
+    assign(inst, sorted(info.bipartition[0] & classify_items(inst, eps=AssignConfig().eps).tiny), info)
+    assert calls.count(True) == 1
 
 
 def test_multipartite_examples():

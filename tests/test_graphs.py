@@ -34,6 +34,7 @@ from conftest import (
     brute_matching_size,
     brute_mwis_value,
     brute_split_partition_exists,
+    ref_maximum_matching_general,
     run_every_algorithm,
     seeded_instance,
 )
@@ -355,9 +356,11 @@ def nx_matching_size(vertices, edges) -> int:
 
 
 def assert_maximum_matching(vertices, edges, seed=0):
-    """Valid, as large as networkx's, and blind to the input's order."""
+    """Valid, as large as networkx's, blind to the input's order, and the
+    edge-list reference's matching (the wrapper runs the mask core)."""
     vertices = list(vertices)
     pairs = maximum_matching_general(vertices, edges)
+    assert pairs == ref_maximum_matching_general(vertices, edges)
     sorted_edges = {(min(u, v), max(u, v)) for u, v in edges}
     used = set()
     for u, v in pairs:

@@ -14,11 +14,12 @@ from cbp import (
     solve_config_lp,
     validate_packing,
 )
+from cbp.harness import GeneratorSpec, generate_b3dm
 from cbp.maxsize import ConfigLpSolution, greedy_growth
-from cbp.model import make_packing
+from cbp.model import _mask_to_ids, classify_items, make_packing
 from cbp.rng import SplitMix64
 
-from conftest import seeded_instance, single_bin_problem
+from conftest import CLASSES, ref_greedy_growth, seeded_instance, single_bin_problem
 
 
 def test_examples():
@@ -58,6 +59,42 @@ def test_eps_checked_before_any_bin_is_solved(eps):
                 max_size(inst, start, info, eps=eps, strategy=strategy)
         with pytest.raises(ParameterError, match="eps must be in"):
             next(greedy_growth(inst, start, info, eps))
+
+
+def growth_instance(klass, n):
+    if klass.startswith("b3dm-"):
+        q = n // 6  # n = 6q items
+        spec = GeneratorSpec(
+            klass="b3dm-reduction", x_count=q, y_count=q, z_count=q, t_count=q, guess=q // 2,
+            variant=klass[5:], seed=9100 + n,
+        )
+        return generate_b3dm(spec)[0]
+    return seeded_instance(klass, n, 9100 + n, density=0.3)
+
+
+@pytest.mark.parametrize(
+    "klass, n",
+    [(klass, n) for klass in CLASSES for n in (12, 80, 320)] + [("b3dm-BPB", 48), ("b3dm-BPS", 318)],
+)
+def test_mask_pool_growth_matches_list_reference(klass, n):
+    # Every yield of the mask-pool growth (bins and pool) equals the list
+    # version's, from max_solve's start (large singletons) and, on split
+    # graphs, from split_approx's (clique singletons plus empty bins).
+    inst = growth_instance(klass, n)
+    info = recognize(inst)
+    starts = [(make_packing([{v} for v in sorted(classify_items(inst).large)]), Fraction(1, 6))]
+    if info.split_partition is not None:
+        clique = sorted(info.split_partition[0])
+        starts.append((make_packing([{v} for v in clique] + [()] * (2 + n // 4)), Fraction(1, 10)))
+    for start, eps in starts:
+        steps = 0
+        for (bins, pool), (ref_bins, ref_pool) in zip(
+            greedy_growth(inst, start, info, eps), ref_greedy_growth(inst, start, info, eps), strict=True
+        ):
+            assert bins == ref_bins
+            assert _mask_to_ids(pool) == ref_pool
+            steps += 1
+        assert steps == start.bin_count + 1
 
 
 def test_single_bin_subproblem_structure():

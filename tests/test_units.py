@@ -24,7 +24,7 @@ from cbp.model import ConflictInstance, classify_items, make_packing, restrict_i
 from cbp.packing_classic import ffd
 from cbp.rng import SplitMix64
 
-from conftest import CLASSES, brute_opt_bins, ref_best_bins, seeded_instance, single_bin_problem
+from conftest import CLASSES, brute_opt_bins, mask_pairs, ref_best_bins, seeded_instance, single_bin_problem
 
 PRIMES = (101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157)
 COPRIME = SizeDist(
@@ -462,11 +462,11 @@ def test_knapsack_scaled_dp_matches_fraction_reference(family):
 def test_matching_pack_pairs_match_fraction_reference(family, monkeypatch):
     seen = []
 
-    def recording(vertices, edges):
-        seen.append(list(edges))
-        return graphs.maximum_matching_general(vertices, edges)
+    def recording(adjacency):
+        seen.append(mask_pairs(adjacency))
+        return graphs.maximum_matching_masks(adjacency)
 
-    monkeypatch.setattr(bpc, "maximum_matching_general", recording)
+    monkeypatch.setattr(bpc, "maximum_matching_masks", recording)
     pairs = 0
     for inst in family_instances(family, 24, 10, 40, 3131):
         seen.clear()
@@ -481,7 +481,14 @@ def test_induced_edges_match_edge_scan(family):
     for inst in family_instances(family, 12, 5, 40, 2727):
         rng = SplitMix64(inst.n)
         kept = {i for i in inst.items if rng.below(3)}
-        assert restrict_instance(inst, kept).edges == ref_induced_edges(inst, kept)
+        sub = restrict_instance(inst, kept)
+        # A restriction fills its edges from its masks on first read, a
+        # restriction of it too; both equal the edge scan.
+        inner = {i for i in kept if rng.below(2)}
+        assert restrict_instance(sub, inner).edges == ref_induced_edges(inst, inner)
+        assert sub.edges == ref_induced_edges(inst, kept)
+        assert sub == ConflictInstance({i: inst.sizes[i] for i in kept}, ref_induced_edges(inst, kept))
+        assert graphs.recognize(sub).is_edgeless == (not sub.edges)
         info = graphs.recognize(inst)
         first = frozenset(inst.items[:1])
         pool = [i for i in inst.items if i not in first]
