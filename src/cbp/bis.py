@@ -213,13 +213,14 @@ def _knapsack_scaled(ids, gains, units, limit, eps) -> frozenset[int]:
 def _independent_subsets(order, adj, weights, budget, max_size):
     """DFS over independent vertex subsets with bounded size and weight.
 
-    Yields (member list, weight); members ascend in ``order``. The empty
+    Yields (member list, weight, banned); members ascend in ``order``, and
+    ``banned`` is the mask of the members and their neighbours. The empty
     set comes first.
     """
     current: list[int] = []
 
     def dfs(idx: int, banned: int, weight: int):
-        yield list(current), weight
+        yield list(current), weight, banned
         if len(current) >= max_size:
             return
         for j in range(idx, len(order)):
@@ -271,23 +272,16 @@ def _ptas(vertices, adj, info, weights, budget, den, eps) -> frozenset[int]:
         return frozenset()
     light_cut = eps.numerator * budget // eps.denominator
     reachable = min(budget, sum(weights[v] for v in eligible))
+    # Adjacency is symmetric, so the light vertices outside F and not
+    # adjacent to F are those of ``light`` that F's ``banned`` misses.
+    light = _ids_mask(v for v in eligible if weights[v] <= light_cut)
 
     best: frozenset[int] = frozenset()
     best_w = 0
-    for members, w_f in _independent_subsets(eligible, adj, weights, budget, cap):
-        f_mask = 0
-        for v in members:
-            f_mask |= 1 << v
-        residual = [
-            v
-            for v in eligible
-            if not (f_mask >> v) & 1 and weights[v] <= light_cut and not (adj[v] & f_mask)
-        ]
-        if residual:
-            sub_mask = 0
-            for v in residual:
-                sub_mask |= 1 << v
-            chosen = _mwis_core(residual, adj, sub_mask, info, weights)
+    for members, w_f, banned in _independent_subsets(eligible, adj, weights, budget, cap):
+        sub_mask = light & ~banned
+        if sub_mask:
+            chosen = _mwis_core(_mask_to_ids(sub_mask), adj, sub_mask, info, weights)
         else:
             chosen = frozenset()
         picked = set(chosen)

@@ -15,7 +15,10 @@ Cluster components and multipartite parts are items grouped by closed or
 open neighbourhood. The elimination ordering comes from a maximum-
 cardinality search with one bitmask bucket per weight, and is checked as it
 is built with Tarjan & Yannakakis' one-parent test (SIAM J. Comput. 1984),
-one mask test per vertex.
+one mask test per vertex. A vertex's parent, its neighbour visited last,
+is found by bisection over the prefix masks of the visit order (O(log n)
+mask tests), and a visit moves its unvisited neighbours up one bucket,
+scanning the buckets downward only until all of them have moved.
 
 Maximum matching is Edmonds' unweighted blossom algorithm, computed in this
 module: no third-party library is imported, neither at import time nor
@@ -28,6 +31,7 @@ of the same graph.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
@@ -165,11 +169,14 @@ def _try_peo(instance: ConflictInstance) -> Optional[tuple[int, ...]]:
     # The reverse visit order is a perfect elimination ordering iff the
     # graph is chordal. Tarjan & Yannakakis' one-parent test checks it as
     # each vertex v is visited: with p the neighbour of v visited last,
-    # v's other visited neighbours must all be neighbours of p.
+    # v's other visited neighbours must all be neighbours of p. The
+    # prefixes of the visit order grow by inclusion, so p is the vertex
+    # visited at the first prefix holding all of v's visited neighbours,
+    # found by bisection.
     adj = instance.adjacency
     buckets = [0] * (len(instance.items) + 1)
     buckets[0] = _ids_mask(instance.items)
-    parent: dict[int, int] = {}
+    prefix: list[int] = []  # prefix[k]: the first k + 1 visited
     visited = 0
     top = 0
     order = []
@@ -179,22 +186,26 @@ def _try_peo(instance: ConflictInstance) -> Optional[tuple[int, ...]]:
         bit = buckets[top] & -buckets[top]
         buckets[top] ^= bit
         v = bit.bit_length() - 1
-        if v in parent:
-            p = parent[v]
-            if adj[v] & visited & ~(adj[p] | 1 << p):
+        prior = adj[v] & visited
+        if prior:
+            # prefix[k] & prior ascends with k and reaches prior first at p.
+            p = order[bisect_left(prefix, prior, key=prior.__and__)]
+            if prior & ~(adj[p] | 1 << p):
                 return None
         visited |= bit
+        prefix.append(visited)
         order.append(v)
         fresh = adj[v] & ~visited
-        if fresh:
-            # Each unvisited neighbour moves up one bucket; top down, so
-            # none moves twice.
-            for w in range(top, -1, -1):
-                moved = buckets[w] & fresh
-                if moved:
-                    buckets[w] ^= moved
-                    buckets[w + 1] |= moved
-            parent.update(dict.fromkeys(_mask_to_ids(fresh), v))
+        # Each unvisited neighbour moves up one bucket; top down, so none
+        # moves twice, and only until all of them have moved.
+        w = top
+        while fresh:
+            moved = buckets[w] & fresh
+            if moved:
+                buckets[w] ^= moved
+                buckets[w + 1] |= moved
+                fresh ^= moved
+            w -= 1
         top += 1
     return tuple(reversed(order))
 

@@ -23,6 +23,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import ParameterError
@@ -240,13 +241,28 @@ class ConflictInstance:
         return f"ConflictInstance(n={self.n}, edges={len(self.edges)}, hint={self.class_hint!r})"
 
 
+# bin() digits to 0/1 bytes, for itertools.compress.
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def _mask_to_ids(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+    """The ids of the set bits of a nonnegative ``mask``, ascending.
+
+    A mask with fewer than 16 set bits, or fewer than one in eight of its
+    width, is read off lowest bit first, one step per set bit. A denser
+    mask is decoded in one C-level pass: its binary digits, reversed, select
+    their own positions.
+    """
+    count = mask.bit_count()
+    if count < 16 or count << 3 < mask.bit_length():
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return out
+    bits = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
+    return list(compress(range(len(bits)), bits))
 
 
 @dataclass(frozen=True)

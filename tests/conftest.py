@@ -327,6 +327,51 @@ def ref_knapsack_scaled_int(ids, gains, units, limit, eps) -> frozenset[int]:
     return frozenset(ids[positive[j]] for j in range(len(positive)) if (take[best_p] >> j) & 1)
 
 
+# --- List-residual PTAS reference -------------------------------------------
+# ``bis._ptas`` as it was before it kept the light residual as a mask: each
+# guessed set F rebuilds the residual by scanning the eligible items. The
+# library must return the identical set.
+
+
+def ref_ptas(vertices, adj, info, weights, budget, eps) -> frozenset[int]:
+    cap = -(-eps.denominator // eps.numerator)  # ceil(1 / eps)
+    eligible = [v for v in sorted(vertices) if weights[v] <= budget]
+    if not eligible:
+        return frozenset()
+    light_cut = eps.numerator * budget // eps.denominator
+    reachable = min(budget, sum(weights[v] for v in eligible))
+    best: frozenset[int] = frozenset()
+    best_w = 0
+    for members, w_f, _banned in bis._independent_subsets(eligible, adj, weights, budget, cap):
+        f_mask = 0
+        for v in members:
+            f_mask |= 1 << v
+        residual = [
+            v
+            for v in eligible
+            if not (f_mask >> v) & 1 and weights[v] <= light_cut and not (adj[v] & f_mask)
+        ]
+        if residual:
+            sub_mask = 0
+            for v in residual:
+                sub_mask |= 1 << v
+            chosen = graphs._mwis_core(residual, adj, sub_mask, info, weights)
+        else:
+            chosen = frozenset()
+        picked = set(chosen)
+        total = w_f + sum(weights[v] for v in picked)
+        while total > budget:
+            z = min(picked, key=lambda v: (weights[v], v))
+            picked.discard(z)
+            total -= weights[z]
+        if total > best_w:
+            best = frozenset(members) | frozenset(picked)
+            best_w = total
+            if best_w >= reachable:
+                break
+    return best
+
+
 # --- List-pool growth and edge-list matching references ----------------------
 # ``maxsize.greedy_growth`` and ``graphs.maximum_matching_general`` as they
 # were before growth kept its pool as a bitmask and matching read neighbour

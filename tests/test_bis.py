@@ -20,7 +20,7 @@ from cbp.maxsize import max_size
 from cbp.model import Packing, classify_items
 from cbp.rng import SplitMix64
 
-from conftest import CLASSES, ref_knapsack_scaled_int, seeded_instance
+from conftest import CLASSES, ref_knapsack_scaled_int, ref_ptas, seeded_instance
 
 
 def problem_from(instance: ConflictInstance, weights, budget) -> BisProblem:
@@ -253,6 +253,29 @@ def test_bis_ptas_eviction_keeps_most_weight():
     value = problem.weight_of(chosen)
     assert value <= Fraction(1, 2)
     assert value >= (1 - eps) * Fraction(1, 2)
+
+
+@pytest.mark.parametrize("klass", ["bipartite", "chordal", "cluster", "complete-multipartite"])
+def test_ptas_matches_list_residual_reference(klass):
+    # Pools of up to 14 items with ids up to 159. The mixed weights sit on,
+    # just under and just over the light cut, or anywhere up to past the
+    # budget; the light weights make every eligible item light, so each
+    # residual is as large as it can be.
+    light_cut = 60
+    for k, n in enumerate((20, 40, 80, 160)):
+        for seed in range(4):
+            inst = seeded_instance(klass, n, 6000 + 10 * k + seed, (0.3, 0.7)[seed % 2])
+            info = recognize(inst)
+            rng = SplitMix64(6000 + 10 * k + seed)
+            pool = sorted({inst.items[rng.below(n)] for _ in range(14)})
+            eps = (Fraction(1, 2), Fraction(1, 3))[seed % 2]
+            budget = light_cut * eps.denominator
+            near = (light_cut, light_cut - 1, light_cut + 1)
+            mixed = {v: (*near, rng.below(budget + 20))[rng.below(4)] for v in pool}
+            light = {v: (light_cut, rng.below(light_cut + 1))[rng.below(2)] for v in pool}
+            for weights in (mixed, light):
+                got = bis._ptas(pool, inst.adjacency, info, weights, budget, 1, eps)
+                assert got == ref_ptas(pool, inst.adjacency, info, weights, budget, eps)
 
 
 def test_bis_fptas_split_examples():

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from cbp import ConflictInstance, graphs
 from cbp.graphs import GraphClassInfo
+from cbp.harness import GeneratorSpec, generate
 from cbp.model import restrict_instance
 from cbp.rng import SplitMix64
 
@@ -226,3 +227,35 @@ def test_recognition_and_coloring_match_references(family, n, seed, density, res
         chordal_only = GraphClassInfo(elimination_order=info.elimination_order)
         coloring = graphs.minimum_coloring(instance, chordal_only)
         assert coloring == ref_chordal_coloring(instance, info.elimination_order)
+
+
+# --- the search at scale ----------------------------------------------------
+
+
+def with_chordless_square(instance, rng):
+    """``instance`` plus four new items on a chordless 4-cycle, bridged to
+    one seeded item: the graph is no longer chordal, and the search meets
+    the square only once it reaches the bridge."""
+    n = len(instance.items)
+    a, b, c, d = range(n, n + 4)
+    square = [(a, b), (b, c), (c, d), (a, d), (rng.below(n), a)]
+    return ConflictInstance([*instance.sizes.values(), 0, 0, 0, 0], [*instance.edges, *square])
+
+
+def test_recognition_matches_reference_at_scale():
+    for k, n in enumerate((80, 160, 320)):
+        q = n // 6
+        chordal = seeded_instance("chordal", n, k, 0.05)
+        b3dm = GeneratorSpec(klass="b3dm-reduction", x_count=q, y_count=q, z_count=q, t_count=q,
+                             guess=q // 2, variant=("BPB", "BPS")[k % 2], seed=k)
+        near_miss = with_chordless_square(chordal, SplitMix64(n))
+        cases = [
+            chordal,
+            seeded_instance("split", n, k, 0.15),
+            seeded_instance("cluster", n, k, 0.8),
+            generate(b3dm),
+            near_miss,
+        ]
+        for instance in cases:
+            assert graphs.recognize(instance) == ref_recognize(instance)
+        assert not graphs.recognize(near_miss).is_chordal

@@ -1,6 +1,8 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cbp import (
     ConflictInstance,
@@ -11,7 +13,7 @@ from cbp import (
     union_packings,
     validate_packing,
 )
-from cbp.model import Packing, as_size, make_packing
+from cbp.model import Packing, _mask_to_ids, as_size, make_packing
 
 from conftest import CLASSES, seeded_instance
 
@@ -199,3 +201,25 @@ def test_restrict_idempotent_and_preserves_ids():
         for i in once.items:
             assert once.sizes[i] == inst.sizes[i]
             assert once.labels[i] == inst.labels[i]
+
+
+@st.composite
+def masks(draw):
+    """Nonnegative masks of up to 2000 bits, the top bit set, whose set-bit
+    counts sit on both sides of each switch point of ``_mask_to_ids``:
+    15/16 set bits, and one set bit in eight of the width."""
+    width = draw(st.integers(1, 2000))
+    eighth = width // 8
+    counts = {1, 2, 14, 15, 16, 17, eighth - 1, eighth, eighth + 1, width // 2, width}
+    count = draw(st.sampled_from(sorted(c for c in counts if 1 <= c <= width)))
+    rest = random.Random(draw(st.integers(0, 2**32))).sample(range(width - 1), count - 1)
+    return sum(1 << i for i in rest) | 1 << (width - 1)
+
+
+@settings(max_examples=300)
+@given(mask=masks())
+@example(mask=0)
+@example(mask=1)
+def test_mask_to_ids_matches_bin_string(mask):
+    """Masks are nonnegative: a negative int has no finite set of set bits."""
+    assert _mask_to_ids(mask) == [i for i, digit in enumerate(reversed(bin(mask)[2:])) if digit == "1"]
