@@ -37,8 +37,8 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import CapabilityError, ParameterError
-from .graphs import GraphClassInfo, _ids_mask, _mwis_core
-from .model import ZERO, _mask_to_ids, as_size, size_units
+from .graphs import GraphClassInfo, _mwis_core
+from .model import ZERO, _ids_mask, _mask_to_ids, as_size, size_units
 
 DEFAULT_ENUM_CAP = 6
 EXACT_DP_DENOM_LIMIT = 4096

@@ -16,14 +16,13 @@ from typing import Callable, Iterable, Optional
 from . import bis, oracle, packing_classic
 from .errors import CapabilityError, ParameterError, SolverError
 from .graphs import GraphClassInfo, maximum_matching_masks, minimum_coloring, recognize
-from .maxsize import _greedy_sequential, greedy_growth
+from .maxsize import greedy_growth
 from .model import (
     ConflictInstance,
     Packing,
     _mask_to_ids,
     bin_lower_bound,
     classify_items,
-    concat_packings,
     fits_within,
     restrict_instance,
     validate_packing,
@@ -114,20 +113,17 @@ def max_solve(
 ) -> Packing:
     """Singleton bins for the large items, grown greedily, rest by coloring.
 
-    The singletons are a feasible start by construction (a size is at most
-    1, a singleton has no inner edge), so the growth core runs on them
-    without ``max_size``'s check of its start packing.
+    The singletons are a feasible start by construction: a size is at most
+    1, and a singleton has no inner edge.
     """
     eps = bis._check_eps(eps)
     info = _info(instance, info)
-    classes = classify_items(instance)
-    large = sorted(classes.large)
+    large = sorted(classify_items(instance).large)
     seed = Packing(tuple(frozenset({v}) for v in large), "max_solve")
-    grown = _greedy_sequential(instance, seed, info, eps)
-    rest = restrict_instance(instance, grown.augmented.items(), mode="subtract")
-    tail = color_sets(rest, info)
-    out = concat_packings(grown.augmented, tail)
-    return Packing(out.bins, "max_solve", grown.augmented.flags)
+    for bins, pool in greedy_growth(instance, seed, info, eps):
+        pass
+    tail = color_sets(restrict_instance(instance, _mask_to_ids(pool)), info)
+    return Packing(tuple(bins) + tail.bins, "max_solve")
 
 
 def matching_pack(instance: ConflictInstance, info: Optional[GraphClassInfo] = None) -> Packing:
@@ -245,9 +241,7 @@ class AssignmentLp:
 class LpSolution:
     values: dict[tuple[int, int], Fraction]
     objective: Fraction
-    basis: tuple[int, ...]
     fractional_items: frozenset[int]
-    integral_items: frozenset[int]
 
 
 def build_assignment_lp(
@@ -306,8 +300,7 @@ def solve_assignment_lp(instance: ConflictInstance, lp: AssignmentLp) -> LpSolut
     fractional = frozenset(
         v for (i, v), x in values.items() if ZERO < x < ONE
     )
-    integral = frozenset(lp.items_w) - fractional
-    return LpSolution(values, result.objective, result.basis, fractional, integral)
+    return LpSolution(values, result.objective, fractional)
 
 
 def round_assignment(

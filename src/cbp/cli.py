@@ -139,10 +139,8 @@ def main(argv=None) -> int:
     except SolverError as exc:
         sys.stderr.write(f"solver error: {exc}\n")
         return exc.exit_code
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"parameter error: {exc}\n")
-        return 2
-    except (ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
+        # A path that cannot be read or written, or a file that is not JSON.
         sys.stderr.write(f"parameter error: {exc}\n")
         return 2
 

@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
 from .errors import CapabilityError
-from .model import ConflictInstance, _mask_to_ids
+from .model import ConflictInstance, _ids_mask, _mask_to_ids
 
 # Disjoint vertex pairs, each an edge of the queried graph.
 Matching = frozenset[tuple[int, int]]
@@ -80,13 +80,6 @@ class GraphClassInfo:
         return tuple(
             name for name in SUPPORTED_CLASS_NAMES if getattr(self, "is_" + name.replace("-", "_"))
         )
-
-
-def _ids_mask(ids: Iterable[int]) -> int:
-    mask = 0
-    for i in ids:
-        mask |= 1 << i
-    return mask
 
 
 def _try_bipartition(instance: ConflictInstance) -> Optional[tuple[frozenset[int], frozenset[int]]]:

@@ -10,6 +10,7 @@ order. Reports are byte-identical across runs when the suite's
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import os
 import time
@@ -270,8 +271,9 @@ def generate_b3dm(spec: GeneratorSpec) -> tuple[ConflictInstance, Packing]:
     q_base = t_base + t + (t - i)
     q_ids = list(range(q_base, q_base + (x + y + z - 3 * i)))
 
+    elements = x_ids + y_ids + z_ids
     triples: list[tuple[int, int, int]] = []
-    degree = {u: 0 for u in x_ids + y_ids + z_ids}
+    degree = dict.fromkeys(elements, 0)
     for k in range(i):  # planted disjoint triples
         tri = (x_ids[k], y_ids[k], z_ids[k])
         triples.append(tri)
@@ -311,22 +313,10 @@ def generate_b3dm(spec: GeneratorSpec) -> tuple[ConflictInstance, Packing]:
             sizes[item] = B3DM_SIZES[role]
             labels[item] = f"{tag}{k}"
 
-    edges: list[tuple[int, int]] = []
-    for k, (tx, ty, tz) in enumerate(triples):
-        t_item = t_ids[k]
-        for u in x_ids:
-            if u != tx:
-                edges.append((u, t_item))
-        for u in y_ids:
-            if u != ty:
-                edges.append((u, t_item))
-        for u in z_ids:
-            if u != tz:
-                edges.append((u, t_item))
+    # A triple's item conflicts with every element outside the triple.
+    edges = [(u, t_item) for t_item, triple in zip(t_ids, triples) for u in elements if u not in triple]
     if spec.variant == "BPS":
-        for a in range(len(t_ids)):
-            for b in range(a + 1, len(t_ids)):
-                edges.append((t_ids[a], t_ids[b]))
+        edges += itertools.combinations(t_ids, 2)
 
     instance = ConflictInstance(sizes, edges, class_hint=spec.variant.lower(), labels=labels)
     _verify_declared_class(instance, "bipartite" if spec.variant == "BPB" else "split")
@@ -545,12 +535,28 @@ def _evaluate_instance(spec_dict: dict, instance_id: str, config: dict) -> tuple
     return rows, detail
 
 
+# Suite field -> (JSON type, member type or None, as named in errors).
+_SUITE_FIELDS = {
+    "instances": (list, dict, "a list of JSON objects"),
+    "algorithms": (list, str, "a list of strings"),
+    "sweep": (dict, None, "a JSON object"),
+}
+
+
 def expand_suite(config: dict) -> list[tuple[str, dict]]:
     """Expand a suite config into (instance_id, spec dict) pairs.
 
-    The CBP_SEED environment variable overrides the base seed (and with it
-    every derived instance seed).
+    Raises ParameterError, naming the field, when the suite or one of its
+    ``instances``, ``algorithms`` or ``sweep`` fields has the wrong JSON
+    type. The CBP_SEED environment variable overrides the base seed (and
+    with it every derived instance seed).
     """
+    if not isinstance(config, dict):
+        raise ParameterError(f"suite must be a JSON object, got {type(config).__name__}")
+    for key, (kind, member, shape) in _SUITE_FIELDS.items():
+        value = config.get(key, kind())
+        if not isinstance(value, kind) or member and not all(isinstance(v, member) for v in value):
+            raise ParameterError(f"suite field {key!r} must be {shape}")
     base_seed = int(os.environ.get("CBP_SEED", config.get("seed", 0)))
     stream = SplitMix64(base_seed)
     out: list[tuple[str, dict]] = []
@@ -587,20 +593,14 @@ def run_suite(config: dict, out_dir, jobs: int = 1) -> RunReport:
     out = Path(out_dir)
     (out / "results").mkdir(parents=True, exist_ok=True)
     pairs = expand_suite(config)
-    rows: list[RunRow] = []
-    details: list[dict] = []
+    args = ([spec for _, spec in pairs], [iid for iid, _ in pairs], [config] * len(pairs))
     if jobs > 1 and len(pairs) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_evaluate_instance, spec, iid, config) for iid, spec in pairs]
-            for fut in futures:
-                r, d = fut.result()
-                rows.extend(r)
-                details.append(d)
+            results = list(pool.map(_evaluate_instance, *args))
     else:
-        for iid, spec in pairs:
-            r, d = _evaluate_instance(spec, iid, config)
-            rows.extend(r)
-            details.append(d)
+        results = list(map(_evaluate_instance, *args))
+    rows = [row for r, _ in results for row in r]
+    details = [d for _, d in results]
     rows.sort(key=lambda r: (r.instance_id, r.algorithm))
     details.sort(key=lambda d: d["instance_id"])
 

@@ -28,7 +28,7 @@ from typing import Iterator, Optional
 from . import bis
 from .errors import ParameterError
 from .graphs import GraphClassInfo
-from .model import ConflictInstance, Packing, _mask_to_ids, fits_within, validate_packing, ZERO
+from .model import ConflictInstance, Packing, _ids_mask, _mask_to_ids, fits_within, validate_packing, ZERO
 from .rng import SplitMix64
 from .simplex import solve_max_lp
 
@@ -85,10 +85,10 @@ def max_size(
         raise ParameterError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
     eps = bis._check_eps(eps)
     config = config or MaxSizeConfig()
-    validate_initial(instance, initial)
     if strategy == "greedy-sequential":
+        validate_initial(instance, initial)
         return _greedy_sequential(instance, initial, class_info, eps)
-    solution = solve_config_lp(instance, initial, config)
+    solution = solve_config_lp(instance, initial, config)  # checks ``initial``
     if not solution.converged:
         result = _greedy_sequential(instance, initial, class_info, eps)
         augmented = result.augmented.with_flags("config-lp-cap-fallback")
@@ -117,9 +117,8 @@ def greedy_growth(
     solve = bis._fptas_split if class_info.split_partition is not None else bis._ptas
     units, den = instance.unit_table
     fits = fits_within(instance.items, units)
-    pool = fits(den)  # every item fits an empty bin
-    for v in initial.items():
-        pool &= ~(1 << v)
+    # Every item fits an empty bin, so ``fits(den)`` holds them all.
+    pool = fits(den) & ~_ids_mask(initial.items())
     new_bins: list[frozenset[int]] = []
     yield new_bins, pool
     for bin_items in initial.bins:
@@ -131,8 +130,7 @@ def greedy_growth(
             if eligible:
                 chosen = solve(_mask_to_ids(eligible), instance.adjacency, class_info, units, room, den, eps)
                 bin_items = bin_items | chosen
-                for v in chosen:
-                    pool ^= 1 << v
+                pool ^= _ids_mask(chosen)
         new_bins.append(bin_items)
         yield new_bins, pool
 

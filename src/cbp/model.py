@@ -11,10 +11,11 @@ validation and every packing hot loop compare these ints; Python ints
 never round, so every capacity check stays exact. Instances and packings
 are immutable after construction; every operation here is a pure function.
 
-The conflict graph is held twice: as the edge set ``edges`` and as one
-neighbour bitmask per item in ``adjacency``, which every algorithm reads.
-A restriction takes its masks from its parent's and fills its ``edges``
-from them on first read, so restricting scans no edges.
+The conflict graph is stored once, as one neighbour bitmask per item in
+``adjacency``, which every algorithm reads. An instance writes each given
+edge straight into the masks; a restriction takes its masks from its
+parent's. Either fills the edge set ``edges`` from its masks on first
+read, so neither building nor restricting keeps a second copy of the graph.
 """
 
 from __future__ import annotations
@@ -127,33 +128,32 @@ class ConflictInstance:
         self.items: tuple[int, ...] = tuple(sorted(size_map))
         self.sizes: dict[int, Fraction] = {i: size_map[i] for i in self.items}
 
-        norm = set()
+        adj = dict.fromkeys(self.items, 0)
         for u, v in edges:
             u, v = int(u), int(v)
             if u == v:
                 raise ParameterError(f"self-loop on item {u}")
             if u not in size_map or v not in size_map:
                 raise ParameterError(f"edge ({u}, {v}) references unknown items")
-            norm.add((u, v) if u < v else (v, u))
-        self._edges: Optional[frozenset[tuple[int, int]]] = frozenset(norm)
-        self.class_hint = class_hint
-        self.labels: dict[int, str] = (
-            {i: str(labels[i]) for i in self.items} if labels else {i: str(i) for i in self.items}
-        )
-
-        adj = {i: 0 for i in self.items}
-        for u, v in norm:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         self.adjacency: dict[int, int] = adj
+        self._edges: Optional[frozenset[tuple[int, int]]] = None
+        self.class_hint = class_hint
+        if labels:
+            unlabeled = [i for i in self.items if i not in labels]
+            if unlabeled:
+                raise ParameterError(f"item {unlabeled[0]} has no label")
+        self.labels: dict[int, str] = (
+            {i: str(labels[i]) for i in self.items} if labels else {i: str(i) for i in self.items}
+        )
         self._units: Optional[tuple[dict[int, int], int]] = None
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
-        """The conflict edges as sorted pairs.
-
-        A restriction fills them from its masks on first read: the
-        algorithms read ``adjacency`` only, so no hot path builds them.
+        """The conflict edges as sorted pairs, filled from the neighbour
+        masks on first read. The algorithms read ``adjacency`` only, so no
+        hot path builds them.
         """
         if self._edges is None:
             self._edges = frozenset(self.conflicting_pairs(self.items))
@@ -214,20 +214,12 @@ class ConflictInstance:
         return True
 
     def conflicting_pairs(self, items: Iterable[int]) -> list[tuple[int, int]]:
-        """All conflict edges with both endpoints inside ``items``."""
-        ids = sorted(set(items))
-        inside = 0
-        for i in ids:
-            inside |= 1 << i
-        pairs = []
-        for u in ids:
-            # Bit k of ``later`` is the neighbour u + 1 + k.
-            later = (self.adjacency[u] & inside) >> (u + 1)
-            while later:
-                low = later & -later
-                pairs.append((u, u + low.bit_length()))
-                later ^= low
-        return pairs
+        """All conflict edges with both endpoints inside ``items``, as
+        ``(u, v)`` with ``u < v``, in ascending order."""
+        inside = _ids_mask(items)
+        adj = self.adjacency
+        # -(2 << u) masks the ids above u.
+        return [(u, v) for u in _mask_to_ids(inside) for v in _mask_to_ids(adj[u] & inside & -(2 << u))]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConflictInstance):
@@ -239,6 +231,14 @@ class ConflictInstance:
 
     def __repr__(self) -> str:
         return f"ConflictInstance(n={self.n}, edges={len(self.edges)}, hint={self.class_hint!r})"
+
+
+def _ids_mask(ids: Iterable[int]) -> int:
+    """The bitmask with bit ``i`` set for each ``i`` of ``ids``."""
+    mask = 0
+    for i in ids:
+        mask |= 1 << i
+    return mask
 
 
 # bin() digits to 0/1 bytes, for itertools.compress.
@@ -340,8 +340,8 @@ class Packing:
             out |= b
         return frozenset(out)
 
-    def with_source(self, source: str, extra_flags: tuple[str, ...] = ()) -> "Packing":
-        return Packing(self.bins, source, self.flags + extra_flags)
+    def with_source(self, source: str) -> "Packing":
+        return Packing(self.bins, source, self.flags)
 
     def with_flags(self, *flags: str) -> "Packing":
         return Packing(self.bins, self.source, self.flags + tuple(flags))
@@ -443,9 +443,7 @@ def restrict_instance(
     else:
         raise ParameterError(f"mode must be 'intersect' or 'subtract', got {mode!r}")
     items = tuple(sorted(kept))
-    inside = 0
-    for i in items:
-        inside |= 1 << i
+    inside = _ids_mask(items)
     units, den = instance.unit_table
     out = object.__new__(ConflictInstance)
     out.items = items

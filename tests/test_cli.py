@@ -350,3 +350,49 @@ def test_solve_bad_eps_exits_2(tmp_path, capsys, algo, eps, message):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"parameter error: {message}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--algo", "color_sets", "--in", "{dir}"],
+        ["verify", "--in", "{dir}", "--packing", "{packing}"],
+        ["verify", "--in", "{instance}", "--packing", "{dir}"],
+        ["generate", "--spec", "{spec}", "--out", "{instance}"],
+    ],
+)
+def test_unusable_path_exits_2(bipartite_file, tmp_path, capsys, argv):
+    # A directory where a file is read, or an existing file where the
+    # output directory is made.
+    inst, inst_path = bipartite_file
+    packing = tmp_path / "packing.json"
+    write_packing(make_packing([[v] for v in inst.items]), packing)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"class": "edgeless", "n": 2}))
+    paths = {"dir": tmp_path, "instance": inst_path, "packing": packing, "spec": spec}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parameter error: ")
+
+
+@pytest.mark.parametrize(
+    "suite, message",
+    [
+        ([{"class": "split", "n": 5}], "suite must be a JSON object, got list"),
+        ({"instances": 5}, "suite field 'instances' must be a list of JSON objects"),
+        ({"instances": [5]}, "suite field 'instances' must be a list of JSON objects"),
+        ({"sweep": [1]}, "suite field 'sweep' must be a JSON object"),
+        (
+            {"instances": [{"class": "split", "n": 5}], "algorithms": "color_sets"},
+            "suite field 'algorithms' must be a list of strings",
+        ),
+    ],
+)
+def test_bench_malformed_suite_exits_2(tmp_path, capsys, suite, message):
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(suite))
+    assert main(["bench", "--suite", str(path), "--out", str(tmp_path / "bench")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"parameter error: {message}" in captured.err

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from cbp import ConflictInstance, Packing, ParameterError, packing_classic, recognize, validate_packing
 from cbp.harness import (
     CSV_COLUMNS,
+    GENERATOR_CLASSES,
     GeneratorSpec,
     SizeDist,
     _ffd_bounds_ok,
@@ -248,3 +250,30 @@ def test_run_algorithm_unknown_name():
     inst = generate(GeneratorSpec(klass="edgeless", n=2, seed=1))
     with pytest.raises(ParameterError):
         run_algorithm("bogus", inst, recognize(inst))
+
+
+def _pinned_instances():
+    for klass in GENERATOR_CLASSES:
+        if klass == "b3dm-reduction":
+            continue
+        for n in (0, 5, 40):
+            for density in (0.1, 0.5, 1.0):
+                for seed in (0, 1):
+                    for size_dist in (SizeDist(), SizeDist(kind="uniform")):
+                        yield generate(GeneratorSpec(klass=klass, n=n, density=density, size_dist=size_dist, seed=seed))
+    for variant in ("BPB", "BPS"):
+        for x, t, guess, seed in ((4, 6, 3, 11), (5, 12, 3, 2)):
+            spec = GeneratorSpec(
+                klass="b3dm-reduction", x_count=x, y_count=x, z_count=x, t_count=t, guess=guess,
+                seed=seed, variant=variant,
+            )
+            yield generate_b3dm(spec)[0]
+
+
+def test_seeded_instances_are_pinned():
+    # The sizes and sorted edges of every seeded instance, hashed; a change
+    # to any generator or to how an instance stores its graph shows here.
+    digest = hashlib.sha256()
+    for inst in _pinned_instances():
+        digest.update(repr(([str(inst.sizes[i]) for i in inst.items], sorted(inst.edges))).encode())
+    assert digest.hexdigest() == "35a47093e4c42fe28b899c7f4b675597a759a0bd12cedbc347a5bfa3bee31748"

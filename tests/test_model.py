@@ -45,6 +45,8 @@ def test_instance_validation():
         ConflictInstance({0: "0.5", 1: "0.5"}, edges=[(0, 0)])
     with pytest.raises(ParameterError):
         ConflictInstance({0: "0.5"}, edges=[(0, 7)])
+    with pytest.raises(ParameterError, match="item 1 has no label"):
+        ConflictInstance({0: "0.5", 1: "0.5"}, labels={0: "a"})
     inst = ConflictInstance({0: "0.5", 1: "0.5"}, edges=[(1, 0), (0, 1)])
     assert inst.edges == frozenset({(0, 1)})
 
@@ -201,6 +203,35 @@ def test_restrict_idempotent_and_preserves_ids():
         for i in once.items:
             assert once.sizes[i] == inst.sizes[i]
             assert once.labels[i] == inst.labels[i]
+
+
+@st.composite
+def edge_cases(draw):
+    """Up to 30 sparse item ids, an edge list on them that holds reversed
+    and repeated pairs, and a random subset of the ids (repeats allowed)."""
+    ids = draw(st.lists(st.integers(0, 300), min_size=2, max_size=30, unique=True))
+    pair = st.tuples(st.sampled_from(ids), st.sampled_from(ids)).filter(lambda p: p[0] != p[1])
+    edges = draw(st.lists(pair, max_size=80))
+    edges += [(v, u) for u, v in edges[::3]] + edges[::4]
+    subset = draw(st.lists(st.sampled_from(ids)))
+    return ids, edges, subset
+
+
+@settings(max_examples=200)
+@given(case=edge_cases())
+def test_conflicting_pairs_match_edge_scan(case):
+    ids, edges, subset = case
+    inst = ConflictInstance({i: "1/3" for i in ids}, edges)
+    fresh = restrict_instance(inst, inst.items)
+    assert fresh == inst
+    assert hash(fresh) == hash(inst)
+
+    def scan(items):
+        return sorted({(min(u, v), max(u, v)) for u, v in edges if u in items and v in items})
+
+    assert inst.conflicting_pairs(subset) == scan(subset)
+    assert inst.conflicting_pairs(ids) == scan(ids)
+    assert inst.edges == frozenset(scan(ids))
 
 
 @st.composite
