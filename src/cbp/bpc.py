@@ -450,7 +450,11 @@ def abs_bpb(instance: ConflictInstance, info: Optional[GraphClassInfo] = None) -
             packing, _ = oracle.opt_bpc_exact(instance, limit_n=16)
             return packing.with_source("abs_bpb/exact")
         # Too large to solve exactly: look only for a packing into at most
-        # 3 bins, and give up when the node budget runs out.
+        # 3 bins, none of which exists above the L1 bound, and give up when
+        # the node budget runs out.
+        units, den = instance.unit_table
+        if bin_lower_bound(units.values(), den) > 3:
+            return None
         try:
             packing, _ = oracle.opt_bpc_exact(instance, limit_n=instance.n, max_bins=3, node_budget=200_000)
         except CapabilityError:

@@ -50,17 +50,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_solve(args) -> int:
     instance = harness.read_instance(args.infile)
-    info = recognize(instance)
-    if args.eps is None:
-        packing = harness.run_algorithm(args.algo, instance, info)
-    else:
+    kw = {}
+    if args.eps is not None:
         try:
-            eps = Fraction(args.eps)
+            kw["eps"] = Fraction(args.eps)
         except ZeroDivisionError as exc:
             raise ParameterError(f"--eps {args.eps!r} has a zero denominator") from exc
         if args.algo not in harness.EPS_ALGORITHMS:
             raise ParameterError(f"--eps is not accepted by {args.algo}")
-        packing = harness.SOLVERS[args.algo](instance, info, eps=eps)
+    packing = harness.run_algorithm(args.algo, instance, recognize(instance), **kw)
     payload = harness.packing_to_dict(packing)
     payload["bin_count"] = packing.bin_count
     payload["labels"] = [[instance.labels[i] for i in sorted(b)] for b in packing.bins]
@@ -70,7 +68,7 @@ def _cmd_solve(args) -> int:
         _, opt = oracle.opt_bpc_exact(instance, limit_n=args.oracle_limit)
         payload["opt"] = opt
         payload["ratio"] = packing.bin_count / opt if opt else None
-    text = json.dumps(payload, indent=1, sort_keys=True) + "\n"
+    text = harness.dump_json(payload)
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -86,12 +84,13 @@ def _cmd_generate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for idx, spec_dict in enumerate(specs):
         spec = harness.GeneratorSpec.from_dict(spec_dict)
-        instance = harness.generate(spec)
-        name = f"{spec.klass}-{idx:05d}.json"
-        harness.write_instance(instance, out / name)
+        name = f"{spec.klass}-{idx:05d}"
         if spec.klass == "b3dm-reduction":
-            _, planted = harness.generate_b3dm(spec)
-            harness.write_packing(planted, out / f"{spec.klass}-{idx:05d}.planted.json")
+            instance, planted = harness.generate_b3dm(spec)
+            harness.write_packing(planted, out / f"{name}.planted.json")
+        else:
+            instance = harness.generate(spec)
+        harness.write_instance(instance, out / f"{name}.json")
     sys.stdout.write(f"wrote {len(specs)} instance(s) to {out}\n")
     return 0
 
@@ -115,7 +114,7 @@ def _cmd_verify(args) -> int:
         ],
         "covered_items": sorted(report.covered_items),
     }
-    sys.stdout.write(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    sys.stdout.write(harness.dump_json(payload))
     return 0 if report.feasible else 4
 
 

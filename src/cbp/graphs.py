@@ -10,6 +10,12 @@ certifies the subgraph. Readers intersect certificates with their own
 items, so the certificates of an instance serve each of its subinstances
 (:func:`restrict_class_info` does the intersection up front).
 
+:data:`CLASS_TABLE` maps each class name to its certificate field of
+:class:`GraphClassInfo` and the recognizer that computes it;
+:func:`recognize`, :func:`has_class`, :data:`SUPPORTED_CLASS_NAMES` and
+``harness.GENERATOR_CLASSES`` all read it. ``edgeless`` has no certificate:
+it holds when no neighbour mask has a bit set.
+
 Recognition works on the neighbour bitmasks of ``instance.adjacency``.
 Cluster components and multipartite parts are items grouped by closed or
 open neighbourhood. The elimination ordering comes from a maximum-
@@ -43,16 +49,6 @@ from .model import ConflictInstance, _ids_mask, _mask_to_ids
 Matching = frozenset[tuple[int, int]]
 
 
-SUPPORTED_CLASS_NAMES = (
-    "edgeless",
-    "bipartite",
-    "split",
-    "cluster",
-    "complete-multipartite",
-    "chordal",
-)
-
-
 @dataclass(frozen=True)
 class GraphClassInfo:
     """Verified certificates, one per recognized class.
@@ -77,9 +73,9 @@ class GraphClassInfo:
     is_chordal = property(lambda self: self.elimination_order is not None)
 
     def supported_classes(self) -> tuple[str, ...]:
-        return tuple(
-            name for name in SUPPORTED_CLASS_NAMES if getattr(self, "is_" + name.replace("-", "_"))
-        )
+        """The names of the classes held, in SUPPORTED_CLASS_NAMES order."""
+        certified = tuple(name for name, (cert, _) in CLASS_TABLE.items() if getattr(self, cert) is not None)
+        return ("edgeless",) + certified if self.is_edgeless else certified
 
 
 def _try_bipartition(instance: ConflictInstance) -> Optional[tuple[frozenset[int], frozenset[int]]]:
@@ -203,6 +199,26 @@ def _try_peo(instance: ConflictInstance) -> Optional[tuple[int, ...]]:
     return tuple(reversed(order))
 
 
+# Class name -> (its GraphClassInfo certificate field, the recognizer that
+# returns the verified certificate or None).
+CLASS_TABLE = {
+    "bipartite": ("bipartition", _try_bipartition),
+    "split": ("split_partition", _try_split),
+    "cluster": ("cluster_components", _try_cluster),
+    "complete-multipartite": ("parts", _try_complete_multipartite),
+    "chordal": ("elimination_order", _try_peo),
+}
+SUPPORTED_CLASS_NAMES = ("edgeless", *CLASS_TABLE)
+
+
+def has_class(instance: ConflictInstance, name: str) -> bool:
+    """Whether ``instance`` belongs to the class ``name`` (one of
+    SUPPORTED_CLASS_NAMES), running only that class's recognizer."""
+    if name == "edgeless":
+        return not any(instance.adjacency.values())
+    return CLASS_TABLE[name][1](instance) is not None
+
+
 def recognize(instance: ConflictInstance) -> GraphClassInfo:
     """Compute all class certificates, each verified.
 
@@ -210,12 +226,8 @@ def recognize(instance: ConflictInstance) -> GraphClassInfo:
     certificates drive algorithm dispatch.
     """
     return GraphClassInfo(
-        is_edgeless=not any(instance.adjacency.values()),
-        bipartition=_try_bipartition(instance),
-        split_partition=_try_split(instance),
-        cluster_components=_try_cluster(instance),
-        parts=_try_complete_multipartite(instance),
-        elimination_order=_try_peo(instance),
+        is_edgeless=has_class(instance, "edgeless"),
+        **{cert: recognizer(instance) for cert, recognizer in CLASS_TABLE.values()},
     )
 
 

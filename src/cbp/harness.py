@@ -23,7 +23,7 @@ from typing import Optional
 
 from . import bpc, oracle, packing_classic
 from .errors import CapabilityError, ParameterError
-from .graphs import GraphClassInfo, minimum_coloring, recognize
+from .graphs import CLASS_TABLE, GraphClassInfo, has_class, minimum_coloring, recognize
 from .model import (
     ConflictInstance,
     Packing,
@@ -33,15 +33,7 @@ from .model import (
 )
 from .rng import SplitMix64
 
-GENERATOR_CLASSES = (
-    "bipartite",
-    "split",
-    "cluster",
-    "complete-multipartite",
-    "chordal",
-    "edgeless",
-    "b3dm-reduction",
-)
+GENERATOR_CLASSES = (*CLASS_TABLE, "edgeless", "b3dm-reduction")
 
 B3DM_SIZES = {
     "element": Fraction(3, 20),   # 0.15
@@ -228,17 +220,7 @@ def generate(spec: GeneratorSpec) -> ConflictInstance:
 
 def _verify_declared_class(instance: ConflictInstance, klass: str) -> None:
     # Cheap targeted re-check of the one class the generator promised.
-    from . import graphs
-
-    ok = {
-        "edgeless": lambda: not instance.edges,
-        "bipartite": lambda: graphs._try_bipartition(instance) is not None,
-        "split": lambda: graphs._try_split(instance) is not None,
-        "cluster": lambda: graphs._try_cluster(instance) is not None,
-        "complete-multipartite": lambda: graphs._try_complete_multipartite(instance) is not None,
-        "chordal": lambda: graphs._try_peo(instance) is not None,
-    }[klass]()
-    if not ok:
+    if not has_class(instance, klass):
         raise AssertionError(f"generator produced a non-{klass} instance")
 
 
@@ -383,7 +365,7 @@ class RunReport:
 def _conflict_free(name: str):
     # ``packing_classic.<name>``, fit for edgeless instances only.
     def solve(instance: ConflictInstance, info: GraphClassInfo) -> Packing:
-        if instance.edges:
+        if not has_class(instance, "edgeless"):
             raise CapabilityError(f"{name} handles conflict-free instances only")
         return getattr(packing_classic, name)(instance.items, instance.sizes)
 
@@ -417,11 +399,14 @@ ALGORITHMS = tuple(SOLVERS)
 EPS_ALGORITHMS = ("max_solve", "approx_bpc", "split_approx")
 
 
-def run_algorithm(name: str, instance: ConflictInstance, info: GraphClassInfo) -> Packing:
-    """Dispatch an algorithm by CLI/report name (CapabilityError if unfit)."""
+def run_algorithm(name: str, instance: ConflictInstance, info: GraphClassInfo, **kw) -> Packing:
+    """Dispatch an algorithm by CLI/report name (CapabilityError if unfit).
+
+    Keywords (``eps``) reach the solver; only EPS_ALGORITHMS take one.
+    """
     if name not in SOLVERS:
         raise ParameterError(f"unknown algorithm {name!r}; choose from {ALGORITHMS}")
-    return SOLVERS[name](instance, info)
+    return SOLVERS[name](instance, info, **kw)
 
 
 def _ffd_bounds_ok(instance: ConflictInstance, packing: Packing) -> bool:
@@ -467,7 +452,7 @@ def _evaluate_instance(spec_dict: dict, instance_id: str, config: dict) -> tuple
     info = recognize(instance)
     algorithms = config.get("algorithms", ["approx_bpc"])
     oracle_on = bool(config.get("oracle", False))
-    oracle_limit = int(config.get("oracle_limit", 14))
+    oracle_limit = _spec_field(config, "oracle_limit", 14, int)
     timing = not bool(config.get("deterministic", True))
 
     opt: Optional[int] = None
@@ -509,7 +494,8 @@ def _evaluate_instance(spec_dict: dict, instance_id: str, config: dict) -> tuple
             fallback_flags=";".join(flags),
             micros=int(micros),
         )
-        if name in ("ffd", "asymptotic_bp") and not instance.edges:
+        # The conflict-free solvers return only on edgeless instances.
+        if name in ("ffd", "asymptotic_bp"):
             row.lemma2_ok = _ffd_bounds_ok(instance, packing)
         if name == "color_sets":
             row.lemma4_ok = _coloring_bound_ok(instance, info, packing)
@@ -543,21 +529,28 @@ _SUITE_FIELDS = {
 }
 
 
+def _check_shapes(data: dict, shapes: dict, what: str) -> None:
+    for key, (kind, member, shape) in shapes.items():
+        value = data.get(key, kind())
+        if not isinstance(value, kind) or member and not all(isinstance(v, member) for v in value):
+            raise ParameterError(f"{what} field {key!r} must be {shape}")
+
+
 def expand_suite(config: dict) -> list[tuple[str, dict]]:
     """Expand a suite config into (instance_id, spec dict) pairs.
 
     Raises ParameterError, naming the field, when the suite or one of its
-    ``instances``, ``algorithms`` or ``sweep`` fields has the wrong JSON
-    type. The CBP_SEED environment variable overrides the base seed (and
-    with it every derived instance seed).
+    fields has the wrong JSON type: ``instances``, ``algorithms`` and
+    ``sweep`` as _SUITE_FIELDS says, the sweep's ``classes`` as a list of
+    strings, and ``seed`` and the sweep's ``count``, ``n_min`` and
+    ``n_max`` as integers (``oracle_limit`` is checked per instance). The
+    CBP_SEED environment variable overrides the base seed (and with it
+    every derived instance seed).
     """
     if not isinstance(config, dict):
         raise ParameterError(f"suite must be a JSON object, got {type(config).__name__}")
-    for key, (kind, member, shape) in _SUITE_FIELDS.items():
-        value = config.get(key, kind())
-        if not isinstance(value, kind) or member and not all(isinstance(v, member) for v in value):
-            raise ParameterError(f"suite field {key!r} must be {shape}")
-    base_seed = int(os.environ.get("CBP_SEED", config.get("seed", 0)))
+    _check_shapes(config, _SUITE_FIELDS, "suite")
+    base_seed = int(os.environ.get("CBP_SEED", _spec_field(config, "seed", 0, int)))
     stream = SplitMix64(base_seed)
     out: list[tuple[str, dict]] = []
     for idx, spec in enumerate(config.get("instances", [])):
@@ -568,11 +561,11 @@ def expand_suite(config: dict) -> list[tuple[str, dict]]:
         out.append((f"{klass}-{idx:05d}", spec))
     sweep = config.get("sweep")
     if sweep:
-        count = int(sweep.get("count", 10))
-        n_min = int(sweep.get("n_min", 4))
-        n_max = int(sweep.get("n_max", 14))
-        classes = sweep.get("classes", ["bipartite"])
-        for klass in classes:
+        _check_shapes(sweep, {"classes": (list, str, "a list of strings")}, "sweep")
+        count = _spec_field(sweep, "count", 10, int)
+        n_min = _spec_field(sweep, "n_min", 4, int)
+        n_max = _spec_field(sweep, "n_max", 14, int)
+        for klass in sweep.get("classes", ["bipartite"]):
             for k in range(count):
                 n = n_min + stream.below(n_max - n_min + 1) if n_max > n_min else n_min
                 density = 0.1 + 0.8 * stream.unit()
@@ -610,16 +603,12 @@ def run_suite(config: dict, out_dir, jobs: int = 1) -> RunReport:
         for row in rows:
             writer.writerow(row.as_csv())
     for d in details:
-        with open(out / "results" / f"{d['instance_id']}.json", "w") as fh:
-            json.dump(d, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        (out / "results" / f"{d['instance_id']}.json").write_text(dump_json(d))
     _write_summary(rows, out / "summary.csv")
     meta = {"config": config, "instances": len(pairs)}
     if not config.get("deterministic", True):
         meta["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    with open(out / "meta.json", "w") as fh:
-        json.dump(meta, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    (out / "meta.json").write_text(dump_json(meta))
     return RunReport(rows, config)
 
 
@@ -647,6 +636,12 @@ def _write_summary(rows: list[RunRow], path: Path) -> None:
 
 # ---------------------------------------------------------------------------
 # Instance / packing files
+
+
+def dump_json(data) -> str:
+    """The text of every JSON file and payload ``cbp`` writes: sorted keys,
+    indent 1, and a final newline."""
+    return json.dumps(data, indent=1, sort_keys=True) + "\n"
 
 
 def instance_to_dict(instance: ConflictInstance) -> dict:
@@ -704,9 +699,7 @@ def instance_from_dict(data: dict) -> ConflictInstance:
 
 
 def write_instance(instance: ConflictInstance, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(instance_to_dict(instance), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    Path(path).write_text(dump_json(instance_to_dict(instance)))
 
 
 def read_instance(path) -> ConflictInstance:
@@ -743,6 +736,4 @@ def read_packing(path) -> Packing:
 
 
 def write_packing(packing: Packing, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(packing_to_dict(packing), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    Path(path).write_text(dump_json(packing_to_dict(packing)))

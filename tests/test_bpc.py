@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cbp
-from cbp import bpc, graphs, packing_classic
+from cbp import bpc, graphs, oracle, packing_classic
 from cbp import (
     AssignConfig,
     CapabilityError,
@@ -40,7 +40,7 @@ from cbp.bpc import _enumerate_feasible_packings
 from cbp.graphs import restrict_class_info
 from cbp.harness import GeneratorSpec, SizeDist, generate, generate_b3dm
 from cbp.maxsize import max_size
-from cbp.model import make_packing, restrict_instance
+from cbp.model import bin_lower_bound, make_packing, restrict_instance
 from cbp.packing_classic import asymptotic_bp, ffd
 
 from conftest import (
@@ -602,6 +602,28 @@ def _assign_wins_instance():
 def test_best_of_matches_eager_reference_when_a_later_candidate_wins(make, winners):
     packings = assert_best_of_matches_eager_reference(make())
     assert [p.flags[-1] for p in packings] == winners
+
+
+def test_abs_bpb_skips_the_three_bin_search_above_the_bound(monkeypatch):
+    # n 17 > 16 and an L1 bound of 4: no packing into at most 3 bins exists,
+    # so the bounded exact search is never started. Bins, source and flags
+    # stay the eager reference's, which runs that search and finds nothing.
+    inst = _assign_wins_instance()
+    info = recognize(inst)
+    units, den = inst.unit_table
+    assert inst.n == 17 and bin_lower_bound(units.values(), den) == 4
+    want = ref_abs_bpb(inst, info)
+    calls = []
+    exact = oracle.opt_bpc_exact
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs)
+        return exact(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "opt_bpc_exact", counting)
+    packing = abs_bpb(inst, info)
+    assert (packing.bins, packing.source, packing.flags) == (want.bins, want.source, want.flags)
+    assert calls == []
 
 
 def test_abs_bpb_colors_its_instance_once(monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -92,7 +93,18 @@ def test_verify_exit_codes(bipartite_file, tmp_path, capsys):
     assert main(["verify", "--in", str(path), "--packing", str(partial), "--no-cover"]) == 0
 
 
-def test_generate_and_bench(tmp_path, capsys):
+def test_generate_and_bench(tmp_path, monkeypatch, capsys):
+    # Each b3dm-reduction instance is built once, its planted packing kept.
+    from cbp import harness
+
+    b3dm_specs = []
+    build_b3dm = harness.generate_b3dm
+
+    def counting(spec):
+        b3dm_specs.append(spec)
+        return build_b3dm(spec)
+
+    monkeypatch.setattr(harness, "generate_b3dm", counting)
     spec_file = tmp_path / "spec.json"
     spec_file.write_text(
         json.dumps(
@@ -112,8 +124,13 @@ def test_generate_and_bench(tmp_path, capsys):
     )
     out_dir = tmp_path / "instances"
     assert main(["generate", "--spec", str(spec_file), "--out", str(out_dir)]) == 0
-    assert (out_dir / "split-00000.json").exists()
-    assert (out_dir / "b3dm-reduction-00001.planted.json").exists()
+    assert len(b3dm_specs) == 1
+    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()[:16] for f in out_dir.iterdir()}
+    assert digests == {
+        "split-00000.json": "4a29a141bbdbb1a0",
+        "b3dm-reduction-00001.json": "c3bd0780c85597c5",
+        "b3dm-reduction-00001.planted.json": "811411cca2aadae5",
+    }
 
     suite = tmp_path / "suite.json"
     suite.write_text(
@@ -387,6 +404,15 @@ def test_unusable_path_exits_2(bipartite_file, tmp_path, capsys, argv):
             {"instances": [{"class": "split", "n": 5}], "algorithms": "color_sets"},
             "suite field 'algorithms' must be a list of strings",
         ),
+        ({"seed": "3", "sweep": {"count": 1}}, "spec field 'seed' must be an integer, got str"),
+        (
+            {"instances": [{"class": "split", "n": 5}], "oracle": True, "oracle_limit": [3]},
+            "spec field 'oracle_limit' must be an integer, got list",
+        ),
+        ({"sweep": {"count": [1]}}, "spec field 'count' must be an integer, got list"),
+        ({"sweep": {"count": 1, "n_min": "4"}}, "spec field 'n_min' must be an integer, got str"),
+        ({"sweep": {"count": 1, "n_max": 9.5}}, "spec field 'n_max' must be an integer, got float"),
+        ({"sweep": {"classes": "split"}}, "sweep field 'classes' must be a list of strings"),
     ],
 )
 def test_bench_malformed_suite_exits_2(tmp_path, capsys, suite, message):

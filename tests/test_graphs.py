@@ -187,6 +187,43 @@ def assert_certificates_hold(inst, info):
             assert is_clique(later)
 
 
+def chordless_cycle(n):
+    return ConflictInstance(sizes(n), [(i, (i + 1) % n) for i in range(n)])
+
+
+def test_class_names_are_pinned():
+    assert graphs.SUPPORTED_CLASS_NAMES == (
+        "edgeless", "bipartite", "split", "cluster", "complete-multipartite", "chordal"
+    )
+    assert harness.GENERATOR_CLASSES == (
+        "bipartite", "split", "cluster", "complete-multipartite", "chordal", "edgeless", "b3dm-reduction"
+    )
+
+
+def test_has_class_agrees_with_recognize():
+    instances = [chordless_cycle(5), chordless_cycle(4)]
+    for klass in harness.GENERATOR_CLASSES:
+        for seed in range(3):
+            if klass == "b3dm-reduction":
+                spec = harness.GeneratorSpec(
+                    klass=klass, x_count=3, y_count=3, z_count=3, t_count=4, guess=seed,
+                    variant=("BPB", "BPS")[seed % 2], seed=seed,
+                )
+            else:
+                spec = harness.GeneratorSpec(klass=klass, n=4 * seed + 3, density=0.2 + 0.3 * seed, seed=seed)
+            instances.append(harness.generate(spec))
+    for inst in instances:
+        held = recognize(inst).supported_classes()
+        assert [name for name in graphs.SUPPORTED_CLASS_NAMES if graphs.has_class(inst, name)] == list(held)
+    assert recognize(chordless_cycle(5)).supported_classes() == ()
+    assert recognize(chordless_cycle(4)).supported_classes() == ("bipartite", "complete-multipartite")
+
+
+def test_verify_declared_class_rejects_a_5_cycle():
+    with pytest.raises(AssertionError, match="non-bipartite"):
+        harness._verify_declared_class(chordless_cycle(5), "bipartite")
+
+
 def test_certificates_verify():
     for seed in range(40):
         klass = CLASSES[seed % len(CLASSES)]
