@@ -140,16 +140,10 @@ def matching_pack(instance: ConflictInstance, info: Optional[GraphClassInfo] = N
     units, den = instance.unit_table
     fits = fits_within(lm, units)
     matching = maximum_matching_masks({u: fits(den - units[u]) & ~instance.adjacency[u] for u in lm})
-    matched: set[int] = set()
-    bins: list[frozenset[int]] = []
-    for u, v in sorted(matching):
-        bins.append(frozenset({u, v}))
-        matched |= {u, v}
-    for v in lm:
-        if v not in matched:
-            bins.append(frozenset({v}))
-    rest = restrict_instance(instance, set(lm), mode="subtract")
-    tail = color_sets(rest, info)
+    bins = [frozenset(pair) for pair in sorted(matching)]
+    matched = set().union(*bins)
+    bins += [frozenset({v}) for v in lm if v not in matched]
+    tail = color_sets(restrict_instance(instance, classes.small), info)
     return Packing(tuple(bins) + tail.bins, "matching_pack")
 
 
@@ -226,7 +220,6 @@ class AssignmentLp:
     capacity and per-item total assignment.
     """
 
-    big_packing: Packing
     items_w: tuple[int, ...]
     capacities: tuple[Fraction, ...]
     eligible: tuple[frozenset[int], ...]
@@ -263,18 +256,14 @@ def build_assignment_lp(
         raise ParameterError(f"packed bins infeasible: {first.kind} ({first.detail})")
 
     den = instance.unit_table[1]
-    capacities = []
-    eligible = []
-    variables: list[tuple[int, int]] = []
-    for i, members in enumerate(big_packing.bins):
-        blocked, room = instance.bin_state(members)
-        capacities.append(Fraction(room, den))
-        q = frozenset(v for v in w if not (blocked >> v) & 1)
-        eligible.append(q)
-        for v in w:
-            if v in q:
-                variables.append((i, v))
-    return AssignmentLp(big_packing, w, tuple(capacities), tuple(eligible), tuple(variables))
+    states = [instance.bin_state(members) for members in big_packing.bins]
+    eligible = tuple(frozenset(v for v in w if not (blocked >> v) & 1) for blocked, _ in states)
+    return AssignmentLp(
+        w,
+        tuple(Fraction(room, den) for _, room in states),
+        eligible,
+        tuple((i, v) for i, q in enumerate(eligible) for v in w if v in q),
+    )
 
 
 def solve_assignment_lp(instance: ConflictInstance, lp: AssignmentLp) -> LpSolution:

@@ -43,15 +43,16 @@ B3DM_SIZES = {
 }
 
 
-_JSON_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
+_JSON_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "a boolean"}
 
 
 def _spec_field(data: dict, key: str, default, kind: type):
     """``data[key]`` (or ``default``) as ``kind``, which must match its JSON
-    type: an integer for int, any number for float, a string for str."""
+    type: an integer for int, any number for float, a string for str, true
+    or false for bool (a boolean is no number)."""
     value = data.get(key, default)
     accepted = (int, float) if kind is float else kind
-    if isinstance(value, bool) or not isinstance(value, accepted):
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
         raise ParameterError(
             f"spec field {key!r} must be {_JSON_TYPE_NAMES[kind]}, got {type(value).__name__}"
         )
@@ -451,9 +452,9 @@ def _evaluate_instance(spec_dict: dict, instance_id: str, config: dict) -> tuple
     instance = generate(spec)
     info = recognize(instance)
     algorithms = config.get("algorithms", ["approx_bpc"])
-    oracle_on = bool(config.get("oracle", False))
+    oracle_on = config.get("oracle", False)
     oracle_limit = _spec_field(config, "oracle_limit", 14, int)
-    timing = not bool(config.get("deterministic", True))
+    timing = not config.get("deterministic", True)
 
     opt: Optional[int] = None
     if oracle_on and instance.n <= oracle_limit:
@@ -542,14 +543,17 @@ def expand_suite(config: dict) -> list[tuple[str, dict]]:
     Raises ParameterError, naming the field, when the suite or one of its
     fields has the wrong JSON type: ``instances``, ``algorithms`` and
     ``sweep`` as _SUITE_FIELDS says, the sweep's ``classes`` as a list of
-    strings, and ``seed`` and the sweep's ``count``, ``n_min`` and
-    ``n_max`` as integers (``oracle_limit`` is checked per instance). The
-    CBP_SEED environment variable overrides the base seed (and with it
-    every derived instance seed).
+    strings, ``oracle`` and ``deterministic`` as booleans, and ``seed`` and
+    the sweep's ``count``, ``n_min`` and ``n_max`` as integers
+    (``oracle_limit`` is checked per instance), or when ``n_max`` is below
+    ``n_min``. The CBP_SEED environment variable overrides the base seed
+    (and with it every derived instance seed).
     """
     if not isinstance(config, dict):
         raise ParameterError(f"suite must be a JSON object, got {type(config).__name__}")
     _check_shapes(config, _SUITE_FIELDS, "suite")
+    _spec_field(config, "oracle", False, bool)
+    _spec_field(config, "deterministic", True, bool)
     base_seed = int(os.environ.get("CBP_SEED", _spec_field(config, "seed", 0, int)))
     stream = SplitMix64(base_seed)
     out: list[tuple[str, dict]] = []
@@ -565,6 +569,8 @@ def expand_suite(config: dict) -> list[tuple[str, dict]]:
         count = _spec_field(sweep, "count", 10, int)
         n_min = _spec_field(sweep, "n_min", 4, int)
         n_max = _spec_field(sweep, "n_max", 14, int)
+        if n_max < n_min:
+            raise ParameterError(f"sweep field 'n_max' must be at least n_min = {n_min}, got {n_max}")
         for klass in sweep.get("classes", ["bipartite"]):
             for k in range(count):
                 n = n_min + stream.below(n_max - n_min + 1) if n_max > n_min else n_min

@@ -15,7 +15,9 @@ Two strategies:
   exact budgeted-set search and solved by column generation, then
   randomized rounding with first-bin deduplication and a deterministic
   fill-up pass. Expected added size is at least (1 - 1/e) of the LP
-  optimum.
+  optimum. The first columns are the zero-dual pricing round: each bin's
+  largest feasible set. When generation hits its cap, the greedy growth
+  runs instead and the packing is flagged ``config-lp-cap-fallback``.
 """
 
 from __future__ import annotations
@@ -84,16 +86,27 @@ def max_size(
     if strategy not in STRATEGIES:
         raise ParameterError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
     eps = bis._check_eps(eps)
-    config = config or MaxSizeConfig()
-    if strategy == "greedy-sequential":
+    flags = initial.flags
+    if strategy == "config-lp":
+        config = config or MaxSizeConfig()
+        solution = solve_config_lp(instance, initial, config)  # checks ``initial``
+        if solution.converged:
+            return round_config_lp(solution, config.seed)
+        flags += ("config-lp-cap-fallback",)
+    else:
         validate_initial(instance, initial)
-        return _greedy_sequential(instance, initial, class_info, eps)
-    solution = solve_config_lp(instance, initial, config)  # checks ``initial``
-    if not solution.converged:
-        result = _greedy_sequential(instance, initial, class_info, eps)
-        augmented = result.augmented.with_flags("config-lp-cap-fallback")
-        return MaxSizeResult(augmented, result.added_items, result.added_size, result.strategy, result.guarantee)
-    return round_config_lp(solution, config.seed)
+    for bins, _pool in greedy_growth(instance, initial, class_info, eps):
+        pass
+    ratio = float(1 - eps)
+    augmented = Packing(tuple(bins), "max_size/greedy-sequential", flags)
+    return _result(instance, initial, augmented, "greedy-sequential", ratio / (1.0 + ratio))
+
+
+def _result(
+    instance: ConflictInstance, initial: Packing, augmented: Packing, strategy: str, guarantee: float
+) -> MaxSizeResult:
+    added = augmented.items() - initial.items()
+    return MaxSizeResult(augmented, added, instance.size_of(added), strategy, guarantee)
 
 
 def greedy_growth(
@@ -133,26 +146,6 @@ def greedy_growth(
                 pool ^= _ids_mask(chosen)
         new_bins.append(bin_items)
         yield new_bins, pool
-
-
-def _greedy_sequential(
-    instance: ConflictInstance,
-    initial: Packing,
-    class_info: GraphClassInfo,
-    eps,
-) -> MaxSizeResult:
-    for bins, _pool in greedy_growth(instance, initial, class_info, eps):
-        pass
-    augmented = Packing(tuple(bins), "max_size/greedy-sequential", initial.flags)
-    added = augmented.items() - initial.items()
-    ratio = float(1 - eps)
-    return MaxSizeResult(
-        augmented=augmented,
-        added_items=added,
-        added_size=instance.size_of(added),
-        strategy="greedy-sequential",
-        guarantee=ratio / (1.0 + ratio),
-    )
 
 
 def _price_column(
@@ -217,81 +210,51 @@ def solve_config_lp(
     packed = initial.items()
     pool = sorted(i for i in instance.items if i not in packed)
     t = initial.bin_count
-    if not pool or t == 0:
-        return ConfigLpSolution(instance, initial, tuple(() for _ in range(t)), ZERO, True, 0)
-    item_row = {v: t + k for k, v in enumerate(pool)}
-
-    bin_eligible: list[list[int]] = []
-    bin_room: list[int] = []
+    # Each bin's pool items with no edge into it, and its room in units.
+    bins = []
     for bin_items in initial.bins:
         blocked, room = instance.bin_state(bin_items)
-        bin_eligible.append([v for v in pool if not (blocked >> v) & 1])
-        bin_room.append(room)
-    if max((len(e) for e in bin_eligible), default=0) > config.pricing_limit:
-        return ConfigLpSolution(instance, initial, tuple(() for _ in range(t)), ZERO, False, 0)
+        bins.append(([v for v in pool if not (blocked >> v) & 1], room))
+    trivial = not pool or t == 0
+    if trivial or max(len(eligible) for eligible, _ in bins) > config.pricing_limit:
+        return ConfigLpSolution(instance, initial, ((),) * t, ZERO, trivial, 0)
 
-    columns: list[tuple[int, frozenset[int]]] = []
-    seen_columns: set[tuple[int, frozenset[int]]] = set()
-    for j in range(t):
-        if not bin_eligible[j] or bin_room[j] <= 0:
-            continue
-        _, greedy_set = _price_column(
-            instance, bin_eligible[j], bin_room[j], {v: instance.sizes[v] for v in bin_eligible[j]}
-        )
-        if greedy_set:
-            col = (j, greedy_set)
-            columns.append(col)
-            seen_columns.add(col)
+    columns: dict[tuple[int, frozenset[int]], None] = {}  # in insertion order
 
+    def price(mu, lam) -> bool:
+        """Add each bin's best new column of positive reduced cost; True if any."""
+        improved = False
+        for j, (eligible, room) in enumerate(bins):
+            if eligible and room > 0:
+                profits = {v: instance.sizes[v] - lam[v] for v in eligible}
+                profit, cfg = _price_column(instance, eligible, room, profits)
+                if cfg and profit > mu[j] and (j, cfg) not in columns:
+                    columns[j, cfg] = None
+                    improved = True
+        return improved
+
+    # Zero duals: the first columns are each bin's largest feasible set.
+    price([ZERO] * t, dict.fromkeys(pool, ZERO))
     cap = ITERATION_CAP_FACTOR * (t + len(pool))
     iterations = 0
+    result = None
     converged = False
-    values: tuple[Fraction, ...] = ()
-    while True:
+    while not converged:
         iterations += 1
         if iterations > cap:
             break
-        objective = [instance.size_of(cfg) for (_, cfg) in columns]
-        rows = []
-        rhs = []
-        for j in range(t):
-            rows.append([1 if cj == j else 0 for (cj, _) in columns])
-            rhs.append(1)
-        for v in pool:
-            rows.append([1 if v in cfg else 0 for (_, cfg) in columns])
-            rhs.append(1)
-        result = solve_max_lp(objective, rows, rhs)
-        values = result.x
-        mu = result.duals[:t]
-        lam = {v: result.duals[item_row[v]] for v in pool}
-        improved = False
-        for j in range(t):
-            if not bin_eligible[j] or bin_room[j] <= 0:
-                continue
-            profits = {v: instance.sizes[v] - lam[v] for v in bin_eligible[j]}
-            profit, cfg = _price_column(instance, bin_eligible[j], bin_room[j], profits)
-            if cfg and profit - mu[j] > ZERO and (j, cfg) not in seen_columns:
-                columns.append((j, cfg))
-                seen_columns.add((j, cfg))
-                improved = True
-        if not improved:
-            converged = True
-            break
+        rows = [[int(cj == j) for cj, _ in columns] for j in range(t)]
+        rows += [[int(v in cfg) for _, cfg in columns] for v in pool]
+        result = solve_max_lp([instance.size_of(cfg) for _, cfg in columns], rows, [1] * len(rows))
+        converged = not price(result.duals[:t], dict(zip(pool, result.duals[t:])))
 
     per_bin: list[list[tuple[frozenset[int], Fraction]]] = [[] for _ in range(t)]
-    for (j, cfg), y in zip(columns, values):
+    for (j, cfg), y in zip(columns, result.x if result else ()):
         if y > ZERO:
             per_bin[j].append((cfg, y))
-    objective_value = sum(
-        (instance.size_of(cfg) * y for cols in per_bin for (cfg, y) in cols), ZERO
-    )
+    objective = result.objective if result else ZERO
     return ConfigLpSolution(
-        instance,
-        initial,
-        tuple(tuple(cols) for cols in per_bin),
-        objective_value,
-        converged,
-        iterations,
+        instance, initial, tuple(tuple(cols) for cols in per_bin), objective, converged, iterations
     )
 
 
@@ -317,31 +280,23 @@ def round_config_lp(solution: ConfigLpSolution, seed: int) -> MaxSizeResult:
                 break
         chosen_sets.append(picked)
 
-    new_bins: list[set[int]] = [set(b) for b in initial.bins]
-    added: set[int] = set()
+    new_bins = [frozenset(b) for b in initial.bins]
+    sampled: frozenset[int] = frozenset()
     for j, cfg in enumerate(chosen_sets):
-        for v in sorted(cfg):
-            if v not in added:
-                new_bins[j].add(v)
-                added.add(v)
+        fresh = cfg - sampled
+        new_bins[j] |= fresh
+        sampled |= fresh
 
     # Deterministic fill-up with whatever still fits.
     units = instance.unit_table[0]
     states = [instance.bin_state(b) for b in new_bins]
-    packed = initial.items() | added
+    packed = initial.items() | sampled
     for v in sorted(i for i in instance.items if i not in packed):
         for j, (blocked, room) in enumerate(states):
             if units[v] <= room and not (blocked >> v) & 1:
-                new_bins[j].add(v)
+                new_bins[j] |= {v}
                 states[j] = (blocked | instance.adjacency[v], room - units[v])
-                added.add(v)
                 break
 
-    augmented = Packing(tuple(frozenset(b) for b in new_bins), "max_size/config-lp", initial.flags)
-    return MaxSizeResult(
-        augmented=augmented,
-        added_items=frozenset(added),
-        added_size=instance.size_of(added),
-        strategy="config-lp",
-        guarantee=1.0 - 1.0 / math.e,
-    )
+    augmented = Packing(tuple(new_bins), "max_size/config-lp", initial.flags)
+    return _result(instance, initial, augmented, "config-lp", 1.0 - 1.0 / math.e)

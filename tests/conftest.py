@@ -4,17 +4,19 @@ The brute-force routines here are deliberately naive (exhaustive scans) so
 they stay independent of the library paths they check.
 """
 
+import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from hypothesis import settings
 
-from cbp import BisProblem, CapabilityError, ConflictInstance, bis, bpc, graphs, harness, oracle, packing_classic, recognize
-from cbp.errors import SolverError
+from cbp import BisProblem, CapabilityError, ConflictInstance, bis, bpc, graphs, harness, maxsize, oracle, packing_classic, recognize
+from cbp.errors import ParameterError, SolverError
 from cbp.harness import GeneratorSpec, generate
 from cbp.model import Packing, ZERO, _mask_to_ids, classify_items
 from cbp.oracle import bis_brute
-from cbp.simplex import LpResult
+from cbp.rng import SplitMix64
+from cbp.simplex import LpResult, solve_max_lp
 
 
 # Property tests replay the same examples on every run, and a slow host
@@ -418,3 +420,151 @@ def ref_maximum_matching_general(vertices, edges):
         if mate[root] < 0 and nbrs[root]:
             graphs._augment(root, nbrs, mate, dead)
     return frozenset((ids[a], ids[b]) for a, b in enumerate(mate) if a < b)
+
+
+# --- Config-LP max_size references -------------------------------------------
+# ``maxsize.max_size``, ``solve_config_lp`` and ``round_config_lp`` as they
+# were before max_size read the growth itself, the seeding loop became the
+# first pricing round and the objective came from the last LP. The library
+# must return equal results in every field.
+
+
+def ref_max_size(instance, initial, class_info, eps=Fraction(1, 6), strategy="greedy-sequential", config=None):
+    if strategy not in maxsize.STRATEGIES:
+        raise ParameterError(f"unknown strategy {strategy!r}; choose from {maxsize.STRATEGIES}")
+    eps = bis._check_eps(eps)
+    config = config or maxsize.MaxSizeConfig()
+    if strategy == "greedy-sequential":
+        maxsize.validate_initial(instance, initial)
+        return _ref_greedy_sequential(instance, initial, class_info, eps)
+    solution = ref_solve_config_lp(instance, initial, config)
+    if not solution.converged:
+        result = _ref_greedy_sequential(instance, initial, class_info, eps)
+        augmented = result.augmented.with_flags("config-lp-cap-fallback")
+        return maxsize.MaxSizeResult(augmented, result.added_items, result.added_size, result.strategy, result.guarantee)
+    return ref_round_config_lp(solution, config.seed)
+
+
+def _ref_greedy_sequential(instance, initial, class_info, eps):
+    for bins, _pool in maxsize.greedy_growth(instance, initial, class_info, eps):
+        pass
+    augmented = Packing(tuple(bins), "max_size/greedy-sequential", initial.flags)
+    added = augmented.items() - initial.items()
+    ratio = float(1 - eps)
+    return maxsize.MaxSizeResult(augmented, added, instance.size_of(added), "greedy-sequential", ratio / (1.0 + ratio))
+
+
+def ref_solve_config_lp(instance, initial, config=None):
+    config = config or maxsize.MaxSizeConfig()
+    maxsize.validate_initial(instance, initial)
+    packed = initial.items()
+    pool = sorted(i for i in instance.items if i not in packed)
+    t = initial.bin_count
+    if not pool or t == 0:
+        return maxsize.ConfigLpSolution(instance, initial, tuple(() for _ in range(t)), ZERO, True, 0)
+    item_row = {v: t + k for k, v in enumerate(pool)}
+    bin_eligible: list[list[int]] = []
+    bin_room: list[int] = []
+    for bin_items in initial.bins:
+        blocked, room = instance.bin_state(bin_items)
+        bin_eligible.append([v for v in pool if not (blocked >> v) & 1])
+        bin_room.append(room)
+    if max((len(e) for e in bin_eligible), default=0) > config.pricing_limit:
+        return maxsize.ConfigLpSolution(instance, initial, tuple(() for _ in range(t)), ZERO, False, 0)
+
+    columns: list[tuple[int, frozenset[int]]] = []
+    seen_columns: set[tuple[int, frozenset[int]]] = set()
+    for j in range(t):
+        if not bin_eligible[j] or bin_room[j] <= 0:
+            continue
+        _, greedy_set = maxsize._price_column(
+            instance, bin_eligible[j], bin_room[j], {v: instance.sizes[v] for v in bin_eligible[j]}
+        )
+        if greedy_set:
+            columns.append((j, greedy_set))
+            seen_columns.add((j, greedy_set))
+
+    cap = maxsize.ITERATION_CAP_FACTOR * (t + len(pool))
+    iterations = 0
+    converged = False
+    values: tuple[Fraction, ...] = ()
+    while True:
+        iterations += 1
+        if iterations > cap:
+            break
+        objective = [instance.size_of(cfg) for (_, cfg) in columns]
+        rows = []
+        rhs = []
+        for j in range(t):
+            rows.append([1 if cj == j else 0 for (cj, _) in columns])
+            rhs.append(1)
+        for v in pool:
+            rows.append([1 if v in cfg else 0 for (_, cfg) in columns])
+            rhs.append(1)
+        result = solve_max_lp(objective, rows, rhs)
+        values = result.x
+        mu = result.duals[:t]
+        lam = {v: result.duals[item_row[v]] for v in pool}
+        improved = False
+        for j in range(t):
+            if not bin_eligible[j] or bin_room[j] <= 0:
+                continue
+            profits = {v: instance.sizes[v] - lam[v] for v in bin_eligible[j]}
+            profit, cfg = maxsize._price_column(instance, bin_eligible[j], bin_room[j], profits)
+            if cfg and profit - mu[j] > ZERO and (j, cfg) not in seen_columns:
+                columns.append((j, cfg))
+                seen_columns.add((j, cfg))
+                improved = True
+        if not improved:
+            converged = True
+            break
+
+    per_bin: list[list[tuple[frozenset[int], Fraction]]] = [[] for _ in range(t)]
+    for (j, cfg), y in zip(columns, values):
+        if y > ZERO:
+            per_bin[j].append((cfg, y))
+    objective_value = sum((instance.size_of(cfg) * y for cols in per_bin for (cfg, y) in cols), ZERO)
+    return maxsize.ConfigLpSolution(
+        instance, initial, tuple(tuple(cols) for cols in per_bin), objective_value, converged, iterations
+    )
+
+
+def ref_round_config_lp(solution, seed):
+    instance = solution.instance
+    initial = solution.initial
+    rng = SplitMix64(seed)
+    chosen_sets: list[frozenset[int]] = []
+    for cols in solution.columns:
+        r = Fraction(rng.next_u64(), 1 << 64)
+        acc = ZERO
+        picked: frozenset[int] = frozenset()
+        for cfg, y in cols:
+            acc += y
+            if r < acc:
+                picked = cfg
+                break
+        chosen_sets.append(picked)
+
+    new_bins: list[set[int]] = [set(b) for b in initial.bins]
+    added: set[int] = set()
+    for j, cfg in enumerate(chosen_sets):
+        for v in sorted(cfg):
+            if v not in added:
+                new_bins[j].add(v)
+                added.add(v)
+
+    units = instance.unit_table[0]
+    states = [instance.bin_state(b) for b in new_bins]
+    packed = initial.items() | added
+    for v in sorted(i for i in instance.items if i not in packed):
+        for j, (blocked, room) in enumerate(states):
+            if units[v] <= room and not (blocked >> v) & 1:
+                new_bins[j].add(v)
+                states[j] = (blocked | instance.adjacency[v], room - units[v])
+                added.add(v)
+                break
+
+    augmented = Packing(tuple(frozenset(b) for b in new_bins), "max_size/config-lp", initial.flags)
+    return maxsize.MaxSizeResult(
+        augmented, frozenset(added), instance.size_of(added), "config-lp", 1.0 - 1.0 / math.e
+    )

@@ -413,6 +413,18 @@ def test_unusable_path_exits_2(bipartite_file, tmp_path, capsys, argv):
         ({"sweep": {"count": 1, "n_min": "4"}}, "spec field 'n_min' must be an integer, got str"),
         ({"sweep": {"count": 1, "n_max": 9.5}}, "spec field 'n_max' must be an integer, got float"),
         ({"sweep": {"classes": "split"}}, "sweep field 'classes' must be a list of strings"),
+        (
+            {"instances": [{"class": "split", "n": 5}], "oracle": "false"},
+            "spec field 'oracle' must be a boolean, got str",
+        ),
+        (
+            {"instances": [{"class": "split", "n": 5}], "deterministic": 0},
+            "spec field 'deterministic' must be a boolean, got int",
+        ),
+        (
+            {"sweep": {"count": 1, "n_min": 10, "n_max": 4}},
+            "sweep field 'n_max' must be at least n_min = 10, got 4",
+        ),
     ],
 )
 def test_bench_malformed_suite_exits_2(tmp_path, capsys, suite, message):

@@ -5,6 +5,7 @@ import pytest
 
 from cbp import (
     ConflictInstance,
+    maxsize,
     MaxSizeConfig,
     ParameterError,
     max_size,
@@ -19,7 +20,15 @@ from cbp.maxsize import ConfigLpSolution, greedy_growth
 from cbp.model import _mask_to_ids, classify_items, make_packing
 from cbp.rng import SplitMix64
 
-from conftest import CLASSES, ref_greedy_growth, seeded_instance, single_bin_problem
+from conftest import (
+    CLASSES,
+    ref_greedy_growth,
+    ref_max_size,
+    ref_round_config_lp,
+    ref_solve_config_lp,
+    seeded_instance,
+    single_bin_problem,
+)
 
 
 def test_examples():
@@ -206,3 +215,95 @@ def test_config_lp_pricing_limit_falls_back_to_greedy():
     )
     assert res.strategy == "greedy-sequential"
     assert "config-lp-cap-fallback" in res.augmented.flags
+
+
+def reference_case(seed):
+    """A seeded instance of any class and a start packing of 1-4 bins, each
+    empty or holding one item alone."""
+    rng = SplitMix64(seed)
+    inst = seeded_instance(CLASSES[seed % len(CLASSES)], 5 + rng.below(6), rng.next_u64())
+    items = sorted(inst.items)
+    bins = [set() for _ in range(1 + rng.below(4))]
+    for b in bins:
+        if items and rng.chance(0.6):
+            b.add(items.pop(rng.below(len(items))))
+    return inst, make_packing(bins)
+
+
+def assert_results_equal(res, ref):
+    assert set(res.augmented.bins) == set(ref.augmented.bins)
+    assert res.augmented.bins == ref.augmented.bins
+    assert (res.augmented.source, res.augmented.flags) == (ref.augmented.source, ref.augmented.flags)
+    assert res.added_items == ref.added_items
+    assert res.added_size == ref.added_size
+    assert (res.strategy, res.guarantee) == (ref.strategy, ref.guarantee)
+
+
+def assert_solutions_equal(sol, ref):
+    assert sol.columns == ref.columns
+    assert sol.objective == ref.objective
+    assert (sol.converged, sol.iterations) == (ref.converged, ref.iterations)
+
+
+CONFIGS = (MaxSizeConfig(), MaxSizeConfig(seed=5), MaxSizeConfig(pricing_limit=3))
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=("default", "seed5", "limit3"))
+def test_max_size_and_config_lp_match_the_parent(config):
+    # 210 seeded cases per config: every field of the LP solution, of its
+    # rounding and of max_size under both strategies equals the parent's.
+    outcomes = set()
+    for seed in range(210):
+        inst, start = reference_case(seed)
+        info = recognize(inst)
+        sol = solve_config_lp(inst, start, config)
+        assert_solutions_equal(sol, ref_solve_config_lp(inst, start, config))
+        outcomes.add((sol.converged, sol.iterations > 1))
+        if sol.converged:
+            for rounding_seed in (config.seed, 11):
+                assert_results_equal(
+                    round_config_lp(sol, rounding_seed), ref_round_config_lp(sol, rounding_seed)
+                )
+        for strategy in maxsize.STRATEGIES:
+            assert_results_equal(
+                max_size(inst, start, info, strategy=strategy, config=config),
+                ref_max_size(inst, start, info, strategy=strategy, config=config),
+            )
+    # The cases reach column generation past the first LP, and only the
+    # small pricing limit returns early.
+    assert (True, True) in outcomes
+    assert ((False, False) in outcomes) == (config.pricing_limit == 3)
+
+
+def test_rounding_commits_an_item_sampled_twice_to_the_first_bin():
+    inst = ConflictInstance({0: "1/4", 1: "1/4", 2: "1/4"})
+    start = make_packing([set(), set()])
+    both = frozenset({0, 1})
+    sol = ConfigLpSolution(inst, start, (((both, Fraction(1)),), ((frozenset({1, 2}), Fraction(1)),)), Fraction(1), True, 1)
+    res = round_config_lp(sol, 0)
+    assert res.augmented.bins == (both, frozenset({2}))
+    assert_results_equal(res, ref_round_config_lp(sol, 0))
+
+
+def test_iteration_cap_falls_back_to_greedy(monkeypatch):
+    monkeypatch.setattr(maxsize, "ITERATION_CAP_FACTOR", 0)
+    capped = 0
+    for seed in range(40):
+        inst, start = reference_case(seed)
+        info = recognize(inst)
+        sol = solve_config_lp(inst, start)
+        assert_solutions_equal(sol, ref_solve_config_lp(inst, start))
+        res = max_size(inst, start, info, strategy="config-lp")
+        assert_results_equal(res, ref_max_size(inst, start, info, strategy="config-lp"))
+        if len(start.items()) == inst.n:
+            continue  # nothing to add: no LP to cap
+        capped += 1
+        assert not sol.converged
+        assert sol.iterations == 1
+        assert sol.columns == ((),) * start.bin_count
+        assert sol.objective == 0
+        greedy = max_size(inst, start, info)
+        assert res.augmented == greedy.augmented.with_flags("config-lp-cap-fallback")
+        assert (res.added_items, res.added_size) == (greedy.added_items, greedy.added_size)
+        assert (res.strategy, res.guarantee) == (greedy.strategy, greedy.guarantee)
+    assert capped >= 30
