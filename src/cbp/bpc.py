@@ -32,6 +32,8 @@ from .model import (
 from .simplex import solve_max_lp
 
 PRACTICAL_EPS = Fraction(1, 6)
+# ``abs_bpb`` solves instances of at most this many items exactly.
+ABS_BPB_EXACT_LIMIT = 16
 
 
 def _info(instance: ConflictInstance, info: Optional[GraphClassInfo]) -> GraphClassInfo:
@@ -216,18 +218,18 @@ class AssignmentLp:
     """The one-sided item-to-bin assignment LP.
 
     Variables x[i, v] exist for bin i and item v eligible for it (the bin
-    stays an independent set with v added); rows bound per-bin residual
-    capacity and per-item total assignment.
+    stays an independent set with v added); rows bound each bin's room, in
+    the unit table's units, and each item's total assignment.
     """
 
     items_w: tuple[int, ...]
-    capacities: tuple[Fraction, ...]
+    rooms: tuple[int, ...]
     eligible: tuple[frozenset[int], ...]
     variables: tuple[tuple[int, int], ...]  # (bin index, item) per column
 
     @property
     def bin_count(self) -> int:
-        return len(self.capacities)
+        return len(self.rooms)
 
 
 @dataclass(frozen=True)
@@ -255,12 +257,11 @@ def build_assignment_lp(
         first = report.violations[0]
         raise ParameterError(f"packed bins infeasible: {first.kind} ({first.detail})")
 
-    den = instance.unit_table[1]
     states = [instance.bin_state(members) for members in big_packing.bins]
     eligible = tuple(frozenset(v for v in w if not (blocked >> v) & 1) for blocked, _ in states)
     return AssignmentLp(
         w,
-        tuple(Fraction(room, den) for _, room in states),
+        tuple(room for _, room in states),
         eligible,
         tuple((i, v) for i, q in enumerate(eligible) for v in w if v in q),
     )
@@ -272,15 +273,14 @@ def solve_assignment_lp(instance: ConflictInstance, lp: AssignmentLp) -> LpSolut
     Basicness matters: it caps the number of fractionally assigned items by
     the number of bins, which the rounding step exploits.
     """
-    # Capacity rows in the unit table's units: the LP's rows scaled by den.
-    units, den = instance.unit_table
+    units = instance.unit_table[0]
     cols = lp.variables
     objective = [1] * len(cols)
     rows: list[list[int]] = []
     rhs: list[int] = []
-    for i, capacity in enumerate(lp.capacities):
+    for i, room in enumerate(lp.rooms):
         rows.append([units[v] if ci == i else 0 for (ci, v) in cols])
-        rhs.append(int(capacity * den))
+        rhs.append(room)
     for v in lp.items_w:
         rows.append([1 if cv == v else 0 for (_, cv) in cols])
         rhs.append(1)
@@ -401,11 +401,11 @@ def _assign(
     if outside:
         raise ParameterError(f"assignment items must be tiny at eps={config.eps}: {outside}")
     best = colored.with_source("assign")
+    if not instance.is_independent(w):
+        raise ParameterError("assignment items must be mutually conflict-free (one side)")
     bigs = sorted(classes.big)
     if len(bigs) > config.max_big_items:
         return best.with_flags("enumeration-skipped")
-    if not instance.is_independent(w):
-        raise ParameterError("assignment items must be mutually conflict-free (one side)")
     count = 0
     for big_packing in _enumerate_feasible_packings(instance, bigs, config.max_bins):
         count += 1
@@ -413,7 +413,7 @@ def _assign(
         if big_packing.bin_count >= best.bin_count:
             continue
         rounded = round_assignment(instance, big_packing, w)
-        rest = restrict_instance(instance, rounded.items(), mode="subtract")
+        rest = restrict_instance(instance, set(instance.items) - rounded.items())
         tail = color_sets(rest, info)
         candidate = Packing(rounded.bins + tail.bins, "assign", rounded.flags)
         if candidate.bin_count < best.bin_count:
@@ -422,22 +422,24 @@ def _assign(
 
 
 def abs_bpb(instance: ConflictInstance, info: Optional[GraphClassInfo] = None) -> Packing:
-    """Best of coloring, small-optimum exact search, and both one-sided
-    LP-assignment runs, on a bipartite conflict graph.
+    """Best of a few candidates on a bipartite conflict graph.
 
-    The candidates run in that order until one meets ``bin_lower_bound``;
-    the later ones could only tie. For n <= 16 the exact search is the
-    optimum, so the assignment runs follow only when the optimum lies
-    above the bound.
+    Up to ABS_BPB_EXACT_LIMIT items: the coloring and the exact optimum,
+    which no assignment run could beat. Above it: the coloring, a search
+    for a packing into at most 3 bins, and both one-sided LP-assignment
+    runs. The candidates run in that order until one meets
+    ``bin_lower_bound``; the later ones could only tie.
     """
     info = _info(instance, info)
     if info.bipartition is None:
         raise CapabilityError("bipartite certificate required")
+    colored = color_sets(instance, info)
 
-    def exact() -> Optional[Packing]:
-        if instance.n <= 16:
-            packing, _ = oracle.opt_bpc_exact(instance, limit_n=16)
-            return packing.with_source("abs_bpb/exact")
+    def exact() -> Packing:
+        packing, _ = oracle.opt_bpc_exact(instance, limit_n=ABS_BPB_EXACT_LIMIT)
+        return packing.with_source("abs_bpb/exact")
+
+    def at_most_3_bins() -> Optional[Packing]:
         # Too large to solve exactly: look only for a packing into at most
         # 3 bins, none of which exists above the L1 bound, and give up when
         # the node budget runs out.
@@ -450,20 +452,19 @@ def abs_bpb(instance: ConflictInstance, info: Optional[GraphClassInfo] = None) -
             return None
         return packing.with_source("abs_bpb/exact-small")
 
-    config = AssignConfig()
-    tiny = classify_items(instance, eps=config.eps).tiny
-    assert tiny is not None
-    colored = color_sets(instance, info)
-    return _best_of(
-        instance,
-        "abs_bpb",
-        lambda: colored.with_source("abs_bpb/color_sets"),
-        exact,
-        *(
+    candidates = [lambda: colored.with_source("abs_bpb/color_sets")]
+    if instance.n <= ABS_BPB_EXACT_LIMIT:
+        candidates.append(exact)
+    else:
+        config = AssignConfig()
+        tiny = classify_items(instance, eps=config.eps).tiny
+        assert tiny is not None
+        candidates.append(at_most_3_bins)
+        candidates += (
             functools.partial(_assign, instance, sorted(side & tiny), info, config, colored)
             for side in info.bipartition
-        ),
-    )
+        )
+    return _best_of(instance, "abs_bpb", *candidates)
 
 
 def multipartite_pack(instance: ConflictInstance, info: Optional[GraphClassInfo] = None) -> Packing:

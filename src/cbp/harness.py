@@ -19,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from . import bpc, oracle, packing_classic
 from .errors import CapabilityError, ParameterError
@@ -400,14 +400,18 @@ ALGORITHMS = tuple(SOLVERS)
 EPS_ALGORITHMS = ("max_solve", "approx_bpc", "split_approx")
 
 
+def _solver(name: str) -> Callable[..., Packing]:
+    if name not in SOLVERS:
+        raise ParameterError(f"unknown algorithm {name!r}; choose from {ALGORITHMS}")
+    return SOLVERS[name]
+
+
 def run_algorithm(name: str, instance: ConflictInstance, info: GraphClassInfo, **kw) -> Packing:
     """Dispatch an algorithm by CLI/report name (CapabilityError if unfit).
 
     Keywords (``eps``) reach the solver; only EPS_ALGORITHMS take one.
     """
-    if name not in SOLVERS:
-        raise ParameterError(f"unknown algorithm {name!r}; choose from {ALGORITHMS}")
-    return SOLVERS[name](instance, info, **kw)
+    return _solver(name)(instance, info, **kw)
 
 
 def _ffd_bounds_ok(instance: ConflictInstance, packing: Packing) -> bool:
@@ -453,7 +457,7 @@ def _evaluate_instance(spec_dict: dict, instance_id: str, config: dict) -> tuple
     info = recognize(instance)
     algorithms = config.get("algorithms", ["approx_bpc"])
     oracle_on = config.get("oracle", False)
-    oracle_limit = _spec_field(config, "oracle_limit", 14, int)
+    oracle_limit = config.get("oracle_limit", 14)
     timing = not config.get("deterministic", True)
 
     opt: Optional[int] = None
@@ -543,17 +547,20 @@ def expand_suite(config: dict) -> list[tuple[str, dict]]:
     Raises ParameterError, naming the field, when the suite or one of its
     fields has the wrong JSON type: ``instances``, ``algorithms`` and
     ``sweep`` as _SUITE_FIELDS says, the sweep's ``classes`` as a list of
-    strings, ``oracle`` and ``deterministic`` as booleans, and ``seed`` and
-    the sweep's ``count``, ``n_min`` and ``n_max`` as integers
-    (``oracle_limit`` is checked per instance), or when ``n_max`` is below
-    ``n_min``. The CBP_SEED environment variable overrides the base seed
-    (and with it every derived instance seed).
+    strings, ``oracle`` and ``deterministic`` as booleans, and ``seed``,
+    ``oracle_limit`` and the sweep's ``count``, ``n_min`` and ``n_max`` as
+    integers, when an algorithm is not in ALGORITHMS, or when ``n_max`` is
+    below ``n_min``. The CBP_SEED environment variable overrides the base
+    seed (and with it every derived instance seed).
     """
     if not isinstance(config, dict):
         raise ParameterError(f"suite must be a JSON object, got {type(config).__name__}")
     _check_shapes(config, _SUITE_FIELDS, "suite")
+    for name in config.get("algorithms", ()):
+        _solver(name)
     _spec_field(config, "oracle", False, bool)
     _spec_field(config, "deterministic", True, bool)
+    _spec_field(config, "oracle_limit", 14, int)
     base_seed = int(os.environ.get("CBP_SEED", _spec_field(config, "seed", 0, int)))
     stream = SplitMix64(base_seed)
     out: list[tuple[str, dict]] = []
@@ -589,9 +596,9 @@ def expand_suite(config: dict) -> list[tuple[str, dict]]:
 
 def run_suite(config: dict, out_dir, jobs: int = 1) -> RunReport:
     """Run a suite config, write report.csv + per-instance JSON + summary."""
+    pairs = expand_suite(config)
     out = Path(out_dir)
     (out / "results").mkdir(parents=True, exist_ok=True)
-    pairs = expand_suite(config)
     args = ([spec for _, spec in pairs], [iid for iid, _ in pairs], [config] * len(pairs))
     if jobs > 1 and len(pairs) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

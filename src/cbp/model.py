@@ -422,10 +422,8 @@ def union_packings(b: Packing, c: Packing) -> Packing:
     return Packing(bins, b.source or c.source, b.flags + c.flags)
 
 
-def restrict_instance(
-    instance: ConflictInstance, subset: Iterable[int], mode: str = "intersect"
-) -> ConflictInstance:
-    """Induced sub-instance on ``subset`` (or its complement for subtract).
+def restrict_instance(instance: ConflictInstance, subset: Iterable[int]) -> ConflictInstance:
+    """Induced sub-instance on ``subset``.
 
     Item ids are preserved; edges are restricted to the kept items. The
     parent's sizes are already checked, so the sub-instance is built from
@@ -436,13 +434,7 @@ def restrict_instance(
     unknown = sub - instance.sizes.keys()
     if unknown:
         raise ParameterError(f"subset contains unknown items: {sorted(unknown)}")
-    if mode == "intersect":
-        kept = sub
-    elif mode == "subtract":
-        kept = set(instance.items) - sub
-    else:
-        raise ParameterError(f"mode must be 'intersect' or 'subtract', got {mode!r}")
-    items = tuple(sorted(kept))
+    items = tuple(sorted(sub))
     inside = _ids_mask(items)
     units, den = instance.unit_table
     out = object.__new__(ConflictInstance)

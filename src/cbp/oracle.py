@@ -195,9 +195,10 @@ def _exact_bins(
     """
     solver = _BnB(items, units, den, adjacency, max_bins, node_budget)
     result = solver.solve()
+    # An incumbent found before the budget ran out is not proven optimal.
+    if solver.budget_exhausted:
+        raise CapabilityError("exact solver node budget exhausted")
     if result is None:
-        if solver.budget_exhausted:
-            raise CapabilityError("exact solver node budget exhausted")
         raise CapabilityError(f"no packing within {max_bins} bins")
     assign, count = result
     bins: list[set[int]] = [set() for _ in range(count)]
@@ -215,7 +216,8 @@ def opt_bpc_exact(
     """Provably optimal packing by branch and bound.
 
     With ``max_bins`` set, searches only packings within that many bins and
-    raises CapabilityError if none exists (or the node budget runs out).
+    raises CapabilityError if none exists. Raises it too whenever the node
+    budget runs out, as the best packing found is then unproven.
     Sizes are converted here from ``instance.sizes``, not read from the
     instance's unit table, so the ground truth stays independent of it.
     """

@@ -458,7 +458,7 @@ def _assign_every_packing(instance, w, info, config):
     for big_packing in _enumerate_feasible_packings(instance, bigs, config.max_bins):
         count += 1
         rounded = round_assignment(instance, big_packing, w)
-        rest = restrict_instance(instance, rounded.items(), mode="subtract")
+        rest = restrict_instance(instance, set(instance.items) - rounded.items())
         tail = color_sets(rest, restrict_class_info(info, rest.items))
         candidate = Packing(rounded.bins + tail.bins, "assign", rounded.flags)
         if candidate.bin_count < best.bin_count:
@@ -495,6 +495,9 @@ def test_assign_rejects_conflicting_w_when_every_packing_is_skipped():
     inst = ConflictInstance({0: "0.5", 1: "0.5", 2: "0.05", 3: "0.05"}, edges=[(0, 1), (2, 3)])
     with pytest.raises(ParameterError, match="conflict-free"):
         assign(inst, [2, 3], recognize(inst), AssignConfig(eps=Fraction(1, 12)))
+    # Two big items over the enumeration cap of one: no packing is enumerated.
+    with pytest.raises(ParameterError, match="conflict-free"):
+        assign(inst, [2, 3], recognize(inst), AssignConfig(eps=Fraction(1, 12), max_big_items=1))
     with pytest.raises(ParameterError, match="conflict-free"):
         build_assignment_lp(inst, make_packing([{0}, {1}]), [2, 3])
 
@@ -624,6 +627,45 @@ def test_abs_bpb_skips_the_three_bin_search_above_the_bound(monkeypatch):
     packing = abs_bpb(inst, info)
     assert (packing.bins, packing.source, packing.flags) == (want.bins, want.source, want.flags)
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "make, n, assign_calls",
+    [
+        # {0, 1, 2} completely joined to {3, 4}: the optimum 3 lies above
+        # the bound 2, which the parent left to both assignment runs.
+        (
+            lambda: ConflictInstance(
+                {0: "1/2", 1: "1/2", 2: "1/20000", 3: "2/5", 4: "2/5"},
+                edges=[(u, v) for u in (0, 1, 2) for v in (3, 4)],
+            ),
+            5,
+            0,
+        ),
+        # Coloring wins at the optimum, which also lies above the bound.
+        (lambda: generate(GeneratorSpec(klass="bipartite", n=16, density=0.3, size_dist=TINY_SIZES, seed=1)), 16, 0),
+        (_assign_wins_instance, 17, 2),
+    ],
+)
+def test_abs_bpb_runs_assign_only_above_the_exact_limit(monkeypatch, make, n, assign_calls):
+    # Up to ABS_BPB_EXACT_LIMIT items the exact candidate is the optimum,
+    # so no assignment run is made; above it both sides are tried. Bins,
+    # source and flags stay the eager reference's, which runs them all.
+    inst = make()
+    info = recognize(inst)
+    assert inst.n == n
+    want = ref_abs_bpb(inst, info)
+    calls = []
+    original = bpc._assign
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bpc, "_assign", counting)
+    packing = abs_bpb(inst, info)
+    assert (packing.bins, packing.source, packing.flags) == (want.bins, want.source, want.flags)
+    assert len(calls) == assign_calls
 
 
 def test_abs_bpb_colors_its_instance_once(monkeypatch):

@@ -178,11 +178,13 @@ def test_solve_solver_error_exits_3(tmp_path, monkeypatch, capsys):
         raise SolverError("simplex iteration cap 0 exceeded")
 
     monkeypatch.setattr(bpc, "solve_max_lp", broken_lp)
-    # {0, 1, 2} completely joined to {3, 4}: the optimum {0, 1}, {2}, {3, 4}
-    # lies above the bound ceil(s) = 2, so coloring and the exact search
-    # leave abs_bpb to the assignment runs, and the big-item packing
-    # {0, 1}, {3, 4} sends the tiny item 2 to the LP.
-    sizes = {0: "1/2", 1: "1/2", 2: "1/20000", 3: "2/5", 4: "2/5"}
+    # {0, 1, 2} completely joined to {3, 4}, and twelve isolated tiny items
+    # that take abs_bpb above its exact limit of 16: the optimum
+    # {0, 1}, {2, ...}, {3, 4, ...} lies above the bound ceil(s) = 2, and
+    # no packing has at most 2 bins, so coloring and the 3-bin search leave
+    # abs_bpb to the assignment runs, and the big-item packing {0, 1},
+    # {3, 4} sends the tiny items to the LP.
+    sizes = {0: "1/2", 1: "1/2", 2: "1/20000", 3: "2/5", 4: "2/5"} | {i: "1/20000" for i in range(5, 17)}
     path = tmp_path / "halves.json"
     write_instance(ConflictInstance(sizes, edges=[(u, v) for u in (0, 1, 2) for v in (3, 4)]), path)
     assert main(["solve", "--algo", "abs_bpb", "--in", str(path)]) == 3
@@ -425,12 +427,19 @@ def test_unusable_path_exits_2(bipartite_file, tmp_path, capsys, argv):
             {"sweep": {"count": 1, "n_min": 10, "n_max": 4}},
             "sweep field 'n_max' must be at least n_min = 10, got 4",
         ),
+        ({"algorithms": ["nope"]}, "unknown algorithm 'nope'; choose from"),
+        (
+            {"instances": [{"class": "split", "n": 5}], "algorithms": ["color_sets", "nope"]},
+            "unknown algorithm 'nope'; choose from",
+        ),
     ],
 )
 def test_bench_malformed_suite_exits_2(tmp_path, capsys, suite, message):
     path = tmp_path / "suite.json"
     path.write_text(json.dumps(suite))
-    assert main(["bench", "--suite", str(path), "--out", str(tmp_path / "bench")]) == 2
+    out = tmp_path / "bench"
+    assert main(["bench", "--suite", str(path), "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"parameter error: {message}" in captured.err
+    assert not out.exists()

@@ -183,13 +183,11 @@ def test_restrict_examples():
     inst = ConflictInstance({0: "0.2", 1: "0.3", 2: "0.4"}, edges=[(0, 1), (1, 2)])
     assert restrict_instance(inst, inst.items) == inst
     assert restrict_instance(inst, []).n == 0
-    sub = restrict_instance(inst, {1}, mode="subtract")
+    sub = restrict_instance(inst, {0, 2})
     assert sub.items == (0, 2)
     assert not sub.edges
     with pytest.raises(ParameterError):
         restrict_instance(inst, {7})
-    with pytest.raises(ParameterError):
-        restrict_instance(inst, {0}, mode="bogus")
 
 
 def test_restrict_idempotent_and_preserves_ids():

@@ -48,6 +48,17 @@ def test_exact_node_budget_exhausted():
     assert opt == 2 and validate_packing(inst, packing, require_cover=True).feasible
 
 
+def test_exact_node_budget_exhausted_with_an_incumbent():
+    # First fit finds 7 bins and three nodes do not improve on them, but
+    # the optimum is 6: the incumbent left when the budget runs out is
+    # unproven, so no count is returned.
+    inst = seeded_instance("bipartite", 12, 0, density=0.3)
+    _, opt = opt_bpc_exact(inst)
+    assert opt == 6
+    with pytest.raises(CapabilityError, match="exact solver node budget exhausted"):
+        opt_bpc_exact(inst, node_budget=3)
+
+
 def test_exact_matches_naive_partition_search():
     for seed in range(40):
         klass = CLASSES[seed % len(CLASSES)]
