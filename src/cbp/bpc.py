@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Optional
 from . import bis, oracle, packing_classic
 from .errors import CapabilityError, ParameterError, SolverError
 from .graphs import GraphClassInfo, maximum_matching_masks, minimum_coloring, recognize
-from .maxsize import greedy_growth
+from .maxsize import greedy_growth, validate_initial
 from .model import (
     ConflictInstance,
     Packing,
@@ -25,7 +25,6 @@ from .model import (
     classify_items,
     fits_within,
     restrict_instance,
-    validate_packing,
     ONE,
     ZERO,
 )
@@ -252,10 +251,7 @@ def build_assignment_lp(
         raise ParameterError(f"assignment items not in instance: {unknown}")
     if not instance.is_independent(w):
         raise ParameterError("assignment items must be mutually conflict-free (one side)")
-    report = validate_packing(instance, big_packing, require_cover=False)
-    if not report.feasible:
-        first = report.violations[0]
-        raise ParameterError(f"packed bins infeasible: {first.kind} ({first.detail})")
+    validate_initial(instance, big_packing)
 
     states = [instance.bin_state(members) for members in big_packing.bins]
     eligible = tuple(frozenset(v for v in w if not (blocked >> v) & 1) for blocked, _ in states)

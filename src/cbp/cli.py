@@ -79,11 +79,11 @@ def _cmd_solve(args) -> int:
 def _cmd_generate(args) -> int:
     with open(args.spec) as fh:
         data = json.load(fh)
-    specs = data if isinstance(data, list) else [data]
+    # Every spec is read and checked before the output directory exists.
+    specs = [harness.GeneratorSpec.from_dict(d) for d in (data if isinstance(data, list) else [data])]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for idx, spec_dict in enumerate(specs):
-        spec = harness.GeneratorSpec.from_dict(spec_dict)
+    for idx, spec in enumerate(specs):
         name = f"{spec.klass}-{idx:05d}"
         if spec.klass == "b3dm-reduction":
             instance, planted = harness.generate_b3dm(spec)

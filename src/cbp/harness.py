@@ -43,42 +43,75 @@ B3DM_SIZES = {
 }
 
 
-_JSON_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "a boolean"}
+# A field's type, that of its default -> (the JSON types it is read from,
+# as named in errors).
+_JSON_TYPES = {
+    int: (int, "an integer"),
+    float: ((int, float), "a number"),
+    str: (str, "a string"),
+    bool: (bool, "a boolean"),
+    tuple: (list, "a list"),
+}
 
 
-def _spec_field(data: dict, key: str, default, kind: type):
-    """``data[key]`` (or ``default``) as ``kind``, which must match its JSON
-    type: an integer for int, any number for float, a string for str, true
-    or false for bool (a boolean is no number)."""
-    value = data.get(key, default)
-    accepted = (int, float) if kind is float else kind
+def _spec_field(data: dict, key: str, default):
+    """``data[key]`` (or ``default``) as the type of ``default``, which must
+    match its JSON type: an integer for int, any number for float, a string
+    for str, true or false for bool (a boolean is no number), a list for a
+    tuple."""
+    if key not in data:
+        return default
+    value, kind = data[key], type(default)
+    accepted, name = _JSON_TYPES[kind]
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
-        raise ParameterError(
-            f"spec field {key!r} must be {_JSON_TYPE_NAMES[kind]}, got {type(value).__name__}"
-        )
+        raise ParameterError(f"spec field {key!r} must be {name}, got {type(value).__name__}")
     return kind(value)
 
 
-def _reject_unknown_keys(data: dict, known: tuple[str, ...]) -> None:
+def _read_spec(cls, data: dict, **given):
+    """``cls`` built from the JSON object ``data``: each field not in
+    ``given`` is read by :func:`_spec_field` with the field's default. A key
+    that names no field is rejected; a ``klass`` field is also spelled
+    "class"."""
+    names = tuple(f.name for f in fields(cls))
+    known = ("class", *names) if "klass" in names else names
     unknown = [key for key in data if key not in known]
     if unknown:
         raise ParameterError(f"unknown spec field {unknown[0]!r}; known fields: {', '.join(known)}")
+    read = {f.name: _spec_field(data, f.name, f.default) for f in fields(cls) if f.name not in given}
+    return cls(**read, **given)
 
 
-def _spec_unit(data: dict, key: str, default: float) -> float:
-    """A number field of ``data`` that must lie in [0, 1]."""
-    value = _spec_field(data, key, default, float)
-    if not 0.0 <= value <= 1.0:
-        raise ParameterError(f"spec field {key!r} must be in [0, 1], got {value}")
-    return value
+def _check_unit(spec, *names: str) -> None:
+    for name in names:
+        value = getattr(spec, name)
+        if not 0.0 <= value <= 1.0:
+            raise ParameterError(f"spec field {name!r} must be in [0, 1], got {value}")
 
 
 @dataclass(frozen=True)
 class SizeDist:
+    """How a spec draws item sizes; construction checks every value."""
+
     kind: str = "grid20"  # grid20 | uniform | discrete
     lo: float = 0.05
     hi: float = 1.0
-    values: tuple[str, ...] = ()
+    values: tuple = ()  # discrete only: sizes as "p/q" or decimal strings, or numbers
+
+    def __post_init__(self):
+        if self.kind not in ("grid20", "uniform", "discrete"):
+            raise ParameterError(f"unknown size distribution {self.kind!r}")
+        if self.kind == "discrete" and not self.values:
+            raise ParameterError("discrete size distribution needs values")
+        _check_unit(self, "lo", "hi")
+        if self.lo > self.hi:
+            raise ParameterError(f"spec field 'lo' must not exceed 'hi', got lo {self.lo} > hi {self.hi}")
+        for value in self.values:
+            try:
+                if not 0 <= as_size(value) <= 1:
+                    raise ParameterError
+            except ParameterError:
+                raise ParameterError(f"spec field 'values' must hold sizes in [0, 1], got {value!r}") from None
 
     def draw(self, rng: SplitMix64) -> Fraction:
         if self.kind == "grid20":
@@ -87,35 +120,24 @@ class SizeDist:
             x = self.lo + (self.hi - self.lo) * rng.unit()
             x = min(max(x, 0.0), 1.0)
             return as_size(round(x, 9))
-        if self.kind == "discrete":
-            if not self.values:
-                raise ParameterError("discrete size distribution needs values")
-            return as_size(self.values[rng.below(len(self.values))])
-        raise ParameterError(f"unknown size distribution {self.kind!r}")
+        return as_size(self.values[rng.below(len(self.values))])
 
-    @staticmethod
-    def from_dict(data: Optional[dict]) -> "SizeDist":
-        if data is None:
-            return SizeDist()
-        if not isinstance(data, dict):
-            raise ParameterError(f"spec field 'size_dist' must be a JSON object, got {type(data).__name__}")
-        _reject_unknown_keys(data, tuple(f.name for f in fields(SizeDist)))
-        values = data.get("values", [])
-        if not isinstance(values, list):
-            raise ParameterError(f"spec field 'values' must be a list, got {type(values).__name__}")
-        lo, hi = _spec_unit(data, "lo", 0.05), _spec_unit(data, "hi", 1.0)
-        if lo > hi:
-            raise ParameterError(f"spec field 'lo' must not exceed 'hi', got lo {lo} > hi {hi}")
-        return SizeDist(
-            kind=_spec_field(data, "kind", "grid20", str),
-            lo=lo,
-            hi=hi,
-            values=tuple(str(v) for v in values),
-        )
+
+def _size_dist(data) -> SizeDist:
+    """The ``size_dist`` JSON object of a spec or sweep (absent or null: the default)."""
+    if data is None:
+        return SizeDist()
+    if not isinstance(data, dict):
+        raise ParameterError(f"spec field 'size_dist' must be a JSON object, got {type(data).__name__}")
+    return _read_spec(SizeDist, data)
 
 
 @dataclass(frozen=True)
 class GeneratorSpec:
+    """One seeded instance. Construction checks the values (class, ``n``,
+    ``density`` and the b3dm counts); :meth:`from_dict` reads a JSON spec,
+    every field checked for its JSON type first."""
+
     klass: str
     n: int = 0
     density: float = 0.3
@@ -130,29 +152,32 @@ class GeneratorSpec:
     variant: str = "BPB"
     degree_cap: int = 3
 
+    def __post_init__(self):
+        if self.klass not in GENERATOR_CLASSES:
+            raise ParameterError(f"unknown generator class {self.klass!r}")
+        if self.n < 0:
+            raise ParameterError("n must be nonnegative")
+        _check_unit(self, "density")
+        if self.klass != "b3dm-reduction":
+            return
+        x, y, z, t, i = self.x_count, self.y_count, self.z_count, self.t_count, self.guess
+        if min(x, y, z, t) < 0 or i < 0:
+            raise ParameterError("counts must be nonnegative")
+        if t - i < 0:
+            raise ParameterError(f"guess {i} exceeds triple count {t}")
+        if x + y + z - 3 * i < 0:
+            raise ParameterError(f"guess {i} needs at least {3 * i} elements, got {x + y + z}")
+        if i > min(x, y, z):
+            raise ParameterError(f"guess {i} exceeds a ground-set size (planted matching)")
+        if self.variant not in ("BPB", "BPS"):
+            raise ParameterError(f"variant must be BPB or BPS, got {self.variant!r}")
+
     @staticmethod
     def from_dict(data: dict) -> "GeneratorSpec":
         if not isinstance(data, dict):
             raise ParameterError(f"generator spec must be a JSON object, got {type(data).__name__}")
-        # The field names, "klass" included, plus its JSON spelling "class".
-        _reject_unknown_keys(data, ("class",) + tuple(f.name for f in fields(GeneratorSpec)))
         klass = data.get("class", data.get("klass"))
-        if klass not in GENERATOR_CLASSES:
-            raise ParameterError(f"unknown generator class {klass!r}")
-        return GeneratorSpec(
-            klass=klass,
-            n=_spec_field(data, "n", 0, int),
-            density=_spec_unit(data, "density", 0.3),
-            size_dist=SizeDist.from_dict(data.get("size_dist")),
-            seed=_spec_field(data, "seed", 0, int),
-            x_count=_spec_field(data, "x_count", 0, int),
-            y_count=_spec_field(data, "y_count", 0, int),
-            z_count=_spec_field(data, "z_count", 0, int),
-            t_count=_spec_field(data, "t_count", 0, int),
-            guess=_spec_field(data, "guess", 0, int),
-            variant=_spec_field(data, "variant", "BPB", str),
-            degree_cap=_spec_field(data, "degree_cap", 3, int),
-        )
+        return _read_spec(GeneratorSpec, data, klass=klass, size_dist=_size_dist(data.get("size_dist")))
 
 
 def _draw_sizes(spec: GeneratorSpec, rng: SplitMix64) -> list[Fraction]:
@@ -163,8 +188,6 @@ def generate(spec: GeneratorSpec) -> ConflictInstance:
     """Deterministic instance for a spec; the declared class is verified."""
     if spec.klass == "b3dm-reduction":
         return generate_b3dm(spec)[0]
-    if spec.n < 0:
-        raise ParameterError("n must be nonnegative")
     rng = SplitMix64(spec.seed)
     sizes = _draw_sizes(spec, rng)
     n = spec.n
@@ -198,7 +221,7 @@ def generate(spec: GeneratorSpec) -> ConflictInstance:
                     edges.append((u, v))
                 elif spec.klass == "complete-multipartite" and not same:
                     edges.append((u, v))
-    elif spec.klass == "chordal":
+    else:  # chordal
         span = max(2 * n, 1)
         max_len = max(1, int(spec.density * span))
         intervals = []
@@ -212,8 +235,6 @@ def generate(spec: GeneratorSpec) -> ConflictInstance:
                 av, bv = intervals[v]
                 if au <= bv and av <= bu:
                     edges.append((u, v))
-    else:
-        raise ParameterError(f"unknown generator class {spec.klass!r}")
     instance = ConflictInstance(sizes, edges, class_hint=spec.klass)
     _verify_declared_class(instance, spec.klass)
     return instance
@@ -233,16 +254,6 @@ def generate_b3dm(spec: GeneratorSpec) -> tuple[ConflictInstance, Packing]:
     every bin full. Returns that planted packing alongside the instance.
     """
     x, y, z, t, i = spec.x_count, spec.y_count, spec.z_count, spec.t_count, spec.guess
-    if min(x, y, z, t) < 0 or i < 0:
-        raise ParameterError("counts must be nonnegative")
-    if t - i < 0:
-        raise ParameterError(f"guess {i} exceeds triple count {t}")
-    if x + y + z - 3 * i < 0:
-        raise ParameterError(f"guess {i} needs at least {3 * i} elements, got {x + y + z}")
-    if i > min(x, y, z):
-        raise ParameterError(f"guess {i} exceeds a ground-set size (planted matching)")
-    if spec.variant not in ("BPB", "BPS"):
-        raise ParameterError(f"variant must be BPB or BPS, got {spec.variant!r}")
     rng = SplitMix64(spec.seed)
 
     x_ids = list(range(x))
@@ -451,18 +462,28 @@ def _decomposition_ok(instance: ConflictInstance, info: GraphClassInfo, opt: int
     return total == opt
 
 
-def _evaluate_instance(spec_dict: dict, instance_id: str, config: dict) -> tuple[list[RunRow], dict]:
-    spec = GeneratorSpec.from_dict(spec_dict)
+@dataclass(frozen=True)
+class _Settings:
+    """The suite fields every instance's evaluation reads, with their defaults."""
+
+    algorithms: tuple[str, ...] = ("approx_bpc",)
+    oracle: bool = False
+    oracle_limit: int = 14
+    deterministic: bool = True
+
+    def __post_init__(self):
+        for name in self.algorithms:
+            _solver(name)
+
+
+def _evaluate_instance(spec: GeneratorSpec, instance_id: str, settings: _Settings) -> tuple[list[RunRow], dict]:
     instance = generate(spec)
     info = recognize(instance)
-    algorithms = config.get("algorithms", ["approx_bpc"])
-    oracle_on = config.get("oracle", False)
-    oracle_limit = config.get("oracle_limit", 14)
-    timing = not config.get("deterministic", True)
+    timing = not settings.deterministic
 
     opt: Optional[int] = None
-    if oracle_on and instance.n <= oracle_limit:
-        _, opt = oracle.opt_bpc_exact(instance, limit_n=oracle_limit)
+    if settings.oracle and instance.n <= settings.oracle_limit:
+        _, opt = oracle.opt_bpc_exact(instance, limit_n=settings.oracle_limit)
 
     rows: list[RunRow] = []
     detail: dict = {
@@ -472,7 +493,7 @@ def _evaluate_instance(spec_dict: dict, instance_id: str, config: dict) -> tuple
         "opt": opt,
         "results": [],
     }
-    for name in algorithms:
+    for name in settings.algorithms:
         start = time.perf_counter_ns()
         try:
             packing = run_algorithm(name, instance, info)
@@ -511,7 +532,7 @@ def _evaluate_instance(spec_dict: dict, instance_id: str, config: dict) -> tuple
         elif "lemma12:fail" in packing.flags:
             row.lemma12_ok = False
         if name == "multipartite_pack" and opt:
-            row.lemma16_ok = _decomposition_ok(instance, info, opt, oracle_limit)
+            row.lemma16_ok = _decomposition_ok(instance, info, opt, settings.oracle_limit)
         rows.append(row)
         detail["results"].append(
             {
@@ -541,65 +562,61 @@ def _check_shapes(data: dict, shapes: dict, what: str) -> None:
             raise ParameterError(f"{what} field {key!r} must be {shape}")
 
 
-def expand_suite(config: dict) -> list[tuple[str, dict]]:
-    """Expand a suite config into (instance_id, spec dict) pairs.
+def expand_suite(config: dict) -> list[tuple[str, GeneratorSpec]]:
+    """Expand a suite config into (instance_id, spec) pairs, every spec
+    parsed and checked; an id is the spec's class and its index.
 
     Raises ParameterError, naming the field, when the suite or one of its
     fields has the wrong JSON type: ``instances``, ``algorithms`` and
     ``sweep`` as _SUITE_FIELDS says, the sweep's ``classes`` as a list of
-    strings, ``oracle`` and ``deterministic`` as booleans, and ``seed``,
-    ``oracle_limit`` and the sweep's ``count``, ``n_min`` and ``n_max`` as
-    integers, when an algorithm is not in ALGORITHMS, or when ``n_max`` is
-    below ``n_min``. The CBP_SEED environment variable overrides the base
-    seed (and with it every derived instance seed).
+    strings, and ``seed`` and the sweep's ``count``, ``n_min`` and
+    ``n_max`` as integers, when ``n_max`` is below ``n_min``, or when an
+    instance spec, a sweep class or the sweep's ``size_dist`` is not one
+    :class:`GeneratorSpec` accepts. The CBP_SEED environment variable
+    overrides the base seed (and with it every derived instance seed).
     """
     if not isinstance(config, dict):
         raise ParameterError(f"suite must be a JSON object, got {type(config).__name__}")
     _check_shapes(config, _SUITE_FIELDS, "suite")
-    for name in config.get("algorithms", ()):
-        _solver(name)
-    _spec_field(config, "oracle", False, bool)
-    _spec_field(config, "deterministic", True, bool)
-    _spec_field(config, "oracle_limit", 14, int)
-    base_seed = int(os.environ.get("CBP_SEED", _spec_field(config, "seed", 0, int)))
+    base_seed = int(os.environ.get("CBP_SEED", _spec_field(config, "seed", 0)))
     stream = SplitMix64(base_seed)
-    out: list[tuple[str, dict]] = []
-    for idx, spec in enumerate(config.get("instances", [])):
-        spec = dict(spec)
-        if "seed" not in spec or "CBP_SEED" in os.environ:
-            spec["seed"] = stream.next_u64()
-        klass = spec.get("class", "edgeless")
-        out.append((f"{klass}-{idx:05d}", spec))
+    out: list[tuple[str, GeneratorSpec]] = []
+    for idx, data in enumerate(config.get("instances", [])):
+        data = dict(data)
+        if "seed" not in data or "CBP_SEED" in os.environ:
+            data["seed"] = stream.next_u64()
+        spec = GeneratorSpec.from_dict(data)
+        out.append((f"{spec.klass}-{idx:05d}", spec))
     sweep = config.get("sweep")
     if sweep:
         _check_shapes(sweep, {"classes": (list, str, "a list of strings")}, "sweep")
-        count = _spec_field(sweep, "count", 10, int)
-        n_min = _spec_field(sweep, "n_min", 4, int)
-        n_max = _spec_field(sweep, "n_max", 14, int)
+        count = _spec_field(sweep, "count", 10)
+        n_min = _spec_field(sweep, "n_min", 4)
+        n_max = _spec_field(sweep, "n_max", 14)
         if n_max < n_min:
             raise ParameterError(f"sweep field 'n_max' must be at least n_min = {n_min}, got {n_max}")
+        size_dist = _size_dist(sweep.get("size_dist"))
         for klass in sweep.get("classes", ["bipartite"]):
             for k in range(count):
                 n = n_min + stream.below(n_max - n_min + 1) if n_max > n_min else n_min
-                density = 0.1 + 0.8 * stream.unit()
-                spec = {
-                    "class": klass,
-                    "n": n,
-                    "density": round(density, 6),
-                    "seed": stream.next_u64(),
-                }
-                if "size_dist" in sweep:
-                    spec["size_dist"] = sweep["size_dist"]
+                density = round(0.1 + 0.8 * stream.unit(), 6)
+                spec = GeneratorSpec(klass=klass, n=n, density=density, size_dist=size_dist, seed=stream.next_u64())
                 out.append((f"{klass}-{len(out):05d}", spec))
     return out
 
 
 def run_suite(config: dict, out_dir, jobs: int = 1) -> RunReport:
-    """Run a suite config, write report.csv + per-instance JSON + summary."""
+    """Run a suite config, write report.csv + per-instance JSON + summary.
+
+    The suite is read and checked in full (:func:`expand_suite`, then the
+    ``algorithms``, ``oracle``, ``oracle_limit`` and ``deterministic``
+    settings, each of its default's JSON type) before any output exists.
+    """
     pairs = expand_suite(config)
+    settings = _Settings(**{f.name: _spec_field(config, f.name, f.default) for f in fields(_Settings)})
     out = Path(out_dir)
     (out / "results").mkdir(parents=True, exist_ok=True)
-    args = ([spec for _, spec in pairs], [iid for iid, _ in pairs], [config] * len(pairs))
+    args = ([spec for _, spec in pairs], [iid for iid, _ in pairs], [settings] * len(pairs))
     if jobs > 1 and len(pairs) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_evaluate_instance, *args))
@@ -619,7 +636,7 @@ def run_suite(config: dict, out_dir, jobs: int = 1) -> RunReport:
         (out / "results" / f"{d['instance_id']}.json").write_text(dump_json(d))
     _write_summary(rows, out / "summary.csv")
     meta = {"config": config, "instances": len(pairs)}
-    if not config.get("deterministic", True):
+    if not settings.deterministic:
         meta["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     (out / "meta.json").write_text(dump_json(meta))
     return RunReport(rows, config)

@@ -338,13 +338,56 @@ def test_generate_spec_field_out_of_range_exits_2(tmp_path, capsys, spec, messag
     _assert_bad_spec(tmp_path, capsys, spec, message)
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        # n = 0 draws no size, so only a check on reading can catch these.
+        ({"class": "split", "n": 0, "size_dist": {"kind": "nope"}}, "unknown size distribution 'nope'"),
+        ({"class": "split", "n": 0, "size_dist": {"kind": "discrete"}}, "discrete size distribution needs values"),
+        (
+            {"class": "split", "n": 4, "size_dist": {"kind": "discrete", "values": ["1/2", "abc"]}},
+            "spec field 'values' must hold sizes in [0, 1], got 'abc'",
+        ),
+        (
+            {"class": "split", "n": 4, "size_dist": {"kind": "discrete", "values": [2]}},
+            "spec field 'values' must hold sizes in [0, 1], got 2",
+        ),
+        (
+            {"class": "split", "n": 4, "size_dist": {"kind": "discrete", "values": [True]}},
+            "spec field 'values' must hold sizes in [0, 1], got True",
+        ),
+    ],
+)
+def test_generate_bad_size_dist_exits_2(tmp_path, capsys, spec, message):
+    _assert_bad_spec(tmp_path, capsys, spec, message)
+
+
 def _assert_bad_spec(tmp_path, capsys, spec, message):
+    # The spec fails alone under generate and as a suite's one instance
+    # under bench, with the same message and no output directory.
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
-    assert main(["generate", "--spec", str(path), "--out", str(tmp_path / "gen")]) == 2
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"instances": [spec]}))
+    for argv in (["generate", "--spec", str(path)], ["bench", "--suite", str(suite)]):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"parameter error: {message}" in captured.err
+        assert not out.exists()
+
+
+def test_generate_reads_every_spec_before_output(tmp_path, capsys):
+    # A bad second spec leaves no file of the first behind.
+    path = tmp_path / "specs.json"
+    path.write_text(json.dumps([{"class": "split", "n": 5}, {"class": "nope", "n": 5}]))
+    out = tmp_path / "gen"
+    assert main(["generate", "--spec", str(path), "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"parameter error: {message}" in captured.err
+    assert "parameter error: unknown generator class 'nope'" in captured.err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("algo", ["max_solve", "approx_bpc", "split_approx"])
@@ -431,6 +474,27 @@ def test_unusable_path_exits_2(bipartite_file, tmp_path, capsys, argv):
         (
             {"instances": [{"class": "split", "n": 5}], "algorithms": ["color_sets", "nope"]},
             "unknown algorithm 'nope'; choose from",
+        ),
+        # Each instance spec and sweep class is read before any output.
+        ({"instances": [{"class": "nope", "n": 5}]}, "unknown generator class 'nope'"),
+        (
+            {"instances": [{"class": "split", "n": 5}, {"class": "split", "n": 5, "density": "x"}]},
+            "spec field 'density' must be a number, got str",
+        ),
+        ({"sweep": {"classes": ["split", "nope"]}}, "unknown generator class 'nope'"),
+        (
+            {"instances": [{"class": "split", "n": 5, "size_dist": {"kind": "discrete"}}]},
+            "discrete size distribution needs values",
+        ),
+        (
+            {"sweep": {"count": 0, "size_dist": {"kind": "uniform", "lo": 2}}},
+            "spec field 'lo' must be in [0, 1], got 2.0",
+        ),
+        (
+            {"instances": [
+                {"class": "b3dm-reduction", "x_count": 2, "y_count": 2, "z_count": 2, "t_count": 1, "guess": 2}
+            ]},
+            "guess 2 exceeds triple count 1",
         ),
     ],
 )

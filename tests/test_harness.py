@@ -1,5 +1,7 @@
 import hashlib
 import json
+import re
+from dataclasses import MISSING, fields
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from cbp.harness import (
     GeneratorSpec,
     SizeDist,
     _ffd_bounds_ok,
+    expand_suite,
     generate,
     generate_b3dm,
     instance_from_dict,
@@ -150,6 +153,57 @@ def test_spec_parses_valid_size_dists():
     assert set(generate(discrete).sizes.values()) == {Fraction(1, 3), Fraction(1, 4)}
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: SizeDist(kind="nope"), "unknown size distribution 'nope'"),
+        (lambda: SizeDist(kind="discrete"), "discrete size distribution needs values"),
+        (lambda: SizeDist(kind="discrete", values=("1/2", "abc")), "must hold sizes in [0, 1], got 'abc'"),
+        (lambda: SizeDist(kind="discrete", values=("3/2",)), "spec field 'values' must hold sizes in [0, 1], got '3/2'"),
+        (lambda: SizeDist(lo=-0.5), "spec field 'lo' must be in [0, 1], got -0.5"),
+        (lambda: SizeDist(lo=0.6, hi=0.4), "spec field 'lo' must not exceed 'hi', got lo 0.6 > hi 0.4"),
+        (lambda: GeneratorSpec(klass="nope"), "unknown generator class 'nope'"),
+        (lambda: GeneratorSpec(klass="split", n=-1), "n must be nonnegative"),
+        (lambda: GeneratorSpec(klass="split", density=1.5), "spec field 'density' must be in [0, 1], got 1.5"),
+        (lambda: GeneratorSpec(klass="b3dm-reduction", variant="BPX"), "variant must be BPB or BPS, got 'BPX'"),
+    ],
+)
+def test_direct_construction_checks_values(make, message):
+    # A spec built in code gets the checks a JSON spec gets, before any draw.
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        make()
+
+
+# The JSON types each derived field type accepts; every other candidate
+# below must be rejected by name.
+_ACCEPTED = {int: (int,), float: (int, float), str: (str,), tuple: (list,)}
+
+
+@pytest.mark.parametrize(
+    "cls, name",
+    [(cls, f.name) for cls in (GeneratorSpec, SizeDist) for f in fields(cls) if f.default is not MISSING],
+)
+def test_spec_field_of_wrong_json_type_is_rejected(cls, name):
+    kind = type(next(f.default for f in fields(cls) if f.name == name))
+    for wrong in ("x", 3, 0.5, True, None, [], {}):
+        if type(wrong) in _ACCEPTED[kind]:
+            continue
+        spec = {"class": "edgeless", "n": 2}
+        if cls is SizeDist:
+            spec["size_dist"] = {name: wrong}
+        else:
+            spec[name] = wrong
+        with pytest.raises(ParameterError, match=f"spec field '{name}' must be "):
+            GeneratorSpec.from_dict(spec)
+
+
+def test_suite_ids_follow_the_parsed_class():
+    # "klass" is the field's own spelling of "class"; the id follows it.
+    [(instance_id, spec)] = expand_suite({"instances": [{"klass": "bipartite", "n": 6}]})
+    assert instance_id == "bipartite-00000"
+    assert spec.klass == "bipartite"
+
+
 def _suite_config(**overrides):
     config = {
         "seed": 9,
@@ -277,3 +331,39 @@ def test_seeded_instances_are_pinned():
     for inst in _pinned_instances():
         digest.update(repr(([str(inst.sizes[i]) for i in inst.items], sorted(inst.edges))).encode())
     assert digest.hexdigest() == "35a47093e4c42fe28b899c7f4b675597a759a0bd12cedbc347a5bfa3bee31748"
+
+
+PINNED_SUITE = {
+    "seed": 5,
+    "instances": [
+        {
+            "class": "bipartite", "n": 9, "density": 0.4,
+            "size_dist": {"kind": "discrete", "values": ["1/3", "0.25", 0.5]},
+        },
+        {"class": "split", "n": 8, "density": 0.5, "size_dist": {"kind": "uniform", "lo": 0.1, "hi": 0.6}},
+        {"class": "edgeless", "n": 7},
+        {
+            "class": "b3dm-reduction", "x_count": 2, "y_count": 2, "z_count": 2, "t_count": 3, "guess": 1,
+            "variant": "BPS",
+        },
+    ],
+    "sweep": {"classes": ["cluster", "chordal", "complete-multipartite"], "count": 2, "n_min": 4, "n_max": 9},
+    "algorithms": [
+        "ffd", "asymptotic_bp", "color_sets", "max_solve", "matching_pack",
+        "approx_bpc", "split_approx", "abs_bpb", "multipartite_pack",
+    ],
+    "oracle": True,
+    "oracle_limit": 10,
+}
+
+
+def test_run_suite_output_is_pinned(tmp_path, monkeypatch):
+    # Every file a deterministic run writes (report.csv, summary.csv,
+    # results/*.json, meta.json), hashed with its path; a change to spec
+    # reading, seeding, any algorithm or the report format shows here.
+    monkeypatch.delenv("CBP_SEED", raising=False)
+    run_suite(PINNED_SUITE, tmp_path)
+    digest = hashlib.sha256()
+    for path in sorted(p for p in tmp_path.rglob("*") if p.is_file()):
+        digest.update(path.relative_to(tmp_path).as_posix().encode() + b"\0" + path.read_bytes())
+    assert digest.hexdigest() == "3c2abea23076b9f25e6e7c8108ae6ae5ca84ad606c22c7c2d1b4a0af00902bc1"
