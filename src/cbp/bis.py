@@ -237,11 +237,14 @@ def _independent_subsets(order, adj, weights, budget, max_size):
     yield from dfs(0, 0, 0)
 
 
-def _problem_units(problem: BisProblem) -> tuple[dict[int, int], int, int]:
-    # (weights, budget, den): the problem in integer units over ``den``.
+def _solve(core, problem: BisProblem, eps) -> frozenset[int]:
+    # ``core`` (``_ptas`` or ``_fptas_split``) on the problem's weights and
+    # budget in integer units over ``den``, with ``eps`` checked.
+    eps = _check_eps(eps)
     units, den = size_units([*(problem.weights[v] for v in problem.vertices), problem.budget])
     budget = units.pop()
-    return dict(zip(problem.vertices, units)), budget, den
+    weights = dict(zip(problem.vertices, units))
+    return core(problem.vertices, problem.adjacency, problem.class_info, weights, budget, den, eps)
 
 
 def bis_ptas(problem: BisProblem, eps) -> frozenset[int]:
@@ -254,9 +257,7 @@ def bis_ptas(problem: BisProblem, eps) -> frozenset[int]:
     exact weighted-independent-set algorithm. ceil(1/eps) may not exceed
     ``DEFAULT_ENUM_CAP``.
     """
-    eps = _check_eps(eps)
-    weights, budget, den = _problem_units(problem)
-    return _ptas(problem.vertices, problem.adjacency, problem.class_info, weights, budget, den, eps)
+    return _solve(_ptas, problem, eps)
 
 
 def _ptas(vertices, adj, info, weights, budget, den, eps) -> frozenset[int]:
@@ -305,9 +306,7 @@ def bis_fptas_split(problem: BisProblem, eps) -> frozenset[int]:
     vertex (knapsack over the non-neighbors in the independent side with
     the residual budget) plus the no-clique-vertex case.
     """
-    eps = _check_eps(eps)
-    weights, budget, den = _problem_units(problem)
-    return _fptas_split(problem.vertices, problem.adjacency, problem.class_info, weights, budget, den, eps)
+    return _solve(_fptas_split, problem, eps)
 
 
 def _fptas_split(vertices, adj, info, weights, budget, den, eps) -> frozenset[int]:

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Optional
 from . import bis, oracle, packing_classic
 from .errors import CapabilityError, ParameterError, SolverError
 from .graphs import GraphClassInfo, maximum_matching_masks, minimum_coloring, recognize
-from .maxsize import greedy_growth, validate_initial
+from .maxsize import PRACTICAL_EPS, greedy_growth, validate_initial
 from .model import (
     ConflictInstance,
     Packing,
@@ -30,7 +30,6 @@ from .model import (
 )
 from .simplex import solve_max_lp
 
-PRACTICAL_EPS = Fraction(1, 6)
 # ``abs_bpb`` solves instances of at most this many items exactly.
 ABS_BPB_EXACT_LIMIT = 16
 
@@ -430,23 +429,22 @@ def abs_bpb(instance: ConflictInstance, info: Optional[GraphClassInfo] = None) -
     if info.bipartition is None:
         raise CapabilityError("bipartite certificate required")
     colored = color_sets(instance, info)
+    units, den = instance.unit_table
 
     def exact() -> Packing:
-        packing, _ = oracle.opt_bpc_exact(instance, limit_n=ABS_BPB_EXACT_LIMIT)
-        return packing.with_source("abs_bpb/exact")
+        return Packing(oracle._exact_bins(instance.items, units, den, instance.adjacency), "abs_bpb/exact")
 
     def at_most_3_bins() -> Optional[Packing]:
         # Too large to solve exactly: look only for a packing into at most
         # 3 bins, none of which exists above the L1 bound, and give up when
         # the node budget runs out.
-        units, den = instance.unit_table
         if bin_lower_bound(units.values(), den) > 3:
             return None
         try:
-            packing, _ = oracle.opt_bpc_exact(instance, limit_n=instance.n, max_bins=3, node_budget=200_000)
+            bins = oracle._exact_bins(instance.items, units, den, instance.adjacency, max_bins=3, node_budget=200_000)
         except CapabilityError:
             return None
-        return packing.with_source("abs_bpb/exact-small")
+        return Packing(bins, "abs_bpb/exact-small")
 
     candidates = [lambda: colored.with_source("abs_bpb/color_sets")]
     if instance.n <= ABS_BPB_EXACT_LIMIT:

@@ -79,17 +79,19 @@ def _cmd_solve(args) -> int:
 def _cmd_generate(args) -> int:
     with open(args.spec) as fh:
         data = json.load(fh)
-    # Every spec is read and checked before the output directory exists.
+    # Every spec is read, and every instance built, before the output
+    # directory exists.
     specs = [harness.GeneratorSpec.from_dict(d) for d in (data if isinstance(data, list) else [data])]
+    built = [
+        harness.generate_b3dm(spec) if spec.klass == "b3dm-reduction" else (harness.generate(spec), None)
+        for spec in specs
+    ]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for idx, spec in enumerate(specs):
+    for idx, (spec, (instance, planted)) in enumerate(zip(specs, built)):
         name = f"{spec.klass}-{idx:05d}"
-        if spec.klass == "b3dm-reduction":
-            instance, planted = harness.generate_b3dm(spec)
+        if planted is not None:
             harness.write_packing(planted, out / f"{name}.planted.json")
-        else:
-            instance = harness.generate(spec)
         harness.write_instance(instance, out / f"{name}.json")
     sys.stdout.write(f"wrote {len(specs)} instance(s) to {out}\n")
     return 0

@@ -610,12 +610,11 @@ def run_suite(config: dict, out_dir, jobs: int = 1) -> RunReport:
 
     The suite is read and checked in full (:func:`expand_suite`, then the
     ``algorithms``, ``oracle``, ``oracle_limit`` and ``deterministic``
-    settings, each of its default's JSON type) before any output exists.
+    settings, each of its default's JSON type), and every instance is
+    evaluated, before any output exists.
     """
     pairs = expand_suite(config)
     settings = _Settings(**{f.name: _spec_field(config, f.name, f.default) for f in fields(_Settings)})
-    out = Path(out_dir)
-    (out / "results").mkdir(parents=True, exist_ok=True)
     args = ([spec for _, spec in pairs], [iid for iid, _ in pairs], [settings] * len(pairs))
     if jobs > 1 and len(pairs) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -627,6 +626,8 @@ def run_suite(config: dict, out_dir, jobs: int = 1) -> RunReport:
     rows.sort(key=lambda r: (r.instance_id, r.algorithm))
     details.sort(key=lambda d: d["instance_id"])
 
+    out = Path(out_dir)
+    (out / "results").mkdir(parents=True, exist_ok=True)
     with open(out / "report.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)

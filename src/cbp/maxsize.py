@@ -10,7 +10,9 @@ Two strategies:
   offered ``pool & ~blocked & fits(room)``, the items with no edge into it
   that fit its room, found by bisection over prefix masks of the items
   sorted by size (``model.fits_within``). Both single-bin solvers drop
-  larger items first, so this choice is theirs on the whole pool.
+  larger items first, so this choice is theirs on the whole pool. They
+  drop items of size 0 too, so after the solver's pick a bin takes every
+  size-0 pool item with no edge into it.
 * config-lp — a configuration LP over feasible sets per bin, priced by an
   exact budgeted-set search and solved by column generation, then
   randomized rounding with first-bin deduplication and a deterministic
@@ -37,6 +39,8 @@ from .simplex import solve_max_lp
 STRATEGIES = ("greedy-sequential", "config-lp")
 # Column generation stops after this many rounds per bin and unpacked item.
 ITERATION_CAP_FACTOR = 10
+# The eps of ``max_size`` and of the algorithms that grow bins with it.
+PRACTICAL_EPS = Fraction(1, 6)
 
 
 @dataclass(frozen=True)
@@ -78,7 +82,7 @@ def max_size(
     instance: ConflictInstance,
     initial: Packing,
     class_info: GraphClassInfo,
-    eps=Fraction(1, 6),
+    eps=PRACTICAL_EPS,
     strategy: str = "greedy-sequential",
     config: Optional[MaxSizeConfig] = None,
 ) -> MaxSizeResult:
@@ -132,6 +136,7 @@ def greedy_growth(
     fits = fits_within(instance.items, units)
     # Every item fits an empty bin, so ``fits(den)`` holds them all.
     pool = fits(den) & ~_ids_mask(initial.items())
+    zeros = fits(0)
     new_bins: list[frozenset[int]] = []
     yield new_bins, pool
     for bin_items in initial.bins:
@@ -144,6 +149,15 @@ def greedy_growth(
                 chosen = solve(_mask_to_ids(eligible), instance.adjacency, class_info, units, room, den, eps)
                 bin_items = bin_items | chosen
                 pool ^= _ids_mask(chosen)
+            if pool & zeros:
+                # Both solvers drop items of weight 0: the bin takes each
+                # size-0 pool item with no edge into it, in id order.
+                blocked = instance.bin_state(bin_items)[0]
+                for v in _mask_to_ids(pool & zeros & ~blocked):
+                    if not (blocked >> v) & 1:
+                        bin_items |= {v}
+                        blocked |= instance.adjacency[v]
+                        pool ^= 1 << v
         new_bins.append(bin_items)
         yield new_bins, pool
 

@@ -405,23 +405,6 @@ def validate_packing(
     )
 
 
-def concat_packings(b: Packing, c: Packing) -> Packing:
-    """Bins of ``b`` followed by bins of ``c``."""
-    source = b.source if b.source == c.source else (b.source or c.source)
-    return Packing(b.bins + c.bins, source, b.flags + c.flags)
-
-
-def union_packings(b: Packing, c: Packing) -> Packing:
-    """Slot-wise union of two packings of equal length.
-
-    The result is not necessarily feasible; callers must validate.
-    """
-    if b.bin_count != c.bin_count:
-        raise ParameterError(f"bin counts differ: {b.bin_count} vs {c.bin_count}")
-    bins = tuple(x | y for x, y in zip(b.bins, c.bins))
-    return Packing(bins, b.source or c.source, b.flags + c.flags)
-
-
 def restrict_instance(instance: ConflictInstance, subset: Iterable[int]) -> ConflictInstance:
     """Induced sub-instance on ``subset``.
 

@@ -190,8 +190,11 @@ def _exact_bins(
 ) -> tuple[frozenset[int], ...]:
     """Optimal bins of ``items`` by branch and bound, on integer units.
 
-    The search behind :func:`opt_bpc_exact`, for callers that already hold
-    sizes as ``units`` over ``den``; raises CapabilityError like it.
+    The library's one entry to the search, on its instances' unit tables;
+    :func:`opt_bpc_exact` is the ground truth over it. With ``max_bins``
+    set, searches only packings within that many bins and raises
+    CapabilityError if none exists. Raises it too whenever the node budget
+    runs out, as the best packing found is then unproven.
     """
     solver = _BnB(items, units, den, adjacency, max_bins, node_budget)
     result = solver.solve()
@@ -207,26 +210,16 @@ def _exact_bins(
     return tuple(frozenset(b) for b in bins)
 
 
-def opt_bpc_exact(
-    instance: ConflictInstance,
-    limit_n: int = DEFAULT_EXACT_LIMIT,
-    max_bins: Optional[int] = None,
-    node_budget: Optional[int] = None,
-) -> tuple[Packing, int]:
-    """Provably optimal packing by branch and bound.
+def opt_bpc_exact(instance: ConflictInstance, limit_n: int = DEFAULT_EXACT_LIMIT) -> tuple[Packing, int]:
+    """Provably optimal packing by branch and bound: the ground truth.
 
-    With ``max_bins`` set, searches only packings within that many bins and
-    raises CapabilityError if none exists. Raises it too whenever the node
-    budget runs out, as the best packing found is then unproven.
     Sizes are converted here from ``instance.sizes``, not read from the
     instance's unit table, so the ground truth stays independent of it.
     """
     if instance.n > limit_n:
         raise CapabilityError(f"exact solver limited to n <= {limit_n}, got {instance.n}")
     units, den = size_units(instance.sizes.values())
-    bins = _exact_bins(
-        instance.items, dict(zip(instance.items, units)), den, instance.adjacency, max_bins, node_budget
-    )
+    bins = _exact_bins(instance.items, dict(zip(instance.items, units)), den, instance.adjacency)
     return Packing(bins, "exact"), len(bins)
 
 

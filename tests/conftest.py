@@ -284,13 +284,14 @@ def ref_approx_bpc(instance, info, eps=bpc.PRACTICAL_EPS) -> Packing:
 
 def ref_abs_bpb(instance, info) -> Packing:
     candidates = [bpc.color_sets(instance, info).with_source("abs_bpb/color_sets")]
+    units, den = instance.unit_table
     if instance.n <= 16:
-        packing, _ = oracle.opt_bpc_exact(instance, limit_n=16)
-        candidates.append(packing.with_source("abs_bpb/exact"))
+        bins = oracle._exact_bins(instance.items, units, den, instance.adjacency)
+        candidates.append(Packing(bins, "abs_bpb/exact"))
     else:
         try:
-            packing, _ = oracle.opt_bpc_exact(instance, limit_n=instance.n, max_bins=3, node_budget=200_000)
-            candidates.append(packing.with_source("abs_bpb/exact-small"))
+            bins = oracle._exact_bins(instance.items, units, den, instance.adjacency, max_bins=3, node_budget=200_000)
+            candidates.append(Packing(bins, "abs_bpb/exact-small"))
         except CapabilityError:
             pass
     tiny = classify_items(instance, eps=bpc.AssignConfig().eps).tiny

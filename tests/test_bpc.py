@@ -38,7 +38,7 @@ from cbp import (
 )
 from cbp.bpc import _enumerate_feasible_packings
 from cbp.graphs import restrict_class_info
-from cbp.harness import GeneratorSpec, SizeDist, generate, generate_b3dm
+from cbp.harness import ALGORITHMS, GeneratorSpec, SizeDist, generate, generate_b3dm, run_algorithm
 from cbp.maxsize import max_size
 from cbp.model import bin_lower_bound, make_packing, restrict_instance
 from cbp.packing_classic import asymptotic_bp, ffd
@@ -124,6 +124,17 @@ def test_max_solve_examples():
 
     conflicted = ConflictInstance({0: "0.7", 1: "0.3"}, edges=[(0, 1)])
     assert max_solve(conflicted).bin_count == 2
+
+
+def test_size_zero_items_join_grown_bins():
+    # Items 0 and 3 have size 0. The growth's solvers drop weight-0 items,
+    # so each bin takes them after its pick, and none is left for a third
+    # bin: max_solve grows {1} by 3 and {2} by 0; split_approx grows its
+    # clique singleton {0} by 2 and 3.
+    inst = ConflictInstance([0, "7/10", "3/5", 0], edges=[(0, 1), (1, 2)])
+    assert opt_bpc_exact(inst)[1] == 2
+    assert max_solve(inst).bins == (frozenset({1, 3}), frozenset({0, 2}))
+    assert split_approx(inst).bins == (frozenset({0, 2, 3}), frozenset({1}))
 
 
 def test_matching_pack_examples():
@@ -525,6 +536,31 @@ def test_abs_bpb_examples():
         assert packing.bin_count <= math.ceil(Fraction(5, 3) * opt)
 
 
+def test_abs_bpb_keeps_the_coloring_when_the_three_bin_search_fails(monkeypatch):
+    # 18 items of 1/6 on K_{9,9}: the L1 bound is 3, but a bin holds one
+    # side only and a side needs 2 bins, so OPT is 4. The bounded search
+    # runs, finds no packing into 3 bins, and the coloring wins.
+    inst = ConflictInstance({i: "1/6" for i in range(18)}, edges=[(u, v) for u in range(9) for v in range(9, 18)])
+    units, den = inst.unit_table
+    assert bin_lower_bound(units.values(), den) == 3
+    assert opt_bpc_exact(inst)[1] == 4
+    raised = []
+    exact = oracle._exact_bins
+
+    def recording(*args, **kwargs):
+        try:
+            return exact(*args, **kwargs)
+        except CapabilityError as exc:
+            raised.append((kwargs, str(exc)))
+            raise
+
+    monkeypatch.setattr(oracle, "_exact_bins", recording)
+    packing = abs_bpb(inst)
+    assert raised == [({"max_bins": 3, "node_budget": 200_000}, "no packing within 3 bins")]
+    assert packing.bin_count == 4 and packing.flags[-1] == "winner:abs_bpb/color_sets"
+    assert validate_packing(inst, packing, require_cover=True).feasible
+
+
 def test_abs_bpb_large_instance_uses_bounded_search():
     # 18 items, optimum 2: the n > 16 path must still find a small packing.
     sizes = {i: "0.1" for i in range(18)}
@@ -617,16 +653,17 @@ def test_abs_bpb_skips_the_three_bin_search_above_the_bound(monkeypatch):
     assert inst.n == 17 and bin_lower_bound(units.values(), den) == 4
     want = ref_abs_bpb(inst, info)
     calls = []
-    exact = oracle.opt_bpc_exact
+    exact = oracle._exact_bins
 
     def counting(*args, **kwargs):
         calls.append(kwargs)
         return exact(*args, **kwargs)
 
-    monkeypatch.setattr(oracle, "opt_bpc_exact", counting)
+    monkeypatch.setattr(oracle, "_exact_bins", counting)
     packing = abs_bpb(inst, info)
     assert (packing.bins, packing.source, packing.flags) == (want.bins, want.source, want.flags)
-    assert calls == []
+    # color_sets may solve a class exactly, with no bin cap.
+    assert [kw for kw in calls if "max_bins" in kw] == []
 
 
 @pytest.mark.parametrize(
@@ -724,3 +761,27 @@ def test_multipartite_decomposition():
             per_part += opt_bpc_exact(sub)[1]
         assert per_part == opt
         assert packing.bin_count <= math.ceil(1.5 * opt)
+
+
+@pytest.mark.parametrize("relabel", [lambda i: i + 1000, lambda i: 3 * i + 5], ids=["shift", "sparse"])
+def test_order_preserving_relabeling_keeps_every_algorithm(relabel):
+    # Ties break by id, so a map that keeps the id order keeps every
+    # algorithm's bins (up to the map), source and flags, or its refusal.
+    instances = [seeded_instance(klass, n, 8800 + n) for klass in CLASSES for n in (6, 13, 20)]
+    b3dm = GeneratorSpec(klass="b3dm-reduction", x_count=3, y_count=3, z_count=3, t_count=4, guess=2, seed=7)
+    instances.append(generate_b3dm(b3dm)[0])
+    for inst in instances:
+        mapped = ConflictInstance(
+            {relabel(i): s for i, s in inst.sizes.items()}, [(relabel(u), relabel(v)) for u, v in inst.edges]
+        )
+        info, mapped_info = recognize(inst), recognize(mapped)
+        for name in ALGORITHMS:
+            try:
+                packing = run_algorithm(name, inst, info)
+            except CapabilityError:
+                with pytest.raises(CapabilityError):
+                    run_algorithm(name, mapped, mapped_info)
+                continue
+            got = run_algorithm(name, mapped, mapped_info)
+            assert got.bins == tuple(frozenset(map(relabel, b)) for b in packing.bins)
+            assert (got.source, got.flags) == (packing.source, packing.flags)

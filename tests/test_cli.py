@@ -390,6 +390,37 @@ def test_generate_reads_every_spec_before_output(tmp_path, capsys):
     assert not out.exists()
 
 
+# A valid spec, then a b3dm spec whose triples cannot meet degree_cap 0:
+# the error shows only once that instance is built.
+DEGREE_CAP_SPECS = [
+    {"class": "split", "n": 5},
+    {"class": "b3dm-reduction", "x_count": 2, "y_count": 2, "z_count": 2, "t_count": 3, "guess": 1, "degree_cap": 0},
+]
+
+
+def _assert_degree_cap_leaves_no_output(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "parameter error: cannot satisfy the per-element degree cap" in captured.err
+    assert not out.exists()
+
+
+def test_generate_builds_every_instance_before_output(tmp_path, capsys):
+    # No file of the split instance is left behind.
+    path = tmp_path / "specs.json"
+    path.write_text(json.dumps(DEGREE_CAP_SPECS))
+    _assert_degree_cap_leaves_no_output(tmp_path, capsys, ["generate", "--spec", str(path)])
+
+
+def test_bench_evaluates_every_instance_before_output(tmp_path, capsys):
+    # No empty results directory is left behind.
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"instances": DEGREE_CAP_SPECS}))
+    _assert_degree_cap_leaves_no_output(tmp_path, capsys, ["bench", "--suite", str(suite)])
+
+
 @pytest.mark.parametrize("algo", ["max_solve", "approx_bpc", "split_approx"])
 @pytest.mark.parametrize(
     "eps, message",

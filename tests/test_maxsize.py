@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cbp import (
     ConflictInstance,
@@ -15,9 +16,9 @@ from cbp import (
     solve_config_lp,
     validate_packing,
 )
-from cbp.harness import GeneratorSpec, generate_b3dm
+from cbp.harness import GeneratorSpec, SizeDist, generate, generate_b3dm
 from cbp.maxsize import ConfigLpSolution, greedy_growth
-from cbp.model import _mask_to_ids, classify_items, make_packing
+from cbp.model import _ids_mask, _mask_to_ids, classify_items, make_packing
 from cbp.rng import SplitMix64
 
 from conftest import (
@@ -104,6 +105,38 @@ def test_mask_pool_growth_matches_list_reference(klass, n):
             assert _mask_to_ids(pool) == ref_pool
             steps += 1
         assert steps == start.bin_count + 1
+
+
+# Two of eight discrete sizes are 0.
+ZERO_SIZES = SizeDist(kind="discrete", values=("0", "0", "1/10", "1/4", "2/5", "1/2", "3/5", "7/10"))
+
+
+@settings(max_examples=150)
+@given(
+    klass=st.sampled_from(CLASSES),
+    n=st.integers(1, 16),
+    density=st.sampled_from([0.1, 0.3, 0.6]),
+    seed=st.integers(0, 2**32),
+)
+def test_growth_places_every_size_zero_item_a_bin_can_take(klass, n, density, seed):
+    # The solvers drop items of weight 0, so the growth offers each bin the
+    # size-0 pool items after the solver's pick: in the final state, every
+    # bin holds a neighbour of each size-0 item left in the pool.
+    inst = generate(GeneratorSpec(klass=klass, n=n, density=density, size_dist=ZERO_SIZES, seed=seed))
+    info = recognize(inst)
+    starts = [(make_packing([{v} for v in sorted(classify_items(inst).large)]), Fraction(1, 6))]
+    if info.split_partition is not None:
+        clique = sorted(info.split_partition[0])
+        starts.append((make_packing([{v} for v in clique] + [()] * 3), Fraction(1, 10)))
+    for start, eps in starts:
+        for bins, pool in greedy_growth(inst, start, info, eps):
+            pass
+        grown = make_packing(bins)
+        assert validate_packing(inst, grown).feasible
+        assert grown.items() | frozenset(_mask_to_ids(pool)) == frozenset(inst.items)
+        for v in _mask_to_ids(pool):
+            if inst.sizes[v] == 0:
+                assert all(inst.adjacency[v] & _ids_mask(b) for b in bins)
 
 
 def test_single_bin_subproblem_structure():

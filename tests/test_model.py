@@ -8,9 +8,7 @@ from cbp import (
     ConflictInstance,
     ParameterError,
     classify_items,
-    concat_packings,
     restrict_instance,
-    union_packings,
     validate_packing,
 )
 from cbp.model import Packing, _mask_to_ids, as_size, make_packing
@@ -138,45 +136,6 @@ def test_validate_matches_brute_recheck():
             for b in bins
         )
         assert report.feasible == brute_ok
-
-
-def test_concat_examples_and_associativity():
-    px = make_packing([{0}])
-    pyz = make_packing([{1}, {2}])
-    assert concat_packings(px, pyz).bins == (frozenset({0}), frozenset({1}), frozenset({2}))
-    empty = Packing(())
-    assert concat_packings(empty, px).bins == px.bins
-    assert concat_packings(px, empty).bins == px.bins
-    a, b, c = make_packing([{0}]), make_packing([{1}]), make_packing([{2}])
-    assert (
-        concat_packings(concat_packings(a, b), c).bins
-        == concat_packings(a, concat_packings(b, c)).bins
-    )
-
-
-def test_union_examples():
-    left = make_packing([{0}, set()])
-    right = make_packing([set(), {1}])
-    assert union_packings(left, right).bins == (frozenset({0}), frozenset({1}))
-    with pytest.raises(ParameterError):
-        union_packings(make_packing([{0}]), make_packing([{0}, {1}]))
-
-    inst = ConflictInstance({0: "0.1", 1: "0.1"}, edges=[(0, 1)])
-    merged = union_packings(make_packing([{0}]), make_packing([{1}]))
-    assert merged.bins == (frozenset({0, 1}),)
-    assert not validate_packing(inst, merged).feasible
-
-    inst2 = ConflictInstance({0: "0.6", 1: "0.6"})
-    merged2 = union_packings(make_packing([{0}]), make_packing([{1}]))
-    assert not validate_packing(inst2, merged2).feasible
-
-
-def test_union_small_slot_counts():
-    for count in range(4):
-        left = make_packing([{2 * i} for i in range(count)])
-        right = make_packing([{2 * i + 1} for i in range(count)])
-        merged = union_packings(left, right)
-        assert merged.bins == tuple(frozenset({2 * i, 2 * i + 1}) for i in range(count))
 
 
 def test_restrict_examples():

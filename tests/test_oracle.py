@@ -9,6 +9,7 @@ from cbp import (
     bis_brute,
     maxsize_brute,
     opt_bpc_exact,
+    oracle,
     recognize,
     validate_packing,
 )
@@ -37,15 +38,21 @@ def test_exact_limit():
         opt_bpc_exact(inst, limit_n=18)
 
 
+def exact_bins(inst, **limits):
+    """``oracle._exact_bins`` on the instance's unit table, as the library calls it."""
+    units, den = inst.unit_table
+    return oracle._exact_bins(inst.items, units, den, inst.adjacency, **limits)
+
+
 def test_exact_node_budget_exhausted():
     # First fit in size order packs 0 with 1 and needs a bin each for the
     # conflicting 2 and 3: three bins, over max_bins=2, so the search must
     # run, and one node is not enough for it.
     inst = ConflictInstance({i: "1/2" for i in range(4)}, edges=[(2, 3)])
     with pytest.raises(CapabilityError, match="exact solver node budget exhausted"):
-        opt_bpc_exact(inst, max_bins=2, node_budget=1)
-    packing, opt = opt_bpc_exact(inst, max_bins=2, node_budget=1000)
-    assert opt == 2 and validate_packing(inst, packing, require_cover=True).feasible
+        exact_bins(inst, max_bins=2, node_budget=1)
+    bins = exact_bins(inst, max_bins=2, node_budget=1000)
+    assert len(bins) == 2 and validate_packing(inst, make_packing(bins), require_cover=True).feasible
 
 
 def test_exact_node_budget_exhausted_with_an_incumbent():
@@ -56,7 +63,7 @@ def test_exact_node_budget_exhausted_with_an_incumbent():
     _, opt = opt_bpc_exact(inst)
     assert opt == 6
     with pytest.raises(CapabilityError, match="exact solver node budget exhausted"):
-        opt_bpc_exact(inst, node_budget=3)
+        exact_bins(inst, node_budget=3)
 
 
 def test_exact_matches_naive_partition_search():
@@ -87,10 +94,9 @@ def test_exact_relabel_invariant():
 def test_exact_bin_cap_mode():
     inst = ConflictInstance({i: "0.6" for i in range(5)})  # needs 5 bins
     with pytest.raises(CapabilityError):
-        opt_bpc_exact(inst, max_bins=3)
+        exact_bins(inst, max_bins=3)
     small = ConflictInstance({0: "0.6", 1: "0.6"})
-    packing, opt = opt_bpc_exact(small, max_bins=3)
-    assert opt == 2
+    assert len(exact_bins(small, max_bins=3)) == 2
 
 
 def test_bis_brute_examples():
