@@ -12,6 +12,14 @@ converts them once with ``model.size_units``; ``maxsize.greedy_growth``
 calls the same integer cores with its instance's unit table, so no
 single-bin subproblem converts sizes again.
 
+Both cores take their vertices as one bitmask of the items within budget,
+with the ``fits(c)`` prefix masks (``model.fits_within``) of the items of
+weight at most c: the enumeration scheme decodes the mask once and reads
+its light vertices off ``fits``, and the split scheme offers each clique
+vertex v ``stable & ~adj[v] & fits(budget - w_v)``. The split scheme stops
+once its incumbent fills the budget: no set weighs more, and only a
+strictly heavier one replaces the incumbent, so the result is unchanged.
+
 Costs are never negative (``knapsack_fptas`` rejects one), so in the
 profit-scaling DP an entry whose least cost is within the budget comes
 only from another such entry: each item extends only these live entries
@@ -38,7 +46,7 @@ from typing import Iterable, Mapping
 
 from .errors import CapabilityError, ParameterError
 from .graphs import GraphClassInfo, _mwis_core
-from .model import ZERO, _ids_mask, _mask_to_ids, as_size, size_units
+from .model import ZERO, _ids_mask, _mask_to_ids, as_size, fits_within, size_units
 
 DEFAULT_ENUM_CAP = 6
 EXACT_DP_DENOM_LIMIT = 4096
@@ -237,14 +245,16 @@ def _independent_subsets(order, adj, weights, budget, max_size):
     yield from dfs(0, 0, 0)
 
 
-def _solve(core, problem: BisProblem, eps) -> frozenset[int]:
+def _solve(core, problem: BisProblem, eps, info) -> frozenset[int]:
     # ``core`` (``_ptas`` or ``_fptas_split``) on the problem's weights and
-    # budget in integer units over ``den``, with ``eps`` checked.
+    # budget in integer units over ``den``, with ``eps`` checked: it is
+    # handed the mask of the vertices within budget and their ``fits``.
     eps = _check_eps(eps)
     units, den = size_units([*(problem.weights[v] for v in problem.vertices), problem.budget])
     budget = units.pop()
     weights = dict(zip(problem.vertices, units))
-    return core(problem.vertices, problem.adjacency, problem.class_info, weights, budget, den, eps)
+    fits = fits_within(problem.vertices, weights)
+    return core(fits(budget), fits, problem.adjacency, info, weights, budget, den, eps)
 
 
 def bis_ptas(problem: BisProblem, eps) -> frozenset[int]:
@@ -257,29 +267,30 @@ def bis_ptas(problem: BisProblem, eps) -> frozenset[int]:
     exact weighted-independent-set algorithm. ceil(1/eps) may not exceed
     ``DEFAULT_ENUM_CAP``.
     """
-    return _solve(_ptas, problem, eps)
+    return _solve(_ptas, problem, eps, problem.class_info)
 
 
-def _ptas(vertices, adj, info, weights, budget, den, eps) -> frozenset[int]:
-    # ``bis_ptas`` on integer weights and budget over ``den``; ``eps`` is checked.
+def _ptas(eligible, fits, adj, info, weights, budget, den, eps) -> frozenset[int]:
+    # ``bis_ptas`` on integer weights and budget over ``den``; ``eps`` is
+    # checked. ``eligible`` masks the vertices of weight at most ``budget``
+    # and ``fits(c)`` those of weight at most c.
     cap = -(-eps.denominator // eps.numerator)  # ceil(1 / eps)
     if cap > DEFAULT_ENUM_CAP:
         raise ParameterError(
             f"enumeration bound ceil(1/eps) = {cap} exceeds cap {DEFAULT_ENUM_CAP}; "
             "use a larger eps"
         )
-    eligible = [v for v in sorted(vertices) if weights[v] <= budget]
     if not eligible:
         return frozenset()
-    light_cut = eps.numerator * budget // eps.denominator
-    reachable = min(budget, sum(weights[v] for v in eligible))
+    order = _mask_to_ids(eligible)
+    reachable = min(budget, sum(weights[v] for v in order))
     # Adjacency is symmetric, so the light vertices outside F and not
     # adjacent to F are those of ``light`` that F's ``banned`` misses.
-    light = _ids_mask(v for v in eligible if weights[v] <= light_cut)
+    light = eligible & fits(eps.numerator * budget // eps.denominator)
 
     best: frozenset[int] = frozenset()
     best_w = 0
-    for members, w_f, banned in _independent_subsets(eligible, adj, weights, budget, cap):
+    for members, w_f, banned in _independent_subsets(order, adj, weights, budget, cap):
         sub_mask = light & ~banned
         if sub_mask:
             chosen = _mwis_core(_mask_to_ids(sub_mask), adj, sub_mask, info, weights)
@@ -306,32 +317,37 @@ def bis_fptas_split(problem: BisProblem, eps) -> frozenset[int]:
     vertex (knapsack over the non-neighbors in the independent side with
     the residual budget) plus the no-clique-vertex case.
     """
-    return _solve(_fptas_split, problem, eps)
+    parts = problem.class_info.split_partition
+    return _solve(_fptas_split, problem, eps, parts and _split_masks(parts))
 
 
-def _fptas_split(vertices, adj, info, weights, budget, den, eps) -> frozenset[int]:
-    # ``bis_fptas_split`` on integer weights and budget over ``den``; ``eps`` is checked.
-    if info.split_partition is None:
+def _split_masks(parts) -> tuple[int, int]:
+    """The clique and stable sides of a split partition, as bitmasks."""
+    return _ids_mask(parts[0]), _ids_mask(parts[1])
+
+
+def _fptas_split(eligible, fits, adj, parts, weights, budget, den, eps) -> frozenset[int]:
+    # ``bis_fptas_split`` on integer weights and budget over ``den``; ``eps``
+    # is checked. ``eligible`` and ``fits`` are as in ``_ptas``; ``parts``
+    # holds the ``_split_masks`` of a split certificate, or is None.
+    if parts is None:
         raise CapabilityError("split certificate required for the split-graph scheme")
-    clique, stable = info.split_partition
-    vset = frozenset(vertices)
-    clique = sorted(clique & vset)
-    stable = sorted(stable & vset)
-    stable_mask = _ids_mask(stable)
+    stable = parts[1] & eligible
 
     # Profit equals cost: each knapsack is a subset-sum over the units.
     best: frozenset[int] = frozenset()
     best_w = 0
-    for v in clique:
+    for v in _mask_to_ids(parts[0] & eligible):
         wv = weights[v]
-        if wv > budget:
-            continue
-        chosen = _knapsack(_mask_to_ids(stable_mask & ~adj[v]), None, weights, budget - wv, den, eps)
+        chosen = _knapsack(_mask_to_ids(stable & ~adj[v] & fits(budget - wv)), None, weights, budget - wv, den, eps)
         total = wv + sum(weights[u] for u in chosen)
         if total > best_w:
-            best = frozenset({v}) | chosen
+            best = chosen | {v}
             best_w = total
-    chosen = _knapsack(stable, None, weights, budget, den, eps)
+            # No set weighs more than the budget, and only a heavier one wins.
+            if best_w == budget:
+                return best
+    chosen = _knapsack(_mask_to_ids(stable), None, weights, budget, den, eps)
     if sum(weights[u] for u in chosen) > best_w:
         best = chosen
     return best

@@ -183,6 +183,8 @@ def split_approx(
     the first |clique| + alpha bins of one growth over the largest guess;
     every guess is read off that single growth, which stops once a guess
     can no longer beat the best (it has at least |clique| + alpha bins).
+    A guess whose bins plus the L1 bound of its leftovers already reach
+    the best count gets no FFD tail: no tail is below that bound.
     The start packing is feasible by construction: the model bounds every
     size by 1, and a singleton or an empty bin holds no edge.
     """
@@ -205,7 +207,10 @@ def split_approx(
     for bins, pool in itertools.islice(growth, len(singles), None):
         if best is not None and len(bins) >= best.bin_count:
             break
-        tail = packing_classic._ffd_bins(_mask_to_ids(pool), units, den)
+        left = _mask_to_ids(pool)
+        if best is not None and len(bins) + bin_lower_bound(map(units.__getitem__, left), den) >= best.bin_count:
+            continue
+        tail = packing_classic._ffd_bins(left, units, den)
         if best is None or len(bins) + len(tail) < best.bin_count:
             best = Packing(tuple(bins) + tail, "split_approx")
     return best

@@ -10,9 +10,11 @@ Two strategies:
   offered ``pool & ~blocked & fits(room)``, the items with no edge into it
   that fit its room, found by bisection over prefix masks of the items
   sorted by size (``model.fits_within``). Both single-bin solvers drop
-  larger items first, so this choice is theirs on the whole pool. They
-  drop items of size 0 too, so after the solver's pick a bin takes every
-  size-0 pool item with no edge into it.
+  larger items first, so this choice is theirs on the whole pool; their
+  integer cores take that mask and ``fits`` as they are, and the split
+  certificate as two masks built once per growth. The solvers drop items
+  of size 0 too, so after the solver's pick a bin takes every size-0 pool
+  item with no edge into it.
 * config-lp — a configuration LP over feasible sets per bin, priced by an
   exact budgeted-set search and solved by column generation, then
   randomized rounding with first-bin deduplication and a deterministic
@@ -131,7 +133,10 @@ def greedy_growth(
     eps = bis._check_eps(eps)
     # The solvers' integer cores, on the instance's unit table: no
     # single-bin subproblem converts sizes again.
-    solve = bis._fptas_split if class_info.split_partition is not None else bis._ptas
+    if class_info.split_partition is None:
+        solve, info = bis._ptas, class_info
+    else:
+        solve, info = bis._fptas_split, bis._split_masks(class_info.split_partition)
     units, den = instance.unit_table
     fits = fits_within(instance.items, units)
     # Every item fits an empty bin, so ``fits(den)`` holds them all.
@@ -142,11 +147,11 @@ def greedy_growth(
     for bin_items in initial.bins:
         if pool:
             blocked, room = instance.bin_state(bin_items)
-            # Both solvers drop the items larger than the room, so only the
-            # pool items that fit it and have no edge into the bin are offered.
+            # The cores take the pool items that fit the room and have no
+            # edge into the bin, as a mask: both solvers drop larger items.
             eligible = pool & ~blocked & fits(room) if room > 0 else 0
             if eligible:
-                chosen = solve(_mask_to_ids(eligible), instance.adjacency, class_info, units, room, den, eps)
+                chosen = solve(eligible, fits, instance.adjacency, info, units, room, den, eps)
                 bin_items = bin_items | chosen
                 pool ^= _ids_mask(chosen)
             if pool & zeros:

@@ -7,6 +7,10 @@ optimal packing whenever its input is small.
 Both check and convert their sizes once, then run the integer cores
 ``_ffd_bins`` and ``_best_bins``, which the conflict-graph algorithms call
 directly with an instance's unit table.
+
+``_ffd_bins`` scans the open bins in order, but an item of the same size
+as the one before it starts at that item's bin: every earlier bin already
+failed that size and loads only grow, so the bins are exact first fit.
 """
 
 from __future__ import annotations
@@ -33,16 +37,22 @@ def _checked_units(items: Iterable[int], sizes: Mapping[int, SizeLike]) -> tuple
 
 def _ffd_bins(items: Iterable[int], units: Mapping[int, int], den: int) -> tuple[frozenset[int], ...]:
     # First-fit decreasing on integer units over ``den``; ties by ascending id.
+    # Within a run of equal units the scan starts at the last item's bin ``b``.
     bins: list[set[int]] = []
     loads: list[int] = []
+    b = last = -1
     for i in sorted(items, key=lambda i: (-units[i], i)):
         u = units[i]
-        for b, load in enumerate(loads):
-            if load + u <= den:
+        if u != last:
+            b, last = 0, u
+        cap = den - u
+        for b in range(b, len(loads)):
+            if loads[b] <= cap:
                 bins[b].add(i)
-                loads[b] = load + u
+                loads[b] += u
                 break
         else:
+            b = len(loads)
             bins.append({i})
             loads.append(u)
     return tuple(frozenset(b) for b in bins)

@@ -4,6 +4,7 @@ The brute-force routines here are deliberately naive (exhaustive scans) so
 they stay independent of the library paths they check.
 """
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -265,7 +266,7 @@ def ref_solve_max_lp(
 def ref_best_bins(items, units, den, adjacency):
     """The better of FFD and (up to the exact threshold) the exact search."""
     items = list(items)
-    heuristic = packing_classic._ffd_bins(items, units, den)
+    heuristic = ref_ffd_bins(items, units, den)
     if len(items) > packing_classic.DEFAULT_EXACT_THRESHOLD:
         return heuristic
     exact = oracle._exact_bins(items, units, den, adjacency)
@@ -299,6 +300,28 @@ def ref_abs_bpb(instance, info) -> Packing:
         candidates.append(bpc.assign(instance, sorted(side & tiny), info))
     best = min(candidates, key=lambda p: p.bin_count)
     return Packing(best.bins, "abs_bpb", best.flags + (f"winner:{best.source}",))
+
+
+# --- Full-scan first fit reference ------------------------------------------
+# ``packing_classic._ffd_bins`` as it was before an item of the units of the
+# one before started its scan at that item's bin: every item scans the open
+# bins from the first. The library must give identical bins.
+
+
+def ref_ffd_bins(items, units, den):
+    bins: list[set[int]] = []
+    loads: list[int] = []
+    for i in sorted(items, key=lambda i: (-units[i], i)):
+        u = units[i]
+        for b, load in enumerate(loads):
+            if load + u <= den:
+                bins[b].add(i)
+                loads[b] = load + u
+                break
+        else:
+            bins.append({i})
+            loads.append(u)
+    return tuple(frozenset(b) for b in bins)
 
 
 # --- Dense scaled knapsack reference ----------------------------------------
@@ -375,16 +398,49 @@ def ref_ptas(vertices, adj, info, weights, budget, eps) -> frozenset[int]:
     return best
 
 
-# --- List-pool growth and edge-list matching references ----------------------
-# ``maxsize.greedy_growth`` and ``graphs.maximum_matching_general`` as they
-# were before growth kept its pool as a bitmask and matching read neighbour
-# masks. The library must give identical bins, pools and matchings.
+# --- List-taking split scheme reference -------------------------------------
+# ``bis._fptas_split`` as it was before it took the pool as a mask with its
+# ``fits``: it sorts the vertex list into the two sides and offers each
+# clique vertex all of its stable non-neighbours, with no stop at a full
+# budget. The library must return the identical set.
+
+
+def ref_fptas_split(vertices, adj, info, weights, budget, den, eps) -> frozenset[int]:
+    if info.split_partition is None:
+        raise CapabilityError("split certificate required for the split-graph scheme")
+    clique, stable = info.split_partition
+    vset = frozenset(vertices)
+    clique = sorted(clique & vset)
+    stable = sorted(stable & vset)
+    best: frozenset[int] = frozenset()
+    best_w = 0
+    for v in clique:
+        wv = weights[v]
+        if wv > budget:
+            continue
+        offered = [u for u in stable if not (adj[v] >> u) & 1]
+        chosen = bis._knapsack(offered, None, weights, budget - wv, den, eps)
+        total = wv + sum(weights[u] for u in chosen)
+        if total > best_w:
+            best = frozenset({v}) | chosen
+            best_w = total
+    chosen = bis._knapsack(stable, None, weights, budget, den, eps)
+    if sum(weights[u] for u in chosen) > best_w:
+        best = chosen
+    return best
+
+
+# --- List-pool growth, split_approx and edge-list matching references ---------
+# ``maxsize.greedy_growth``, ``bpc.split_approx`` and
+# ``graphs.maximum_matching_general`` as they were before growth kept its
+# pool as a bitmask and handed it to the single-bin cores, ``split_approx``
+# skipped the FFD tails that cannot win, and matching read neighbour masks.
+# The library must give identical bins, pools and matchings.
 
 
 def ref_greedy_growth(instance, initial, class_info, eps):
     """Yields ``(bins, pool)`` with ``pool`` an ascending list of ids."""
     eps = bis._check_eps(eps)
-    solve = bis._fptas_split if class_info.split_partition is not None else bis._ptas
     units, den = instance.unit_table
     packed = initial.items()
     pool = [i for i in instance.items if i not in packed]
@@ -395,11 +451,47 @@ def ref_greedy_growth(instance, initial, class_info, eps):
             blocked, room = instance.bin_state(bin_items)
             eligible = [v for v in pool if not (blocked >> v) & 1]
             if room > 0 and eligible:
-                chosen = solve(eligible, instance.adjacency, class_info, units, room, den, eps)
+                if class_info.split_partition is not None:
+                    chosen = ref_fptas_split(eligible, instance.adjacency, class_info, units, room, den, eps)
+                else:
+                    chosen = ref_ptas(eligible, instance.adjacency, class_info, units, room, eps)
                 bin_items = bin_items | chosen
                 pool = [v for v in pool if v not in chosen]
+            # The solvers drop items of size 0: the bin takes each one left
+            # in the pool with no edge into it, in id order.
+            blocked = instance.bin_state(bin_items)[0]
+            for v in [v for v in pool if units[v] == 0]:
+                if not (blocked >> v) & 1:
+                    bin_items = bin_items | {v}
+                    blocked |= instance.adjacency[v]
+                    pool.remove(v)
         new_bins.append(bin_items)
         yield new_bins, pool
+
+
+def ref_split_approx(instance, info, eps=Fraction(1, 10)) -> Packing:
+    """Every guess's FFD tail computed, over the list-pool growth."""
+    bis._check_eps(eps)
+    if info.split_partition is None:
+        raise CapabilityError("split certificate required")
+    if instance.n == 0:
+        return Packing((), "split_approx")
+    units, den = instance.unit_table
+    total = sum(units.values())
+    if total <= den and instance.is_independent(instance.items):
+        return Packing((frozenset(instance.items),), "split_approx")
+    clique = info.split_partition[0] & frozenset(instance.items)
+    singles = tuple(frozenset({v}) for v in sorted(clique))
+    alpha_top = -(-2 * total // den) + 1
+    start = Packing(singles + (frozenset(),) * alpha_top, "split_approx")
+    best = None
+    for bins, pool in itertools.islice(ref_greedy_growth(instance, start, info, eps), len(singles), None):
+        if best is not None and len(bins) >= best.bin_count:
+            break
+        tail = ref_ffd_bins(pool, units, den)
+        if best is None or len(bins) + len(tail) < best.bin_count:
+            best = Packing(tuple(bins) + tail, "split_approx")
+    return best
 
 
 def ref_maximum_matching_general(vertices, edges):

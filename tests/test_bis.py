@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -17,10 +18,10 @@ from cbp import (
 )
 from cbp import bis
 from cbp.maxsize import max_size
-from cbp.model import Packing, classify_items
+from cbp.model import Packing, classify_items, fits_within
 from cbp.rng import SplitMix64
 
-from conftest import CLASSES, ref_knapsack_scaled_int, ref_ptas, seeded_instance
+from conftest import CLASSES, ref_fptas_split, ref_knapsack_scaled_int, ref_ptas, seeded_instance
 
 
 def problem_from(instance: ConflictInstance, weights, budget) -> BisProblem:
@@ -274,7 +275,9 @@ def test_ptas_matches_list_residual_reference(klass):
             mixed = {v: (*near, rng.below(budget + 20))[rng.below(4)] for v in pool}
             light = {v: (light_cut, rng.below(light_cut + 1))[rng.below(2)] for v in pool}
             for weights in (mixed, light):
-                got = bis._ptas(pool, inst.adjacency, info, weights, budget, 1, eps)
+                # The core takes the pool items within budget as a mask.
+                fits = fits_within(pool, weights)
+                got = bis._ptas(fits(budget), fits, inst.adjacency, info, weights, budget, 1, eps)
                 assert got == ref_ptas(pool, inst.adjacency, info, weights, budget, eps)
 
 
@@ -292,6 +295,35 @@ def test_bis_fptas_split_examples():
     edgeless = ConflictInstance({0: "0.3", 1: "0.4"})
     problem = problem_from(edgeless, size_weights(edgeless), 1)
     assert bis_fptas_split(problem, Fraction(1, 100)) == {0, 1}
+
+
+@pytest.mark.parametrize(
+    "weight_2, winner, knapsacks",
+    [
+        (Fraction(1, 2), {0, 2}, 1),  # clique vertex 0 and stable 2 fill the budget: the scheme stops
+        (Fraction(2, 5), {1, 3}, 2),  # 0 and 2 leave a tenth; 1 and 3 fill it, and the scheme stops
+    ],
+    ids=("first-fills", "second-fills"),
+)
+def test_bis_fptas_split_stops_at_a_full_budget(monkeypatch, weight_2, winner, knapsacks):
+    # Clique {0, 1}; 0 misses only stable 2, 1 misses only stable 3. A set
+    # that fills the budget stays the winner, since only a heavier set
+    # replaces it, so the scheme returns the reference's set either way.
+    inst = ConflictInstance({0: "1/2", 1: "3/10", 2: weight_2, 3: "7/10"}, edges=[(0, 1), (0, 3), (1, 2)])
+    info = dataclasses.replace(recognize(inst), split_partition=(frozenset({0, 1}), frozenset({2, 3})))
+    problem = BisProblem(tuple(inst.items), inst.adjacency, inst.sizes, Fraction(1), info)
+    units, den = inst.unit_table
+    assert ref_fptas_split(inst.items, inst.adjacency, info, units, den, den, Fraction(1, 10)) == winner
+    calls = []
+    knapsack = bis._knapsack
+
+    def counting(*args):
+        calls.append(args)
+        return knapsack(*args)
+
+    monkeypatch.setattr(bis, "_knapsack", counting)
+    assert bis_fptas_split(problem, Fraction(1, 10)) == winner
+    assert len(calls) == knapsacks
 
 
 def test_bis_fptas_split_requires_certificate():

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 import os
@@ -43,6 +44,7 @@ from cbp.maxsize import max_size
 from cbp.model import bin_lower_bound, make_packing, restrict_instance
 from cbp.packing_classic import asymptotic_bp, ffd
 
+import conftest
 from conftest import (
     CLASSES,
     mask_pairs,
@@ -50,6 +52,7 @@ from conftest import (
     ref_approx_bpc,
     ref_best_bins,
     ref_maximum_matching_general,
+    ref_split_approx,
     seeded_instance,
 )
 
@@ -332,6 +335,40 @@ def test_split_approx_matches_per_guess_growth():
         got = split_approx(inst, info)
         want = _split_approx_per_guess(inst, info)
         assert (got.bins, got.source, got.flags) == (want.bins, want.source, want.flags)
+
+
+def test_split_approx_matches_every_tail_reference(monkeypatch):
+    # split_approx skips a guess's FFD tail when the guess's bins plus the
+    # L1 bound of its pool reach the best count; the reference computes
+    # every tail over the list-pool growth. Bins, source and flags agree,
+    # and tails were skipped.
+    decimal = SizeDist(kind="uniform", lo=0.05, hi=0.6)
+    cases = []
+    for n in (20, 30, 40, 60, 80):
+        for density in (0.1, 0.2, 0.5):
+            for seed in range(7600 + n, 10600 + n, 1000):
+                cases.append(seeded_instance("split", n, seed, density=density))
+                cases.append(generate(GeneratorSpec(klass="split", n=n, density=density, size_dist=decimal, seed=seed + 100)))
+    for q in (4, 8):
+        spec = GeneratorSpec(
+            klass="b3dm-reduction", x_count=q, y_count=q, z_count=q, t_count=q, guess=q // 2, variant="BPS", seed=7800 + q
+        )
+        cases.append(generate_b3dm(spec)[0])
+    tails = collections.Counter()
+    for module, name in ((packing_classic, "_ffd_bins"), (conftest, "ref_ffd_bins")):
+
+        def counting(*args, _ffd=getattr(module, name), _name=name):
+            tails[_name] += 1
+            return _ffd(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    for inst in cases:
+        info = recognize(inst)
+        assert info.is_split
+        want = ref_split_approx(inst, info)
+        got = split_approx(inst, info)
+        assert (got.bins, got.source, got.flags) == (want.bins, want.source, want.flags)
+    assert tails["_ffd_bins"] < tails["ref_ffd_bins"]
 
 
 @settings(max_examples=150)

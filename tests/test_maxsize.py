@@ -71,7 +71,13 @@ def test_eps_checked_before_any_bin_is_solved(eps):
             next(greedy_growth(inst, start, info, eps))
 
 
+# Two of eight discrete sizes are 0.
+ZERO_SIZES = SizeDist(kind="discrete", values=("0", "0", "1/10", "1/4", "2/5", "1/2", "3/5", "7/10"))
+
+
 def growth_instance(klass, n):
+    if klass.startswith("zero-"):
+        return generate(GeneratorSpec(klass=klass[5:], n=n, density=0.3, size_dist=ZERO_SIZES, seed=9100 + n))
     if klass.startswith("b3dm-"):
         q = n // 6  # n = 6q items
         spec = GeneratorSpec(
@@ -84,12 +90,15 @@ def growth_instance(klass, n):
 
 @pytest.mark.parametrize(
     "klass, n",
-    [(klass, n) for klass in CLASSES for n in (12, 80, 320)] + [("b3dm-BPB", 48), ("b3dm-BPS", 318)],
+    [(klass, n) for klass in CLASSES for n in (12, 80, 320)]
+    + [("b3dm-BPB", 48), ("b3dm-BPS", 318)]
+    + [("zero-" + klass, n) for klass in CLASSES for n in (12, 80)],
 )
 def test_mask_pool_growth_matches_list_reference(klass, n):
     # Every yield of the mask-pool growth (bins and pool) equals the list
     # version's, from max_solve's start (large singletons) and, on split
-    # graphs, from split_approx's (clique singletons plus empty bins).
+    # graphs, from split_approx's (clique singletons plus empty bins). The
+    # "zero-" instances draw a quarter of their sizes as 0.
     inst = growth_instance(klass, n)
     info = recognize(inst)
     starts = [(make_packing([{v} for v in sorted(classify_items(inst).large)]), Fraction(1, 6))]
@@ -105,10 +114,6 @@ def test_mask_pool_growth_matches_list_reference(klass, n):
             assert _mask_to_ids(pool) == ref_pool
             steps += 1
         assert steps == start.bin_count + 1
-
-
-# Two of eight discrete sizes are 0.
-ZERO_SIZES = SizeDist(kind="discrete", values=("0", "0", "1/10", "1/4", "2/5", "1/2", "3/5", "7/10"))
 
 
 @settings(max_examples=150)

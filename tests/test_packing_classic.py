@@ -1,11 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cbp import ParameterError, asymptotic_bp, classify_items, ffd, opt_bpc_exact, validate_packing
 from cbp.harness import GeneratorSpec, SizeDist, generate
-from cbp.packing_classic import DEFAULT_EXACT_THRESHOLD
+from cbp.packing_classic import DEFAULT_EXACT_THRESHOLD, _ffd_bins
 from cbp.rng import SplitMix64
+
+from conftest import ref_ffd_bins
 
 
 def random_bp_instance(seed, n_max=16, dist=None):
@@ -118,3 +121,26 @@ def test_asymptotic_threshold_skips_exact():
     packing = asymptotic_bp(sizes.keys(), sizes)
     assert "exact-opt" not in packing.flags
     assert packing.bins == ffd(sizes.keys(), sizes).bins
+
+
+@settings(max_examples=300)
+@given(
+    den=st.sampled_from((1, 20, 10**9)),
+    runs=st.lists(
+        st.tuples(st.sampled_from(("zero", "full", "half", "third", "any")), st.integers(0, 10**9), st.integers(1, 40)),
+        max_size=10,
+    ),
+    shuffle=st.randoms(use_true_random=False),
+)
+def test_ffd_equal_size_runs_match_full_scan(den, runs, shuffle):
+    # An item of the units of the one before starts its scan at that item's
+    # bin; the reference scans every bin from the first. Runs of equal
+    # units (0, den, den // 2, den // 3 or any), with ids in random order.
+    units = []
+    for kind, x, length in runs:
+        u = {"zero": 0, "full": den, "half": den // 2, "third": den // 3, "any": x % (den + 1)}[kind]
+        units += [u] * length
+    ids = list(range(len(units)))
+    shuffle.shuffle(ids)
+    table = dict(zip(ids, units))
+    assert _ffd_bins(table, table, den) == ref_ffd_bins(table, table, den)
