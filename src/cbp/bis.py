@@ -19,6 +19,8 @@ its light vertices off ``fits``, and the split scheme offers each clique
 vertex v ``stable & ~adj[v] & fits(budget - w_v)``. The split scheme stops
 once its incumbent fills the budget: no set weighs more, and only a
 strictly heavier one replaces the incumbent, so the result is unchanged.
+For the same reason it skips a clique vertex whose weight plus all it is
+offered is at most the incumbent's.
 
 Costs are never negative (``knapsack_fptas`` rejects one), so in the
 profit-scaling DP an entry whose least cost is within the budget comes
@@ -34,6 +36,10 @@ never improves again, so its set for the best sum x is the first item k
 whose step reaches x plus its set for x - c_k; the history grows
 monotonically, and bisection over it finds that k. General profits keep
 the table DP.
+
+A DP whose kept costs sum to at most the budget returns its set without
+running: the subset-sum every item of positive cost, the profit-scaling
+DP every item whose profit scales above 0.
 """
 
 from __future__ import annotations
@@ -157,6 +163,9 @@ def _subset_sum(ids, units, cap) -> frozenset[int]:
     # ``_knapsack_exact``'s set with profits equal to the costs ``units``
     # (see the module docstring). Bit x of ``history[k]`` says items 0..k
     # reach the sum x exactly; the answer is the largest reachable sum.
+    if sum(units) <= cap:
+        # Every item fits: the DP's best sum takes each item of positive cost.
+        return frozenset(i for i, c in zip(ids, units) if c)
     full = (1 << (cap + 1)) - 1
     reach = 1
     history = []
@@ -181,6 +190,10 @@ def _knapsack_scaled(ids, gains, units, limit, eps) -> frozenset[int]:
     num = len(positive) * eps.denominator
     div = eps.numerator * max(gains[k] for k in positive)
     scaled = [gains[k] * num // div for k in positive]
+    kept = [k for sp, k in zip(scaled, positive) if sp]
+    if sum(units[k] for k in kept) <= limit:
+        # Every item the DP reads fits: its best profit takes them all.
+        return frozenset(ids[k] for k in kept)
     top = sum(scaled)
     # dp[p] = least cost of scaled profit exactly p; limit + 1 marks none.
     # Only the live entries (ascending in ``live``) have dp[p] <= limit.
@@ -339,7 +352,11 @@ def _fptas_split(eligible, fits, adj, parts, weights, budget, den, eps) -> froze
     best_w = 0
     for v in _mask_to_ids(parts[0] & eligible):
         wv = weights[v]
-        chosen = _knapsack(_mask_to_ids(stable & ~adj[v] & fits(budget - wv)), None, weights, budget - wv, den, eps)
+        offered = _mask_to_ids(stable & ~adj[v] & fits(budget - wv))
+        # v and all it is offered cannot beat the incumbent, only tie it.
+        if wv + sum(weights[u] for u in offered) <= best_w:
+            continue
+        chosen = _knapsack(offered, None, weights, budget - wv, den, eps)
         total = wv + sum(weights[u] for u in chosen)
         if total > best_w:
             best = chosen | {v}

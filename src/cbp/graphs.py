@@ -4,7 +4,10 @@ sets, and general maximum matching.
 Every recognizer produces a verifiable certificate (bipartition, clique/
 independent split, cluster components, multipartite parts, or a perfect
 elimination ordering), checked before it is kept, and a class flag holds
-exactly when its certificate exists. All supported classes are hereditary,
+exactly when its certificate exists. :func:`recognize` runs none of them:
+each runs the first time its field of the returned info is read, and the
+info keeps the result, so an algorithm that reads only its own certificate
+pays for only that recognizer. All supported classes are hereditary,
 so a certificate intersected with the items of an induced subgraph
 certifies the subgraph. Readers intersect certificates with their own
 items, so the certificates of an instance serve each of its subinstances
@@ -49,6 +52,34 @@ from .model import ConflictInstance, _ids_mask, _mask_to_ids
 Matching = frozenset[tuple[int, int]]
 
 
+class _Recognized:
+    """A :class:`GraphClassInfo` field that :func:`recognize` leaves unset.
+
+    Read on the class, it is the field's default (False or None). The first
+    read on an info from :func:`recognize` runs the field's recognizer on
+    the info's instance and keeps the result in the info, where later reads
+    find it without coming here. An info built with explicit fields holds
+    them all, so it never comes here.
+    """
+
+    def __init__(self, default):
+        self.default = default
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, info, owner=None):
+        if info is None:
+            return self.default
+        instance = info.__dict__["_instance"]
+        if self.name == "is_edgeless":
+            value = has_class(instance, "edgeless")
+        else:
+            value = next(run for cert, run in CLASS_TABLE.values() if cert == self.name)(instance)
+        info.__dict__[self.name] = value
+        return value
+
+
 @dataclass(frozen=True)
 class GraphClassInfo:
     """Verified certificates, one per recognized class.
@@ -56,15 +87,18 @@ class GraphClassInfo:
     ``is_edgeless`` and the five certificates are the only fields; each
     other class flag is a property that holds exactly when its certificate
     exists. A certificate may belong to a supergraph of the graph it is
-    read with: readers intersect it with their own items.
+    read with: readers intersect it with their own items. Fields given to
+    the constructor are kept as given; an info from :func:`recognize`
+    computes each field on its first read. Equality and hash compare the
+    six field values either way.
     """
 
-    is_edgeless: bool = False
-    bipartition: Optional[tuple[frozenset[int], frozenset[int]]] = None
-    split_partition: Optional[tuple[frozenset[int], frozenset[int]]] = None
-    cluster_components: Optional[tuple[frozenset[int], ...]] = None
-    parts: Optional[tuple[frozenset[int], ...]] = None
-    elimination_order: Optional[tuple[int, ...]] = None
+    is_edgeless: bool = _Recognized(False)
+    bipartition: Optional[tuple[frozenset[int], frozenset[int]]] = _Recognized(None)
+    split_partition: Optional[tuple[frozenset[int], frozenset[int]]] = _Recognized(None)
+    cluster_components: Optional[tuple[frozenset[int], ...]] = _Recognized(None)
+    parts: Optional[tuple[frozenset[int], ...]] = _Recognized(None)
+    elimination_order: Optional[tuple[int, ...]] = _Recognized(None)
 
     is_bipartite = property(lambda self: self.bipartition is not None)
     is_split = property(lambda self: self.split_partition is not None)
@@ -220,15 +254,17 @@ def has_class(instance: ConflictInstance, name: str) -> bool:
 
 
 def recognize(instance: ConflictInstance) -> GraphClassInfo:
-    """Compute all class certificates, each verified.
+    """The class certificates of ``instance``, each verified.
 
-    A declared class_hint on the instance is never trusted; only verified
-    certificates drive algorithm dispatch.
+    No recognizer runs here: each runs the first time its field is read,
+    once per info. A declared class_hint on the instance is never trusted;
+    only verified certificates drive algorithm dispatch.
     """
-    return GraphClassInfo(
-        is_edgeless=has_class(instance, "edgeless"),
-        **{cert: recognizer(instance) for cert, recognizer in CLASS_TABLE.values()},
-    )
+    # Bypass __init__, which would fill every field: the unset fields are
+    # the class's _Recognized descriptors, which read the instance.
+    info = object.__new__(GraphClassInfo)
+    info.__dict__["_instance"] = instance
+    return info
 
 
 def restrict_class_info(info: GraphClassInfo, kept: Iterable[int]) -> GraphClassInfo:
@@ -237,7 +273,8 @@ def restrict_class_info(info: GraphClassInfo, kept: Iterable[int]) -> GraphClass
     All supported classes are hereditary: a restricted bipartition stays a
     bipartition, a restricted PEO stays a PEO, and so on, so no
     re-verification is needed. Each certificate keeps existing (or not),
-    so every class flag is unchanged.
+    so every class flag is unchanged. It reads every field of ``info``, so
+    an info from :func:`recognize` runs each recognizer it has not yet run.
     """
     k = frozenset(kept)
 

@@ -479,6 +479,8 @@ class _Settings:
 def _evaluate_instance(spec: GeneratorSpec, instance_id: str, settings: _Settings) -> tuple[list[RunRow], dict]:
     instance = generate(spec)
     info = recognize(instance)
+    # Read every certificate now, so no algorithm's micros include a recognizer.
+    info.supported_classes()
     timing = not settings.deterministic
 
     opt: Optional[int] = None

@@ -46,9 +46,8 @@ class _BnB:
         sizes = [units[i] for i in order]
         self.sizes = sizes
         self.cap = den
-        self.suffix = [0] * (self.n + 1)
-        for k in range(self.n - 1, -1, -1):
-            self.suffix[k] = self.suffix[k + 1] + sizes[k]
+        # Bins that the total size alone needs.
+        self.size_lb = -(-sum(sizes) // den)
         # Adjacency in order-index space.
         inside = 0
         for v in order:
@@ -96,10 +95,9 @@ class _BnB:
     def root_lower_bound(self) -> int:
         if self.n == 0:
             return 0
-        size_lb = -(-self.suffix[0] // self.cap)
         large = sum(1 for s in self.sizes if 2 * s > self.cap)
         clique = self._greedy_clique()
-        return max(size_lb, large, clique, 1)
+        return max(self.size_lb, large, clique, 1)
 
     def _greedy_clique(self) -> int:
         by_degree = sorted(range(self.n), key=lambda k: (-self.adj[k].bit_count(), k))
@@ -143,11 +141,10 @@ class _BnB:
             self.best_bins = assign[:]
             self.best_count = used
             return
-        # Capacity-based completion bound.
-        free = used * self.cap - sum(loads[b] for b in range(used))
-        deficit = self.suffix[k] - free
-        needed = -(-deficit // self.cap) if deficit > 0 else 0
-        if used + needed >= self.best_count:
+        # Capacity-based completion bound. The placed items fill the used
+        # bins' loads, so the rest overflows them exactly when the total
+        # exceeds ``used * cap``, and then needs ``size_lb`` bins in all.
+        if max(used, self.size_lb) >= self.best_count:
             return
         size_k = self.sizes[k]
         adj_k = self.adj[k]

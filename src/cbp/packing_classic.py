@@ -11,6 +11,8 @@ directly with an instance's unit table.
 ``_ffd_bins`` scans the open bins in order, but an item of the same size
 as the one before it starts at that item's bin: every earlier bin already
 failed that size and loads only grow, so the bins are exact first fit.
+``_best_bins`` returns items whose units fit one bin as that bin, which is
+what FFD gives them, without sorting them.
 """
 
 from __future__ import annotations
@@ -67,6 +69,9 @@ def _best_bins(
     # ``asymptotic_bp`` on integer units of an independent set ``items``;
     # ``adjacency`` holds masks of which only the bits of ``items`` are read.
     items = list(items)
+    # Units within one bin: FFD puts every item in bin 0, and one bin is optimal.
+    if items and sum(units[i] for i in items) <= den:
+        return (frozenset(items),)
     heuristic = _ffd_bins(items, units, den)
     if len(items) > DEFAULT_EXACT_THRESHOLD:
         return heuristic

@@ -6,6 +6,7 @@ they stay independent of the library paths they check.
 
 import itertools
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -324,10 +325,12 @@ def ref_ffd_bins(items, units, den):
     return tuple(frozenset(b) for b in bins)
 
 
-# --- Dense scaled knapsack reference ----------------------------------------
+# --- Dense scaled knapsack and full subset-sum references --------------------
 # ``bis._knapsack_scaled`` as it was before it extended only the entries
-# within the cost limit: every item scans the whole profit table. The
-# library must return the identical set.
+# within the cost limit, and ``bis._subset_sum`` as it was before it
+# returned a set whose costs all fit without running: every item scans the
+# whole profit table, and every subset-sum runs its bitset. The library
+# must return the identical set.
 
 
 def ref_knapsack_scaled_int(ids, gains, units, limit, eps) -> frozenset[int]:
@@ -351,6 +354,22 @@ def ref_knapsack_scaled_int(ids, gains, units, limit, eps) -> frozenset[int]:
                 take[p] = take[p - sp] | (1 << idx)
     best_p = max((p for p in range(top + 1) if dp[p] <= limit), default=0)
     return frozenset(ids[positive[j]] for j in range(len(positive)) if (take[best_p] >> j) & 1)
+
+
+def ref_subset_sum(ids, units, cap) -> frozenset[int]:
+    full = (1 << (cap + 1)) - 1
+    reach = 1
+    history = []
+    for c in units:
+        reach |= (reach << c) & full
+        history.append(reach)
+    x = reach.bit_length() - 1
+    chosen = []
+    while x:
+        k = bisect_left(history, 1, key=lambda r: (r >> x) & 1)
+        chosen.append(ids[k])
+        x -= units[k]
+    return frozenset(chosen)
 
 
 # --- List-residual PTAS reference -------------------------------------------

@@ -21,7 +21,7 @@ from cbp.maxsize import max_size
 from cbp.model import Packing, classify_items, fits_within
 from cbp.rng import SplitMix64
 
-from conftest import CLASSES, ref_fptas_split, ref_knapsack_scaled_int, ref_ptas, seeded_instance
+from conftest import CLASSES, ref_fptas_split, ref_knapsack_scaled_int, ref_ptas, ref_subset_sum, seeded_instance
 
 
 def problem_from(instance: ConflictInstance, weights, budget) -> BisProblem:
@@ -110,6 +110,26 @@ def test_subset_sum_matches_exact_dp(costs, cap, scale, den):
     units = dict(zip(ids, costs))
     eps = Fraction(1, 10)
     assert bis._knapsack(ids, None, units, cap, den, eps) == bis._knapsack(ids, units, units, cap, den, eps)
+
+
+@settings(max_examples=300)
+@given(
+    rows=st.lists(st.tuples(_GAINS, st.one_of(st.just(0), st.integers(0, 12))), max_size=9),
+    slack=st.integers(-4, 6),
+    eps=st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100), max_denominator=100),
+)
+def test_knapsacks_whose_costs_all_fit_match_the_dps(rows, slack, eps):
+    # The limit sits near the costs' sum, so often every kept cost fits and
+    # the set is returned without the DP: subset-sum takes every positive
+    # cost, the scaled DP every item whose profit scales above 0. Zero
+    # costs, profits of at most 0 and small profits that scale to 0 beside
+    # a large one all occur.
+    ids = [10 + 3 * k for k in range(len(rows))]
+    gains = [g for g, _ in rows]
+    units = [c for _, c in rows]
+    limit = max(0, sum(units) + slack)
+    assert bis._subset_sum(ids, units, limit) == ref_subset_sum(ids, units, limit)
+    assert bis._knapsack_scaled(ids, gains, units, limit, eps) == ref_knapsack_scaled_int(ids, gains, units, limit, eps)
 
 
 @pytest.mark.parametrize(
@@ -324,6 +344,38 @@ def test_bis_fptas_split_stops_at_a_full_budget(monkeypatch, weight_2, winner, k
     monkeypatch.setattr(bis, "_knapsack", counting)
     assert bis_fptas_split(problem, Fraction(1, 10)) == winner
     assert len(calls) == knapsacks
+
+
+def test_fptas_split_skips_clique_vertices_that_cannot_win(monkeypatch):
+    # Pools of up to 16 items of seeded split graphs, weights in units of
+    # 1/20 and a room of up to one bin. A clique vertex whose weight plus
+    # all it is offered is at most the incumbent's gets no knapsack; the
+    # scheme still returns the reference's set, which runs them all.
+    eps = Fraction(1, 10)
+    calls = []
+    knapsack = bis._knapsack
+
+    def counting(*args):
+        calls.append(args)
+        return knapsack(*args)
+
+    for k, n in enumerate((20, 40, 80)):
+        for seed in range(6):
+            inst = seeded_instance("split", n, 7000 + 10 * k + seed, (0.2, 0.5)[seed % 2])
+            info = recognize(inst)
+            rng = SplitMix64(7000 + 10 * k + seed)
+            pool = sorted({inst.items[rng.below(n)] for _ in range(16)})
+            weights = {v: 1 + rng.below(10) for v in pool}
+            budget = 10 + rng.below(11)
+            fits = fits_within(pool, weights)
+            want = ref_fptas_split(pool, inst.adjacency, info, weights, budget, 20, eps)
+            parts = bis._split_masks(info.split_partition)
+            monkeypatch.setattr(bis, "_knapsack", counting)
+            got = bis._fptas_split(fits(budget), fits, inst.adjacency, parts, weights, budget, 20, eps)
+            monkeypatch.setattr(bis, "_knapsack", knapsack)
+            assert got == want
+    # The full-budget stop alone runs 45 of them.
+    assert len(calls) == 33
 
 
 def test_bis_fptas_split_requires_certificate():

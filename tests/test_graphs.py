@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import json
 import os
 import random
@@ -17,6 +18,7 @@ from cbp import (
     CapabilityError,
     ConflictInstance,
     GraphClassInfo,
+    bpc,
     graphs,
     harness,
     max_weight_independent_set,
@@ -510,3 +512,106 @@ def test_restrict_class_info_certificates_hold():
             if getattr(sub_info, flag):
                 assert getattr(fresh, flag)
         assert_certificates_hold(sub, sub_info)
+
+
+# --- Recognition on first read -------------------------------------------------
+
+
+FIELDS = tuple(f.name for f in dataclasses.fields(GraphClassInfo))
+
+
+def eager_fields(instance) -> dict:
+    """Every GraphClassInfo field, as its recognizer computes it."""
+    certificates = {cert: recognizer(instance) for cert, recognizer in graphs.CLASS_TABLE.values()}
+    return {"is_edgeless": graphs.has_class(instance, "edgeless"), **certificates}
+
+
+def assert_recognized_on_read(instance) -> None:
+    eager = eager_fields(instance)
+    explicit = GraphClassInfo(**eager)
+    # Each field read first, then the rest in both orders.
+    for field in eager:
+        info = recognize(instance)
+        assert getattr(info, field) == eager[field]
+        assert {f: getattr(info, f) for f in eager} == eager
+        assert {f: getattr(info, f) for f in reversed(eager)} == eager
+    # Compared or hashed before any field is read.
+    assert recognize(instance) == explicit and explicit == recognize(instance)
+    assert hash(recognize(instance)) == hash(explicit)
+    assert recognize(instance).supported_classes() == explicit.supported_classes()
+
+
+def test_recognize_fields_equal_their_recognizers():
+    for klass in CLASSES:
+        for n, seed in ((1, 0), (7, 1), (20, 2), (40, 3)):
+            assert_recognized_on_read(seeded_instance(klass, n, 1300 + seed, (0.2, 0.5)[seed % 2]))
+    for variant in ("BPB", "BPS"):
+        spec = harness.GeneratorSpec(
+            klass="b3dm-reduction", x_count=4, y_count=4, z_count=4, t_count=4, guess=2, variant=variant, seed=5
+        )
+        assert_recognized_on_read(harness.generate(spec))
+    assert_recognized_on_read(ConflictInstance({}))
+
+
+@settings(max_examples=150)
+@given(
+    n=st.integers(0, 12),
+    pairs=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=40),
+)
+def test_recognize_fields_equal_their_recognizers_on_random_graphs(n, pairs):
+    edges = [(u, v) for u, v in pairs if u != v and max(u, v) < n]
+    assert_recognized_on_read(ConflictInstance(sizes(n), edges=edges))
+
+
+@pytest.fixture
+def recognizer_calls(monkeypatch):
+    """Counts the runs of each class recognizer (and the edgeless test)."""
+    calls = collections.Counter()
+    for name, (cert, recognizer) in graphs.CLASS_TABLE.items():
+
+        def counting(instance, name=name, recognizer=recognizer):
+            calls[name] += 1
+            return recognizer(instance)
+
+        monkeypatch.setitem(graphs.CLASS_TABLE, name, (cert, counting))
+    has_class = graphs.has_class
+
+    def counting_has_class(instance, name):
+        # Other names reach a counting recognizer through CLASS_TABLE.
+        if name == "edgeless":
+            calls[name] += 1
+        return has_class(instance, name)
+
+    monkeypatch.setattr(graphs, "has_class", counting_has_class)
+    return calls
+
+
+def test_split_approx_runs_only_the_split_recognizer(recognizer_calls):
+    for k, n in enumerate((8, 20, 34)):
+        inst = seeded_instance("split", n, 1400 + k)
+        recognizer_calls.clear()  # the generator verifies the class it builds
+        assert bpc.split_approx(inst, recognize(inst)).bin_count > 0
+        assert recognizer_calls == {"split": 1}
+
+
+def test_each_recognizer_runs_once_per_info(recognizer_calls):
+    inst = seeded_instance("chordal", 20, 1500)
+    recognizer_calls.clear()  # the generator verifies the class it builds
+    info = recognize(inst)
+    assert recognizer_calls == {}
+    for _ in range(3):
+        for field in FIELDS:
+            getattr(info, field)
+        assert info.is_chordal and not info.is_cluster
+        info.supported_classes()
+        minimum_coloring(inst, info)
+        restrict_class_info(info, inst.items[::2])
+        hash(info)
+    assert recognizer_calls == dict.fromkeys(graphs.SUPPORTED_CLASS_NAMES, 1)
+    other = recognize(inst)
+    assert other == info and hash(other) == hash(info) and other == info
+    assert recognizer_calls == dict.fromkeys(graphs.SUPPORTED_CLASS_NAMES, 2)
+    # An info built with its fields runs no recognizer.
+    explicit = GraphClassInfo(**{field: getattr(info, field) for field in FIELDS})
+    assert explicit == info and explicit.supported_classes() == info.supported_classes()
+    assert recognizer_calls == dict.fromkeys(graphs.SUPPORTED_CLASS_NAMES, 2)

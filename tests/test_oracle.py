@@ -13,6 +13,7 @@ from cbp import (
     recognize,
     validate_packing,
 )
+from cbp.harness import GeneratorSpec, SizeDist, generate
 from cbp.model import make_packing
 from cbp.rng import SplitMix64
 
@@ -64,6 +65,40 @@ def test_exact_node_budget_exhausted_with_an_incumbent():
     assert opt == 6
     with pytest.raises(CapabilityError, match="exact solver node budget exhausted"):
         exact_bins(inst, node_budget=3)
+
+
+# Sizes of the tiny-item bipartite benchmark instances: many items of at
+# most 1/10000 beside a few of 2/5 to 1/2 make the search branch most.
+TINY_SIZES = SizeDist(kind="discrete", values=("1/20000", "1/10000") * 2 + ("2/5", "9/20", "1/2"))
+
+
+CHORDAL_15 = GeneratorSpec(klass="chordal", n=15, density=0.8, seed=13455859110366676592)
+
+
+@pytest.mark.parametrize(
+    "spec, max_bins, bins, nodes",
+    [
+        (GeneratorSpec(klass="bipartite", n=16, density=0.295, size_dist=TINY_SIZES, seed=7739275675771031516), None, 6, 2016),
+        (GeneratorSpec(klass="bipartite", n=14, density=0.255, size_dist=TINY_SIZES, seed=236524050828677254), None, 6, 1870),
+        (GeneratorSpec(klass="bipartite", n=16, density=0.235, size_dist=TINY_SIZES, seed=3693387093497865786), 3, 3, 1440),
+        (GeneratorSpec(klass="chordal", n=16, density=0.6, seed=14559284743646537251), None, 10, 1505),
+        (CHORDAL_15, None, 9, 29),
+        (CHORDAL_15, 3, None, 1),
+    ],
+    ids=("bipartite-16", "bipartite-14", "bipartite-16-three-bins", "chordal-16", "chordal-15", "chordal-15-over-three-bins"),
+)
+def test_exact_search_node_counts_are_pinned(spec, max_bins, bins, nodes):
+    # The search visits exactly ``nodes`` nodes, so a node budget of that
+    # many ends it (with ``bins`` bins, or None if max_bins is too few) and
+    # one fewer runs out.
+    inst = generate(spec)
+    if bins is None:
+        with pytest.raises(CapabilityError, match=f"no packing within {max_bins} bins"):
+            exact_bins(inst, max_bins=max_bins, node_budget=nodes)
+    else:
+        assert len(exact_bins(inst, max_bins=max_bins, node_budget=nodes)) == bins
+    with pytest.raises(CapabilityError, match="exact solver node budget exhausted"):
+        exact_bins(inst, max_bins=max_bins, node_budget=nodes - 1)
 
 
 def test_exact_matches_naive_partition_search():

@@ -13,6 +13,7 @@ pairwise-coprime denominators whose lcm exceeds 10^9.
 import collections
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -310,6 +311,20 @@ def test_best_bins_matches_eager_reference_on_grid20(numerators):
     units = dict(enumerate(numerators))
     adjacency = dict.fromkeys(units, 0)
     assert packing_classic._best_bins(units, units, 20, adjacency) == ref_best_bins(units, units, 20, adjacency)
+
+
+@settings(max_examples=200)
+@given(numerators=st.lists(st.integers(0, 8), max_size=8), ids=st.permutations(range(8)))
+def test_best_bins_returns_a_class_within_one_bin_without_ffd(numerators, ids):
+    # Zeros, classes of exactly one bin and the empty class occur. A class
+    # within one bin is that bin, as FFD and the reference give it.
+    units = dict(zip(ids, numerators))
+    adjacency = dict.fromkeys(units, 0)
+    with mock.patch.object(packing_classic, "_ffd_bins", wraps=packing_classic._ffd_bins) as ffd_bins:
+        got = packing_classic._best_bins(units, units, 20, adjacency)
+    assert got == ref_best_bins(units, units, 20, adjacency)
+    one_bin = bool(units) and sum(numerators) <= 20
+    assert ffd_bins.called != one_bin
 
 
 def test_best_bins_searches_when_ffd_misses_the_bound():
