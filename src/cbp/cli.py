@@ -29,7 +29,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--in", dest="infile", required=True)
     p_solve.add_argument("--eps", default=None, help="error parameter as a fraction, e.g. 1/6")
     p_solve.add_argument("--oracle", action="store_true", help="also compute the exact optimum")
-    p_solve.add_argument("--oracle-limit", type=int, default=18)
+    p_solve.add_argument("--oracle-limit", type=int, default=oracle.DEFAULT_EXACT_LIMIT)
     p_solve.add_argument("--out", default=None, help="write the packing JSON here instead of stdout")
 
     p_gen = sub.add_parser("generate", help="generate instances from a spec file")

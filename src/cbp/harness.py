@@ -16,10 +16,10 @@ import os
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 from . import bpc, oracle, packing_classic
 from .errors import CapabilityError, ParameterError
@@ -44,7 +44,7 @@ B3DM_SIZES = {
 
 
 # A field's type, that of its default -> (the JSON types it is read from,
-# as named in errors).
+# as named in errors); any other type is a dataclass, read from an object.
 _JSON_TYPES = {
     int: (int, "an integer"),
     float: ((int, float), "a number"),
@@ -54,18 +54,30 @@ _JSON_TYPES = {
 }
 
 
-def _spec_field(data: dict, key: str, default):
+def _spec_field(data: dict, key: str, default, what: str = "spec field"):
     """``data[key]`` (or ``default``) as the type of ``default``, which must
     match its JSON type: an integer for int, any number for float, a string
     for str, true or false for bool (a boolean is no number), a list for a
-    tuple."""
-    if key not in data:
+    tuple, each member read as the default's first member (the members of
+    an empty default are not checked), and a JSON object for a dataclass,
+    read by :func:`_read_spec` (null: the default)."""
+    if data.get(key) is None and (key not in data or is_dataclass(default)):
         return default
     value, kind = data[key], type(default)
-    accepted, name = _JSON_TYPES[kind]
+    accepted, name = _JSON_TYPES.get(kind, (dict, "a JSON object"))
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted):
-        raise ParameterError(f"spec field {key!r} must be {name}, got {type(value).__name__}")
+        raise ParameterError(f"{what} {key!r} must be {name}, got {type(value).__name__}")
+    if is_dataclass(kind):
+        return _read_spec(kind, value)
+    if kind is tuple and default:
+        return tuple(_spec_field({key: v}, key, default[0], "each member of spec field") for v in value)
     return kind(value)
+
+
+def _check_keys(data: dict, known: tuple, what: str) -> None:
+    unknown = [key for key in data if key not in known]
+    if unknown:
+        raise ParameterError(f"unknown {what} {unknown[0]!r}; known fields: {', '.join(known)}")
 
 
 def _read_spec(cls, data: dict, **given):
@@ -74,11 +86,12 @@ def _read_spec(cls, data: dict, **given):
     that names no field is rejected; a ``klass`` field is also spelled
     "class"."""
     names = tuple(f.name for f in fields(cls))
-    known = ("class", *names) if "klass" in names else names
-    unknown = [key for key in data if key not in known]
-    if unknown:
-        raise ParameterError(f"unknown spec field {unknown[0]!r}; known fields: {', '.join(known)}")
-    read = {f.name: _spec_field(data, f.name, f.default) for f in fields(cls) if f.name not in given}
+    _check_keys(data, ("class", *names) if "klass" in names else names, "spec field")
+    read = {
+        f.name: _spec_field(data, f.name, f.default_factory() if f.default is MISSING else f.default)
+        for f in fields(cls)
+        if f.name not in given
+    }
     return cls(**read, **given)
 
 
@@ -121,15 +134,6 @@ class SizeDist:
             x = min(max(x, 0.0), 1.0)
             return as_size(round(x, 9))
         return as_size(self.values[rng.below(len(self.values))])
-
-
-def _size_dist(data) -> SizeDist:
-    """The ``size_dist`` JSON object of a spec or sweep (absent or null: the default)."""
-    if data is None:
-        return SizeDist()
-    if not isinstance(data, dict):
-        raise ParameterError(f"spec field 'size_dist' must be a JSON object, got {type(data).__name__}")
-    return _read_spec(SizeDist, data)
 
 
 @dataclass(frozen=True)
@@ -176,12 +180,7 @@ class GeneratorSpec:
     def from_dict(data: dict) -> "GeneratorSpec":
         if not isinstance(data, dict):
             raise ParameterError(f"generator spec must be a JSON object, got {type(data).__name__}")
-        klass = data.get("class", data.get("klass"))
-        return _read_spec(GeneratorSpec, data, klass=klass, size_dist=_size_dist(data.get("size_dist")))
-
-
-def _draw_sizes(spec: GeneratorSpec, rng: SplitMix64) -> list[Fraction]:
-    return [spec.size_dist.draw(rng) for _ in range(spec.n)]
+        return _read_spec(GeneratorSpec, data, klass=data.get("class", data.get("klass")))
 
 
 def generate(spec: GeneratorSpec) -> ConflictInstance:
@@ -189,7 +188,7 @@ def generate(spec: GeneratorSpec) -> ConflictInstance:
     if spec.klass == "b3dm-reduction":
         return generate_b3dm(spec)[0]
     rng = SplitMix64(spec.seed)
-    sizes = _draw_sizes(spec, rng)
+    sizes = [spec.size_dist.draw(rng) for _ in range(spec.n)]
     n = spec.n
     edges: list[tuple[int, int]] = []
     if spec.klass == "edgeless":
@@ -216,10 +215,9 @@ def generate(spec: GeneratorSpec) -> ConflictInstance:
         member = [rng.below(groups) for _ in range(n)]
         for u in range(n):
             for v in range(u + 1, n):
-                same = member[u] == member[v]
-                if spec.klass == "cluster" and same:
-                    edges.append((u, v))
-                elif spec.klass == "complete-multipartite" and not same:
+                # A cluster joins the members of a group, a complete
+                # multipartite graph those of different groups.
+                if (member[u] == member[v]) == (spec.klass == "cluster"):
                     edges.append((u, v))
     else:  # chordal
         span = max(2 * n, 1)
@@ -374,55 +372,35 @@ class RunReport:
     config: dict
 
 
-def _conflict_free(name: str):
-    # ``packing_classic.<name>``, fit for edgeless instances only.
-    def solve(instance: ConflictInstance, info: GraphClassInfo) -> Packing:
-        if not has_class(instance, "edgeless"):
-            raise CapabilityError(f"{name} handles conflict-free instances only")
-        return getattr(packing_classic, name)(instance.items, instance.sizes)
-
-    return solve
-
-
-def _conflict_graph(name: str):
-    # ``bpc.<name>``; keywords (``eps``) pass through.
-    def solve(instance: ConflictInstance, info: GraphClassInfo, **kw) -> Packing:
-        return getattr(bpc, name)(instance, info, **kw)
-
-    return solve
-
-
-# Algorithm name -> solver(instance, info), in report order. Each solver
-# looks its function up in the module at call time, so a wrapper rebound
-# there (as benchmarks/tracing.py installs) sees the call.
-SOLVERS = {
-    "ffd": _conflict_free("ffd"),
-    "asymptotic_bp": _conflict_free("asymptotic_bp"),
-    "color_sets": _conflict_graph("color_sets"),
-    "max_solve": _conflict_graph("max_solve"),
-    "matching_pack": _conflict_graph("matching_pack"),
-    "approx_bpc": _conflict_graph("approx_bpc"),
-    "split_approx": _conflict_graph("split_approx"),
-    "abs_bpb": _conflict_graph("abs_bpb"),
-    "multipartite_pack": _conflict_graph("multipartite_pack"),
-}
-ALGORITHMS = tuple(SOLVERS)
+# Algorithm names, in report order.
+ALGORITHMS = (
+    "ffd", "asymptotic_bp", "color_sets", "max_solve", "matching_pack",
+    "approx_bpc", "split_approx", "abs_bpb", "multipartite_pack",
+)
 # The solvers that also take the error parameter as ``eps=``.
 EPS_ALGORITHMS = ("max_solve", "approx_bpc", "split_approx")
 
 
-def _solver(name: str) -> Callable[..., Packing]:
-    if name not in SOLVERS:
+def _check_algorithm(name: str) -> None:
+    if name not in ALGORITHMS:
         raise ParameterError(f"unknown algorithm {name!r}; choose from {ALGORITHMS}")
-    return SOLVERS[name]
 
 
 def run_algorithm(name: str, instance: ConflictInstance, info: GraphClassInfo, **kw) -> Packing:
     """Dispatch an algorithm by CLI/report name (CapabilityError if unfit).
 
-    Keywords (``eps``) reach the solver; only EPS_ALGORITHMS take one.
+    ``ffd`` and ``asymptotic_bp`` are ``packing_classic``'s, fit for
+    edgeless instances only; the rest are ``bpc``'s. Keywords (``eps``)
+    reach the solver; only EPS_ALGORITHMS take one. The function is looked
+    up in its module at call time, so a wrapper rebound there (as
+    benchmarks/tracing.py installs) sees the call.
     """
-    return _solver(name)(instance, info, **kw)
+    _check_algorithm(name)
+    if name in ("ffd", "asymptotic_bp"):
+        if not has_class(instance, "edgeless"):
+            raise CapabilityError(f"{name} handles conflict-free instances only")
+        return getattr(packing_classic, name)(instance.items, instance.sizes, **kw)
+    return getattr(bpc, name)(instance, info, **kw)
 
 
 def _ffd_bounds_ok(instance: ConflictInstance, packing: Packing) -> bool:
@@ -463,20 +441,45 @@ def _decomposition_ok(instance: ConflictInstance, info: GraphClassInfo, opt: int
 
 
 @dataclass(frozen=True)
-class _Settings:
-    """The suite fields every instance's evaluation reads, with their defaults."""
+class _Sweep:
+    """A suite's sweep: ``count`` instances of each class, with ``n`` in
+    [n_min, n_max] and density in [0.1, 0.9] drawn from the suite's seed
+    stream. Construction checks every class, whatever ``count`` is."""
 
-    algorithms: tuple[str, ...] = ("approx_bpc",)
+    classes: tuple = ("bipartite",)
+    count: int = 10
+    n_min: int = 4
+    n_max: int = 14
+    size_dist: SizeDist = field(default_factory=SizeDist)
+
+    def __post_init__(self):
+        for klass in self.classes:
+            GeneratorSpec(klass=klass)  # the class check every spec makes
+        if self.n_max < self.n_min:
+            raise ParameterError(f"sweep field 'n_max' must be at least n_min = {self.n_min}, got {self.n_max}")
+
+
+@dataclass(frozen=True)
+class _Suite:
+    """A suite file (see README "Suite file"); construction checks every
+    algorithm name. The instance specs stay JSON objects until
+    :func:`expand_suite` seeds them."""
+
+    instances: tuple = ()
+    # Absent or null: no sweep, and no draw from the seed stream for one.
+    sweep: _Sweep = _Sweep(count=0)
+    seed: int = 0
+    algorithms: tuple = ("approx_bpc",)
     oracle: bool = False
     oracle_limit: int = 14
     deterministic: bool = True
 
     def __post_init__(self):
         for name in self.algorithms:
-            _solver(name)
+            _check_algorithm(name)
 
 
-def _evaluate_instance(spec: GeneratorSpec, instance_id: str, settings: _Settings) -> tuple[list[RunRow], dict]:
+def _evaluate_instance(spec: GeneratorSpec, instance_id: str, settings: _Suite) -> tuple[list[RunRow], dict]:
     instance = generate(spec)
     info = recognize(instance)
     # Read every certificate now, so no algorithm's micros include a recognizer.
@@ -549,74 +552,49 @@ def _evaluate_instance(spec: GeneratorSpec, instance_id: str, settings: _Setting
     return rows, detail
 
 
-# Suite field -> (JSON type, member type or None, as named in errors).
-_SUITE_FIELDS = {
-    "instances": (list, dict, "a list of JSON objects"),
-    "algorithms": (list, str, "a list of strings"),
-    "sweep": (dict, None, "a JSON object"),
-}
+def expand_suite(config: dict) -> tuple[_Suite, list[tuple[str, GeneratorSpec]]]:
+    """The suite config read by :func:`_read_spec`, and its (instance_id,
+    spec) pairs, every spec parsed and checked; an id is the spec's class
+    and its index.
 
-
-def _check_shapes(data: dict, shapes: dict, what: str) -> None:
-    for key, (kind, member, shape) in shapes.items():
-        value = data.get(key, kind())
-        if not isinstance(value, kind) or member and not all(isinstance(v, member) for v in value):
-            raise ParameterError(f"{what} field {key!r} must be {shape}")
-
-
-def expand_suite(config: dict) -> list[tuple[str, GeneratorSpec]]:
-    """Expand a suite config into (instance_id, spec) pairs, every spec
-    parsed and checked; an id is the spec's class and its index.
-
-    Raises ParameterError, naming the field, when the suite or one of its
-    fields has the wrong JSON type: ``instances``, ``algorithms`` and
-    ``sweep`` as _SUITE_FIELDS says, the sweep's ``classes`` as a list of
-    strings, and ``seed`` and the sweep's ``count``, ``n_min`` and
-    ``n_max`` as integers, when ``n_max`` is below ``n_min``, or when an
-    instance spec, a sweep class or the sweep's ``size_dist`` is not one
-    :class:`GeneratorSpec` accepts. The CBP_SEED environment variable
-    overrides the base seed (and with it every derived instance seed).
+    Raises ParameterError, naming the field, for a key that names no suite
+    or sweep field, a field of the wrong JSON type, a sweep whose ``n_max``
+    is below its ``n_min``, an unknown algorithm or sweep class, or an
+    instance spec or sweep ``size_dist`` that :class:`GeneratorSpec`
+    rejects. ``"sweep": {}`` is the default sweep. The CBP_SEED environment
+    variable overrides the base seed (and with it every derived instance
+    seed).
     """
     if not isinstance(config, dict):
         raise ParameterError(f"suite must be a JSON object, got {type(config).__name__}")
-    _check_shapes(config, _SUITE_FIELDS, "suite")
-    base_seed = int(os.environ.get("CBP_SEED", _spec_field(config, "seed", 0)))
-    stream = SplitMix64(base_seed)
+    suite = _read_spec(_Suite, config)
+    stream = SplitMix64(int(os.environ.get("CBP_SEED", suite.seed)))
     out: list[tuple[str, GeneratorSpec]] = []
-    for idx, data in enumerate(config.get("instances", [])):
-        data = dict(data)
-        if "seed" not in data or "CBP_SEED" in os.environ:
-            data["seed"] = stream.next_u64()
+    for idx, data in enumerate(suite.instances):
         spec = GeneratorSpec.from_dict(data)
+        if "seed" not in data or "CBP_SEED" in os.environ:
+            spec = replace(spec, seed=stream.next_u64())
         out.append((f"{spec.klass}-{idx:05d}", spec))
-    sweep = config.get("sweep")
-    if sweep:
-        _check_shapes(sweep, {"classes": (list, str, "a list of strings")}, "sweep")
-        count = _spec_field(sweep, "count", 10)
-        n_min = _spec_field(sweep, "n_min", 4)
-        n_max = _spec_field(sweep, "n_max", 14)
-        if n_max < n_min:
-            raise ParameterError(f"sweep field 'n_max' must be at least n_min = {n_min}, got {n_max}")
-        size_dist = _size_dist(sweep.get("size_dist"))
-        for klass in sweep.get("classes", ["bipartite"]):
-            for k in range(count):
-                n = n_min + stream.below(n_max - n_min + 1) if n_max > n_min else n_min
-                density = round(0.1 + 0.8 * stream.unit(), 6)
-                spec = GeneratorSpec(klass=klass, n=n, density=density, size_dist=size_dist, seed=stream.next_u64())
-                out.append((f"{klass}-{len(out):05d}", spec))
-    return out
+    sweep = suite.sweep
+    n_min, n_max = sweep.n_min, sweep.n_max
+    for klass in sweep.classes:
+        for _ in range(sweep.count):
+            n = n_min + stream.below(n_max - n_min + 1) if n_max > n_min else n_min
+            density = round(0.1 + 0.8 * stream.unit(), 6)
+            spec = GeneratorSpec(klass=klass, n=n, density=density, size_dist=sweep.size_dist, seed=stream.next_u64())
+            out.append((f"{klass}-{len(out):05d}", spec))
+    return suite, out
 
 
 def run_suite(config: dict, out_dir, jobs: int = 1) -> RunReport:
     """Run a suite config, write report.csv + per-instance JSON + summary.
 
-    The suite is read and checked in full (:func:`expand_suite`, then the
-    ``algorithms``, ``oracle``, ``oracle_limit`` and ``deterministic``
-    settings, each of its default's JSON type), and every instance is
-    evaluated, before any output exists.
+    The suite is read and checked in full (:func:`expand_suite`), and every
+    instance is evaluated, before any output exists.
     """
-    pairs = expand_suite(config)
-    settings = _Settings(**{f.name: _spec_field(config, f.name, f.default) for f in fields(_Settings)})
+    suite, pairs = expand_suite(config)
+    # Each task carries the settings, not every instance's JSON object.
+    settings = replace(suite, instances=())
     args = ([spec for _, spec in pairs], [iid for iid, _ in pairs], [settings] * len(pairs))
     if jobs > 1 and len(pairs) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -691,6 +669,7 @@ def instance_to_dict(instance: ConflictInstance) -> dict:
 def instance_from_dict(data: dict) -> ConflictInstance:
     if not isinstance(data, dict):
         raise ParameterError(f"instance must be a JSON object, got {type(data).__name__}")
+    _check_keys(data, ("items", "edges", "class_hint"), "instance field")
     raw_items = data.get("items", [])
     if not isinstance(raw_items, list) or not all(isinstance(e, dict) for e in raw_items):
         raise ParameterError("items must be a list of JSON objects")
@@ -698,6 +677,7 @@ def instance_from_dict(data: dict) -> ConflictInstance:
         for key in ("id", "size"):
             if key not in entry:
                 raise ParameterError(f"item {k} has no {key!r}")
+        _check_keys(entry, ("id", "size"), f"item {k} field")
     ids = [entry["id"] for entry in raw_items]
     # A JSON true would otherwise equal the id 1 and print as "True".
     malformed = [i for i in ids if isinstance(i, bool) or not isinstance(i, (int, float, str))]

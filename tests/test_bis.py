@@ -34,6 +34,16 @@ def problem_from(instance: ConflictInstance, weights, budget) -> BisProblem:
     )
 
 
+@pytest.mark.parametrize(
+    "weight, budget, message",
+    [(Fraction(-1, 2), Fraction(1), "negative weight on vertex 1"), (Fraction(1, 2), Fraction(-1), "negative budget -1")],
+)
+def test_bis_problem_rejects_negative_values(weight, budget, message):
+    inst = ConflictInstance({0: "0.5", 1: "0.5"})
+    with pytest.raises(ParameterError, match=message):
+        problem_from(inst, {0: Fraction(1, 2), 1: weight}, budget)
+
+
 def size_weights(instance):
     return dict(instance.sizes)
 

@@ -422,6 +422,8 @@ def test_assignment_lp_examples():
 
     with pytest.raises(ParameterError):
         build_assignment_lp(inst, big, [0, 1])
+    with pytest.raises(ParameterError, match=r"assignment items not in instance: \[9\]"):
+        build_assignment_lp(inst, big, [1, 9])
 
 
 def test_round_assignment_examples():
@@ -548,6 +550,12 @@ def test_assign_rejects_conflicting_w_when_every_packing_is_skipped():
         assign(inst, [2, 3], recognize(inst), AssignConfig(eps=Fraction(1, 12), max_big_items=1))
     with pytest.raises(ParameterError, match="conflict-free"):
         build_assignment_lp(inst, make_packing([{0}, {1}]), [2, 3])
+
+
+def test_assign_needs_a_bipartite_certificate():
+    triangle = ConflictInstance({0: "0.1", 1: "0.1", 2: "0.1"}, edges=[(0, 1), (1, 2), (0, 2)])
+    with pytest.raises(CapabilityError, match="bipartite certificate required"):
+        assign(triangle, [], recognize(triangle))
 
 
 def test_assign_rejects_non_tiny_w():

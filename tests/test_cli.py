@@ -236,6 +236,29 @@ def test_solve_item_without_id_or_size_exits_2(tmp_path, capsys, key):
     assert f"parameter error: item 1 has no {key!r}" in captured.err
 
 
+@pytest.mark.parametrize(
+    "instance, message",
+    [
+        # A misspelt "edges" would leave the conflict unread: 0 and 1 in one bin.
+        (
+            {"items": [{"id": 0, "size": "1/2"}, {"id": 1, "size": "1/3"}], "Edges": [[0, 1]]},
+            "unknown instance field 'Edges'; known fields: items, edges, class_hint",
+        ),
+        (
+            {"items": [{"id": 0, "size": "1/2"}, {"id": 1, "size": "1/3", "weight": 2}]},
+            "unknown item 1 field 'weight'; known fields: id, size",
+        ),
+    ],
+)
+def test_solve_unknown_instance_key_exits_2(tmp_path, capsys, instance, message):
+    path = tmp_path / "unknown_key.json"
+    path.write_text(json.dumps(instance))
+    assert main(["solve", "--algo", "color_sets", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"parameter error: {message}" in captured.err
+
+
 @pytest.mark.parametrize("size", ["NaN", "Infinity", "-Infinity"])
 def test_solve_non_finite_size_exits_2(tmp_path, capsys, size):
     # Python's json module reads these literals as floats.
@@ -473,12 +496,12 @@ def test_unusable_path_exits_2(bipartite_file, tmp_path, capsys, argv):
     "suite, message",
     [
         ([{"class": "split", "n": 5}], "suite must be a JSON object, got list"),
-        ({"instances": 5}, "suite field 'instances' must be a list of JSON objects"),
-        ({"instances": [5]}, "suite field 'instances' must be a list of JSON objects"),
-        ({"sweep": [1]}, "suite field 'sweep' must be a JSON object"),
+        ({"instances": 5}, "spec field 'instances' must be a list"),
+        ({"instances": [5]}, "generator spec must be a JSON object"),
+        ({"sweep": [1]}, "spec field 'sweep' must be a JSON object"),
         (
             {"instances": [{"class": "split", "n": 5}], "algorithms": "color_sets"},
-            "suite field 'algorithms' must be a list of strings",
+            "spec field 'algorithms' must be a list",
         ),
         ({"seed": "3", "sweep": {"count": 1}}, "spec field 'seed' must be an integer, got str"),
         (
@@ -488,7 +511,7 @@ def test_unusable_path_exits_2(bipartite_file, tmp_path, capsys, argv):
         ({"sweep": {"count": [1]}}, "spec field 'count' must be an integer, got list"),
         ({"sweep": {"count": 1, "n_min": "4"}}, "spec field 'n_min' must be an integer, got str"),
         ({"sweep": {"count": 1, "n_max": 9.5}}, "spec field 'n_max' must be an integer, got float"),
-        ({"sweep": {"classes": "split"}}, "sweep field 'classes' must be a list of strings"),
+        ({"sweep": {"classes": "split"}}, "spec field 'classes' must be a list"),
         (
             {"instances": [{"class": "split", "n": 5}], "oracle": "false"},
             "spec field 'oracle' must be a boolean, got str",
@@ -527,6 +550,17 @@ def test_unusable_path_exits_2(bipartite_file, tmp_path, capsys, argv):
             ]},
             "guess 2 exceeds triple count 1",
         ),
+        # Every suite and sweep key names a field, and every member of a
+        # list field has its type.
+        (
+            {"algoritms": ["split_approx"], "orcale": True, "sweep": {"clases": ["split"], "n-max": 3}},
+            "unknown spec field 'algoritms'; known fields: instances, sweep, seed, algorithms",
+        ),
+        ({"orcale": True}, "unknown spec field 'orcale'"),
+        ({"sweep": {"n-max": 3}}, "unknown spec field 'n-max'; known fields: classes, count"),
+        ({"sweep": {"classes": ["nope"], "count": 0}}, "unknown generator class 'nope'"),
+        ({"algorithms": ["ffd", 3]}, "each member of spec field 'algorithms' must be a string, got int"),
+        ({"sweep": {"classes": [["split"]]}}, "each member of spec field 'classes' must be a string, got list"),
     ],
 )
 def test_bench_malformed_suite_exits_2(tmp_path, capsys, suite, message):

@@ -166,6 +166,11 @@ def test_spec_parses_valid_size_dists():
         (lambda: GeneratorSpec(klass="split", n=-1), "n must be nonnegative"),
         (lambda: GeneratorSpec(klass="split", density=1.5), "spec field 'density' must be in [0, 1], got 1.5"),
         (lambda: GeneratorSpec(klass="b3dm-reduction", variant="BPX"), "variant must be BPB or BPS, got 'BPX'"),
+        (lambda: GeneratorSpec(klass="b3dm-reduction", y_count=-1), "counts must be nonnegative"),
+        (
+            lambda: GeneratorSpec(klass="b3dm-reduction", x_count=1, y_count=1, z_count=1, t_count=2, guess=2),
+            "guess 2 needs at least 6 elements, got 3",
+        ),
     ],
 )
 def test_direct_construction_checks_values(make, message):
@@ -199,9 +204,17 @@ def test_spec_field_of_wrong_json_type_is_rejected(cls, name):
 
 def test_suite_ids_follow_the_parsed_class():
     # "klass" is the field's own spelling of "class"; the id follows it.
-    [(instance_id, spec)] = expand_suite({"instances": [{"klass": "bipartite", "n": 6}]})
+    _, [(instance_id, spec)] = expand_suite({"instances": [{"klass": "bipartite", "n": 6}]})
     assert instance_id == "bipartite-00000"
     assert spec.klass == "bipartite"
+
+
+def test_empty_sweep_is_the_default_sweep():
+    _, pairs = expand_suite({"sweep": {}})
+    assert [iid for iid, _ in pairs] == [f"bipartite-{k:05d}" for k in range(10)]
+    assert all(4 <= spec.n <= 14 and spec.size_dist == SizeDist() for _, spec in pairs)
+    for config in ({}, {"sweep": None}, {"sweep": {"classes": ["split"], "count": 0}}):
+        assert expand_suite(config)[1] == []
 
 
 def _suite_config(**overrides):
@@ -284,6 +297,14 @@ def test_run_suite_jobs_match_serial(tmp_path):
     run_suite(config, serial, jobs=1)
     run_suite(config, parallel, jobs=2)
     assert (serial / "report.csv").read_bytes() == (parallel / "report.csv").read_bytes()
+
+
+def test_run_suite_nondeterministic_meta_has_a_timestamp(tmp_path):
+    run_suite(_suite_config(), tmp_path / "fixed")
+    run_suite(_suite_config(deterministic=False), tmp_path / "timed")
+    assert "timestamp" not in json.loads((tmp_path / "fixed" / "meta.json").read_text())
+    stamp = json.loads((tmp_path / "timed" / "meta.json").read_text())["timestamp"]
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d", stamp)
 
 
 def test_cbp_seed_env_override(tmp_path, monkeypatch):

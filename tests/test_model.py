@@ -43,6 +43,8 @@ def test_instance_validation():
         ConflictInstance({0: "0.5", 1: "0.5"}, edges=[(0, 0)])
     with pytest.raises(ParameterError):
         ConflictInstance({0: "0.5"}, edges=[(0, 7)])
+    with pytest.raises(ParameterError, match="item ids must be nonnegative, got -1"):
+        ConflictInstance({-1: "0.5"})
     with pytest.raises(ParameterError, match="item 1 has no label"):
         ConflictInstance({0: "0.5", 1: "0.5"}, labels={0: "a"})
     inst = ConflictInstance({0: "0.5", 1: "0.5"}, edges=[(1, 0), (0, 1)])
