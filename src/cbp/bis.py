@@ -4,13 +4,14 @@ The budgeted problem: maximize w(S) over independent sets S with
 w(S) <= budget. Two schemes are provided — an enumeration-plus-exact-MWIS
 scheme for any class with exact weighted independent sets (bipartite,
 split, chordal, cluster, complete multipartite, edgeless), and a faster
-scheme for split graphs built on a knapsack FPTAS. Both schemes and both
-knapsack dynamic programs run on integer profits and costs over a common
-denominator. Weights, budgets and eps are Fractions at the public
-interface (``BisProblem``, ``knapsack_fptas``), and each public call
-converts them once with ``model.size_units``; ``maxsize.greedy_growth``
-calls the same integer cores with its instance's unit table, so no
-single-bin subproblem converts sizes again.
+scheme for split graphs built on a knapsack FPTAS. Each knapsack in that
+scheme maximizes the size it packs within a residual budget: an item's
+size is both its profit and its cost. Both schemes and both knapsack dynamic programs run on
+integer sizes over a common denominator. Weights, budgets and eps are
+Fractions at the public interface (``BisProblem``, ``knapsack_fptas``),
+and each public call converts them once with ``model.size_units``;
+``maxsize.greedy_growth`` calls the same integer cores with its
+instance's unit table, so no single-bin subproblem converts sizes again.
 
 Both cores take their vertices as one bitmask of the items within budget,
 with the ``fits(c)`` prefix masks (``model.fits_within``) of the items of
@@ -22,23 +23,21 @@ strictly heavier one replaces the incumbent, so the result is unchanged.
 For the same reason it skips a clique vertex whose weight plus all it is
 offered is at most the incumbent's.
 
-Costs are never negative (``knapsack_fptas`` rejects one), so in the
+Sizes are never negative (``knapsack_fptas`` rejects one), so in the
 profit-scaling DP an entry whose least cost is within the budget comes
 only from another such entry: each item extends only these live entries
 rather than the whole profit table, and the result is that of the full
 scan.
 
-In the split-graph scheme every knapsack has profit equal to cost, so its
-exact DP is a subset-sum: reachable sums are the bits of one integer,
-extended per item by ``reach |= (reach << c) & full``, and the history of
-that integer rebuilds the DP's own set. In the DP an exactly reached sum
-never improves again, so its set for the best sum x is the first item k
-whose step reaches x plus its set for x - c_k; the history grows
-monotonically, and bisection over it finds that k. General profits keep
-the table DP.
+Since profit equals cost, the exact DP is a subset-sum: reachable sums are
+the bits of one integer, extended per item by ``reach |= (reach << c) &
+full``, and the history of that integer rebuilds the DP's own set. In the
+DP an exactly reached sum never improves again, so its set for the best
+sum x is the first item k whose step reaches x plus its set for x - c_k;
+the history grows monotonically, and bisection over it finds that k.
 
-A DP whose kept costs sum to at most the budget returns its set without
-running: the subset-sum every item of positive cost, the profit-scaling
+A DP whose kept sizes sum to at most the budget returns its set without
+running: the subset-sum every item of positive size, the profit-scaling
 DP every item whose profit scales above 0.
 """
 
@@ -99,34 +98,31 @@ def _check_eps(eps) -> Fraction:
 
 def knapsack_fptas(
     items: Iterable[int],
-    profits: Mapping[int, Fraction],
-    costs: Mapping[int, Fraction],
+    sizes: Mapping[int, Fraction],
     budget: Fraction,
     eps,
 ) -> frozenset[int]:
-    """Feasible set with profit >= (1 - eps) * optimum.
+    """Set of total size <= budget and >= (1 - eps) * the largest such.
 
-    When the costs share a small common denominator the exact dynamic
-    program over integer costs runs instead (profit-optimal); otherwise a
-    profit-scaling dynamic program gives the usual FPTAS guarantee. A
-    negative cost raises ``ParameterError``.
+    Each item's size is both its profit and its cost. When the sizes share
+    a small common denominator the exact subset-sum over integer sizes runs
+    instead (optimal); otherwise a profit-scaling dynamic program gives the
+    usual FPTAS guarantee. A negative size raises ``ParameterError``.
     """
     eps = _check_eps(eps)
     ids = sorted(items)
-    units, den = size_units([*(costs[i] for i in ids), budget])
+    units, den = size_units([*(sizes[i] for i in ids), budget])
     limit = units.pop()
     for i, u in zip(ids, units):
         if u < 0:
-            raise ParameterError(f"negative cost on item {i}")
-    gains, _ = size_units(profits[i] for i in ids)
-    return _knapsack(ids, dict(zip(ids, gains)), dict(zip(ids, units)), limit, den, eps)
+            raise ParameterError(f"negative size on item {i}")
+    return _knapsack(ids, dict(zip(ids, units)), limit, den, eps)
 
 
-def _knapsack(ids, gains, units, limit, den, eps) -> frozenset[int]:
-    # ``knapsack_fptas`` on ints: costs and budget over any common multiple
-    # ``den`` of their denominators. The kept costs' reduced lcm is
+def _knapsack(ids, units, limit, den, eps) -> frozenset[int]:
+    # ``knapsack_fptas`` on ints: sizes and budget over any common multiple
+    # ``den`` of their denominators. The kept sizes' reduced lcm is
     # den / gcd(den, their units), so the exact-DP test is that of the Fractions.
-    # ``gains`` None means profit equals cost: the exact DP is then a subset-sum.
     ids = [i for i in ids if units[i] <= limit]
     if not ids or limit < 0:
         return frozenset()
@@ -134,37 +130,16 @@ def _knapsack(ids, gains, units, limit, den, eps) -> frozenset[int]:
     if den // step <= EXACT_DP_DENOM_LIMIT:
         cap = limit // step
         if (cap + 1) * len(ids) <= EXACT_DP_CELL_LIMIT:
-            costs = [units[i] // step for i in ids]
-            if gains is None:
-                return _subset_sum(ids, costs, cap)
-            return _knapsack_exact(ids, [gains[i] for i in ids], costs, cap)
-    kept_gains = [(units if gains is None else gains)[i] for i in ids]
-    return _knapsack_scaled(ids, kept_gains, [units[i] for i in ids], limit, eps)
-
-
-def _knapsack_exact(ids, gains, units, cap) -> frozenset[int]:
-    # Integer profits ``gains`` and costs ``units``, aligned with ``ids``.
-    # dp[c] = best profit at integer cost <= c; take rebuilds the set.
-    dp = [0] * (cap + 1)
-    take = [0] * (cap + 1)
-    for idx, (c, p) in enumerate(zip(units, gains)):
-        if p <= 0:
-            continue
-        for w in range(cap, c - 1, -1):
-            cand = dp[w - c] + p
-            if cand > dp[w]:
-                dp[w] = cand
-                take[w] = take[w - c] | (1 << idx)
-    best = take[dp.index(max(dp))]  # the least cost of the best profit
-    return frozenset(ids[k] for k in range(len(ids)) if (best >> k) & 1)
+            return _subset_sum(ids, [units[i] // step for i in ids], cap)
+    return _knapsack_scaled(ids, [units[i] for i in ids], limit, eps)
 
 
 def _subset_sum(ids, units, cap) -> frozenset[int]:
-    # ``_knapsack_exact``'s set with profits equal to the costs ``units``
+    # The exact DP's set over integer sizes ``units``, aligned with ``ids``
     # (see the module docstring). Bit x of ``history[k]`` says items 0..k
     # reach the sum x exactly; the answer is the largest reachable sum.
     if sum(units) <= cap:
-        # Every item fits: the DP's best sum takes each item of positive cost.
+        # Every item fits: the DP's best sum takes each item of positive size.
         return frozenset(i for i, c in zip(ids, units) if c)
     full = (1 << (cap + 1)) - 1
     reach = 1
@@ -181,15 +156,15 @@ def _subset_sum(ids, units, cap) -> frozenset[int]:
     return frozenset(chosen)
 
 
-def _knapsack_scaled(ids, gains, units, limit, eps) -> frozenset[int]:
-    # Integer profits and costs, aligned with ``ids``; each positive profit
-    # g scales to floor(g / (eps * g_max / n)).
-    positive = [k for k, g in enumerate(gains) if g > 0]
+def _knapsack_scaled(ids, units, limit, eps) -> frozenset[int]:
+    # Integer sizes, aligned with ``ids``, are profits and costs alike;
+    # each positive size u scales to the profit floor(u / (eps * u_max / n)).
+    positive = [k for k, u in enumerate(units) if u > 0]
     if not positive:
         return frozenset()
     num = len(positive) * eps.denominator
-    div = eps.numerator * max(gains[k] for k in positive)
-    scaled = [gains[k] * num // div for k in positive]
+    div = eps.numerator * max(units[k] for k in positive)
+    scaled = [units[k] * num // div for k in positive]
     kept = [k for sp, k in zip(scaled, positive) if sp]
     if sum(units[k] for k in kept) <= limit:
         # Every item the DP reads fits: its best profit takes them all.
@@ -347,7 +322,7 @@ def _fptas_split(eligible, fits, adj, parts, weights, budget, den, eps) -> froze
         raise CapabilityError("split certificate required for the split-graph scheme")
     stable = parts[1] & eligible
 
-    # Profit equals cost: each knapsack is a subset-sum over the units.
+    # Each knapsack maximizes the units it packs within the residual budget.
     best: frozenset[int] = frozenset()
     best_w = 0
     for v in _mask_to_ids(parts[0] & eligible):
@@ -356,7 +331,7 @@ def _fptas_split(eligible, fits, adj, parts, weights, budget, den, eps) -> froze
         # v and all it is offered cannot beat the incumbent, only tie it.
         if wv + sum(weights[u] for u in offered) <= best_w:
             continue
-        chosen = _knapsack(offered, None, weights, budget - wv, den, eps)
+        chosen = _knapsack(offered, weights, budget - wv, den, eps)
         total = wv + sum(weights[u] for u in chosen)
         if total > best_w:
             best = chosen | {v}
@@ -364,7 +339,7 @@ def _fptas_split(eligible, fits, adj, parts, weights, budget, den, eps) -> froze
             # No set weighs more than the budget, and only a heavier one wins.
             if best_w == budget:
                 return best
-    chosen = _knapsack(_mask_to_ids(stable), None, weights, budget, den, eps)
+    chosen = _knapsack(_mask_to_ids(stable), weights, budget, den, eps)
     if sum(weights[u] for u in chosen) > best_w:
         best = chosen
     return best

@@ -49,6 +49,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_solve(args) -> int:
+    if args.oracle_limit < 0:
+        raise ParameterError(f"--oracle-limit must be at least 0, got {args.oracle_limit}")
     instance = harness.read_instance(args.infile)
     kw = {}
     if args.eps is not None:

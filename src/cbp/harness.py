@@ -455,6 +455,9 @@ class _Sweep:
     def __post_init__(self):
         for klass in self.classes:
             GeneratorSpec(klass=klass)  # the class check every spec makes
+        for name in ("count", "n_min"):
+            if getattr(self, name) < 0:
+                raise ParameterError(f"sweep field {name!r} must be at least 0, got {getattr(self, name)}")
         if self.n_max < self.n_min:
             raise ParameterError(f"sweep field 'n_max' must be at least n_min = {self.n_min}, got {self.n_max}")
 
@@ -477,6 +480,8 @@ class _Suite:
     def __post_init__(self):
         for name in self.algorithms:
             _check_algorithm(name)
+        if self.oracle_limit < 0:
+            raise ParameterError(f"suite field 'oracle_limit' must be at least 0, got {self.oracle_limit}")
 
 
 def _evaluate_instance(spec: GeneratorSpec, instance_id: str, settings: _Suite) -> tuple[list[RunRow], dict]:
@@ -592,6 +597,8 @@ def run_suite(config: dict, out_dir, jobs: int = 1) -> RunReport:
     The suite is read and checked in full (:func:`expand_suite`), and every
     instance is evaluated, before any output exists.
     """
+    if jobs < 1:
+        raise ParameterError(f"jobs must be at least 1, got {jobs}")
     suite, pairs = expand_suite(config)
     # Each task carries the settings, not every instance's JSON object.
     settings = replace(suite, instances=())
@@ -737,6 +744,10 @@ def packing_from_dict(data: dict) -> Packing:
         isinstance(b, list) and all(isinstance(v, int) and not isinstance(v, bool) for v in b) for b in bins
     ):
         raise ParameterError("bins must be a list of lists of item ids")
+    for k, b in enumerate(bins):
+        if len(set(b)) < len(b):
+            twice = next(v for j, v in enumerate(b) if v in b[:j])
+            raise ParameterError(f"bin {k} lists item {twice} twice")
     flags = data.get("flags", [])
     if not isinstance(flags, list):
         raise ParameterError("flags must be a list")

@@ -325,12 +325,35 @@ def ref_ffd_bins(items, units, den):
     return tuple(frozenset(b) for b in bins)
 
 
+# --- Integer table knapsack reference ----------------------------------------
+# The library's table DP over integer profits and costs, from before the
+# knapsack took one size per item as both: the subset-sum must return its
+# set when the profits are a multiple of the costs.
+
+
+def ref_knapsack_exact_int(ids, gains, units, cap) -> frozenset[int]:
+    # Integer profits ``gains`` and costs ``units``, aligned with ``ids``.
+    # dp[c] = best profit at integer cost <= c; take rebuilds the set.
+    dp = [0] * (cap + 1)
+    take = [0] * (cap + 1)
+    for idx, (c, p) in enumerate(zip(units, gains)):
+        if p <= 0:
+            continue
+        for w in range(cap, c - 1, -1):
+            cand = dp[w - c] + p
+            if cand > dp[w]:
+                dp[w] = cand
+                take[w] = take[w - c] | (1 << idx)
+    best = take[dp.index(max(dp))]  # the least cost of the best profit
+    return frozenset(ids[k] for k in range(len(ids)) if (best >> k) & 1)
+
+
 # --- Dense scaled knapsack and full subset-sum references --------------------
 # ``bis._knapsack_scaled`` as it was before it extended only the entries
 # within the cost limit, and ``bis._subset_sum`` as it was before it
 # returned a set whose costs all fit without running: every item scans the
 # whole profit table, and every subset-sum runs its bitset. The library
-# must return the identical set.
+# must return the identical set; its scaled DP's profits are the costs.
 
 
 def ref_knapsack_scaled_int(ids, gains, units, limit, eps) -> frozenset[int]:
@@ -438,12 +461,12 @@ def ref_fptas_split(vertices, adj, info, weights, budget, den, eps) -> frozenset
         if wv > budget:
             continue
         offered = [u for u in stable if not (adj[v] >> u) & 1]
-        chosen = bis._knapsack(offered, None, weights, budget - wv, den, eps)
+        chosen = bis._knapsack(offered, weights, budget - wv, den, eps)
         total = wv + sum(weights[u] for u in chosen)
         if total > best_w:
             best = frozenset({v}) | chosen
             best_w = total
-    chosen = bis._knapsack(stable, None, weights, budget, den, eps)
+    chosen = bis._knapsack(stable, weights, budget, den, eps)
     if sum(weights[u] for u in chosen) > best_w:
         best = chosen
     return best

@@ -21,7 +21,15 @@ from cbp.maxsize import max_size
 from cbp.model import Packing, classify_items, fits_within
 from cbp.rng import SplitMix64
 
-from conftest import CLASSES, ref_fptas_split, ref_knapsack_scaled_int, ref_ptas, ref_subset_sum, seeded_instance
+from conftest import (
+    CLASSES,
+    ref_fptas_split,
+    ref_knapsack_exact_int,
+    ref_knapsack_scaled_int,
+    ref_ptas,
+    ref_subset_sum,
+    seeded_instance,
+)
 
 
 def problem_from(instance: ConflictInstance, weights, budget) -> BisProblem:
@@ -49,54 +57,46 @@ def size_weights(instance):
 
 
 def test_knapsack_examples():
-    profits = {0: Fraction(3, 5), 1: Fraction(1, 2), 2: Fraction(2, 5)}
-    chosen = knapsack_fptas([0, 1, 2], profits, profits, Fraction(1), Fraction(1, 10))
+    sizes = {0: Fraction(3, 5), 1: Fraction(1, 2), 2: Fraction(2, 5)}
+    chosen = knapsack_fptas([0, 1, 2], sizes, Fraction(1), Fraction(1, 10))
     assert chosen == {0, 2}
 
-    assert knapsack_fptas([0], {0: Fraction(1)}, {0: Fraction(1)}, Fraction(0), Fraction(1, 10)) == frozenset()
+    assert knapsack_fptas([0], {0: Fraction(1)}, Fraction(0), Fraction(1, 10)) == frozenset()
 
     single = {0: Fraction(3, 10)}
-    assert knapsack_fptas([0], single, single, Fraction(1), Fraction(1, 10)) == {0}
-
-    # Equal profits: the exact DP keeps the least cost of the best profit.
-    ones = {0: Fraction(1), 1: Fraction(1)}
-    costs = {0: Fraction(1, 2), 1: Fraction(1, 4)}
-    assert knapsack_fptas([0, 1], ones, costs, Fraction(1, 2), Fraction(1, 10)) == {1}
+    assert knapsack_fptas([0], single, Fraction(1), Fraction(1, 10)) == {0}
 
 
 def test_knapsack_eps_range():
     with pytest.raises(ParameterError):
-        knapsack_fptas([0], {0: Fraction(1)}, {0: Fraction(1)}, Fraction(1), 0)
+        knapsack_fptas([0], {0: Fraction(1)}, Fraction(1), 0)
     with pytest.raises(ParameterError):
-        knapsack_fptas([0], {0: Fraction(1)}, {0: Fraction(1)}, Fraction(1), 1)
+        knapsack_fptas([0], {0: Fraction(1)}, Fraction(1), 1)
 
 
 def test_knapsack_negative_cost_rejected():
-    # The exact DP would index a cost table with a negative cost, and the
-    # scaled DP's live-entry rule needs costs >= 0.
-    ones = {0: Fraction(1), 1: Fraction(1)}
-    costs = {0: Fraction(-1, 2), 1: Fraction(1, 2)}
-    with pytest.raises(ParameterError, match="negative cost on item 0"):
-        knapsack_fptas([0, 1], ones, costs, Fraction(1, 2), Fraction(1, 10))
+    # The scaled DP's live-entry rule needs sizes >= 0, and the subset-sum
+    # would shift by a negative count.
+    sizes = {0: Fraction(-1, 2), 1: Fraction(1, 2)}
+    with pytest.raises(ParameterError, match="negative size on item 0"):
+        knapsack_fptas([0, 1], sizes, Fraction(1, 2), Fraction(1, 10))
 
 
-# Small gains beside a large one scale to 0; small costs collide often, so
-# equal costs meet the strict-< tie rule.
-_GAINS = st.one_of(st.integers(-3, 0), st.integers(1, 8), st.integers(1, 10**6))
+# Small sizes beside a large one scale to 0; small sizes collide often, so
+# equal sizes meet the strict-< tie rule.
+_SIZES = st.one_of(st.just(0), st.integers(1, 8), st.integers(1, 10**6))
 
 
 @settings(max_examples=250)
 @given(
-    rows=st.lists(st.tuples(_GAINS, st.integers(0, 12)), max_size=9),
-    limit=st.one_of(st.just(0), st.integers(0, 40)),
+    units=st.lists(_SIZES, max_size=9),
+    limit=st.one_of(st.just(0), st.integers(0, 40), st.integers(0, 2 * 10**6)),
     eps=st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100), max_denominator=100),
 )
-def test_knapsack_scaled_matches_dense_reference(rows, limit, eps):
-    ids = [10 + 3 * k for k in range(len(rows))]
-    gains = [g for g, _ in rows]
-    units = [c for _, c in rows]
-    got = bis._knapsack_scaled(ids, gains, units, limit, eps)
-    assert got == ref_knapsack_scaled_int(ids, gains, units, limit, eps)
+def test_knapsack_scaled_matches_dense_reference(units, limit, eps):
+    ids = [10 + 3 * k for k in range(len(units))]
+    got = bis._knapsack_scaled(ids, units, limit, eps)
+    assert got == ref_knapsack_scaled_int(ids, units, units, limit, eps)
     assert sum(units[ids.index(i)] for i in got) <= limit
 
 
@@ -105,41 +105,32 @@ def test_knapsack_scaled_matches_dense_reference(rows, limit, eps):
     costs=st.lists(st.one_of(st.just(0), st.integers(1, 6), st.integers(1, 60)), max_size=12),
     cap=st.one_of(st.just(0), st.integers(0, 50)),
     scale=st.integers(1, 4),
-    den=st.sampled_from((60, 10**9)),
 )
-def test_subset_sum_matches_exact_dp(costs, cap, scale, den):
+def test_subset_sum_matches_exact_dp(costs, cap, scale):
     # Profit equal to cost, times the gcd step ``_knapsack`` divides out:
-    # the bitset subset-sum returns the exact DP's set. Zero costs, cap 0,
+    # the bitset subset-sum returns the table DP's set. Zero costs, cap 0,
     # equal costs and costs over the cap all occur.
     ids = [10 + 3 * k for k in range(len(costs))]
     got = bis._subset_sum(ids, costs, cap)
-    assert got == bis._knapsack_exact(ids, [scale * c for c in costs], costs, cap)
+    assert got == ref_knapsack_exact_int(ids, [scale * c for c in costs], costs, cap)
     assert sum(costs[ids.index(i)] for i in got) <= cap
-    # ``_knapsack`` without gains (exact path at den 60, mostly scaled at
-    # 10^9) picks what it picks with the costs as gains.
-    units = dict(zip(ids, costs))
-    eps = Fraction(1, 10)
-    assert bis._knapsack(ids, None, units, cap, den, eps) == bis._knapsack(ids, units, units, cap, den, eps)
 
 
 @settings(max_examples=300)
 @given(
-    rows=st.lists(st.tuples(_GAINS, st.one_of(st.just(0), st.integers(0, 12))), max_size=9),
+    units=st.lists(_SIZES, max_size=9),
     slack=st.integers(-4, 6),
     eps=st.fractions(min_value=Fraction(1, 100), max_value=Fraction(99, 100), max_denominator=100),
 )
-def test_knapsacks_whose_costs_all_fit_match_the_dps(rows, slack, eps):
-    # The limit sits near the costs' sum, so often every kept cost fits and
+def test_knapsacks_whose_costs_all_fit_match_the_dps(units, slack, eps):
+    # The limit sits near the sizes' sum, so often every kept size fits and
     # the set is returned without the DP: subset-sum takes every positive
-    # cost, the scaled DP every item whose profit scales above 0. Zero
-    # costs, profits of at most 0 and small profits that scale to 0 beside
-    # a large one all occur.
-    ids = [10 + 3 * k for k in range(len(rows))]
-    gains = [g for g, _ in rows]
-    units = [c for _, c in rows]
+    # size, the scaled DP every item whose profit scales above 0. Zero
+    # sizes and small sizes that scale to 0 beside a large one all occur.
+    ids = [10 + 3 * k for k in range(len(units))]
     limit = max(0, sum(units) + slack)
     assert bis._subset_sum(ids, units, limit) == ref_subset_sum(ids, units, limit)
-    assert bis._knapsack_scaled(ids, gains, units, limit, eps) == ref_knapsack_scaled_int(ids, gains, units, limit, eps)
+    assert bis._knapsack_scaled(ids, units, limit, eps) == ref_knapsack_scaled_int(ids, units, units, limit, eps)
 
 
 @pytest.mark.parametrize(
@@ -148,25 +139,24 @@ def test_knapsacks_whose_costs_all_fit_match_the_dps(rows, slack, eps):
 )
 @pytest.mark.parametrize("budget", [Fraction(1), Fraction(1, 2)])
 def test_knapsack_scaled_large_matches_dense_reference(n, hi, eps, budget):
-    # Decimal-like sizes over den = 10^9: n items of at most 1/hi, profit
-    # equal to cost as in the split-graph scheme.
+    # Decimal-like sizes over den = 10^9: n items of at most 1/hi.
     den = 10**9
     rng = SplitMix64(n * hi)
     units = [1 + rng.below(den // hi) for _ in range(n)]
     ids = list(range(n))
     limit = int(budget * den)
-    got = bis._knapsack_scaled(ids, units, units, limit, eps)
+    got = bis._knapsack_scaled(ids, units, limit, eps)
     assert got == ref_knapsack_scaled_int(ids, units, units, limit, eps)
     assert got and sum(units[i] for i in got) <= limit
 
 
-def brute_knapsack(ids, profits, costs, budget):
+def brute_knapsack(ids, sizes, budget):
     best = Fraction(0)
     n = len(ids)
     for mask in range(1 << n):
-        chosen = [ids[k] for k in range(n) if (mask >> k) & 1]
-        if sum((costs[i] for i in chosen), Fraction(0)) <= budget:
-            best = max(best, sum((profits[i] for i in chosen), Fraction(0)))
+        total = sum((sizes[ids[k]] for k in range(n) if (mask >> k) & 1), Fraction(0))
+        if total <= budget:
+            best = max(best, total)
     return best
 
 
@@ -174,12 +164,12 @@ def test_knapsack_exact_path_guarantee():
     rng = SplitMix64(5)
     for _ in range(40):
         n = 1 + rng.below(10)
-        costs = {i: Fraction(1 + rng.below(20), 20) for i in range(n)}
+        sizes = {i: Fraction(1 + rng.below(20), 20) for i in range(n)}
         budget = Fraction(1 + rng.below(20), 10)
-        chosen = knapsack_fptas(range(n), costs, costs, budget, Fraction(1, 10))
-        value = sum((costs[i] for i in chosen), Fraction(0))
+        chosen = knapsack_fptas(range(n), sizes, budget, Fraction(1, 10))
+        value = sum((sizes[i] for i in chosen), Fraction(0))
         assert value <= budget
-        assert value == brute_knapsack(list(range(n)), costs, costs, budget)  # exact DP path
+        assert value == brute_knapsack(list(range(n)), sizes, budget)  # exact DP path
 
 
 def test_knapsack_scaled_path_guarantee():
@@ -188,12 +178,12 @@ def test_knapsack_scaled_path_guarantee():
     for _ in range(30):
         n = 1 + rng.below(9)
         # huge denominators force the profit-scaling path
-        costs = {i: Fraction(rng.below(10**6) + 1, 10**6) for i in range(n)}
+        sizes = {i: Fraction(rng.below(10**6) + 1, 10**6) for i in range(n)}
         budget = Fraction(rng.below(3 * 10**6) + 1, 2 * 10**6)
-        chosen = knapsack_fptas(range(n), costs, costs, budget, eps)
-        value = sum((costs[i] for i in chosen), Fraction(0))
+        chosen = knapsack_fptas(range(n), sizes, budget, eps)
+        value = sum((sizes[i] for i in chosen), Fraction(0))
         assert value <= budget
-        assert value >= (1 - eps) * brute_knapsack(list(range(n)), costs, costs, budget)
+        assert value >= (1 - eps) * brute_knapsack(list(range(n)), sizes, budget)
 
 
 def test_bis_ptas_examples():

@@ -292,6 +292,8 @@ def test_solve_malformed_edges_exit_2(tmp_path, capsys, edges):
         ({"bins": [[0], [True]]}, "bins must be a list of lists of item ids"),
         ({"bins": [[0, "a"]]}, "bins must be a list of lists of item ids"),
         ({"bins": [[0, None]]}, "bins must be a list of lists of item ids"),
+        # A bin is a set: an item listed twice is not read as once.
+        ({"bins": [[0, 0], [1]]}, "bin 0 lists item 0 twice"),
     ],
 )
 def test_verify_malformed_packing_exits_2(bipartite_file, tmp_path, capsys, payload, message):
@@ -561,6 +563,13 @@ def test_unusable_path_exits_2(bipartite_file, tmp_path, capsys, argv):
         ({"sweep": {"classes": ["nope"], "count": 0}}, "unknown generator class 'nope'"),
         ({"algorithms": ["ffd", 3]}, "each member of spec field 'algorithms' must be a string, got int"),
         ({"sweep": {"classes": [["split"]]}}, "each member of spec field 'classes' must be a string, got list"),
+        # Counts and limits are never negative.
+        ({"sweep": {"count": -3}}, "sweep field 'count' must be at least 0, got -3"),
+        ({"sweep": {"count": 0, "n_min": -5, "n_max": -2}}, "sweep field 'n_min' must be at least 0, got -5"),
+        (
+            {"instances": [{"class": "split", "n": 5}], "oracle": True, "oracle_limit": -1},
+            "suite field 'oracle_limit' must be at least 0, got -1",
+        ),
     ],
 )
 def test_bench_malformed_suite_exits_2(tmp_path, capsys, suite, message):
@@ -571,4 +580,26 @@ def test_bench_malformed_suite_exits_2(tmp_path, capsys, suite, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"parameter error: {message}" in captured.err
+    assert not out.exists()
+
+
+def test_bench_jobs_below_one_exits_2(tmp_path, capsys):
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps({"instances": [{"class": "split", "n": 5}]}))
+    out = tmp_path / "bench"
+    assert main(["bench", "--suite", str(path), "--out", str(out), "--jobs", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "parameter error: jobs must be at least 1, got 0" in captured.err
+    assert not out.exists()
+
+
+def test_solve_negative_oracle_limit_exits_2(bipartite_file, tmp_path, capsys):
+    _, inst_path = bipartite_file
+    out = tmp_path / "packing.json"
+    argv = ["solve", "--algo", "approx_bpc", "--in", str(inst_path), "--oracle", "--oracle-limit", "-1"]
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "parameter error: --oracle-limit must be at least 0, got -1" in captured.err
     assert not out.exists()

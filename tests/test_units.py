@@ -348,7 +348,7 @@ def knapsack_inputs(family: str, seed: int):
 def test_knapsack_fptas_matches_fraction_reference(family):
     eps = Fraction(1, 10)
     for items, sizes, budget in knapsack_inputs(family, 4242):
-        got = bis.knapsack_fptas(items, sizes, sizes, budget, eps)
+        got = bis.knapsack_fptas(items, sizes, budget, eps)
         assert got == ref_knapsack_fptas(items, sizes, sizes, budget, eps)
 
 
@@ -401,41 +401,42 @@ def ref_knapsack_path(items, costs, budget):
 
 
 def knapsack_path_inputs():
-    # The three families, plus grid20 costs under budgets whose
+    # The three families, plus grid20 sizes under budgets whose
     # denominators are primes above EXACT_DP_DENOM_LIMIT and one item over
-    # budget with such a denominator: only the kept costs count.
+    # budget with such a denominator: only the kept sizes count.
     for family in sorted(FAMILIES):
-        for items, sizes, budget in knapsack_inputs(family, 4343):
-            yield items, sizes, sizes, budget
+        yield from knapsack_inputs(family, 4343)
     rng = SplitMix64(99)
     for p in (4099, 4111, 5003, 7919, 10007, 65537):
         ids = list(range(12))
-        costs = {i: Fraction(1 + rng.below(20), 20) for i in ids[:-1]}
-        costs[ids[-1]] = Fraction(p + 1, p)
-        profits = {i: Fraction(1 + rng.below(97), 97) for i in ids}
-        yield ids, profits, costs, Fraction(rng.below(p) + p // 2, 2 * p)
+        sizes = {i: Fraction(1 + rng.below(20), 20) for i in ids[:-1]}
+        sizes[ids[-1]] = Fraction(p + 1, p)
+        yield ids, sizes, Fraction(rng.below(p) + p // 2, 2 * p)
+    # Odd numerators over EXACT_DP_DENOM_LIMIT: the largest lcm the exact path takes.
+    sizes = {i: Fraction(2 * rng.below(2048) + 1, bis.EXACT_DP_DENOM_LIMIT) for i in range(12)}
+    yield list(sizes), sizes, Fraction(1)
 
 
 def test_knapsack_fptas_picks_the_dp_of_the_fraction_reference(monkeypatch):
     calls = []
-    exact, scaled = bis._knapsack_exact, bis._knapsack_scaled
+    subset_sum, scaled = bis._subset_sum, bis._knapsack_scaled
 
-    def recording_exact(ids, profits, units, cap):
+    def recording_subset_sum(ids, units, cap):
         calls.append(("exact", cap))
-        return exact(ids, profits, units, cap)
+        return subset_sum(ids, units, cap)
 
     def recording_scaled(*args):
         calls.append(("scaled", None))
         return scaled(*args)
 
-    monkeypatch.setattr(bis, "_knapsack_exact", recording_exact)
+    monkeypatch.setattr(bis, "_subset_sum", recording_subset_sum)
     monkeypatch.setattr(bis, "_knapsack_scaled", recording_scaled)
     seen = set()
-    for items, profits, costs, budget in knapsack_path_inputs():
+    for items, sizes, budget in knapsack_path_inputs():
         calls.clear()
-        got = bis.knapsack_fptas(items, profits, costs, budget, Fraction(1, 10))
-        assert got == ref_knapsack_fptas(items, profits, costs, budget, Fraction(1, 10))
-        want = ref_knapsack_path(items, costs, budget)
+        got = bis.knapsack_fptas(items, sizes, budget, Fraction(1, 10))
+        assert got == ref_knapsack_fptas(items, sizes, sizes, budget, Fraction(1, 10))
+        want = ref_knapsack_path(items, sizes, budget)
         assert calls == ([want] if want else [])
         seen.add(want[0] if want else None)
     assert seen == {"exact", "scaled", None}
@@ -443,34 +444,27 @@ def test_knapsack_fptas_picks_the_dp_of_the_fraction_reference(monkeypatch):
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_knapsack_exact_dp_matches_fraction_reference(family):
-    # Costs on the grid20 lattice (the exact path's domain); profits from
-    # the family, so their lcm is 20, up to 10^9, or above 10^9, and some
-    # are zero or negative.
+    # The family's items, with sizes on the grid20 lattice (the exact
+    # path's domain); some are zero, which the DP never takes.
     rng = SplitMix64(77)
-    for items, profits, _budget in knapsack_inputs(family, 5151):
+    for items, _sizes, _budget in knapsack_inputs(family, 5151):
         ids = sorted(items)
-        costs = {i: Fraction(1 + rng.below(20), 20) for i in ids}
-        for i in ids[::3]:
-            profits[i] = -profits[i] if rng.below(2) else Fraction(0)
-        units, den = size_units(costs[i] for i in ids)
-        gains, _ = size_units(profits[i] for i in ids)
+        sizes = {i: Fraction(rng.below(21), 20) for i in ids}
+        units, den = size_units(sizes[i] for i in ids)
         cap = math.floor(Fraction(rng.below(41), 20) * den)
-        got = bis._knapsack_exact(ids, gains, units, cap)
-        assert got == ref_knapsack_exact(ids, profits, costs, den, cap)
+        got = bis._subset_sum(ids, units, cap)
+        assert got == ref_knapsack_exact(ids, sizes, sizes, den, cap)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_knapsack_scaled_dp_matches_fraction_reference(family):
-    rng = SplitMix64(88)
     for items, sizes, budget in knapsack_inputs(family, 6262):
         ids = [i for i in sorted(items) if sizes[i] <= budget]
-        profits = {i: Fraction(1 + rng.below(97), 97) for i in ids}
         units, _ = size_units([*(sizes[i] for i in ids), budget])
         limit = units.pop()
-        gains, _ = size_units(profits[i] for i in ids)
         for eps in (Fraction(1, 10), Fraction(1, 3)):
-            got = bis._knapsack_scaled(ids, gains, units, limit, eps)
-            assert got == ref_knapsack_scaled(ids, profits, sizes, budget, eps)
+            got = bis._knapsack_scaled(ids, units, limit, eps)
+            assert got == ref_knapsack_scaled(ids, sizes, sizes, budget, eps)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
