@@ -3,18 +3,14 @@
 from .bis import BisProblem, bis_fptas_split, bis_ptas, knapsack_fptas
 from .bpc import (
     AssignConfig,
-    AssignmentLp,
-    LpSolution,
     abs_bpb,
     approx_bpc,
     assign,
-    build_assignment_lp,
     color_sets,
     matching_pack,
     max_solve,
     multipartite_pack,
     round_assignment,
-    solve_assignment_lp,
     split_approx,
 )
 from .errors import CapabilityError, ParameterError, SolverError
@@ -43,14 +39,12 @@ from .packing_classic import asymptotic_bp, ffd
 
 __all__ = [
     "AssignConfig",
-    "AssignmentLp",
     "BisProblem",
     "CapabilityError",
     "ConflictInstance",
     "GeneratorSpec",
     "GraphClassInfo",
     "ItemClasses",
-    "LpSolution",
     "Matching",
     "MaxSizeConfig",
     "MaxSizeResult",
@@ -67,7 +61,6 @@ __all__ = [
     "bis_brute",
     "bis_fptas_split",
     "bis_ptas",
-    "build_assignment_lp",
     "classify_items",
     "color_sets",
     "ffd",
@@ -89,7 +82,6 @@ __all__ = [
     "round_assignment",
     "round_config_lp",
     "run_suite",
-    "solve_assignment_lp",
     "solve_config_lp",
     "split_approx",
     "validate_packing",

@@ -96,6 +96,18 @@ def _check_eps(eps) -> Fraction:
     return eps
 
 
+def _enum_cap(eps: Fraction) -> int:
+    # ceil(1/eps), the largest set the enumeration scheme guesses, for a
+    # checked ``eps``; above DEFAULT_ENUM_CAP it is a ParameterError.
+    cap = -(-eps.denominator // eps.numerator)
+    if cap > DEFAULT_ENUM_CAP:
+        raise ParameterError(
+            f"enumeration bound ceil(1/eps) = {cap} exceeds cap {DEFAULT_ENUM_CAP}; "
+            "use a larger eps"
+        )
+    return cap
+
+
 def knapsack_fptas(
     items: Iterable[int],
     sizes: Mapping[int, Fraction],
@@ -262,12 +274,7 @@ def _ptas(eligible, fits, adj, info, weights, budget, den, eps) -> frozenset[int
     # ``bis_ptas`` on integer weights and budget over ``den``; ``eps`` is
     # checked. ``eligible`` masks the vertices of weight at most ``budget``
     # and ``fits(c)`` those of weight at most c.
-    cap = -(-eps.denominator // eps.numerator)  # ceil(1 / eps)
-    if cap > DEFAULT_ENUM_CAP:
-        raise ParameterError(
-            f"enumeration bound ceil(1/eps) = {cap} exceeds cap {DEFAULT_ENUM_CAP}; "
-            "use a larger eps"
-        )
+    cap = _enum_cap(eps)
     if not eligible:
         return frozenset()
     order = _mask_to_ids(eligible)

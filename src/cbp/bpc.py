@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Optional
 from . import bis, oracle, packing_classic
 from .errors import CapabilityError, ParameterError, SolverError
 from .graphs import GraphClassInfo, maximum_matching_masks, minimum_coloring, recognize
-from .maxsize import PRACTICAL_EPS, greedy_growth, validate_initial
+from .maxsize import PRACTICAL_EPS, _check_growth_eps, greedy_growth, validate_initial
 from .model import (
     ConflictInstance,
     Packing,
@@ -114,9 +114,9 @@ def max_solve(
     """Singleton bins for the large items, grown greedily, rest by coloring.
 
     The singletons are a feasible start by construction: a size is at most
-    1, and a singleton has no inner edge.
+    1, and a singleton has no inner edge. The growth checks ``eps`` before
+    it solves a bin.
     """
-    eps = bis._check_eps(eps)
     info = _info(instance, info)
     large = sorted(classify_items(instance).large)
     seed = Packing(tuple(frozenset({v}) for v in large), "max_solve")
@@ -156,9 +156,10 @@ def approx_bpc(
 
     ``color_sets``, ``max_solve`` and ``matching_pack`` run in that order
     until one meets ``bin_lower_bound``; the later ones could only tie.
+    ``eps`` is checked first, as ``max_solve``'s growth would check it.
     """
-    bis._check_eps(eps)
     info = _info(instance, info)
+    _check_growth_eps(eps, info)
     return _best_of(
         instance,
         "approx_bpc",
@@ -216,36 +217,27 @@ def split_approx(
     return best
 
 
-@dataclass(frozen=True)
-class AssignmentLp:
-    """The one-sided item-to-bin assignment LP.
-
-    Variables x[i, v] exist for bin i and item v eligible for it (the bin
-    stays an independent set with v added); rows bound each bin's room, in
-    the unit table's units, and each item's total assignment.
-    """
-
-    items_w: tuple[int, ...]
-    rooms: tuple[int, ...]
-    eligible: tuple[frozenset[int], ...]
-    variables: tuple[tuple[int, int], ...]  # (bin index, item) per column
-
-    @property
-    def bin_count(self) -> int:
-        return len(self.rooms)
-
-
-@dataclass(frozen=True)
-class LpSolution:
-    values: dict[tuple[int, int], Fraction]
-    objective: Fraction
-    fractional_items: frozenset[int]
-
-
-def build_assignment_lp(
+def round_assignment(
     instance: ConflictInstance, big_packing: Packing, w_items: Iterable[int]
-) -> AssignmentLp:
-    w = tuple(sorted(set(w_items)))
+) -> Packing:
+    """Extend ``big_packing`` by the items ``w_items`` that the assignment LP
+    assigns whole.
+
+    The one-sided item-to-bin assignment LP has a variable x[i, v] for bin
+    i and item v of ``w_items`` with no edge into it; it maximizes the
+    total assignment subject to one row per bin (the units of its items at
+    most the bin's room, in the unit table's units) and one row per item
+    (assigned at most once). A basic optimal solution has at most one
+    fractional item per bin; keeping its x = 1 assignments and dropping
+    the fractional items leaves the bin count unchanged and keeps at least
+    LP-opt minus bin-count items. The flag ``lemma12:ok`` certifies both,
+    ``lemma12:fail`` marks a solution without that structure.
+
+    ``w_items`` must be mutually conflict-free items of the instance that
+    no bin holds, and ``big_packing`` a feasible partial packing; anything
+    else raises a ParameterError.
+    """
+    w = sorted(set(w_items))
     packed = big_packing.items()
     overlap = [v for v in w if v in packed]
     if overlap:
@@ -256,64 +248,29 @@ def build_assignment_lp(
     if not instance.is_independent(w):
         raise ParameterError("assignment items must be mutually conflict-free (one side)")
     validate_initial(instance, big_packing)
-
-    states = [instance.bin_state(members) for members in big_packing.bins]
-    eligible = tuple(frozenset(v for v in w if not (blocked >> v) & 1) for blocked, _ in states)
-    return AssignmentLp(
-        w,
-        tuple(room for _, room in states),
-        eligible,
-        tuple((i, v) for i, q in enumerate(eligible) for v in w if v in q),
-    )
+    return _round(instance, big_packing.bins, [instance.bin_state(b) for b in big_packing.bins], w)
 
 
-def solve_assignment_lp(instance: ConflictInstance, lp: AssignmentLp) -> LpSolution:
-    """Maximize total assignment; returns an optimal basic feasible solution.
-
-    Basicness matters: it caps the number of fractionally assigned items by
-    the number of bins, which the rounding step exploits.
-    """
+def _round(instance: ConflictInstance, bins, states, w: list[int]) -> Packing:
+    # ``round_assignment`` on checked input: ``states`` holds each bin's
+    # ``(blocked, room)`` and ``w`` the sorted items to assign. One column
+    # per bin and item with no edge into it, in bin order, then item order.
     units = instance.unit_table[0]
-    cols = lp.variables
-    objective = [1] * len(cols)
-    rows: list[list[int]] = []
-    rhs: list[int] = []
-    for i, room in enumerate(lp.rooms):
-        rows.append([units[v] if ci == i else 0 for (ci, v) in cols])
-        rhs.append(room)
-    for v in lp.items_w:
-        rows.append([1 if cv == v else 0 for (_, cv) in cols])
-        rhs.append(1)
-    result = solve_max_lp(objective, rows, rhs)
-    values = {col: x for col, x in zip(cols, result.x)}
-    fractional = frozenset(
-        v for (i, v), x in values.items() if ZERO < x < ONE
-    )
-    return LpSolution(values, result.objective, fractional)
-
-
-def round_assignment(
-    instance: ConflictInstance, big_packing: Packing, w_items: Iterable[int]
-) -> Packing:
-    """Keep the x = 1 assignments of a basic optimal solution.
-
-    Dropping the (at most one per bin) fractional items leaves the bin
-    count unchanged and keeps at least LP-opt minus bin-count items.
-    """
-    lp = build_assignment_lp(instance, big_packing, w_items)
-    sol = solve_assignment_lp(instance, lp)
-    bins = []
-    kept = 0
-    for i, members in enumerate(big_packing.bins):
-        extra = {v for v in lp.eligible[i] if sol.values.get((i, v)) == ONE}
-        kept += len(extra)
-        bins.append(frozenset(members) | extra)
-    ok = len(sol.fractional_items) <= lp.bin_count and Fraction(kept) >= sol.objective - lp.bin_count
-    return Packing(
-        tuple(bins),
-        "round_assignment",
-        ("lemma12:ok",) if ok else ("lemma12:fail",),
-    )
+    cols = [(i, v) for i, (blocked, _) in enumerate(states) for v in w if not (blocked >> v) & 1]
+    rows = [[units[v] if ci == i else 0 for ci, v in cols] for i in range(len(bins))]
+    rows += [[int(cv == v) for _, cv in cols] for v in w]
+    result = solve_max_lp([1] * len(cols), rows, [room for _, room in states] + [1] * len(w))
+    extra: list[set[int]] = [set() for _ in bins]
+    fractional = set()
+    for (i, v), x in zip(cols, result.x):
+        if x == ONE:
+            extra[i].add(v)
+        elif x > ZERO:
+            fractional.add(v)
+    t = len(bins)
+    ok = len(fractional) <= t and sum(map(len, extra)) >= result.objective - t
+    flag = "lemma12:ok" if ok else "lemma12:fail"
+    return Packing(tuple(frozenset(b) | e for b, e in zip(bins, extra)), "round_assignment", (flag,))
 
 
 @dataclass(frozen=True)
@@ -328,8 +285,9 @@ def _enumerate_feasible_packings(
 ):
     """All packings of ``items`` into at most max_bins feasible bins.
 
-    Canonical generation (an item may only open the next unused bin), so
-    each partition appears exactly once.
+    Yields each packing's bins with their ``(blocked, room)`` states, both
+    copied. Canonical generation (an item may only open the next unused
+    bin), so each partition appears exactly once.
     """
     items = sorted(items)
     n = len(items)
@@ -340,7 +298,7 @@ def _enumerate_feasible_packings(
 
     def dfs(k: int):
         if k == n:
-            yield Packing(tuple(frozenset(b) for b in bins), "enumerated")
+            yield tuple(map(frozenset, bins)), [(blocked, den - load) for blocked, load in zip(blocks, loads)]
             return
         v = items[k]
         s = units[v]
@@ -407,12 +365,14 @@ def _assign(
     if len(bigs) > config.max_big_items:
         return best.with_flags("enumeration-skipped")
     count = 0
-    for big_packing in _enumerate_feasible_packings(instance, bigs, config.max_bins):
+    # Each enumerated packing is feasible and ``w`` is checked above, so
+    # the rounding reads the search's bin states as they are.
+    for bins, states in _enumerate_feasible_packings(instance, bigs, config.max_bins):
         count += 1
         # Rounding keeps the bin count, so this packing cannot beat best.
-        if big_packing.bin_count >= best.bin_count:
+        if len(bins) >= best.bin_count:
             continue
-        rounded = round_assignment(instance, big_packing, w)
+        rounded = _round(instance, bins, states, w)
         rest = restrict_instance(instance, set(instance.items) - rounded.items())
         tail = color_sets(rest, info)
         candidate = Packing(rounded.bins + tail.bins, "assign", rounded.flags)

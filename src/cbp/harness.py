@@ -705,8 +705,9 @@ def instance_from_dict(data: dict) -> ConflictInstance:
         sizes[new_id] = as_size(entry["size"])
         labels[new_id] = str(entry["id"])
     raw_edges = data.get("edges", [])
+    # An endpoint follows the item-id rule: true is not item 1.
     if not isinstance(raw_edges, list) or not all(
-        isinstance(e, list) and len(e) == 2 and not any(isinstance(x, (list, dict)) for x in e)
+        isinstance(e, list) and len(e) == 2 and not any(isinstance(x, (list, dict, bool)) for x in e)
         for e in raw_edges
     ):
         raise ParameterError("edges must be a list of [u, v] pairs of item ids")

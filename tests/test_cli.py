@@ -270,7 +270,8 @@ def test_solve_non_finite_size_exits_2(tmp_path, capsys, size):
     assert f"parameter error: not a size: {float(size)!r}" in captured.err
 
 
-@pytest.mark.parametrize("edges", [5, [3], [[[0], [1]]]])
+# An endpoint is an item id: a JSON true is not item 1, nor false item 0.
+@pytest.mark.parametrize("edges", [5, [3], [[[0], [1]]], [[True, 0]], [[0, False]]])
 def test_solve_malformed_edges_exit_2(tmp_path, capsys, edges):
     path = tmp_path / "bad_edges.json"
     items = [{"id": 0, "size": "1/2"}, {"id": 1, "size": "1/3"}]
@@ -468,6 +469,19 @@ def test_solve_bad_eps_exits_2(tmp_path, capsys, algo, eps, message):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"parameter error: {message}" in captured.err
+
+
+@pytest.mark.parametrize("algo", ["max_solve", "approx_bpc"])
+def test_solve_eps_over_the_enumeration_cap_exits_2(tmp_path, capsys, algo):
+    # A 4-cycle has no split certificate, so its growth would run the
+    # enumeration scheme, whose cap 6 is below ceil(1/eps) = 7.
+    items = [{"id": i, "size": "1/2"} for i in range(4)]
+    path = tmp_path / "c4.json"
+    path.write_text(json.dumps({"items": items, "edges": [[i, (i + 1) % 4] for i in range(4)]}))
+    assert main(["solve", "--algo", algo, "--in", str(path), "--eps", "1/7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "parameter error: enumeration bound ceil(1/eps) = 7 exceeds cap 6" in captured.err
 
 
 @pytest.mark.parametrize(

@@ -58,17 +58,35 @@ def test_infeasible_initial_rejected():
         max_size(inst, make_packing([{0}]), recognize(inst), strategy="bogus")
 
 
-@pytest.mark.parametrize("eps", [0, Fraction(-1, 2), 1, 2])
+@pytest.mark.parametrize("eps", [0, Fraction(-1, 2), 1, 2, Fraction(1, 7)])
 def test_eps_checked_before_any_bin_is_solved(eps):
-    # No bin, or a bin with nothing to add: eps is still checked.
-    inst = ConflictInstance({0: "0.6", 1: "0.6"})
-    info = recognize(inst)
-    for start in (make_packing([]), make_packing([{0}, {1}])):
+    # No bin, or a bin with nothing to add: eps is still checked. 1/7 is in
+    # (0, 1) but over the enumeration scheme's cap, which the 4-cycle (no
+    # split certificate) uses and the two edgeless items (split) do not.
+    c4 = ConflictInstance({i: "1/2" for i in range(4)}, edges=[(i, (i + 1) % 4) for i in range(4)])
+    cases = [(c4, make_packing([])), (c4, make_packing([{0, 2}, {1, 3}]))]
+    match = "enumeration bound" if eps == Fraction(1, 7) else "eps must be in"
+    if eps != Fraction(1, 7):
+        inst = ConflictInstance({0: "0.6", 1: "0.6"})
+        cases += [(inst, make_packing([])), (inst, make_packing([{0}, {1}]))]
+    for inst, start in cases:
+        info = recognize(inst)
         for strategy in ("greedy-sequential", "config-lp"):
-            with pytest.raises(ParameterError, match="eps must be in"):
+            with pytest.raises(ParameterError, match=match):
                 max_size(inst, start, info, eps=eps, strategy=strategy)
-        with pytest.raises(ParameterError, match="eps must be in"):
+        with pytest.raises(ParameterError, match=match):
             next(greedy_growth(inst, start, info, eps))
+
+
+def test_split_instances_take_eps_below_the_enumeration_cap():
+    # The split scheme has no cap: both strategies and the growth run.
+    inst = seeded_instance("split", 12, 9050)
+    info = recognize(inst)
+    start = make_packing([{v} for v in sorted(info.split_partition[0])])
+    for strategy in ("greedy-sequential", "config-lp"):
+        result = max_size(inst, start, info, eps=Fraction(1, 7), strategy=strategy)
+        assert validate_packing(inst, result.augmented, require_cover=False).feasible
+    assert list(greedy_growth(inst, start, info, Fraction(1, 7)))
 
 
 # Two of eight discrete sizes are 0.
