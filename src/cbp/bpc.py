@@ -39,20 +39,22 @@ def _info(instance: ConflictInstance, info: Optional[GraphClassInfo]) -> GraphCl
 
 
 def _best_of(
-    instance: ConflictInstance, source: str, *solvers: Callable[[], Optional[Packing]]
+    instance: ConflictInstance, source: str, *solvers: Callable[[Optional[int]], Optional[Packing]]
 ) -> Packing:
     """The first packing with the fewest bins, flagged ``winner:<source>``.
 
-    Calls ``solvers`` in order; one may return None for no candidate. No
-    packing of ``instance`` uses fewer than ``bin_lower_bound`` bins, so a
-    packing that meets it can at most be tied, and the solvers after it
-    are not called.
+    Calls ``solvers`` in order, each with the bin count it must beat (None
+    for the first); one may return None for no candidate. A packing
+    replaces the incumbent only with strictly fewer bins, so a solver that
+    can show it would not may return None. No packing of ``instance`` uses
+    fewer than ``bin_lower_bound`` bins, so a packing that meets it can at
+    most be tied, and the solvers after it are not called.
     """
     units, den = instance.unit_table
     bound = bin_lower_bound(units.values(), den)
     best: Optional[Packing] = None
     for solve in solvers:
-        candidate = solve()
+        candidate = solve(None if best is None else best.bin_count)
         if candidate is not None and (best is None or candidate.bin_count < best.bin_count):
             best = candidate
             if best.bin_count <= bound:
@@ -134,16 +136,33 @@ def matching_pack(instance: ConflictInstance, info: Optional[GraphClassInfo] = N
     two-item bins. Each item's auxiliary neighbours are one mask: the
     items that fit its room, less its conflicts.
     """
-    info = _info(instance, info)
+    return _matching_pack(instance, _info(instance, info))
+
+
+def _matching_pack(instance: ConflictInstance, info: GraphClassInfo, beat: Optional[int] = None) -> Optional[Packing]:
+    # ``matching_pack``, or None once a floor on its bin count reaches
+    # ``beat``. It makes |lm| - |M| bins for the large and medium items
+    # ``lm`` and the tail's bins for the small ones. A pair holds a medium
+    # item (two items over 1/2 never share a bin) and two items with an
+    # auxiliary neighbour, so |M| is at most ``most``; the tail uses at
+    # least the L1 bound of the small items, then its own count.
     classes = classify_items(instance)
     lm = sorted(classes.large | classes.medium)
     units, den = instance.unit_table
     fits = fits_within(lm, units)
-    matching = maximum_matching_masks({u: fits(den - units[u]) & ~instance.adjacency[u] for u in lm})
-    bins = [frozenset(pair) for pair in sorted(matching)]
+    aux = {u: fits(den - units[u]) & ~instance.adjacency[u] for u in lm}
+    if beat is not None:
+        paired = [u for u in lm if aux[u] & ~(1 << u)]
+        most = min(len(paired) // 2, sum(2 * units[u] <= den for u in paired))
+        singles = len(lm) - most
+        if singles + bin_lower_bound(map(units.__getitem__, classes.small), den) >= beat:
+            return None
+    tail = color_sets(restrict_instance(instance, classes.small), info)
+    if beat is not None and singles + tail.bin_count >= beat:
+        return None
+    bins = [frozenset(pair) for pair in sorted(maximum_matching_masks(aux))]
     matched = set().union(*bins)
     bins += [frozenset({v}) for v in lm if v not in matched]
-    tail = color_sets(restrict_instance(instance, classes.small), info)
     return Packing(tuple(bins) + tail.bins, "matching_pack")
 
 
@@ -156,6 +175,11 @@ def approx_bpc(
 
     ``color_sets``, ``max_solve`` and ``matching_pack`` run in that order
     until one meets ``bin_lower_bound``; the later ones could only tie.
+    The matching is skipped once a floor on its bin count reaches the
+    incumbent's: the large and medium items less the most pairs a matching
+    could form, plus the L1 bound of the small items (checked first) or
+    the bin count of their coloring-based tail (checked next). A skipped
+    matching could only tie or lose, so the result is the same.
     ``eps`` is checked first, as ``max_solve``'s growth would check it.
     """
     info = _info(instance, info)
@@ -163,9 +187,9 @@ def approx_bpc(
     return _best_of(
         instance,
         "approx_bpc",
-        functools.partial(color_sets, instance, info),
-        functools.partial(max_solve, instance, info, eps=eps),
-        functools.partial(matching_pack, instance, info),
+        lambda beat: color_sets(instance, info),
+        lambda beat: max_solve(instance, info, eps=eps),
+        functools.partial(_matching_pack, instance, info),
     )
 
 
@@ -396,10 +420,10 @@ def abs_bpb(instance: ConflictInstance, info: Optional[GraphClassInfo] = None) -
     colored = color_sets(instance, info)
     units, den = instance.unit_table
 
-    def exact() -> Packing:
+    def exact(beat: Optional[int]) -> Packing:
         return Packing(oracle._exact_bins(instance.items, units, den, instance.adjacency), "abs_bpb/exact")
 
-    def at_most_3_bins() -> Optional[Packing]:
+    def at_most_3_bins(beat: Optional[int]) -> Optional[Packing]:
         # Too large to solve exactly: look only for a packing into at most
         # 3 bins, none of which exists above the L1 bound, and give up when
         # the node budget runs out.
@@ -411,7 +435,8 @@ def abs_bpb(instance: ConflictInstance, info: Optional[GraphClassInfo] = None) -
             return None
         return Packing(bins, "abs_bpb/exact-small")
 
-    candidates = [lambda: colored.with_source("abs_bpb/color_sets")]
+    # The candidates ignore the bin count to beat.
+    candidates = [lambda beat: colored.with_source("abs_bpb/color_sets")]
     if instance.n <= ABS_BPB_EXACT_LIMIT:
         candidates.append(exact)
     else:
@@ -420,7 +445,7 @@ def abs_bpb(instance: ConflictInstance, info: Optional[GraphClassInfo] = None) -
         assert tiny is not None
         candidates.append(at_most_3_bins)
         candidates += (
-            functools.partial(_assign, instance, sorted(side & tiny), info, config, colored)
+            lambda beat, w=sorted(side & tiny): _assign(instance, w, info, config, colored)
             for side in info.bipartition
         )
     return _best_of(instance, "abs_bpb", *candidates)

@@ -105,12 +105,23 @@ def test_color_sets_bound_random():
         assert Fraction(packing.bin_count) <= coloring_bound(inst, info)
 
 
-def test_color_sets_bound_check_survives_optimize():
+def test_color_sets_bound_check_survives_optimize(monkeypatch):
     # Zero the bound's item terms so two 0.6 items (chi = 1, two bins)
-    # break it; the check must raise even under python -O.
+    # break it; the check must raise even under python -O. Before that, on
+    # an instance where the matching's floor decides, approx_bpc must give
+    # the same bins and flags under -O as here.
+    inst = seeded_instance("chordal", 20, 2)
+    matcher = bpc.maximum_matching_masks
+    calls = []
+    monkeypatch.setattr(bpc, "maximum_matching_masks", lambda aux: calls.append(1) or matcher(aux))
+    packing = approx_bpc(inst)
+    assert calls == []
     code = (
         "import sys\n"
         "from cbp import ConflictInstance, SolverError, bpc\n"
+        "from cbp.harness import GeneratorSpec, generate\n"
+        "packing = bpc.approx_bpc(generate(GeneratorSpec(klass='chordal', n=20, density=0.4, seed=2)))\n"
+        "print([sorted(b) for b in packing.bins], packing.flags)\n"
         "bpc._class_bound_terms = lambda instance: (0, 0, 0)\n"
         "try:\n"
         "    bpc.color_sets(ConflictInstance({0: '0.6', 1: '0.6'}))\n"
@@ -121,7 +132,7 @@ def test_color_sets_bound_check_survives_optimize():
     out = subprocess.run(
         [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out == "1 coloring-based bound violated: 2 > 1\n"
+    assert out == f"{[sorted(b) for b in packing.bins]} {packing.flags}\n1 coloring-based bound violated: 2 > 1\n"
 
 
 def test_max_solve_examples():
@@ -243,6 +254,77 @@ def test_mask_matching_equals_edge_list_reference(monkeypatch):
     assert pairs_total > 1000
 
 
+# Item sizes with zeros among them, large and medium ones to match, and
+# small ones for the tail.
+ZERO_SIZES = SizeDist(kind="discrete", values=(0, 0, "3/5", "1/2", "2/5", "1/3", "1/5"))
+
+
+@settings(max_examples=200)
+@given(
+    klass=st.sampled_from(CLASSES + ("b3dm",)),
+    sizes=st.sampled_from((SizeDist(), TINY_SIZES, ZERO_SIZES)),
+    n=st.integers(0, 40),
+    density=st.sampled_from((0.2, 0.4, 0.6)),
+    variant=st.sampled_from(("BPB", "BPS")),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_matching_floors_never_exceed_its_bin_count(klass, sizes, n, density, variant, seed):
+    # approx_bpc skips the matching once a floor on its bin count reaches
+    # the count to beat. Asked to beat one more than its own count, neither
+    # floor (the L1 bound of the small items, then their packed tail, each
+    # plus the unmatched large and medium items) may skip it. A b3dm
+    # instance has its own sizes and at most 36 items.
+    if klass == "b3dm":
+        q = 2 + n % 5
+        spec = GeneratorSpec(
+            klass="b3dm-reduction", x_count=q, y_count=q, z_count=q, t_count=q, guess=1 + n % q, variant=variant, seed=seed
+        )
+        inst = generate_b3dm(spec)[0]
+    else:
+        inst = generate(GeneratorSpec(klass=klass, n=n, density=density, size_dist=sizes, seed=seed))
+    info = recognize(inst)
+    packing = matching_pack(inst, info)
+    floored = bpc._matching_pack(inst, info, packing.bin_count + 1)
+    assert floored is not None
+    assert (floored.bins, floored.source, floored.flags) == (packing.bins, packing.source, packing.flags)
+    # At its own count a floor may decide, and the packing is unchanged.
+    tied = bpc._matching_pack(inst, info, packing.bin_count)
+    assert tied is None or tied.bins == packing.bins
+
+
+@pytest.mark.parametrize(
+    "klass, n, seed, calls, winner",
+    [
+        ("chordal", 20, 2, 0, None),  # the floor decides
+        ("chordal", 26, 4, 1, "winner:matching_pack"),  # runs and wins
+        ("split", 40, 3, 1, None),  # runs and loses
+    ],
+)
+def test_approx_bpc_runs_the_matching_only_below_its_floor(monkeypatch, klass, n, seed, calls, winner):
+    inst = seeded_instance(klass, n, seed)
+    info = recognize(inst)
+    want = ref_approx_bpc(inst, info)
+    matchings, classified, bounded = [], [], []
+    matcher, classify, bound = bpc.maximum_matching_masks, bpc.classify_items, bpc.bin_lower_bound
+    monkeypatch.setattr(bpc, "maximum_matching_masks", lambda aux: matchings.append(1) or matcher(aux))
+    monkeypatch.setattr(bpc, "classify_items", lambda *a, **kw: classified.append(1) or classify(*a, **kw))
+    monkeypatch.setattr(bpc, "bin_lower_bound", lambda *a: bounded.append(1) or bound(*a))
+    packing = approx_bpc(inst, info)
+    assert (packing.bins, packing.source, packing.flags) == (want.bins, want.source, want.flags)
+    assert len(matchings) == calls
+    if winner is None:
+        assert packing.flags[-1] != "winner:matching_pack"
+    else:
+        assert packing.flags[-1] == winner
+    # The standalone matching has no floor: one matching, one
+    # classification and no L1 bound.
+    matchings.clear()
+    classified.clear()
+    bounded.clear()
+    matching_pack(inst, info)
+    assert (len(matchings), len(classified), len(bounded)) == (1, 1, 0)
+
+
 @pytest.mark.parametrize("algorithm", [approx_bpc, max_solve, split_approx])
 def test_bad_eps_rejected_before_any_work(algorithm):
     # On a five-cycle (no supported class) the first subroutine would raise
@@ -297,6 +379,46 @@ def test_approx_bpc_bipartite_ceiling():
         _, opt = opt_bpc_exact(inst)
         packing = approx_bpc(inst)
         assert packing.bin_count <= math.ceil(Fraction(5, 3) * opt)
+
+
+@pytest.mark.parametrize("m", [3, 12, 40, 200])
+def test_approx_bpc_is_optimal_on_crossed_pairs(m):
+    # m items of 3/5 and m of 2/5, the i-th of each conflicting. The m large
+    # items need m bins, and 3/5_i with 2/5_(i+1 mod m) fill exactly m. The
+    # coloring keeps the sides apart: m bins, then ceil(m/2) for the 2/5s.
+    sizes = {i: "3/5" for i in range(m)} | {m + i: "2/5" for i in range(m)}
+    inst = ConflictInstance(sizes, edges=[(i, m + i) for i in range(m)])
+    info = recognize(inst)
+    units, den = inst.unit_table
+    assert bin_lower_bound(units.values(), den) == m
+    planted = make_packing([{i, m + (i + 1) % m} for i in range(m)])
+    assert validate_packing(inst, planted, require_cover=True).feasible
+    assert color_sets(inst, info).bin_count == m + -(-m // 2)
+    packing = approx_bpc(inst, info)
+    assert validate_packing(inst, packing, require_cover=True).feasible
+    assert packing.bin_count == m
+    if m == 3:
+        assert packing.flags[-1] == "winner:matching_pack"
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_approx_bpc_within_its_ratio_where_ffd_is_worst(k):
+    # 6k items of 51/100, 6k of 27/100, 6k of 26/100 and 12k of 23/100, no
+    # conflicts: 6k bins {51, 26, 23} and 3k bins {27, 27, 23, 23} are all
+    # full, so OPT = 9k, while FFD opens 11k (its 11/9 worst case).
+    sizes = ["51/100"] * 6 * k + ["27/100"] * 6 * k + ["26/100"] * 6 * k + ["23/100"] * 12 * k
+    inst = ConflictInstance(dict(enumerate(sizes)))
+    big, mid, low = (range(j * 6 * k, (j + 1) * 6 * k) for j in range(3))
+    tiny = range(18 * k, 30 * k)
+    planted = [{big[i], low[i], tiny[i]} for i in range(6 * k)]
+    planted += [{mid[2 * j], mid[2 * j + 1], tiny[6 * k + 2 * j], tiny[6 * k + 2 * j + 1]} for j in range(3 * k)]
+    assert validate_packing(inst, make_packing(planted), require_cover=True).feasible
+    units, den = inst.unit_table
+    assert bin_lower_bound(units.values(), den) == 9 * k
+    assert ffd(inst.items, inst.sizes).bin_count == 11 * k
+    packing = approx_bpc(inst)
+    assert validate_packing(inst, packing, require_cover=True).feasible
+    assert 9 * k <= packing.bin_count <= math.ceil(Fraction(2445, 1000) * 9 * k)
 
 
 def test_split_approx_examples():
@@ -764,6 +886,32 @@ def test_best_of_matches_eager_reference(klass, n, density, seed):
     else:
         spec = GeneratorSpec(klass=klass, n=n, density=density, seed=seed)
     assert_best_of_matches_eager_reference(generate(spec))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        pytest.param(lambda klass=klass, n=n: seeded_instance(klass, n, 7900 + n), id=f"{klass}-{n}")
+        for klass in CLASSES
+        for n in (80, 160)
+    ]
+    + [
+        pytest.param(
+            lambda variant=variant: generate_b3dm(
+                GeneratorSpec(
+                    klass="b3dm-reduction", x_count=16, y_count=16, z_count=16, t_count=16, guess=8, variant=variant, seed=7901
+                )
+            )[0],
+            id=f"b3dm-{variant}",
+        )
+        for variant in ("BPB", "BPS")
+    ],
+)
+def test_best_of_matches_eager_reference_at_scale(make):
+    # The property cases stop at n = 14, where the matching's floor seldom
+    # decides; on these cases the matching never runs, skipped by its floor
+    # or by the bin lower bound.
+    assert_best_of_matches_eager_reference(make())
 
 
 def _assign_wins_instance():
