@@ -144,18 +144,23 @@ def _matching_pack(instance: ConflictInstance, info: GraphClassInfo, beat: Optio
     # ``beat``. It makes |lm| - |M| bins for the large and medium items
     # ``lm`` and the tail's bins for the small ones. A pair holds a medium
     # item (two items over 1/2 never share a bin) and two items with an
-    # auxiliary neighbour, so |M| is at most ``most``; the tail uses at
-    # least the L1 bound of the small items, then its own count.
+    # auxiliary neighbour, so |M| is at most ``most``, which is at most
+    # min(|lm| // 2, |medium|); the tail uses at least the L1 bound of the
+    # small items, then its own count. The coarse floor needs no masks.
     classes = classify_items(instance)
     lm = sorted(classes.large | classes.medium)
     units, den = instance.unit_table
+    if beat is not None:
+        small_floor = bin_lower_bound(map(units.__getitem__, classes.small), den)
+        if len(lm) - min(len(lm) // 2, len(classes.medium)) + small_floor >= beat:
+            return None
     fits = fits_within(lm, units)
     aux = {u: fits(den - units[u]) & ~instance.adjacency[u] for u in lm}
     if beat is not None:
         paired = [u for u in lm if aux[u] & ~(1 << u)]
         most = min(len(paired) // 2, sum(2 * units[u] <= den for u in paired))
         singles = len(lm) - most
-        if singles + bin_lower_bound(map(units.__getitem__, classes.small), den) >= beat:
+        if singles + small_floor >= beat:
             return None
     tail = color_sets(restrict_instance(instance, classes.small), info)
     if beat is not None and singles + tail.bin_count >= beat:
@@ -177,8 +182,9 @@ def approx_bpc(
     until one meets ``bin_lower_bound``; the later ones could only tie.
     The matching is skipped once a floor on its bin count reaches the
     incumbent's: the large and medium items less the most pairs a matching
-    could form, plus the L1 bound of the small items (checked first) or
-    the bin count of their coloring-based tail (checked next). A skipped
+    could form, plus the L1 bound of the small items or the bin count of
+    their coloring-based tail. The pairs are bounded first by the item
+    counts alone, then by the items that have a partner. A skipped
     matching could only tie or lose, so the result is the same.
     ``eps`` is checked first, as ``max_solve``'s growth would check it.
     """

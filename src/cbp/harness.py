@@ -3,21 +3,23 @@
 Generation is bit-reproducible from a seed via the documented splitmix
 generator (see :mod:`cbp.rng`): sizes are drawn first (one draw per item in
 id order), then the structure draws follow in the documented per-class
-order. Reports are byte-identical across runs when the suite's
-``deterministic`` flag is set (no timestamp, zeroed timings).
+order. Instances are built as neighbour masks, with no edge list
+(:func:`cbp.model._from_masks`). Reports are byte-identical across runs
+when the suite's ``deterministic`` flag is set (no timestamp, zeroed
+timings).
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import os
 import time
+from bisect import bisect_right
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from fractions import Fraction
+from itertools import compress
 from pathlib import Path
 from typing import Optional
 
@@ -27,8 +29,11 @@ from .graphs import CLASS_TABLE, GraphClassInfo, has_class, minimum_coloring, re
 from .model import (
     ConflictInstance,
     Packing,
+    _from_masks,
+    _ids_mask,
     as_size,
     classify_items,
+    fits_within,
     validate_packing,
 )
 from .rng import SplitMix64
@@ -184,58 +189,71 @@ class GeneratorSpec:
 
 
 def generate(spec: GeneratorSpec) -> ConflictInstance:
-    """Deterministic instance for a spec; the declared class is verified."""
+    """Deterministic instance for a spec; the declared class is verified.
+
+    Each item's neighbour mask is written directly, with no edge list:
+    from one mask per group (cluster, complete multipartite), from the
+    interval endpoints (chordal) or from the clique's mask (split).
+    Bipartite and split graphs draw one coin per candidate pair, in id
+    order.
+    """
     if spec.klass == "b3dm-reduction":
         return generate_b3dm(spec)[0]
     rng = SplitMix64(spec.seed)
-    sizes = [spec.size_dist.draw(rng) for _ in range(spec.n)]
-    n = spec.n
-    edges: list[tuple[int, int]] = []
-    if spec.klass == "edgeless":
-        pass
-    elif spec.klass == "bipartite":
+    n, density = spec.n, spec.density
+    sizes = {v: spec.size_dist.draw(rng) for v in range(n)}
+    adj = [0] * n  # edgeless unless a class below joins items
+    if spec.klass == "bipartite":
         side = [rng.below(2) for _ in range(n)]
+        sides = ([v for v in range(n) if not side[v]], [v for v in range(n) if side[v]])
         for u in range(n):
-            for v in range(u + 1, n):
-                if side[u] != side[v] and rng.chance(spec.density):
-                    edges.append((u, v))
+            other = sides[1 - side[u]]
+            later = other[bisect_right(other, u):]
+            _join(adj, u, compress(later, rng.chances(density, len(later))))
     elif spec.klass == "split":
-        in_clique = [rng.chance(min(0.5, spec.density)) for _ in range(n)]
-        clique = [v for v in range(n) if in_clique[v]]
+        in_clique = rng.chances(min(0.5, density), n)
+        clique = list(compress(range(n), in_clique))
         stable = [v for v in range(n) if not in_clique[v]]
-        for a in range(len(clique)):
-            for b in range(a + 1, len(clique)):
-                edges.append((clique[a], clique[b]))
+        mask = _ids_mask(clique)
         for u in clique:
-            for v in stable:
-                if rng.chance(spec.density):
-                    edges.append((min(u, v), max(u, v)))
+            adj[u] = mask & ~(1 << u)
+            _join(adj, u, compress(stable, rng.chances(density, len(stable))))
     elif spec.klass in ("cluster", "complete-multipartite"):
-        groups = max(1, int(round(n * (1.0 - spec.density)))) if n else 1
+        groups = max(1, int(round(n * (1.0 - density)))) if n else 1
         member = [rng.below(groups) for _ in range(n)]
-        for u in range(n):
-            for v in range(u + 1, n):
-                # A cluster joins the members of a group, a complete
-                # multipartite graph those of different groups.
-                if (member[u] == member[v]) == (spec.klass == "cluster"):
-                    edges.append((u, v))
-    else:  # chordal
+        masks = [0] * groups
+        for v, g in enumerate(member):
+            masks[g] |= 1 << v
+        # A cluster joins the members of a group, a complete multipartite
+        # graph those of different groups.
+        if spec.klass == "cluster":
+            adj = [masks[g] & ~(1 << v) for v, g in enumerate(member)]
+        else:
+            everyone = (1 << n) - 1
+            adj = [everyone & ~masks[g] for g in member]
+    elif spec.klass == "chordal":
         span = max(2 * n, 1)
-        max_len = max(1, int(spec.density * span))
+        max_len = max(1, int(density * span))
         intervals = []
         for _ in range(n):
             a = rng.below(span)
-            b = a + 1 + rng.below(max_len)
-            intervals.append((a, b))
-        for u in range(n):
-            for v in range(u + 1, n):
-                au, bu = intervals[u]
-                av, bv = intervals[v]
-                if au <= bv and av <= bu:
-                    edges.append((u, v))
-    instance = ConflictInstance(sizes, edges, class_hint=spec.klass)
+            intervals.append((a, a + 1 + rng.below(max_len)))
+        # Intervals [a, b] and [a', b'] meet when a' <= b and b' >= a.
+        starts_le = fits_within(range(n), [a for a, _ in intervals])
+        ends_ge = fits_within(range(n), [-b for _, b in intervals])
+        adj = [starts_le(b) & ends_ge(-a) & ~(1 << v) for v, (a, b) in enumerate(intervals)]
+    instance = _from_masks(sizes, dict(enumerate(adj)), class_hint=spec.klass)
     _verify_declared_class(instance, spec.klass)
     return instance
+
+
+def _join(adj: list[int], u: int, neighbours) -> None:
+    """Add the edges from ``u`` to each of ``neighbours`` to the masks."""
+    bit, row = 1 << u, adj[u]
+    for v in neighbours:
+        row |= 1 << v
+        adj[v] |= bit
+    adj[u] = row
 
 
 def _verify_declared_class(instance: ConflictInstance, klass: str) -> None:
@@ -305,12 +323,20 @@ def generate_b3dm(spec: GeneratorSpec) -> tuple[ConflictInstance, Packing]:
             sizes[item] = B3DM_SIZES[role]
             labels[item] = f"{tag}{k}"
 
-    # A triple's item conflicts with every element outside the triple.
-    edges = [(u, t_item) for t_item, triple in zip(t_ids, triples) for u in elements if u not in triple]
-    if spec.variant == "BPS":
-        edges += itertools.combinations(t_ids, 2)
+    # A triple's item conflicts with every element outside the triple; in
+    # BPS the triple items also form a clique.
+    adj = dict.fromkeys(sizes, 0)
+    element_mask, triple_mask = _ids_mask(elements), _ids_mask(t_ids)
+    for t_item, triple in zip(t_ids, triples):
+        adj[t_item] = element_mask & ~_ids_mask(triple)
+        if spec.variant == "BPS":
+            adj[t_item] |= triple_mask & ~(1 << t_item)
+        for u in triple:
+            adj[u] |= 1 << t_item  # the triples holding u, flipped below
+    for u in elements:
+        adj[u] = triple_mask & ~adj[u]
 
-    instance = ConflictInstance(sizes, edges, class_hint=spec.variant.lower(), labels=labels)
+    instance = _from_masks(sizes, adj, class_hint=spec.variant.lower(), labels=labels)
     _verify_declared_class(instance, "bipartite" if spec.variant == "BPB" else "split")
 
     planted_bins: list[frozenset[int]] = []
@@ -604,6 +630,8 @@ def run_suite(config: dict, out_dir, jobs: int = 1) -> RunReport:
     settings = replace(suite, instances=())
     args = ([spec for _, spec in pairs], [iid for iid, _ in pairs], [settings] * len(pairs))
     if jobs > 1 and len(pairs) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_evaluate_instance, *args))
     else:

@@ -13,9 +13,10 @@ are immutable after construction; every operation here is a pure function.
 
 The conflict graph is stored once, as one neighbour bitmask per item in
 ``adjacency``, which every algorithm reads. An instance writes each given
-edge straight into the masks; a restriction takes its masks from its
-parent's. Either fills the edge set ``edges`` from its masks on first
-read, so neither building nor restricting keeps a second copy of the graph.
+edge straight into the masks; a generated instance and a restriction are
+built from masks (:func:`_from_masks`), a restriction's taken from its
+parent's. Each fills the edge set ``edges`` from its masks on first read,
+so no instance keeps a second copy of the graph.
 """
 
 from __future__ import annotations
@@ -85,11 +86,13 @@ def bin_lower_bound(units: Iterable[int], den: int) -> int:
     return max(-(-total // den), large)
 
 
-def fits_within(ids: Iterable[int], units: Mapping[int, int]) -> Callable[[int], int]:
+def fits_within(ids: Iterable[int], units: Union[Mapping[int, int], Sequence[int]]) -> Callable[[int], int]:
     """``fits(room)``: the bitmask of the ``ids`` of at most ``room`` units.
 
     One prefix mask per item of ``ids`` sorted by units; a call finds its
     prefix by bisection, so it costs O(log n) whatever the answer holds.
+    ``units`` is read by id, so any int key works, as the chordal
+    generator's interval endpoints do.
     """
     order = sorted(ids, key=units.__getitem__)
     caps = [units[v] for v in order]
@@ -405,27 +408,71 @@ def validate_packing(
     )
 
 
+def _from_masks(
+    sizes: dict[int, Fraction],
+    adjacency: dict[int, int],
+    class_hint: Optional[str] = None,
+    labels: Optional[Mapping[int, str]] = None,
+    units: Optional[tuple[dict[int, int], int]] = None,
+) -> ConflictInstance:
+    """An instance built from its neighbour masks, with no edge list.
+
+    ``sizes`` maps the items, in ascending id order, to their sizes, and
+    ``adjacency`` the same items to their masks; the instance keeps both
+    dicts. ``units`` is the unit table, computed from ``sizes`` when not
+    given. It checks what the public constructor checks, with the same
+    messages: every size lies in [0, 1], no mask has its item's own bit or
+    a bit outside the items, and given labels cover every item (without
+    them, each item is labelled by its id).
+    """
+    items = tuple(sizes)
+    if units is None:
+        table, den = size_units(sizes.values())
+        units = (dict(zip(items, table)), den)
+    table, den = units
+    outside = ~_ids_mask(items)
+    for u in items:
+        if not 0 <= table[u] <= den:
+            raise ParameterError(f"size of item {u} is {sizes[u]}, outside [0, 1]")
+        mask = adjacency[u]
+        if mask >> u & 1:
+            raise ParameterError(f"self-loop on item {u}")
+        if mask & outside:
+            raise ParameterError(f"edge ({u}, {_mask_to_ids(mask & outside)[0]}) references unknown items")
+    try:
+        named = {i: str(labels[i]) for i in items} if labels else {i: str(i) for i in items}
+    except KeyError as exc:
+        raise ParameterError(f"item {exc.args[0]} has no label") from None
+    out = object.__new__(ConflictInstance)
+    out.items = items
+    out.sizes = sizes
+    out._edges = None
+    out.class_hint = class_hint
+    out.labels = named
+    out.adjacency = adjacency
+    out._units = units
+    return out
+
+
 def restrict_instance(instance: ConflictInstance, subset: Iterable[int]) -> ConflictInstance:
     """Induced sub-instance on ``subset``.
 
     Item ids are preserved; edges are restricted to the kept items. The
-    parent's sizes are already checked, so the sub-instance is built from
-    them, its masks and its unit table without validating again. Its
-    ``edges`` are filled from its masks on first read.
+    sub-instance is built from its parent's sizes, masks and unit table by
+    :func:`_from_masks`. Its ``edges`` are filled from its masks on first
+    read.
     """
     sub = set(subset)
     unknown = sub - instance.sizes.keys()
     if unknown:
         raise ParameterError(f"subset contains unknown items: {sorted(unknown)}")
-    items = tuple(sorted(sub))
+    items = sorted(sub)
     inside = _ids_mask(items)
     units, den = instance.unit_table
-    out = object.__new__(ConflictInstance)
-    out.items = items
-    out.sizes = {i: instance.sizes[i] for i in items}
-    out._edges = None
-    out.class_hint = instance.class_hint
-    out.labels = {i: instance.labels[i] for i in items}
-    out.adjacency = {i: instance.adjacency[i] & inside for i in items}
-    out._units = ({i: units[i] for i in items}, den)
-    return out
+    return _from_masks(
+        {i: instance.sizes[i] for i in items},
+        {i: instance.adjacency[i] & inside for i in items},
+        instance.class_hint,
+        instance.labels,
+        ({i: units[i] for i in items}, den),
+    )

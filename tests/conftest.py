@@ -883,3 +883,132 @@ def ref_round_config_lp(solution, seed):
     return maxsize.MaxSizeResult(
         augmented, frozenset(added), instance.size_of(added), "config-lp", 1.0 - 1.0 / math.e
     )
+
+
+def ref_generate(spec: GeneratorSpec) -> ConflictInstance:
+    """The edge-list generator: each edge is listed in the per-class draw
+    order, then the instance is built by the public constructor."""
+    if spec.klass == "b3dm-reduction":
+        return ref_generate_b3dm(spec)[0]
+    rng = SplitMix64(spec.seed)
+    sizes = [spec.size_dist.draw(rng) for _ in range(spec.n)]
+    n = spec.n
+    edges: list[tuple[int, int]] = []
+    if spec.klass == "edgeless":
+        pass
+    elif spec.klass == "bipartite":
+        side = [rng.below(2) for _ in range(n)]
+        for u in range(n):
+            for v in range(u + 1, n):
+                if side[u] != side[v] and rng.chance(spec.density):
+                    edges.append((u, v))
+    elif spec.klass == "split":
+        in_clique = [rng.chance(min(0.5, spec.density)) for _ in range(n)]
+        clique = [v for v in range(n) if in_clique[v]]
+        stable = [v for v in range(n) if not in_clique[v]]
+        for a in range(len(clique)):
+            for b in range(a + 1, len(clique)):
+                edges.append((clique[a], clique[b]))
+        for u in clique:
+            for v in stable:
+                if rng.chance(spec.density):
+                    edges.append((min(u, v), max(u, v)))
+    elif spec.klass in ("cluster", "complete-multipartite"):
+        groups = max(1, int(round(n * (1.0 - spec.density)))) if n else 1
+        member = [rng.below(groups) for _ in range(n)]
+        for u in range(n):
+            for v in range(u + 1, n):
+                if (member[u] == member[v]) == (spec.klass == "cluster"):
+                    edges.append((u, v))
+    else:  # chordal
+        span = max(2 * n, 1)
+        max_len = max(1, int(spec.density * span))
+        intervals = []
+        for _ in range(n):
+            a = rng.below(span)
+            b = a + 1 + rng.below(max_len)
+            intervals.append((a, b))
+        for u in range(n):
+            for v in range(u + 1, n):
+                au, bu = intervals[u]
+                av, bv = intervals[v]
+                if au <= bv and av <= bu:
+                    edges.append((u, v))
+    instance = ConflictInstance(sizes, edges, class_hint=spec.klass)
+    harness._verify_declared_class(instance, spec.klass)
+    return instance
+
+
+def ref_generate_b3dm(spec: GeneratorSpec) -> tuple[ConflictInstance, Packing]:
+    """The edge-list b3dm construction, built by the public constructor."""
+    x, y, z, t, i = spec.x_count, spec.y_count, spec.z_count, spec.t_count, spec.guess
+    rng = SplitMix64(spec.seed)
+    x_ids = list(range(x))
+    y_ids = list(range(x, x + y))
+    z_ids = list(range(x + y, x + y + z))
+    t_base = x + y + z
+    t_ids = list(range(t_base, t_base + t))
+    p_ids = list(range(t_base + t, t_base + t + (t - i)))
+    q_base = t_base + t + (t - i)
+    q_ids = list(range(q_base, q_base + (x + y + z - 3 * i)))
+
+    elements = x_ids + y_ids + z_ids
+    triples: list[tuple[int, int, int]] = []
+    degree = dict.fromkeys(elements, 0)
+    for k in range(i):
+        tri = (x_ids[k], y_ids[k], z_ids[k])
+        triples.append(tri)
+        for u in tri:
+            degree[u] += 1
+    seen = set(triples)
+    attempts = 0
+    while len(triples) < t:
+        attempts += 1
+        if attempts > 200 * (t + 1):
+            raise ParameterError("cannot satisfy the per-element degree cap; lower t or raise the cap")
+        tri = (
+            x_ids[rng.below(x)] if x else -1,
+            y_ids[rng.below(y)] if y else -1,
+            z_ids[rng.below(z)] if z else -1,
+        )
+        if -1 in tri or tri in seen:
+            continue
+        if any(degree[u] >= spec.degree_cap for u in tri):
+            continue
+        triples.append(tri)
+        seen.add(tri)
+        for u in tri:
+            degree[u] += 1
+
+    sizes: dict[int, Fraction] = {}
+    labels: dict[int, str] = {}
+    for ids, role, tag in (
+        (x_ids, "element", "x"),
+        (y_ids, "element", "y"),
+        (z_ids, "element", "z"),
+        (t_ids, "triple", "t"),
+        (p_ids, "p_filler", "p"),
+        (q_ids, "q_filler", "q"),
+    ):
+        for k, item in enumerate(ids):
+            sizes[item] = harness.B3DM_SIZES[role]
+            labels[item] = f"{tag}{k}"
+
+    edges = [(u, t_item) for t_item, triple in zip(t_ids, triples) for u in elements if u not in triple]
+    if spec.variant == "BPS":
+        edges += itertools.combinations(t_ids, 2)
+
+    instance = ConflictInstance(sizes, edges, class_hint=spec.variant.lower(), labels=labels)
+    harness._verify_declared_class(instance, "bipartite" if spec.variant == "BPB" else "split")
+
+    planted_bins: list[frozenset[int]] = []
+    for k in range(i):
+        tx, ty, tz = triples[k]
+        planted_bins.append(frozenset({tx, ty, tz, t_ids[k]}))
+    leftover_triples = [t_ids[k] for k in range(i, t)]
+    for t_item, p_item in zip(leftover_triples, p_ids):
+        planted_bins.append(frozenset({t_item, p_item}))
+    leftover_elements = x_ids[i:] + y_ids[i:] + z_ids[i:]
+    for u, q_item in zip(leftover_elements, q_ids):
+        planted_bins.append(frozenset({u, q_item}))
+    return instance, Packing(tuple(planted_bins), "b3dm-planted")

@@ -270,9 +270,9 @@ ZERO_SIZES = SizeDist(kind="discrete", values=(0, 0, "3/5", "1/2", "2/5", "1/3",
 )
 def test_matching_floors_never_exceed_its_bin_count(klass, sizes, n, density, variant, seed):
     # approx_bpc skips the matching once a floor on its bin count reaches
-    # the count to beat. Asked to beat one more than its own count, neither
+    # the count to beat. Asked to beat one more than its own count, no
     # floor (the L1 bound of the small items, then their packed tail, each
-    # plus the unmatched large and medium items) may skip it. A b3dm
+    # plus a floor on the unmatched large and medium items) may skip it. A b3dm
     # instance has its own sizes and at most 36 items.
     if klass == "b3dm":
         q = 2 + n % 5
@@ -292,26 +292,33 @@ def test_matching_floors_never_exceed_its_bin_count(klass, sizes, n, density, va
     assert tied is None or tied.bins == packing.bins
 
 
+FLOOR_CASES = [
+    ("chordal", 16, 0, 0, 0, None),  # the item counts decide, before any mask
+    ("chordal", 20, 2, 1, 0, None),  # the items with a partner decide
+    ("chordal", 26, 4, 1, 1, "winner:matching_pack"),  # runs and wins
+    ("split", 40, 3, 1, 1, None),  # runs and loses
+]
+
+
 @pytest.mark.parametrize(
-    "klass, n, seed, calls, winner",
-    [
-        ("chordal", 20, 2, 0, None),  # the floor decides
-        ("chordal", 26, 4, 1, "winner:matching_pack"),  # runs and wins
-        ("split", 40, 3, 1, None),  # runs and loses
-    ],
+    "klass, n, seed, masks, calls, winner",
+    FLOOR_CASES,
+    # Named without the mask count, as before it was counted.
+    ids=["-".join(map(str, case[:3] + case[4:])) for case in FLOOR_CASES],
 )
-def test_approx_bpc_runs_the_matching_only_below_its_floor(monkeypatch, klass, n, seed, calls, winner):
+def test_approx_bpc_runs_the_matching_only_below_its_floor(monkeypatch, klass, n, seed, masks, calls, winner):
     inst = seeded_instance(klass, n, seed)
     info = recognize(inst)
     want = ref_approx_bpc(inst, info)
-    matchings, classified, bounded = [], [], []
-    matcher, classify, bound = bpc.maximum_matching_masks, bpc.classify_items, bpc.bin_lower_bound
+    matchings, classified, bounded, fitted = [], [], [], []
+    matcher, classify, bound, fits = bpc.maximum_matching_masks, bpc.classify_items, bpc.bin_lower_bound, bpc.fits_within
     monkeypatch.setattr(bpc, "maximum_matching_masks", lambda aux: matchings.append(1) or matcher(aux))
     monkeypatch.setattr(bpc, "classify_items", lambda *a, **kw: classified.append(1) or classify(*a, **kw))
     monkeypatch.setattr(bpc, "bin_lower_bound", lambda *a: bounded.append(1) or bound(*a))
+    monkeypatch.setattr(bpc, "fits_within", lambda *a: fitted.append(1) or fits(*a))
     packing = approx_bpc(inst, info)
     assert (packing.bins, packing.source, packing.flags) == (want.bins, want.source, want.flags)
-    assert len(matchings) == calls
+    assert (len(fitted), len(matchings)) == (masks, calls)
     if winner is None:
         assert packing.flags[-1] != "winner:matching_pack"
     else:

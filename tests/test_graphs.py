@@ -479,11 +479,15 @@ def test_matching_size_equals_networkx_at_n_40_to_60():
 def test_algorithms_run_without_networkx():
     # networkx is a test-only oracle: with every import of it failing, each
     # harness algorithm runs on one seeded instance of every generator class
-    # and gives the bins it gives here.
+    # and gives the bins it gives here. Importing cbp loads no process pool:
+    # run_suite imports one only for --jobs above 1.
     code = textwrap.dedent(
         """
         import json, sys
         sys.modules["networkx"] = None
+        import cbp
+        pools = sorted(m for m in sys.modules if m.split(".")[0] in ("concurrent", "multiprocessing"))
+        assert not pools, pools
         from conftest import run_every_algorithm
         print(json.dumps(run_every_algorithm()))
         """

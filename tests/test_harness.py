@@ -1,10 +1,12 @@
 import hashlib
 import json
+import math
 import re
 from dataclasses import MISSING, fields
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cbp import ConflictInstance, Packing, ParameterError, packing_classic, recognize, validate_packing
 from cbp.harness import (
@@ -23,6 +25,8 @@ from cbp.harness import (
 )
 from cbp.rng import SplitMix64
 
+from conftest import ref_generate, ref_generate_b3dm
+
 
 def test_rng_reference_stream():
     rng = SplitMix64(0)
@@ -33,6 +37,74 @@ def test_rng_reference_stream():
     # published splitmix64 test vector for seed 1234567
     rng3 = SplitMix64(1234567)
     assert rng3.next_u64() == 6457827717110365317
+
+
+def _unit_after(seed: int) -> float:
+    return SplitMix64(seed).unit()
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        0.0,
+        1.0,
+        0.5,
+        # The first draw of seed 3 itself (a point of the 2**-53 grid, where
+        # that draw's coin is false) and the float just above it (true).
+        _unit_after(3),
+        math.nextafter(_unit_after(3), 1.0),
+    ],
+)
+@pytest.mark.parametrize("count", [0, 1, 7, 500])
+def test_chances_draw_what_chance_draws(p, count):
+    one, many = SplitMix64(3), SplitMix64(3)
+    coins = [one.chance(p) for _ in range(count)]
+    assert many.chances(p, count) == coins
+    assert many.state == one.state
+    if p == _unit_after(3) and count:
+        assert coins[0] is False and SplitMix64(3).chances(math.nextafter(p, 1.0), 1) == [True]
+
+
+def _generated(spec: GeneratorSpec, make) -> tuple:
+    """What ``make`` gives for ``spec``, every field of the instance and
+    the planted packing compared, or the error it raises."""
+    try:
+        out = make(spec)
+    except Exception as exc:
+        return type(exc), str(exc)
+    inst, planted = out if isinstance(out, tuple) else (out, None)
+    return (inst.items, inst.sizes, inst.adjacency, inst.labels, inst.class_hint, inst.edges), planted
+
+
+@settings(max_examples=500)
+@given(
+    klass=st.sampled_from(GENERATOR_CLASSES),
+    n=st.integers(0, 80),
+    density=st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0)),
+    size_dist=st.sampled_from(
+        (SizeDist(), SizeDist(kind="uniform", lo=0.1, hi=0.7), SizeDist(kind="discrete", values=("1/3", "0.25", 0.5)))
+    ),
+    counts=st.tuples(*[st.integers(0, 7)] * 5),
+    variant=st.sampled_from(("BPB", "BPS")),
+    degree_cap=st.integers(1, 4),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_generators_match_the_edge_list_reference(klass, n, density, size_dist, counts, variant, degree_cap, seed):
+    # The generators write neighbour masks; the reference lists the edges
+    # and builds through the public constructor. Same instances, planted
+    # packings and errors.
+    x, y, z, t, guess = counts
+    b3dm = dict(x_count=x, y_count=y, z_count=z, t_count=2 * t, guess=min(guess, x, y, z, 2 * t))
+    try:
+        spec = GeneratorSpec(
+            klass=klass, n=n, density=density, size_dist=size_dist, seed=seed, variant=variant,
+            degree_cap=degree_cap, **(b3dm if klass == "b3dm-reduction" else {}),
+        )
+    except ParameterError:
+        return
+    assert _generated(spec, generate) == _generated(spec, ref_generate)
+    if klass == "b3dm-reduction":
+        assert _generated(spec, generate_b3dm) == _generated(spec, ref_generate_b3dm)
 
 
 def test_generator_determinism_and_classes():

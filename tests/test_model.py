@@ -11,7 +11,7 @@ from cbp import (
     restrict_instance,
     validate_packing,
 )
-from cbp.model import Packing, _mask_to_ids, as_size, make_packing
+from cbp.model import Packing, _from_masks, _mask_to_ids, as_size, make_packing
 
 from conftest import CLASSES, seeded_instance
 
@@ -162,6 +162,38 @@ def test_restrict_idempotent_and_preserves_ids():
         for i in once.items:
             assert once.sizes[i] == inst.sizes[i]
             assert once.labels[i] == inst.labels[i]
+
+
+def _message(build) -> str:
+    with pytest.raises(ParameterError) as caught:
+        build()
+    return str(caught.value)
+
+
+@pytest.mark.parametrize(
+    "sizes, edges, masks, labels",
+    [
+        ({0: "1/2", 1: "1/2"}, [(1, 1)], {0: 0, 1: 0b10}, None),  # an item its own neighbour
+        ({0: "1/2", 1: "1/2"}, [(1, 5)], {0: 0, 1: 1 << 5}, None),  # a neighbour outside the items
+        ({0: "1/2", 2: "1/2"}, [(0, 1)], {0: 0b10, 2: 0}, None),  # a gap in sparse ids
+        ({0: "1/2", 1: "1/2"}, [], {0: 0, 1: 0}, {0: "a"}),  # an unlabeled item
+        ({0: "1/2", 1: "3/2"}, [], {0: 0, 1: 0}, None),  # a size above 1
+        ({0: "-1/4", 1: "1/2"}, [], {0: 0, 1: 0}, None),  # a size below 0
+    ],
+)
+def test_mask_constructor_rejects_what_the_public_one_does(sizes, edges, masks, labels):
+    fractions = {i: Fraction(s) for i, s in sizes.items()}
+    public = _message(lambda: ConflictInstance(fractions, edges, labels=labels))
+    assert _message(lambda: _from_masks(fractions, masks, labels=labels)) == public
+
+
+def test_mask_constructor_builds_the_public_instance():
+    inst = ConflictInstance({0: "1/2", 2: "1/3", 5: "1"}, [(0, 5), (2, 5)], class_hint="chordal", labels={0: "a", 2: "b", 5: 7})
+    built = _from_masks(dict(inst.sizes), dict(inst.adjacency), "chordal", {0: "a", 2: "b", 5: 7})
+    assert (built.items, built.sizes, built.adjacency, built.labels, built.class_hint, built.edges) == (
+        inst.items, inst.sizes, inst.adjacency, inst.labels, inst.class_hint, inst.edges
+    )
+    assert built.unit_table == inst.unit_table
 
 
 @st.composite
