@@ -34,6 +34,7 @@ from .model import (
     as_size,
     classify_items,
     fits_within,
+    restrict_instance,
     validate_packing,
 )
 from .rng import SplitMix64
@@ -107,6 +108,10 @@ def _check_unit(spec, *names: str) -> None:
             raise ParameterError(f"spec field {name!r} must be in [0, 1], got {value}")
 
 
+# The grid20 sizes k/20, k = 1..20, built once.
+_GRID20 = tuple(Fraction(k, 20) for k in range(1, 21))
+
+
 @dataclass(frozen=True)
 class SizeDist:
     """How a spec draws item sizes; construction checks every value."""
@@ -133,7 +138,7 @@ class SizeDist:
 
     def draw(self, rng: SplitMix64) -> Fraction:
         if self.kind == "grid20":
-            return Fraction(1 + rng.below(20), 20)
+            return _GRID20[rng.below(20)]
         if self.kind == "uniform":
             x = self.lo + (self.hi - self.lo) * rng.unit()
             x = min(max(x, 0.0), 1.0)
@@ -459,9 +464,7 @@ def _decomposition_ok(instance: ConflictInstance, info: GraphClassInfo, opt: int
     for part in info.parts:
         if len(part) > limit:
             return None
-        sub_sizes = {v: instance.sizes[v] for v in part}
-        sub = ConflictInstance(sub_sizes)
-        _, part_opt = oracle.opt_bpc_exact(sub, limit_n=limit)
+        _, part_opt = oracle.opt_bpc_exact(restrict_instance(instance, part), limit_n=limit)
         total += part_opt
     return total == opt
 

@@ -5,23 +5,25 @@ conflict graph on item ids. Sizes are Fractions at the API and file
 boundary; the work runs on integer units. :func:`size_units` writes a set
 of sizes as numerators over the lcm D of their denominators, so a bin of
 capacity 1 holds D units, and each instance keeps one such table
-(:attr:`ConflictInstance.unit_table`), filled on first use and inherited
+(:attr:`ConflictInstance.unit_table`), built at construction and inherited
 by its restrictions. Size sums, the threshold classes (1/3, 1/2, eps),
 validation and every packing hot loop compare these ints; Python ints
 never round, so every capacity check stays exact. Instances and packings
 are immutable after construction; every operation here is a pure function.
 
 The conflict graph is stored once, as one neighbour bitmask per item in
-``adjacency``, which every algorithm reads. An instance writes each given
-edge straight into the masks; a generated instance and a restriction are
-built from masks (:func:`_from_masks`), a restriction's taken from its
-parent's. Each fills the edge set ``edges`` from its masks on first read,
-so no instance keeps a second copy of the graph.
+``adjacency``, which every algorithm, equality and hashing read. Every
+instance is checked and built from masks by one builder: the public
+constructor first reads its edge list into masks, a generated instance
+hands its masks to :func:`_from_masks`, and a restriction takes its
+parent's. The edge set ``edges`` is filled from the masks on first read;
+no algorithm reads it.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -107,10 +109,18 @@ class ConflictInstance:
 
     Item ids are nonnegative integers (dense 0..n-1 at parse time; a
     restriction keeps the original ids). ``labels`` maps ids back to the
-    original external names for reporting.
+    original external names for reporting. ``unit_table`` is ``(units,
+    den)`` with ``units[i] / den == sizes[i]`` for every item, built by
+    :func:`size_units` at construction; a restriction inherits its
+    parent's ``den``, a common multiple of its own denominators, which
+    every integer comparison reads the same.
+
+    The constructor reads ``sizes`` and the ``edges`` list into neighbour
+    masks and builds the instance as :func:`_from_masks` does, so both
+    check the same things with the same messages.
     """
 
-    __slots__ = ("items", "sizes", "_edges", "class_hint", "labels", "adjacency", "_units")
+    __slots__ = ("items", "sizes", "_edges", "class_hint", "labels", "adjacency", "unit_table")
 
     def __init__(
         self,
@@ -120,60 +130,54 @@ class ConflictInstance:
         labels: Optional[Mapping[int, str]] = None,
     ):
         if isinstance(sizes, Mapping):
-            size_map = {int(i): as_size(s) for i, s in sizes.items()}
+            pairs = sorted((_item_id(i), as_size(s)) for i, s in sizes.items())
         else:
-            size_map = {i: as_size(s) for i, s in enumerate(sizes)}
-        for i, s in size_map.items():
-            if i < 0:
-                raise ParameterError(f"item ids must be nonnegative, got {i}")
-            if not (ZERO <= s <= ONE):
-                raise ParameterError(f"size of item {i} is {s}, outside [0, 1]")
-        self.items: tuple[int, ...] = tuple(sorted(size_map))
-        self.sizes: dict[int, Fraction] = {i: size_map[i] for i in self.items}
-
-        adj = dict.fromkeys(self.items, 0)
+            pairs = [(i, as_size(s)) for i, s in enumerate(sizes)]
+        if pairs and pairs[0][0] < 0:
+            raise ParameterError(f"item ids must be nonnegative, got {pairs[0][0]}")
+        size_map = dict(pairs)
+        adj = dict.fromkeys(size_map, 0)
         for u, v in edges:
-            u, v = int(u), int(v)
-            if u == v:
-                raise ParameterError(f"self-loop on item {u}")
-            if u not in size_map or v not in size_map:
-                raise ParameterError(f"edge ({u}, {v}) references unknown items")
+            u, v = _item_id(u), _item_id(v)
+            if u not in adj or v not in adj:
+                raise _unknown_edge(u, v)
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        self.adjacency: dict[int, int] = adj
-        self._edges: Optional[frozenset[tuple[int, int]]] = None
+        self._build(size_map, adj, class_hint, labels, None)
+
+    def _build(self, sizes: dict[int, Fraction], adjacency: dict[int, int], class_hint, labels, units) -> None:
+        # The one place every instance is checked and filled in; see _from_masks.
+        items = tuple(sizes)
+        if units is None:
+            units = _unit_table(sizes)
+        outside = ~_ids_mask(items)
+        for u in items:
+            mask = adjacency[u]
+            if mask >> u & 1:
+                raise ParameterError(f"self-loop on item {u}")
+            if mask & outside:
+                raise _unknown_edge(u, _mask_to_ids(mask & outside)[0])
+        try:
+            named = {i: str(labels[i]) for i in items} if labels else {i: str(i) for i in items}
+        except KeyError as exc:
+            raise ParameterError(f"item {exc.args[0]} has no label") from None
+        self.items: tuple[int, ...] = items
+        self.sizes: dict[int, Fraction] = sizes
+        self.adjacency: dict[int, int] = adjacency
+        self.unit_table: tuple[dict[int, int], int] = units
         self.class_hint = class_hint
-        if labels:
-            unlabeled = [i for i in self.items if i not in labels]
-            if unlabeled:
-                raise ParameterError(f"item {unlabeled[0]} has no label")
-        self.labels: dict[int, str] = (
-            {i: str(labels[i]) for i in self.items} if labels else {i: str(i) for i in self.items}
-        )
-        self._units: Optional[tuple[dict[int, int], int]] = None
+        self.labels: dict[int, str] = named
+        self._edges: Optional[frozenset[tuple[int, int]]] = None
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
         """The conflict edges as sorted pairs, filled from the neighbour
-        masks on first read. The algorithms read ``adjacency`` only, so no
-        hot path builds them.
+        masks on first read. The algorithms, equality, hashing and
+        ``has_edge`` read ``adjacency`` only, so no hot path builds them.
         """
         if self._edges is None:
             self._edges = frozenset(self.conflicting_pairs(self.items))
         return self._edges
-
-    @property
-    def unit_table(self) -> tuple[dict[int, int], int]:
-        """``(units, den)``: ``units[i] / den == sizes[i]`` for every item.
-
-        Filled from ``sizes`` with :func:`size_units` on first use. A
-        restriction inherits its parent's ``den``, a common multiple of its
-        own denominators, which every integer comparison reads the same.
-        """
-        if self._units is None:
-            units, den = size_units(self.sizes.values())
-            self._units = (dict(zip(self.items, units)), den)
-        return self._units
 
     def bin_state(self, members: Iterable[int]) -> tuple[int, int]:
         """``(blocked, room)`` of a bin holding ``members``.
@@ -194,7 +198,8 @@ class ConflictInstance:
         return len(self.items)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
+        adj = self.adjacency
+        return u in adj and v in adj and bool(adj[u] >> v & 1)
 
     def neighbors(self, v: int) -> frozenset[int]:
         return frozenset(_mask_to_ids(self.adjacency[v]))
@@ -227,13 +232,37 @@ class ConflictInstance:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConflictInstance):
             return NotImplemented
-        return self.items == other.items and self.sizes == other.sizes and self.edges == other.edges
+        return self.items == other.items and self.sizes == other.sizes and self.adjacency == other.adjacency
 
     def __hash__(self):
-        return hash((self.items, tuple(self.sizes.values()), self.edges))
+        return hash((self.items, tuple(self.sizes.values()), tuple(self.adjacency.values())))
 
     def __repr__(self) -> str:
-        return f"ConflictInstance(n={self.n}, edges={len(self.edges)}, hint={self.class_hint!r})"
+        edges = sum(mask.bit_count() for mask in self.adjacency.values()) // 2
+        return f"ConflictInstance(n={self.n}, edges={edges}, hint={self.class_hint!r})"
+
+
+def _item_id(value) -> int:
+    """``value`` as an item id: an int, not a bool or a non-integral value
+    that ``int()`` would truncate."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ParameterError(f"item ids must be integers, got {value!r}")
+    return int(value)
+
+
+def _unknown_edge(u: int, v: int) -> ParameterError:
+    return ParameterError(f"edge ({u}, {v}) references unknown items")
+
+
+def _unit_table(sizes: Mapping[int, Fraction]) -> tuple[dict[int, int], int]:
+    """``(units, den)`` of :func:`size_units` keyed by the ids of
+    ``sizes``, each size checked to lie in [0, 1]."""
+    units, den = size_units(sizes.values())
+    table = dict(zip(sizes, units))
+    for i, u in table.items():
+        if not 0 <= u <= den:
+            raise ParameterError(f"size of item {i} is {sizes[i]}, outside [0, 1]")
+    return table, den
 
 
 def _ids_mask(ids: Iterable[int]) -> int:
@@ -419,38 +448,15 @@ def _from_masks(
 
     ``sizes`` maps the items, in ascending id order, to their sizes, and
     ``adjacency`` the same items to their masks; the instance keeps both
-    dicts. ``units`` is the unit table, computed from ``sizes`` when not
-    given. It checks what the public constructor checks, with the same
-    messages: every size lies in [0, 1], no mask has its item's own bit or
-    a bit outside the items, and given labels cover every item (without
-    them, each item is labelled by its id).
+    dicts. ``units``, when given, is a unit table of ``sizes`` already
+    checked (a restriction's, cut from its parent's); otherwise it is
+    built and every size checked to lie in [0, 1]. Then no mask may have
+    its item's own bit or a bit outside the items, and given labels must
+    cover every item (without them, each item is labelled by its id).
+    These are the public constructor's checks, run by the same code.
     """
-    items = tuple(sizes)
-    if units is None:
-        table, den = size_units(sizes.values())
-        units = (dict(zip(items, table)), den)
-    table, den = units
-    outside = ~_ids_mask(items)
-    for u in items:
-        if not 0 <= table[u] <= den:
-            raise ParameterError(f"size of item {u} is {sizes[u]}, outside [0, 1]")
-        mask = adjacency[u]
-        if mask >> u & 1:
-            raise ParameterError(f"self-loop on item {u}")
-        if mask & outside:
-            raise ParameterError(f"edge ({u}, {_mask_to_ids(mask & outside)[0]}) references unknown items")
-    try:
-        named = {i: str(labels[i]) for i in items} if labels else {i: str(i) for i in items}
-    except KeyError as exc:
-        raise ParameterError(f"item {exc.args[0]} has no label") from None
     out = object.__new__(ConflictInstance)
-    out.items = items
-    out.sizes = sizes
-    out._edges = None
-    out.class_hint = class_hint
-    out.labels = named
-    out.adjacency = adjacency
-    out._units = units
+    out._build(sizes, adjacency, class_hint, labels, units)
     return out
 
 

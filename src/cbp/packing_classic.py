@@ -4,7 +4,8 @@
 is a best-of strategy that on small inputs also runs the exact solver,
 unless FFD already meets the lower bound, and therefore returns an
 optimal packing whenever its input is small.
-Both check and convert their sizes once, then run the integer cores
+Both check and convert their sizes once, with ``model._unit_table`` as
+every instance does, then run the integer cores
 ``_ffd_bins`` and ``_best_bins``, which the conflict-graph algorithms call
 directly with an instance's unit table.
 
@@ -20,21 +21,9 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from . import oracle
-from .errors import ParameterError
-from .model import Packing, SizeLike, as_size, bin_lower_bound, size_units, ONE, ZERO
+from .model import Packing, SizeLike, _unit_table, as_size, bin_lower_bound
 
 DEFAULT_EXACT_THRESHOLD = 18
-
-
-def _checked_units(items: Iterable[int], sizes: Mapping[int, SizeLike]) -> tuple[dict[int, int], int]:
-    sized = {}
-    for i in items:
-        s = as_size(sizes[i])
-        if not (ZERO <= s <= ONE):
-            raise ParameterError(f"size of item {i} is {s}, outside [0, 1]")
-        sized[i] = s
-    units, den = size_units(sized.values())
-    return dict(zip(sized, units)), den
 
 
 def _ffd_bins(items: Iterable[int], units: Mapping[int, int], den: int) -> tuple[frozenset[int], ...]:
@@ -84,7 +73,7 @@ def _best_bins(
 
 def ffd(items: Iterable[int], sizes: Mapping[int, SizeLike]) -> Packing:
     """First-fit decreasing; ties in size broken by ascending item id."""
-    units, den = _checked_units(items, sizes)
+    units, den = _unit_table({i: as_size(sizes[i]) for i in items})
     return Packing(_ffd_bins(units, units, den), "ffd")
 
 
@@ -97,7 +86,7 @@ def asymptotic_bp(items: Iterable[int], sizes: Mapping[int, SizeLike]) -> Packin
     for n <= DEFAULT_EXACT_THRESHOLD the bin count is the optimum (flag
     "exact-opt"), whichever path gave it.
     """
-    units, den = _checked_units(items, sizes)
+    units, den = _unit_table({i: as_size(sizes[i]) for i in items})
     bins = _best_bins(units, units, den, dict.fromkeys(units, 0))
     flags = ("exact-opt",) if len(units) <= DEFAULT_EXACT_THRESHOLD else ()
     return Packing(bins, "asymptotic_bp", flags)

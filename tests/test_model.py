@@ -47,6 +47,15 @@ def test_instance_validation():
         ConflictInstance({-1: "0.5"})
     with pytest.raises(ParameterError, match="item 1 has no label"):
         ConflictInstance({0: "0.5", 1: "0.5"}, labels={0: "a"})
+    with pytest.raises(ParameterError, match=r"edge \(-1, 0\) references unknown items"):
+        ConflictInstance({0: "0.5", 1: "0.5"}, edges=[(-1, 0)])
+    # Ids that int() would truncate or coerce are rejected, not renamed.
+    with pytest.raises(ParameterError, match="item ids must be integers, got 0.5"):
+        ConflictInstance({0.5: "1/2", 0.7: "1/3"})
+    with pytest.raises(ParameterError, match="item ids must be integers, got 1.9"):
+        ConflictInstance({0: "0.5", 1: "0.5"}, edges=[(0, 1.9)])
+    with pytest.raises(ParameterError, match="item ids must be integers, got True"):
+        ConflictInstance({0: "0.5", True: "0.5"})
     inst = ConflictInstance({0: "0.5", 1: "0.5"}, edges=[(1, 0), (0, 1)])
     assert inst.edges == frozenset({(0, 1)})
 

@@ -63,8 +63,11 @@ def test_ffd_examples():
 
 
 def test_ffd_rejects_bad_sizes():
-    with pytest.raises(ParameterError):
-        ffd([0], {0: "1.5"})
+    # Both raise the message every instance gives for the same size.
+    for pack in (ffd, asymptotic_bp):
+        for size, shown in (("1.5", "3/2"), ("-1/4", "-1/4")):
+            with pytest.raises(ParameterError, match=f"^size of item 0 is {shown}, outside \\[0, 1\\]$"):
+                pack([0], {0: size})
 
 
 def test_ffd_deterministic_tie_break():

@@ -781,7 +781,7 @@ def test_restriction_keeps_the_parents_den():
 
 def test_split_approx_and_max_solve_convert_sizes_once_per_instance(monkeypatch):
     # However many bins or guesses they grow: the one conversion is the
-    # instance's unit table, which restrictions inherit.
+    # unit table the constructor builds, which restrictions inherit.
     conversions = []
     solves = collections.Counter()
 
@@ -789,7 +789,7 @@ def test_split_approx_and_max_solve_convert_sizes_once_per_instance(monkeypatch)
         conversions.append(1)
         return size_units(sizes)
 
-    for module in (model, bis, oracle, packing_classic):
+    for module in (model, bis, oracle):
         monkeypatch.setattr(module, "size_units", counting_size_units)
     for core in ("_ptas", "_fptas_split"):
 
@@ -804,8 +804,8 @@ def test_split_approx_and_max_solve_convert_sizes_once_per_instance(monkeypatch)
             info = graphs.recognize(base)
             algorithms = [bpc.max_solve] + ([bpc.split_approx] if info.split_partition is not None else [])
             for algorithm in algorithms:
-                inst = ConflictInstance(dict(base.sizes), base.edges)
                 conversions.clear()
+                inst = ConflictInstance(dict(base.sizes), base.edges)
                 before = sum(solves.values())
                 algorithm(inst, info)
                 assert len(conversions) == 1, algorithm.__name__
