@@ -15,13 +15,18 @@ instance's unit table, so no single-bin subproblem converts sizes again.
 
 Both cores take their vertices as one bitmask of the items within budget,
 with the ``fits(c)`` prefix masks (``model.fits_within``) of the items of
-weight at most c: the enumeration scheme decodes the mask once and reads
-its light vertices off ``fits``, and the split scheme offers each clique
-vertex v ``stable & ~adj[v] & fits(budget - w_v)``. The split scheme stops
-once its incumbent fills the budget: no set weighs more, and only a
-strictly heavier one replaces the incumbent, so the result is unchanged.
-For the same reason it skips a clique vertex whose weight plus all it is
-offered is at most the incumbent's.
+weight at most c. The enumeration scheme searches its guessed sets
+depth-first on masks: a guess's extensions are the lowest bits of its
+untried candidates that are not its neighbours and fit the budget left,
+``cand & ~banned & fits(budget - w_F)``, and only each guess's light
+residual is decoded, for the exact weighted independent set. The split
+scheme offers each clique vertex v ``stable & ~adj[v] & fits(budget -
+w_v)``. Both schemes stop once their incumbent fills the budget: no set
+weighs more, and only a strictly heavier one replaces the incumbent, so
+the result is unchanged. For the same reason the enumeration stops once
+its incumbent holds every eligible vertex of positive weight, and the
+split scheme skips a clique vertex whose weight plus all it is offered
+is at most the incumbent's.
 
 Sizes are never negative (``knapsack_fptas`` rejects one), so in the
 profit-scaling DP an entry whose least cost is within the budget comes
@@ -218,33 +223,6 @@ def _knapsack_scaled(ids, units, limit, eps) -> frozenset[int]:
     return frozenset(ids[positive[j]] for j in range(len(positive)) if (best >> j) & 1)
 
 
-def _independent_subsets(order, adj, weights, budget, max_size):
-    """DFS over independent vertex subsets with bounded size and weight.
-
-    Yields (member list, weight, banned); members ascend in ``order``, and
-    ``banned`` is the mask of the members and their neighbours. The empty
-    set comes first.
-    """
-    current: list[int] = []
-
-    def dfs(idx: int, banned: int, weight: int):
-        yield list(current), weight, banned
-        if len(current) >= max_size:
-            return
-        for j in range(idx, len(order)):
-            v = order[j]
-            if (banned >> v) & 1:
-                continue
-            w = weights[v]
-            if weight + w > budget:
-                continue
-            current.append(v)
-            yield from dfs(j + 1, banned | adj[v] | (1 << v), weight + w)
-            current.pop()
-
-    yield from dfs(0, 0, 0)
-
-
 def _solve(core, problem: BisProblem, eps, info) -> frozenset[int]:
     # ``core`` (``_ptas`` or ``_fptas_split``) on the problem's weights and
     # budget in integer units over ``den``, with ``eps`` checked: it is
@@ -277,32 +255,61 @@ def _ptas(eligible, fits, adj, info, weights, budget, den, eps) -> frozenset[int
     cap = _enum_cap(eps)
     if not eligible:
         return frozenset()
-    order = _mask_to_ids(eligible)
-    reachable = min(budget, sum(weights[v] for v in order))
     # Adjacency is symmetric, so the light vertices outside F and not
     # adjacent to F are those of ``light`` that F's ``banned`` misses.
     light = eligible & fits(eps.numerator * budget // eps.denominator)
-
-    best: frozenset[int] = frozenset()
-    best_w = 0
-    for members, w_f, banned in _independent_subsets(order, adj, weights, budget, cap):
+    # The best set so far as a mask and its weight; ``positive`` masks the
+    # eligible vertices of positive weight, on the first improvement that
+    # stays below the budget.
+    best = best_w = 0
+    positive = None
+    # Depth-first over the guessed sets F, each visited before its
+    # extensions: ``members`` and ``banned`` (F and its neighbours) as
+    # masks, ``w_f`` its weight, ``cand`` the eligible vertices above F's
+    # last member not yet tried at F's parent. F's extensions add one
+    # vertex of ``cand & ~banned & fits(budget - w_f)``, lowest first; each
+    # stack frame holds a set's untried extensions.
+    members = banned = w_f = 0
+    cand = eligible
+    stack = []
+    while True:
         sub_mask = light & ~banned
+        total = w_f
+        picked = ()
         if sub_mask:
-            chosen = _mwis_core(_mask_to_ids(sub_mask), adj, sub_mask, info, weights)
-        else:
-            chosen = frozenset()
-        picked = set(chosen)
-        total = w_f + sum(weights[v] for v in picked)
-        while total > budget:
-            z = min(picked, key=lambda v: (weights[v], v))
-            picked.discard(z)
-            total -= weights[z]
+            picked = _mwis_core(_mask_to_ids(sub_mask), adj, sub_mask, info, weights)
+            total += sum(weights[v] for v in picked)
+            if total > budget:
+                picked = set(picked)
+                while total > budget:
+                    z = min(picked, key=lambda v: (weights[v], v))
+                    picked.discard(z)
+                    total -= weights[z]
         if total > best_w:
-            best = frozenset(members) | frozenset(picked)
+            best = members | _ids_mask(picked)
             best_w = total
-            if best_w >= reachable:
+            # No set weighs more than the budget or than all eligible
+            # vertices, and only a heavier one wins.
+            if best_w == budget:
                 break
-    return best
+            if positive is None:
+                positive = eligible & ~fits(0)
+            if not positive & ~best:
+                break
+        if len(stack) < cap:
+            stack.append([cand & ~banned & fits(budget - w_f), members, banned, w_f])
+        while stack and not stack[-1][0]:
+            stack.pop()
+        if not stack:
+            break
+        frame = stack[-1]
+        low = frame[0] & -frame[0]
+        cand = frame[0] = frame[0] ^ low
+        v = low.bit_length() - 1
+        members = frame[1] | low
+        banned = frame[2] | adj[v] | low
+        w_f = frame[3] + weights[v]
+    return frozenset(_mask_to_ids(best))
 
 
 def bis_fptas_split(problem: BisProblem, eps) -> frozenset[int]:

@@ -35,7 +35,9 @@ lazily on the first call. Its core, :func:`maximum_matching_masks`, reads
 a graph as neighbour bitmasks, the form ``bpc.matching_pack`` builds its
 auxiliary graph in; :func:`maximum_matching_general` is a thin wrapper
 that writes an edge list as such masks, so both give the same matching
-of the same graph.
+of the same graph. The greedy start pairs vertices by mask tests, and the
+blossom searches turn a mask into a neighbour list only for the vertices
+they scan.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
-from .errors import CapabilityError
+from .errors import CapabilityError, ParameterError
 from .model import ConflictInstance, _ids_mask, _mask_to_ids
 
 # Disjoint vertex pairs, each an edge of the queried graph.
@@ -491,7 +493,8 @@ def maximum_matching_masks(adjacency: Mapping[int, int]) -> Matching:
     """Maximum-cardinality matching of the graph whose vertices are the
     keys of ``adjacency`` and whose neighbour masks are its values.
 
-    Each mask holds the bits of the vertex's neighbours, all of them keys;
+    Each mask holds the bits of the vertex's neighbours, all of them keys
+    (a bit that is not a key raises ``ParameterError`` naming the vertex);
     the relation must be symmetric, and a vertex's own bit is ignored.
     Edmonds' blossom algorithm ("Paths, trees, and flowers", 1965),
     computed here with no outside library: a greedy matching (each vertex,
@@ -501,25 +504,52 @@ def maximum_matching_masks(adjacency: Mapping[int, int]) -> Matching:
     cycle (blossom) it closes into the cycle's base. A search that finds no
     augmenting path leaves a Hungarian tree, which no later augmenting path
     can enter, so its vertices are dropped from the remaining searches and
-    one search per vertex suffices: O(V^3) overall. Returns disjoint edges
-    as sorted pairs.
+    one search per vertex suffices: O(V^3) overall. The greedy start reads
+    the masks themselves, and a search decodes a vertex's mask into its
+    list of neighbours only when it first scans the vertex. Returns
+    disjoint edges as sorted pairs.
     """
     ids = sorted(adjacency)
     index = {v: i for i, v in enumerate(ids)}
-    # Ascending neighbour indices per vertex, as the ids ascend.
-    nbrs = [[index[w] for w in _mask_to_ids(adjacency[v] & ~(1 << v))] for v in ids]
+    keys = _ids_mask(ids)
+    outside = ~keys
     mate = [-1] * len(ids)
-    for a, row in enumerate(nbrs):
-        if mate[a] < 0:
-            for b in row:
-                if b > a and mate[b] < 0:
-                    mate[a], mate[b] = b, a
-                    break
+    free = keys
+    for a, v in enumerate(ids):
+        mask = adjacency[v]
+        if mask & outside:
+            stray = _mask_to_ids(mask & outside)[0]
+            raise ParameterError(f"neighbour mask of vertex {v} holds {stray}, which is not a vertex")
+        if (free >> v) & 1:
+            # -(2 << v) masks the ids above v.
+            higher = mask & free & -(2 << v)
+            if higher:
+                low = higher & -higher
+                b = index[low.bit_length() - 1]
+                mate[a], mate[b] = b, a
+                free ^= low | 1 << v
+    nbrs = _Rows(ids, index, adjacency)
     dead = [False] * len(ids)
-    for root in range(len(ids)):
-        if mate[root] < 0 and nbrs[root]:
+    # Only a vertex the greedy start left free can be a root.
+    for v in _mask_to_ids(free):
+        root = index[v]
+        if mate[root] < 0 and adjacency[v] & ~(1 << v):
             _augment(root, nbrs, mate, dead)
     return frozenset((ids[a], ids[b]) for a, b in enumerate(mate) if a < b)
+
+
+class _Rows(dict):
+    """Ascending neighbour indices per vertex index, for :func:`_augment`:
+    a row is decoded from its neighbour mask on its first read."""
+
+    def __init__(self, ids, index, adjacency):
+        self.ids, self.index, self.adjacency = ids, index, adjacency
+
+    def __missing__(self, a: int) -> list[int]:
+        v = self.ids[a]
+        index = self.index
+        row = self[a] = [index[w] for w in _mask_to_ids(self.adjacency[v] & ~(1 << v))]
+        return row
 
 
 def _augment(root: int, nbrs: list[list[int]], mate: list[int], dead: list[bool]) -> None:
@@ -528,6 +558,7 @@ def _augment(root: int, nbrs: list[list[int]], mate: list[int], dead: list[bool]
     # contracted, its even members back around the cycle); ``base`` maps a
     # vertex to the base of its outermost blossom. Flips the first augmenting
     # path found into ``mate``; if there is none, marks the tree ``dead``.
+    # ``nbrs[v]`` lists v's neighbours ascending (a ``_Rows`` may stand in).
     n = len(mate)
     parent = [-1] * n
     base = list(range(n))

@@ -110,6 +110,8 @@ def _check_unit(spec, *names: str) -> None:
 
 # The grid20 sizes k/20, k = 1..20, built once.
 _GRID20 = tuple(Fraction(k, 20) for k in range(1, 21))
+# Uniform draws are rounded to multiples of 1 / _NANO.
+_NANO = 10**9
 
 
 @dataclass(frozen=True)
@@ -129,12 +131,17 @@ class SizeDist:
         _check_unit(self, "lo", "hi")
         if self.lo > self.hi:
             raise ParameterError(f"spec field 'lo' must not exceed 'hi', got lo {self.lo} > hi {self.hi}")
+        sizes = []
         for value in self.values:
             try:
-                if not 0 <= as_size(value) <= 1:
+                size = as_size(value)
+                if not 0 <= size <= 1:
                     raise ParameterError
             except ParameterError:
                 raise ParameterError(f"spec field 'values' must hold sizes in [0, 1], got {value!r}") from None
+            sizes.append(size)
+        # The parsed ``values``, which a discrete draw picks from.
+        object.__setattr__(self, "_sizes", tuple(sizes))
 
     def draw(self, rng: SplitMix64) -> Fraction:
         if self.kind == "grid20":
@@ -142,8 +149,15 @@ class SizeDist:
         if self.kind == "uniform":
             x = self.lo + (self.hi - self.lo) * rng.unit()
             x = min(max(x, 0.0), 1.0)
-            return as_size(round(x, 9))
-        return as_size(self.values[rng.below(len(self.values))])
+            # x rounded half-even to 9 decimals, exactly: the decimal that
+            # ``round(x, 9)`` prints, as its shortest repr has at most 10
+            # significant digits.
+            p, q = x.as_integer_ratio()
+            k, r = divmod(p * _NANO, q)
+            if 2 * r > q or (2 * r == q and k & 1):
+                k += 1
+            return Fraction(k, _NANO)
+        return self._sizes[rng.below(len(self._sizes))]
 
 
 @dataclass(frozen=True)

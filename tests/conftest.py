@@ -16,7 +16,7 @@ from hypothesis import settings
 from cbp import BisProblem, CapabilityError, ConflictInstance, bis, bpc, graphs, harness, maxsize, oracle, packing_classic, recognize
 from cbp.errors import ParameterError, SolverError
 from cbp.harness import GeneratorSpec, generate
-from cbp.model import ONE, Packing, ZERO, _mask_to_ids, classify_items, restrict_instance
+from cbp.model import ONE, Packing, ZERO, _mask_to_ids, as_size, classify_items, restrict_instance
 from cbp.oracle import bis_brute
 from cbp.rng import SplitMix64
 from cbp.simplex import LpResult, solve_max_lp
@@ -577,8 +577,37 @@ def ref_subset_sum(ids, units, cap) -> frozenset[int]:
 
 # --- List-residual PTAS reference -------------------------------------------
 # ``bis._ptas`` as it was before it kept the light residual as a mask: each
-# guessed set F rebuilds the residual by scanning the eligible items. The
+# guessed set F rebuilds the residual by scanning the eligible items, and
+# the guesses come from the recursive generator ``bis._independent_subsets``
+# that the library has since replaced with an explicit-stack search. The
 # library must return the identical set.
+
+
+def ref_independent_subsets(order, adj, weights, budget, max_size):
+    """DFS over independent vertex subsets with bounded size and weight.
+
+    Yields (member list, weight, banned); members ascend in ``order``, and
+    ``banned`` is the mask of the members and their neighbours. The empty
+    set comes first.
+    """
+    current: list[int] = []
+
+    def dfs(idx: int, banned: int, weight: int):
+        yield list(current), weight, banned
+        if len(current) >= max_size:
+            return
+        for j in range(idx, len(order)):
+            v = order[j]
+            if (banned >> v) & 1:
+                continue
+            w = weights[v]
+            if weight + w > budget:
+                continue
+            current.append(v)
+            yield from dfs(j + 1, banned | adj[v] | (1 << v), weight + w)
+            current.pop()
+
+    yield from dfs(0, 0, 0)
 
 
 def ref_ptas(vertices, adj, info, weights, budget, eps) -> frozenset[int]:
@@ -590,7 +619,7 @@ def ref_ptas(vertices, adj, info, weights, budget, eps) -> frozenset[int]:
     reachable = min(budget, sum(weights[v] for v in eligible))
     best: frozenset[int] = frozenset()
     best_w = 0
-    for members, w_f, _banned in bis._independent_subsets(eligible, adj, weights, budget, cap):
+    for members, w_f, _banned in ref_independent_subsets(eligible, adj, weights, budget, cap):
         f_mask = 0
         for v in members:
             f_mask |= 1 << v
@@ -730,6 +759,27 @@ def ref_maximum_matching_general(vertices, edges):
         nbrs[b].append(a)
         if mate[a] < 0 and mate[b] < 0:
             mate[a], mate[b] = b, a
+    dead = [False] * len(ids)
+    for root in range(len(ids)):
+        if mate[root] < 0 and nbrs[root]:
+            graphs._augment(root, nbrs, mate, dead)
+    return frozenset((ids[a], ids[b]) for a, b in enumerate(mate) if a < b)
+
+
+def ref_maximum_matching_masks(adjacency):
+    """``graphs.maximum_matching_masks`` as it was before its greedy start
+    read the masks and its searches decoded rows on first read: every
+    neighbour row is built up front, and the greedy start walks them."""
+    ids = sorted(adjacency)
+    index = {v: i for i, v in enumerate(ids)}
+    nbrs = [[index[w] for w in _mask_to_ids(adjacency[v] & ~(1 << v))] for v in ids]
+    mate = [-1] * len(ids)
+    for a, row in enumerate(nbrs):
+        if mate[a] < 0:
+            for b in row:
+                if b > a and mate[b] < 0:
+                    mate[a], mate[b] = b, a
+                    break
     dead = [False] * len(ids)
     for root in range(len(ids)):
         if mate[root] < 0 and nbrs[root]:
@@ -885,13 +935,29 @@ def ref_round_config_lp(solution, seed):
     )
 
 
+def ref_draw(size_dist, rng: SplitMix64) -> Fraction:
+    """``SizeDist.draw`` as it was before the values were parsed once and
+    uniform draws were rounded on integers: a uniform draw is the float
+    rounded by ``round(x, 9)``, read as its shortest decimal, and a
+    discrete draw parses the chosen value."""
+    if size_dist.kind == "grid20":
+        return Fraction(1 + rng.below(20), 20)
+    if size_dist.kind == "uniform":
+        x = size_dist.lo + (size_dist.hi - size_dist.lo) * rng.unit()
+        x = min(max(x, 0.0), 1.0)
+        return Fraction(repr(round(x, 9)))
+    values = size_dist.values
+    return as_size(values[rng.below(len(values))])
+
+
 def ref_generate(spec: GeneratorSpec) -> ConflictInstance:
     """The edge-list generator: each edge is listed in the per-class draw
-    order, then the instance is built by the public constructor."""
+    order, then the instance is built by the public constructor. Sizes come
+    from ``ref_draw``."""
     if spec.klass == "b3dm-reduction":
         return ref_generate_b3dm(spec)[0]
     rng = SplitMix64(spec.seed)
-    sizes = [spec.size_dist.draw(rng) for _ in range(spec.n)]
+    sizes = [ref_draw(spec.size_dist, rng) for _ in range(spec.n)]
     n = spec.n
     edges: list[tuple[int, int]] = []
     if spec.klass == "edgeless":

@@ -16,7 +16,7 @@ from cbp import (
     knapsack_fptas,
     recognize,
 )
-from cbp import bis
+from cbp import bis, graphs
 from cbp.maxsize import max_size
 from cbp.model import Packing, classify_items, fits_within
 from cbp.rng import SplitMix64
@@ -299,6 +299,97 @@ def test_ptas_matches_list_residual_reference(klass):
                 fits = fits_within(pool, weights)
                 got = bis._ptas(fits(budget), fits, inst.adjacency, info, weights, budget, 1, eps)
                 assert got == ref_ptas(pool, inst.adjacency, info, weights, budget, eps)
+
+
+# Graphs whose independent sets of at most 6 vertices number at most about
+# 8000, so that a search over all of them stays quick.
+DEEP_CASES = [
+    ("complete-multipartite", 40, 0.9),
+    ("complete-multipartite", 80, 0.8),
+    ("complete-multipartite", 160, 0.7),
+    ("cluster", 60, 0.96),
+    ("chordal", 40, 0.9),
+]
+
+
+def deep_weightings(inst, seed):
+    """S and (name, weights, budget) triples over all items of ``inst``,
+    for eps = 1/6, whose light cut is 60 // 6 = 10 at budget 60.
+
+    ``unreached``: the weights sum to less than the budget, so no guess
+    fills it. ``exact``: an independent set S of at most 5 heavy items fills
+    the budget exactly, beside items of weight 4 to 43, light or heavy.
+    ``one-set``: only S has positive weight, heavy, summing below the
+    budget, so a search finds S only by guessing it. S is picked from the
+    highest ids down, so it comes late in the search.
+    """
+    rng = SplitMix64(seed)
+    part = 0
+    for v in reversed(inst.items):
+        if inst.adjacency[v] & part:
+            continue
+        part |= 1 << v
+        if part.bit_count() == 5:
+            break
+    chosen = {v for v in inst.items if (part >> v) & 1}
+    unreached = {v: 1 + rng.below(30) for v in inst.items}
+    exact = {v: 60 // len(chosen) if v in chosen else 4 + rng.below(40) for v in inst.items}
+    one_set = {v: 11 if v in chosen else 0 for v in inst.items}
+    return chosen, [("unreached", unreached, sum(unreached.values()) + 1), ("exact", exact, 60), ("one-set", one_set, 60)]
+
+
+@pytest.mark.parametrize("klass, n, density", DEEP_CASES)
+def test_ptas_deep_searches_match_the_generator_reference(klass, n, density):
+    # Pools of 40-160 eligible ids at eps = 1/6, where the search guesses up
+    # to 6 vertices. The unreached budget is never filled: the search runs
+    # until every guess is tried. The exact budget stops it at the first
+    # guess that fills it (S or another), and the one-set weights stop it
+    # once its incumbent holds every eligible vertex of positive weight.
+    eps = Fraction(1, 6)
+    inst = seeded_instance(klass, n, 8100 + n, density)
+    info = recognize(inst)
+    chosen, weightings = deep_weightings(inst, 8100 + n)
+    for name, weights, budget in weightings:
+        fits = fits_within(inst.items, weights)
+        got = bis._ptas(fits(budget), fits, inst.adjacency, info, weights, budget, 1, eps)
+        assert got == ref_ptas(inst.items, inst.adjacency, info, weights, budget, eps), name
+        total = sum(weights[v] for v in got)
+        if name == "unreached":
+            assert total < sum(weights.values())
+        elif name == "exact":
+            assert total == budget
+        else:
+            # Guesses may hold items of weight 0 beside S.
+            assert chosen <= got and total == 11 * len(chosen)
+
+
+def test_ptas_hands_mwis_the_reference_residuals(monkeypatch):
+    # One pinned instance: the light residual of every guess, in the order
+    # the guesses are visited, is that of the generator reference, up to
+    # the same stop, under each weighting.
+    eps = Fraction(1, 6)
+    inst = seeded_instance("complete-multipartite", 80, 8180, 0.8)
+    info = recognize(inst)
+    mwis = graphs._mwis_core
+    counts = []
+    for name, weights, budget in deep_weightings(inst, 8180)[1]:
+        seen = {"library": [], "reference": []}
+
+        def recording(side):
+            return lambda vertices, adj, sub_mask, info, weights: seen[side].append(sub_mask) or mwis(
+                vertices, adj, sub_mask, info, weights
+            )
+
+        fits = fits_within(inst.items, weights)
+        monkeypatch.setattr(bis, "_mwis_core", recording("library"))
+        monkeypatch.setattr(graphs, "_mwis_core", recording("reference"))
+        got = bis._ptas(fits(budget), fits, inst.adjacency, info, weights, budget, 1, eps)
+        assert got == ref_ptas(inst.items, inst.adjacency, info, weights, budget, eps)
+        assert seen["library"] == seen["reference"], name
+        counts.append(len(seen["library"]))
+    # unreached, exact and one-set; a one-set residual holds only items of
+    # weight 0, which the weighted independent set still reads.
+    assert counts[0] > 1000 and counts[1] > 1 and counts[2] > 1000, counts
 
 
 def test_bis_fptas_split_examples():

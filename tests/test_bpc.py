@@ -54,6 +54,7 @@ from conftest import (
     ref_build_assignment_lp,
     ref_enumerate_feasible_packings,
     ref_maximum_matching_general,
+    ref_maximum_matching_masks,
     ref_round_assignment,
     ref_solve_assignment_lp,
     ref_split_approx,
@@ -249,9 +250,30 @@ def test_mask_matching_equals_edge_list_reference(monkeypatch):
         pairs = mask_pairs(adjacency)
         got = graphs.maximum_matching_masks(adjacency)
         assert got == ref_maximum_matching_general(sorted(adjacency), pairs)
+        assert got == ref_maximum_matching_masks(adjacency)
         assert len(got) == len(nx_maximum_matching(sorted(adjacency), pairs))
         pairs_total += len(pairs)
     assert pairs_total > 1000
+
+
+def test_mask_matching_decodes_only_the_rows_it_scans(monkeypatch):
+    # One pinned auxiliary graph of 106 vertices, 52 of them with a
+    # neighbour: the matching decodes fewer masks than it has vertices with
+    # a neighbour (the eager reference decodes one per vertex), so it reads
+    # no isolated vertex's row and no row twice, and gives the same pairs.
+    inst = seeded_instance("chordal", 160, 7560)
+    seen = []
+    matcher = bpc.maximum_matching_masks
+    monkeypatch.setattr(bpc, "maximum_matching_masks", lambda aux: seen.append(aux) or matcher(aux))
+    matching_pack(inst, recognize(inst))
+    (aux,) = seen
+    decode = graphs._mask_to_ids
+    decoded = []
+    monkeypatch.setattr(graphs, "_mask_to_ids", lambda mask: decoded.append(mask) or decode(mask))
+    got = graphs.maximum_matching_masks(aux)
+    assert len(aux) == 106
+    assert len(decoded) < sum(1 for v in aux if aux[v] & ~(1 << v)) == 52
+    assert got == ref_maximum_matching_masks(aux)
 
 
 # Item sizes with zeros among them, large and medium ones to match, and

@@ -18,6 +18,7 @@ from cbp import (
     CapabilityError,
     ConflictInstance,
     GraphClassInfo,
+    ParameterError,
     bpc,
     graphs,
     harness,
@@ -37,6 +38,7 @@ from conftest import (
     brute_mwis_value,
     brute_split_partition_exists,
     ref_maximum_matching_general,
+    ref_maximum_matching_masks,
     run_every_algorithm,
     seeded_instance,
 )
@@ -474,6 +476,40 @@ def test_matching_size_equals_networkx_at_n_40_to_60():
         density = (0.04, 0.1, 0.5)[seed % 3]
         edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < density]
         assert_maximum_matching(range(n), edges, seed=seed)
+
+
+@settings(max_examples=300)
+@given(
+    n=st.integers(0, 40),
+    spread=st.integers(1, 8),
+    density=st.sampled_from([0.05, 0.2, 0.6, 0.95]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mask_matching_equals_eager_reference(n, spread, density, seed):
+    # Sparse ids (up to spread * n + 1), isolated vertices, and some
+    # vertices' own bits set: the lazy-row core gives the matching of the
+    # eager-row reference, which builds every neighbour row up front.
+    rng = random.Random(seed)
+    ids = rng.sample(range(spread * n + 1), n)
+    isolated = set(rng.sample(ids, n // 4))
+    adjacency = {v: (1 << v if rng.random() < 0.3 else 0) for v in ids}
+    for a, u in enumerate(ids):
+        for v in ids[a + 1 :]:
+            if u not in isolated and v not in isolated and rng.random() < density:
+                adjacency[u] |= 1 << v
+                adjacency[v] |= 1 << u
+    assert graphs.maximum_matching_masks(adjacency) == ref_maximum_matching_masks(adjacency)
+
+
+def test_mask_matching_rejects_a_bit_that_is_not_a_vertex():
+    # Vertex 1's mask holds bit 2, and 2 is not a key.
+    with pytest.raises(ParameterError, match="vertex 1 holds 2, which is not a vertex"):
+        graphs.maximum_matching_masks({0: 0b10, 1: 0b101})
+    # Bit 9 of vertex 5 is checked even though no search would read it:
+    # the greedy start matches 3 and 5 and leaves no root.
+    with pytest.raises(ParameterError, match="vertex 5 holds 9"):
+        graphs.maximum_matching_masks({3: 1 << 5, 5: 1 << 3 | 1 << 9})
+    assert graphs.maximum_matching_masks({3: 1 << 5 | 1 << 3, 5: 1 << 3}) == {(3, 5)}
 
 
 def test_algorithms_run_without_networkx():

@@ -25,7 +25,7 @@ from cbp.harness import (
 )
 from cbp.rng import SplitMix64
 
-from conftest import ref_generate, ref_generate_b3dm
+from conftest import ref_draw, ref_generate, ref_generate_b3dm
 
 
 def test_rng_reference_stream():
@@ -141,6 +141,51 @@ def test_size_distributions():
     )
     inst3 = generate(disc)
     assert set(inst3.sizes.values()) <= {Fraction(1, 3), Fraction(1, 2)}
+
+
+class _FixedUnits:
+    """An rng stand-in whose ``unit()`` returns the given floats in turn."""
+
+    def __init__(self, *units):
+        self.units = iter(units)
+
+    def unit(self):
+        return next(self.units)
+
+
+@pytest.mark.parametrize(
+    "x, nanos",
+    [
+        # Ten decimals ending in 5: a tie, rounded to the even neighbour.
+        (2**-10, 976562),  # 0.0009765625
+        (3 * 2**-10, 2929688),  # 0.0029296875
+        (5 * 2**-11, 2441406),  # 0.00244140625, not a tie
+        (0.1, 100000000),
+        (1 - 2**-53, 10**9),
+        (0.0, 0),
+        (1.0, 10**9),
+    ],
+)
+def test_uniform_draw_rounds_half_even_to_nine_decimals(x, nanos):
+    dist = SizeDist(kind="uniform", lo=0.0, hi=1.0)
+    assert dist.draw(_FixedUnits(x)) == Fraction(nanos, 10**9)
+    assert dist.draw(_FixedUnits(x)) == ref_draw(dist, _FixedUnits(x))
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [
+        SizeDist(),
+        SizeDist(kind="uniform", lo=0.1, hi=0.7),
+        SizeDist(kind="uniform", lo=0.0, hi=1.0),
+        SizeDist(kind="discrete", values=("1/3", "0.25", 0.5, 1, "0")),
+    ],
+)
+def test_draws_match_the_parsing_reference(dist):
+    # The same stream of sizes, and the rng left in the same state.
+    ours, theirs = SplitMix64(99), SplitMix64(99)
+    assert [dist.draw(ours) for _ in range(3000)] == [ref_draw(dist, theirs) for _ in range(3000)]
+    assert ours.next_u64() == theirs.next_u64()
 
 
 def test_b3dm_generator():
