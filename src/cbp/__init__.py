@@ -17,7 +17,6 @@ from .errors import CapabilityError, ParameterError, SolverError
 from .graphs import (
     GraphClassInfo,
     Matching,
-    max_weight_independent_set,
     maximum_matching_general,
     minimum_coloring,
     recognize,
@@ -34,7 +33,7 @@ from .model import (
     restrict_instance,
     validate_packing,
 )
-from .oracle import bis_brute, maxsize_brute, opt_bpc_exact
+from .oracle import opt_bpc_exact
 from .packing_classic import asymptotic_bp, ffd
 
 __all__ = [
@@ -58,7 +57,6 @@ __all__ = [
     "approx_bpc",
     "assign",
     "asymptotic_bp",
-    "bis_brute",
     "bis_fptas_split",
     "bis_ptas",
     "classify_items",
@@ -70,9 +68,7 @@ __all__ = [
     "matching_pack",
     "max_size",
     "max_solve",
-    "max_weight_independent_set",
     "maximum_matching_general",
-    "maxsize_brute",
     "minimum_coloring",
     "multipartite_pack",
     "opt_bpc_exact",

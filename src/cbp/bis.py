@@ -61,6 +61,9 @@ from .model import ZERO, _ids_mask, _mask_to_ids, as_size, fits_within, size_uni
 DEFAULT_ENUM_CAP = 6
 EXACT_DP_DENOM_LIMIT = 4096
 EXACT_DP_CELL_LIMIT = 400_000
+# The profit-scaling DP's table holds about n^2 / eps cells; a larger one
+# is a ParameterError naming eps, raised before the table is built.
+SCALED_DP_CELL_LIMIT = 10**7
 
 
 @dataclass(frozen=True)
@@ -187,6 +190,8 @@ def _knapsack_scaled(ids, units, limit, eps) -> frozenset[int]:
         # Every item the DP reads fits: its best profit takes them all.
         return frozenset(ids[k] for k in kept)
     top = sum(scaled)
+    if top >= SCALED_DP_CELL_LIMIT:
+        raise ParameterError(f"eps = {eps} needs {top + 1} knapsack table cells, over the cap {SCALED_DP_CELL_LIMIT}")
     # dp[p] = least cost of scaled profit exactly p; limit + 1 marks none.
     # Only the live entries (ascending in ``live``) have dp[p] <= limit.
     # Costs are >= 0, so a live entry only comes from a live one: each

@@ -1,5 +1,6 @@
 """Graph-class recognition, class-specific coloring, weighted independent
-sets, and general maximum matching.
+sets (:func:`_mwis_core`, which ``bis._ptas`` runs on each light residual;
+there is no public wrapper), and general maximum matching.
 
 Every recognizer produces a verifiable certificate (bipartition, clique/
 independent split, cluster components, multipartite parts, or a perfect
@@ -423,21 +424,6 @@ def _mwis_bipartite(
     return frozenset(x for x in xs if x in prev) | frozenset(y for y in ys if y not in prev)
 
 
-def max_weight_independent_set(
-    instance: ConflictInstance,
-    info: GraphClassInfo,
-    weights: Mapping[int, Fraction],
-) -> frozenset[int]:
-    """Maximum-weight independent set for a supported class.
-
-    Ties between optima are broken by the fixed scan order of the class
-    algorithm (deterministic, documented, not globally canonical).
-    Zero-weight vertices are never included.
-    """
-    sub_mask = _ids_mask(instance.items)
-    return _mwis_core(list(instance.items), instance.adjacency, sub_mask, info, weights)
-
-
 def _mwis_core(
     vertices: list[int],
     adj: Mapping[int, int],
@@ -445,6 +431,9 @@ def _mwis_core(
     info: GraphClassInfo,
     weights: Mapping[int, Fraction],
 ) -> frozenset[int]:
+    """A maximum-weight independent set of ``vertices`` (the bits of
+    ``sub_mask``) by the algorithm of the first class ``info`` certifies.
+    Ties go by its fixed scan order; zero weights are never included."""
     if not vertices:
         return frozenset()
     vset = frozenset(vertices)

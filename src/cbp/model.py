@@ -379,10 +379,6 @@ class Packing:
         return Packing(self.bins, self.source, self.flags + tuple(flags))
 
 
-def make_packing(bins: Iterable[Iterable[int]], source: str = "", flags: tuple[str, ...] = ()) -> Packing:
-    return Packing(tuple(frozenset(b) for b in bins), source, flags)
-
-
 class Violation(NamedTuple):
     bin_index: Optional[int]
     kind: str  # overflow | conflict | duplicate-item | unknown-item | uncovered-item

@@ -1,17 +1,17 @@
-"""Exact small-scale solvers used as ground truth.
+"""Exact branch and bound for small instances: the ground truth.
 
-All three solvers are deliberately dependency-free branch-and-bound /
-exhaustive searches, fast enough for the desk-scale limits they enforce
-and trivially auditable.
+One dependency-free, trivially auditable search, :class:`_BnB`. The library
+runs it through :func:`_exact_bins` on its instances' unit tables, and
+:func:`opt_bpc_exact` on sizes converted afresh: the optimum that the tests
+and the benchmark's ratios compare against.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
 from .errors import CapabilityError
-from .model import ConflictInstance, Packing, ZERO, _mask_to_ids, size_units
+from .model import ConflictInstance, Packing, _mask_to_ids, bin_lower_bound, size_units
 
 DEFAULT_EXACT_LIMIT = 18
 
@@ -92,13 +92,6 @@ class _BnB:
                 assign[k] = len(loads) - 1
         return assign
 
-    def root_lower_bound(self) -> int:
-        if self.n == 0:
-            return 0
-        large = sum(1 for s in self.sizes if 2 * s > self.cap)
-        clique = self._greedy_clique()
-        return max(self.size_lb, large, clique, 1)
-
     def _greedy_clique(self) -> int:
         by_degree = sorted(range(self.n), key=lambda k: (-self.adj[k].bit_count(), k))
         clique_mask = 0
@@ -118,7 +111,8 @@ class _BnB:
         if self.max_bins is not None and count > self.max_bins:
             incumbent, count = None, self.max_bins + 1
         self.best_bins, self.best_count = incumbent, count
-        root_lb = self.root_lower_bound()
+        # The L1 bound or a greedy clique, which holds an item as n > 0.
+        root_lb = max(bin_lower_bound(self.sizes, self.cap), self._greedy_clique())
         if incumbent is not None and count == root_lb:
             return incumbent, count
         loads = [0] * (self.n + 1)
@@ -218,101 +212,3 @@ def opt_bpc_exact(instance: ConflictInstance, limit_n: int = DEFAULT_EXACT_LIMIT
     units, den = size_units(instance.sizes.values())
     bins = _exact_bins(instance.items, dict(zip(instance.items, units)), den, instance.adjacency)
     return Packing(bins, "exact"), len(bins)
-
-
-def bis_brute(problem, limit_n: int = 20) -> tuple[frozenset[int], Fraction]:
-    """Optimal bounded independent set by exhaustive independent-set scan.
-
-    Maximizes total weight subject to independence and weight <= budget;
-    ties broken toward the lexicographically smallest sorted id tuple.
-    """
-    vertices = sorted(problem.vertices)
-    if len(vertices) > limit_n:
-        raise CapabilityError(f"brute-force BIS limited to n <= {limit_n}, got {len(vertices)}")
-    adj = problem.adjacency
-    weights = problem.weights
-    budget = problem.budget
-    best: tuple[Fraction, tuple[int, ...]] = (ZERO, ())
-
-    def consider(current: list[int], weight: Fraction) -> None:
-        nonlocal best
-        key = (weight, tuple(current))
-        if key[0] > best[0] or (key[0] == best[0] and key[1] < best[1]):
-            best = key
-
-    def dfs(idx: int, banned: int, current: list[int], weight: Fraction) -> None:
-        consider(current, weight)
-        for j in range(idx, len(vertices)):
-            v = vertices[j]
-            if (banned >> v) & 1:
-                continue
-            w = weights[v]
-            if weight + w > budget:
-                continue
-            current.append(v)
-            dfs(j + 1, banned | adj[v] | (1 << v), current, weight + w)
-            current.pop()
-
-    dfs(0, 0, [], ZERO)
-    return frozenset(best[1]), best[0]
-
-
-def maxsize_brute(
-    instance: ConflictInstance,
-    initial: Packing,
-    limit_items: int = 12,
-    limit_bins: int = 4,
-) -> Fraction:
-    """Optimal total size addable to the bins of ``initial``.
-
-    Exhaustive assignment of each unpacked item to one of the bins or to
-    none, with feasibility filtering and a remaining-size bound.
-    """
-    packed = initial.items()
-    unpacked = sorted(
-        (i for i in instance.items if i not in packed),
-        key=lambda i: (-instance.sizes[i], i),
-    )
-    if len(unpacked) > limit_items:
-        raise CapabilityError(f"brute-force limited to <= {limit_items} unpacked items")
-    if initial.bin_count > limit_bins:
-        raise CapabilityError(f"brute-force limited to <= {limit_bins} bins")
-    t = initial.bin_count
-    # Fraction sums of ``instance.sizes``, independent of the instance's unit table.
-    loads = [sum((instance.sizes[v] for v in b), ZERO) for b in initial.bins]
-    blocks = [0] * t
-    for b, members in enumerate(initial.bins):
-        for v in members:
-            blocks[b] |= instance.adjacency[v]
-    sizes = [instance.sizes[i] for i in unpacked]
-    suffix = [ZERO] * (len(unpacked) + 1)
-    for k in range(len(unpacked) - 1, -1, -1):
-        suffix[k] = suffix[k + 1] + sizes[k]
-    best = ZERO
-
-    def dfs(k: int, added: Fraction) -> None:
-        nonlocal best
-        if added > best:
-            best = added
-        if k == len(unpacked) or added + suffix[k] <= best:
-            return
-        v = unpacked[k]
-        s = sizes[k]
-        seen = set()
-        for b in range(t):
-            if loads[b] + s > 1 or (blocks[b] >> v) & 1:
-                continue
-            key = (loads[b], blocks[b])
-            if key in seen:
-                continue
-            seen.add(key)
-            old = blocks[b]
-            loads[b] += s
-            blocks[b] |= instance.adjacency[v]
-            dfs(k + 1, added + s)
-            loads[b] -= s
-            blocks[b] = old
-        dfs(k + 1, added)
-
-    dfs(0, ZERO)
-    return best

@@ -17,7 +17,6 @@ from cbp import BisProblem, CapabilityError, ConflictInstance, bis, bpc, graphs,
 from cbp.errors import ParameterError, SolverError
 from cbp.harness import GeneratorSpec, generate
 from cbp.model import ONE, Packing, ZERO, _mask_to_ids, as_size, classify_items, restrict_instance
-from cbp.oracle import bis_brute
 from cbp.rng import SplitMix64
 from cbp.simplex import LpResult, solve_max_lp
 
@@ -135,6 +134,114 @@ def brute_split_partition_exists(instance: ConflictInstance) -> bool:
         if ok and instance.is_independent(rest):
             return True
     return False
+
+
+# --- Brute oracles ----------------------------------------------------------
+# A packing from plain bin lists, and exhaustive searches for the single-bin
+# budgeted independent set and for MaxSize, the ground truth the
+# maximization subroutines are checked against.
+
+
+def make_packing(bins: Iterable[Iterable[int]], source: str = "", flags: tuple[str, ...] = ()) -> Packing:
+    return Packing(tuple(frozenset(b) for b in bins), source, flags)
+
+
+def bis_brute(problem, limit_n: int = 20) -> tuple[frozenset[int], Fraction]:
+    """Optimal bounded independent set by exhaustive independent-set scan.
+
+    Maximizes total weight subject to independence and weight <= budget;
+    ties broken toward the lexicographically smallest sorted id tuple.
+    """
+    vertices = sorted(problem.vertices)
+    if len(vertices) > limit_n:
+        raise CapabilityError(f"brute-force BIS limited to n <= {limit_n}, got {len(vertices)}")
+    adj = problem.adjacency
+    weights = problem.weights
+    budget = problem.budget
+    best: tuple[Fraction, tuple[int, ...]] = (ZERO, ())
+
+    def consider(current: list[int], weight: Fraction) -> None:
+        nonlocal best
+        key = (weight, tuple(current))
+        if key[0] > best[0] or (key[0] == best[0] and key[1] < best[1]):
+            best = key
+
+    def dfs(idx: int, banned: int, current: list[int], weight: Fraction) -> None:
+        consider(current, weight)
+        for j in range(idx, len(vertices)):
+            v = vertices[j]
+            if (banned >> v) & 1:
+                continue
+            w = weights[v]
+            if weight + w > budget:
+                continue
+            current.append(v)
+            dfs(j + 1, banned | adj[v] | (1 << v), current, weight + w)
+            current.pop()
+
+    dfs(0, 0, [], ZERO)
+    return frozenset(best[1]), best[0]
+
+
+def maxsize_brute(
+    instance: ConflictInstance,
+    initial: Packing,
+    limit_items: int = 12,
+    limit_bins: int = 4,
+) -> Fraction:
+    """Optimal total size addable to the bins of ``initial``.
+
+    Exhaustive assignment of each unpacked item to one of the bins or to
+    none, with feasibility filtering and a remaining-size bound.
+    """
+    packed = initial.items()
+    unpacked = sorted(
+        (i for i in instance.items if i not in packed),
+        key=lambda i: (-instance.sizes[i], i),
+    )
+    if len(unpacked) > limit_items:
+        raise CapabilityError(f"brute-force limited to <= {limit_items} unpacked items")
+    if initial.bin_count > limit_bins:
+        raise CapabilityError(f"brute-force limited to <= {limit_bins} bins")
+    t = initial.bin_count
+    # Fraction sums of ``instance.sizes``, independent of the instance's unit table.
+    loads = [sum((instance.sizes[v] for v in b), ZERO) for b in initial.bins]
+    blocks = [0] * t
+    for b, members in enumerate(initial.bins):
+        for v in members:
+            blocks[b] |= instance.adjacency[v]
+    sizes = [instance.sizes[i] for i in unpacked]
+    suffix = [ZERO] * (len(unpacked) + 1)
+    for k in range(len(unpacked) - 1, -1, -1):
+        suffix[k] = suffix[k + 1] + sizes[k]
+    best = ZERO
+
+    def dfs(k: int, added: Fraction) -> None:
+        nonlocal best
+        if added > best:
+            best = added
+        if k == len(unpacked) or added + suffix[k] <= best:
+            return
+        v = unpacked[k]
+        s = sizes[k]
+        seen = set()
+        for b in range(t):
+            if loads[b] + s > 1 or (blocks[b] >> v) & 1:
+                continue
+            key = (loads[b], blocks[b])
+            if key in seen:
+                continue
+            seen.add(key)
+            old = blocks[b]
+            loads[b] += s
+            blocks[b] |= instance.adjacency[v]
+            dfs(k + 1, added + s)
+            loads[b] -= s
+            blocks[b] = old
+        dfs(k + 1, added)
+
+    dfs(0, ZERO)
+    return best
 
 
 def brute_mwis_value(instance: ConflictInstance, weights) -> Fraction:

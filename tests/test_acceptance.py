@@ -13,7 +13,6 @@ from cbp import (
     BisProblem,
     abs_bpb,
     approx_bpc,
-    bis_brute,
     bis_fptas_split,
     bis_ptas,
     classify_items,
@@ -21,7 +20,6 @@ from cbp import (
     matching_pack,
     max_size,
     max_solve,
-    maxsize_brute,
     minimum_coloring,
     multipartite_pack,
     opt_bpc_exact,
@@ -33,10 +31,10 @@ from cbp import (
     validate_packing,
 )
 from cbp.harness import GeneratorSpec, SizeDist, generate, generate_b3dm, run_suite
-from cbp.model import ConflictInstance, make_packing
+from cbp.model import ConflictInstance
 from cbp.packing_classic import asymptotic_bp, ffd
 from cbp.rng import SplitMix64
-from conftest import ref_build_assignment_lp, ref_solve_assignment_lp
+from conftest import bis_brute, make_packing, maxsize_brute, ref_build_assignment_lp, ref_solve_assignment_lp
 
 ALL_CLASSES = ("edgeless", "bipartite", "split", "cluster", "complete-multipartite", "chordal")
 RATIO_CLASSES = ("bipartite", "split", "cluster", "complete-multipartite", "chordal")

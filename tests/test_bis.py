@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,6 @@ from cbp import (
     CapabilityError,
     ConflictInstance,
     ParameterError,
-    bis_brute,
     bis_fptas_split,
     bis_ptas,
     knapsack_fptas,
@@ -23,6 +23,7 @@ from cbp.rng import SplitMix64
 
 from conftest import (
     CLASSES,
+    bis_brute,
     ref_fptas_split,
     ref_knapsack_exact_int,
     ref_knapsack_scaled_int,
@@ -80,6 +81,26 @@ def test_knapsack_negative_cost_rejected():
     sizes = {0: Fraction(-1, 2), 1: Fraction(1, 2)}
     with pytest.raises(ParameterError, match="negative size on item 0"):
         knapsack_fptas([0, 1], sizes, Fraction(1, 2), Fraction(1, 10))
+
+
+def test_knapsack_scaled_table_cap(monkeypatch):
+    # The profit-scaling DP's table has top + 1 cells, top the sum of the
+    # scaled profits; one over the cap is rejected, naming eps, before it
+    # is built. Nine-digit sizes over a budget below their sum take that DP.
+    units = [123456789, 234567891, 345678912, 456789123, 111111113, 222222227]
+    ids, limit, eps = list(range(6)), 10**9, Fraction(1, 1000)
+    top = sum(u * len(units) * eps.denominator // (eps.numerator * max(units)) for u in units)
+    monkeypatch.setattr(bis, "SCALED_DP_CELL_LIMIT", top + 1)
+    assert bis._knapsack_scaled(ids, units, limit, eps) == ref_knapsack_scaled_int(ids, units, units, limit, eps)
+    monkeypatch.setattr(bis, "SCALED_DP_CELL_LIMIT", top)
+    message = f"eps = 1/1000 needs {top + 1} knapsack table cells, over the cap {top}"
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        bis._knapsack_scaled(ids, units, limit, eps)
+    monkeypatch.undo()
+    sizes = {i: Fraction(u, 10**9) for i, u in zip(ids, units)}
+    message = rf"eps = 1/1000000000000 needs \d+ knapsack table cells, over the cap {bis.SCALED_DP_CELL_LIMIT}$"
+    with pytest.raises(ParameterError, match=message):
+        knapsack_fptas(ids, sizes, Fraction(1), Fraction(1, 10**12))
 
 
 # Small sizes beside a large one scale to 0; small sizes collide often, so

@@ -40,12 +40,13 @@ from cbp.bpc import _enumerate_feasible_packings
 from cbp.graphs import restrict_class_info
 from cbp.harness import ALGORITHMS, GeneratorSpec, SizeDist, generate, generate_b3dm, run_algorithm
 from cbp.maxsize import max_size
-from cbp.model import bin_lower_bound, make_packing, restrict_instance
+from cbp.model import bin_lower_bound, restrict_instance
 from cbp.packing_classic import asymptotic_bp, ffd
 
 import conftest
 from conftest import (
     CLASSES,
+    make_packing,
     mask_pairs,
     ref_abs_bpb,
     ref_approx_bpc,

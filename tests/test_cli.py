@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from cbp import bis, harness
 from cbp.cli import main
 from cbp.harness import GeneratorSpec, generate, write_instance, write_packing
-from cbp.model import make_packing
+
+from conftest import make_packing
 
 
 @pytest.fixture()
@@ -358,9 +360,22 @@ def test_generate_unknown_spec_field_exits_2(tmp_path, capsys, spec, message):
             {"class": "edgeless", "n": 4, "size_dist": {"kind": "uniform", "lo": 0.9, "hi": 0.1}},
             "spec field 'lo' must not exceed 'hi', got lo 0.9 > hi 0.1",
         ),
+        ({"class": "edgeless", "n": 10**30}, f"spec field 'n' must be at most 16384, got {10**30}"),
+        ({"class": "split", "n": 16385}, "spec field 'n' must be at most 16384, got 16385"),
+        ({"class": "b3dm-reduction", "x_count": 10**30}, f"spec field 'x_count' must be at most 16384, got {10**30}"),
+        (
+            {"class": "b3dm-reduction", "z_count": 1, "t_count": 10**30},
+            f"spec field 't_count' must be at most 16384, got {10**30}",
+        ),
     ],
 )
-def test_generate_spec_field_out_of_range_exits_2(tmp_path, capsys, spec, message):
+def test_generate_spec_field_out_of_range_exits_2(tmp_path, capsys, monkeypatch, spec, message):
+    # Values are checked when the spec is read: nothing is generated.
+    def never(spec):
+        raise AssertionError("generated an instance from a spec out of range")
+
+    monkeypatch.setattr(harness, "generate", never)
+    monkeypatch.setattr(harness, "generate_b3dm", never)
     _assert_bad_spec(tmp_path, capsys, spec, message)
 
 
@@ -390,7 +405,7 @@ def test_generate_bad_size_dist_exits_2(tmp_path, capsys, spec, message):
 
 def _assert_bad_spec(tmp_path, capsys, spec, message):
     # The spec fails alone under generate and as a suite's one instance
-    # under bench, with the same message and no output directory.
+    # under bench, with the same one-line message and no output directory.
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     suite = tmp_path / "suite.json"
@@ -401,6 +416,7 @@ def _assert_bad_spec(tmp_path, capsys, spec, message):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"parameter error: {message}" in captured.err
+        assert captured.err.count("\n") == 1
         assert not out.exists()
 
 
@@ -469,6 +485,26 @@ def test_solve_bad_eps_exits_2(tmp_path, capsys, algo, eps, message):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"parameter error: {message}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "eps, cells",
+    [("1e-12", 9945958148394), ("1e-30", 9945958148394877607451261487240)],
+)
+def test_split_approx_eps_over_the_knapsack_cap_exits_2(tmp_path, capsys, eps, cells):
+    # Nine-digit sizes send split_approx's knapsacks to the profit-scaling
+    # DP, whose table grows as n^2 / eps. Without the cap, 1e-12 ran out of
+    # memory and 1e-30 overflowed the list size, each with a traceback.
+    sizes = ["0.123456789", "0.234567891", "0.345678912", "0.456789123", "0.111111113", "0.222222227"]
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps({"items": [{"id": i, "size": s} for i, s in enumerate(sizes)], "edges": [[0, 1]]}))
+    assert main(["solve", "--algo", "split_approx", "--in", str(path), "--eps", eps]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"parameter error: eps = {Fraction(eps)} needs {cells} knapsack table cells, "
+        f"over the cap {bis.SCALED_DP_CELL_LIMIT}\n"
+    )
 
 
 @pytest.mark.parametrize("algo", ["max_solve", "approx_bpc"])
@@ -584,6 +620,9 @@ def test_unusable_path_exits_2(bipartite_file, tmp_path, capsys, argv):
             {"instances": [{"class": "split", "n": 5}], "oracle": True, "oracle_limit": -1},
             "suite field 'oracle_limit' must be at least 0, got -1",
         ),
+        # A sweep's counts are capped before any instance is drawn.
+        ({"sweep": {"count": 10**30}}, f"sweep field 'count' must be at most 16384, got {10**30}"),
+        ({"sweep": {"n_max": 10**30}}, f"sweep field 'n_max' must be at most 16384, got {10**30}"),
     ],
 )
 def test_bench_malformed_suite_exits_2(tmp_path, capsys, suite, message):

@@ -22,13 +22,12 @@ from cbp import (
     bpc,
     graphs,
     harness,
-    max_weight_independent_set,
     maximum_matching_general,
     minimum_coloring,
     recognize,
     restrict_class_info,
 )
-from cbp.model import restrict_instance
+from cbp.model import _ids_mask, restrict_instance
 from cbp.rng import SplitMix64
 
 from conftest import (
@@ -46,6 +45,12 @@ from conftest import (
 
 def sizes(n, value="0.1"):
     return {i: value for i in range(n)}
+
+
+def mwis(inst, info, weights):
+    """``graphs._mwis_core`` on the mask of every item, the call
+    ``bis._ptas`` makes on a residual."""
+    return graphs._mwis_core(list(inst.items), inst.adjacency, _ids_mask(inst.items), info, weights)
 
 
 def test_recognize_four_cycle():
@@ -82,7 +87,7 @@ def test_recognize_five_cycle_unsupported():
     with pytest.raises(CapabilityError):
         minimum_coloring(inst, info)
     with pytest.raises(CapabilityError):
-        max_weight_independent_set(inst, info, {i: Fraction(1) for i in inst.items})
+        mwis(inst, info, {i: Fraction(1) for i in inst.items})
 
 
 def _as_nx(inst):
@@ -268,15 +273,15 @@ def test_minimum_coloring_matches_brute_chromatic():
 def test_mwis_examples():
     path = ConflictInstance(sizes(3), edges=[(0, 1), (1, 2)])
     w = {0: Fraction(1), 1: Fraction(3), 2: Fraction(1)}
-    assert max_weight_independent_set(path, recognize(path), w) == {1}
+    assert mwis(path, recognize(path), w) == {1}
 
     edgeless = ConflictInstance(sizes(3))
     w1 = {i: Fraction(1) for i in range(3)}
-    assert max_weight_independent_set(edgeless, recognize(edgeless), w1) == {0, 1, 2}
+    assert mwis(edgeless, recognize(edgeless), w1) == {0, 1, 2}
 
     k3 = ConflictInstance(sizes(3), edges=[(0, 1), (1, 2), (0, 2)])
     w2 = {0: Fraction(2), 1: Fraction(5), 2: Fraction(1)}
-    assert max_weight_independent_set(k3, recognize(k3), w2) == {1}
+    assert mwis(k3, recognize(k3), w2) == {1}
 
 
 def test_mwis_matches_brute():
@@ -287,7 +292,7 @@ def test_mwis_matches_brute():
         rng = SplitMix64(seed)
         weights = {i: Fraction(1 + rng.below(8), 4) for i in inst.items}
         info = recognize(inst)
-        chosen = max_weight_independent_set(inst, info, weights)
+        chosen = mwis(inst, info, weights)
         assert inst.is_independent(chosen)
         value = sum((weights[v] for v in chosen), Fraction(0))
         assert value == brute_mwis_value(inst, weights)
@@ -296,7 +301,7 @@ def test_mwis_matches_brute():
 def test_mwis_ignores_zero_weight():
     edgeless = ConflictInstance(sizes(3))
     w = {0: Fraction(0), 1: Fraction(2), 2: Fraction(0)}
-    assert max_weight_independent_set(edgeless, recognize(edgeless), w) == {1}
+    assert mwis(edgeless, recognize(edgeless), w) == {1}
 
 
 def _brute_mwis_minimal_x(adj, vertices, x_side, weights):

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from cbp import ConflictInstance, Packing, ParameterError, packing_classic, recognize, validate_packing
 from cbp.harness import (
+    COUNT_CAP,
     CSV_COLUMNS,
     GENERATOR_CLASSES,
     GeneratorSpec,
@@ -284,6 +285,11 @@ def test_spec_parses_valid_size_dists():
         (lambda: GeneratorSpec(klass="split", density=1.5), "spec field 'density' must be in [0, 1], got 1.5"),
         (lambda: GeneratorSpec(klass="b3dm-reduction", variant="BPX"), "variant must be BPB or BPS, got 'BPX'"),
         (lambda: GeneratorSpec(klass="b3dm-reduction", y_count=-1), "counts must be nonnegative"),
+        (lambda: GeneratorSpec(klass="edgeless", n=10**30), f"spec field 'n' must be at most {COUNT_CAP}, got {10**30}"),
+        (
+            lambda: GeneratorSpec(klass="b3dm-reduction", t_count=COUNT_CAP + 1),
+            f"spec field 't_count' must be at most {COUNT_CAP}, got {COUNT_CAP + 1}",
+        ),
         (
             lambda: GeneratorSpec(klass="b3dm-reduction", x_count=1, y_count=1, z_count=1, t_count=2, guess=2),
             "guess 2 needs at least 6 elements, got 3",
@@ -317,6 +323,18 @@ def test_spec_field_of_wrong_json_type_is_rejected(cls, name):
             spec[name] = wrong
         with pytest.raises(ParameterError, match=f"spec field '{name}' must be "):
             GeneratorSpec.from_dict(spec)
+
+
+def test_counts_at_the_cap_are_accepted():
+    # Construction only: the largest accepted counts draw nothing yet.
+    fields_at_cap = ("n", "x_count", "y_count", "z_count", "t_count")
+    spec = GeneratorSpec(klass="b3dm-reduction", **dict.fromkeys(fields_at_cap, COUNT_CAP))
+    assert [getattr(spec, name) for name in fields_at_cap] == [COUNT_CAP] * 5
+    suite, pairs = expand_suite({"sweep": {"count": COUNT_CAP, "n_min": COUNT_CAP, "n_max": COUNT_CAP, "classes": []}})
+    assert (suite.sweep.count, suite.sweep.n_max, pairs) == (COUNT_CAP, COUNT_CAP, [])
+    for sweep in ({"count": COUNT_CAP + 1}, {"n_max": COUNT_CAP + 1}):
+        with pytest.raises(ParameterError, match=f"sweep field '{next(iter(sweep))}' must be at most {COUNT_CAP}, got"):
+            expand_suite({"sweep": sweep})
 
 
 def test_suite_ids_follow_the_parsed_class():

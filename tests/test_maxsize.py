@@ -10,7 +10,6 @@ from cbp import (
     MaxSizeConfig,
     ParameterError,
     max_size,
-    maxsize_brute,
     recognize,
     round_config_lp,
     solve_config_lp,
@@ -18,11 +17,13 @@ from cbp import (
 )
 from cbp.harness import GeneratorSpec, SizeDist, generate, generate_b3dm
 from cbp.maxsize import ConfigLpSolution, greedy_growth
-from cbp.model import _ids_mask, _mask_to_ids, classify_items, make_packing
+from cbp.model import _ids_mask, _mask_to_ids, classify_items
 from cbp.rng import SplitMix64
 
 from conftest import (
     CLASSES,
+    make_packing,
+    maxsize_brute,
     ref_greedy_growth,
     ref_max_size,
     ref_round_config_lp,

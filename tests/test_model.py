@@ -11,9 +11,9 @@ from cbp import (
     restrict_instance,
     validate_packing,
 )
-from cbp.model import Packing, _from_masks, _mask_to_ids, as_size, make_packing
+from cbp.model import Packing, _from_masks, _mask_to_ids, as_size
 
-from conftest import CLASSES, seeded_instance
+from conftest import CLASSES, make_packing, seeded_instance
 
 
 def test_as_size_parsing():

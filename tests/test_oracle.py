@@ -6,18 +6,15 @@ from cbp import (
     BisProblem,
     CapabilityError,
     ConflictInstance,
-    bis_brute,
-    maxsize_brute,
     opt_bpc_exact,
     oracle,
     recognize,
     validate_packing,
 )
 from cbp.harness import GeneratorSpec, SizeDist, generate
-from cbp.model import make_packing
 from cbp.rng import SplitMix64
 
-from conftest import CLASSES, brute_opt_bins, seeded_instance
+from conftest import CLASSES, bis_brute, brute_opt_bins, make_packing, maxsize_brute, seeded_instance
 
 
 def test_exact_examples():

@@ -19,3 +19,19 @@ def test_all_names_resolve_and_every_imported_name_is_listed():
     namespace: dict = {}
     exec("from cbp import *", namespace)
     assert set(cbp.__all__) <= set(namespace)
+
+
+def test_test_only_oracles_are_not_library_names():
+    # The brute-force oracles, ``make_packing`` and the whole-instance MWIS
+    # wrapper had no caller in the library; the first three live in
+    # tests/conftest.py, and the tests call ``graphs._mwis_core``.
+    for module, name in (
+        (cbp, "bis_brute"),
+        (cbp, "maxsize_brute"),
+        (cbp, "max_weight_independent_set"),
+        (cbp.oracle, "bis_brute"),
+        (cbp.oracle, "maxsize_brute"),
+        (cbp.graphs, "max_weight_independent_set"),
+        (cbp.model, "make_packing"),
+    ):
+        assert not hasattr(module, name), f"{module.__name__}.{name}"

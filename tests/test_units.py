@@ -18,14 +18,23 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cbp import BisProblem, bis, bis_brute, bpc, graphs, harness, model, opt_bpc_exact, oracle, packing_classic
+from cbp import BisProblem, bis, bpc, graphs, harness, model, opt_bpc_exact, oracle, packing_classic
 from cbp.errors import CapabilityError, SolverError
 from cbp.harness import GeneratorSpec, SizeDist, generate
-from cbp.model import ConflictInstance, classify_items, make_packing, restrict_instance, size_units, validate_packing
+from cbp.model import ConflictInstance, classify_items, restrict_instance, size_units, validate_packing
 from cbp.packing_classic import ffd
 from cbp.rng import SplitMix64
 
-from conftest import CLASSES, brute_opt_bins, mask_pairs, ref_best_bins, seeded_instance, single_bin_problem
+from conftest import (
+    CLASSES,
+    bis_brute,
+    brute_opt_bins,
+    make_packing,
+    mask_pairs,
+    ref_best_bins,
+    seeded_instance,
+    single_bin_problem,
+)
 
 PRIMES = (101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157)
 COPRIME = SizeDist(
