@@ -56,7 +56,7 @@ from typing import Iterable, Mapping
 
 from .errors import CapabilityError, ParameterError
 from .graphs import GraphClassInfo, _mwis_core
-from .model import ZERO, _ids_mask, _mask_to_ids, as_size, fits_within, size_units
+from .model import _ids_mask, _mask_to_ids, as_size, fits_within, size_units
 
 DEFAULT_ENUM_CAP = 6
 EXACT_DP_DENOM_LIMIT = 4096
@@ -88,9 +88,6 @@ class BisProblem:
                 raise ParameterError(f"negative weight on vertex {v}")
         if self.budget.numerator < 0:
             raise ParameterError(f"negative budget {self.budget}")
-
-    def weight_of(self, items: Iterable[int]) -> Fraction:
-        return sum((self.weights[v] for v in items), ZERO)
 
 
 def _check_eps(eps) -> Fraction:

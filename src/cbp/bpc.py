@@ -212,10 +212,14 @@ def split_approx(
     side) are packed with FFD, and the first guess with the fewest bins is
     kept. Greedy growth fills bins in order, so the growth for alpha is
     the first |clique| + alpha bins of one growth over the largest guess;
-    every guess is read off that single growth, which stops once a guess
-    can no longer beat the best (it has at least |clique| + alpha bins).
-    A guess whose bins plus the L1 bound of its leftovers already reach
-    the best count gets no FFD tail: no tail is below that bound.
+    every guess is read off that single growth. A guess's floor, its bins
+    plus the L1 bound of its leftovers, bounds its count, since no FFD
+    tail is below L1. The floor never falls along the growth: each later
+    guess adds one empty bin, which takes at most a bin's worth of size
+    and one item above 1/2 from the leftovers, so their L1 bound falls by
+    at most one. A guess whose floor reaches the best count gets no tail,
+    and the growth stops once the floor or the next guess's bin count
+    reaches it: only a guess with strictly fewer bins replaces the best.
     The start packing is feasible by construction: the model bounds every
     size by 1, and a singleton or an empty bin holds no edge.
     """
@@ -236,14 +240,14 @@ def split_approx(
     growth = greedy_growth(instance, start, info, eps)
     best: Optional[Packing] = None
     for bins, pool in itertools.islice(growth, len(singles), None):
-        if best is not None and len(bins) >= best.bin_count:
-            break
         left = _mask_to_ids(pool)
-        if best is not None and len(bins) + bin_lower_bound(map(units.__getitem__, left), den) >= best.bin_count:
-            continue
-        tail = packing_classic._ffd_bins(left, units, den)
-        if best is None or len(bins) + len(tail) < best.bin_count:
-            best = Packing(tuple(bins) + tail, "split_approx")
+        floor = len(bins) + bin_lower_bound(map(units.__getitem__, left), den)
+        if best is None or floor < best.bin_count:
+            tail = packing_classic._ffd_bins(left, units, den)
+            if best is None or len(bins) + len(tail) < best.bin_count:
+                best = Packing(tuple(bins) + tail, "split_approx")
+        if max(floor, len(bins) + 1) >= best.bin_count:
+            break
     return best
 
 

@@ -55,8 +55,3 @@ class SplitMix64:
             out.append((z ^ (z >> 31)) >> 11 < limit)
         self.state = state
         return out
-
-    def shuffle(self, seq: list) -> None:
-        for i in range(len(seq) - 1, 0, -1):
-            j = self.below(i + 1)
-            seq[i], seq[j] = seq[j], seq[i]

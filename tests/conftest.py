@@ -47,6 +47,16 @@ def single_bin_problem(instance: ConflictInstance, info, bin_items, pool) -> Bis
     )
 
 
+def weight_of(problem: BisProblem, items: Iterable[int]) -> Fraction:
+    return sum((problem.weights[v] for v in items), ZERO)
+
+
+def shuffle(rng: SplitMix64, seq: list) -> None:
+    for i in range(len(seq) - 1, 0, -1):
+        j = rng.below(i + 1)
+        seq[i], seq[j] = seq[j], seq[i]
+
+
 def run_every_algorithm() -> dict[str, object]:
     """Bins (or "unfit") of every harness algorithm on one seeded instance
     of each generator class. Imports nothing beyond cbp, so it also runs

@@ -34,7 +34,14 @@ from cbp.harness import GeneratorSpec, SizeDist, generate, generate_b3dm, run_su
 from cbp.model import ConflictInstance
 from cbp.packing_classic import asymptotic_bp, ffd
 from cbp.rng import SplitMix64
-from conftest import bis_brute, make_packing, maxsize_brute, ref_build_assignment_lp, ref_solve_assignment_lp
+from conftest import (
+    bis_brute,
+    make_packing,
+    maxsize_brute,
+    ref_build_assignment_lp,
+    ref_solve_assignment_lp,
+    weight_of,
+)
 
 ALL_CLASSES = ("edgeless", "bipartite", "split", "cluster", "complete-multipartite", "chordal")
 RATIO_CLASSES = ("bipartite", "split", "cluster", "complete-multipartite", "chordal")
@@ -204,24 +211,24 @@ def test_criterion_05_bis_quality():
         inst = _seeded(klass, rng, 4, 14)
         problem = _bis_problem(inst, rng)
         chosen = bis_ptas(problem, eps_ptas)
-        if not inst.is_independent(chosen) or problem.weight_of(chosen) > problem.budget:
+        if not inst.is_independent(chosen) or weight_of(problem, chosen) > problem.budget:
             violations.append(("ptas-infeasible", k))
             continue
         _, opt = bis_brute(problem)
-        if problem.weight_of(chosen) < (1 - eps_ptas) * opt:
-            violations.append(("ptas", k, str(problem.weight_of(chosen)), str(opt)))
+        if weight_of(problem, chosen) < (1 - eps_ptas) * opt:
+            violations.append(("ptas", k, str(weight_of(problem, chosen)), str(opt)))
 
     eps_split = Fraction(1, 10)
     for k in range(500):
         inst = _seeded("split", rng, 4, 14)
         problem = _bis_problem(inst, rng)
         chosen = bis_fptas_split(problem, eps_split)
-        if not inst.is_independent(chosen) or problem.weight_of(chosen) > problem.budget:
+        if not inst.is_independent(chosen) or weight_of(problem, chosen) > problem.budget:
             violations.append(("split-infeasible", k))
             continue
         _, opt = bis_brute(problem)
-        if problem.weight_of(chosen) < (1 - eps_split) * opt:
-            violations.append(("split", k, str(problem.weight_of(chosen)), str(opt)))
+        if weight_of(problem, chosen) < (1 - eps_split) * opt:
+            violations.append(("split", k, str(weight_of(problem, chosen)), str(opt)))
     _report(5, "budgeted independent-set quality", violations, "500 + 500 problems")
 
 

@@ -30,6 +30,7 @@ from conftest import (
     ref_ptas,
     ref_subset_sum,
     seeded_instance,
+    weight_of,
 )
 
 
@@ -278,7 +279,7 @@ def test_bis_ptas_quality_and_feasibility():
         problem = problem_from(inst, size_weights(inst), budget)
         chosen = bis_ptas(problem, eps)
         assert inst.is_independent(chosen)
-        value = problem.weight_of(chosen)
+        value = weight_of(problem, chosen)
         assert value <= budget
         _, opt = bis_brute(problem)
         assert value >= (1 - eps) * opt
@@ -292,7 +293,7 @@ def test_bis_ptas_eviction_keeps_most_weight():
     inst = ConflictInstance(sizes)
     problem = problem_from(inst, size_weights(inst), Fraction(1, 2))
     chosen = bis_ptas(problem, eps)
-    value = problem.weight_of(chosen)
+    value = weight_of(problem, chosen)
     assert value <= Fraction(1, 2)
     assert value >= (1 - eps) * Fraction(1, 2)
 
@@ -505,7 +506,7 @@ def test_bis_fptas_split_quality():
         problem = problem_from(inst, size_weights(inst), budget)
         chosen = bis_fptas_split(problem, eps)
         assert inst.is_independent(chosen)
-        value = problem.weight_of(chosen)
+        value = weight_of(problem, chosen)
         assert value <= budget
         _, opt = bis_brute(problem)
         assert value >= (1 - eps) * opt
@@ -516,5 +517,5 @@ def test_bis_solvers_never_beat_brute():
         inst = seeded_instance("split", 4 + seed % 9, 5000 + seed)
         problem = problem_from(inst, size_weights(inst), Fraction(1))
         _, opt = bis_brute(problem)
-        assert problem.weight_of(bis_ptas(problem, Fraction(1, 4))) <= opt
-        assert problem.weight_of(bis_fptas_split(problem, Fraction(1, 10))) <= opt
+        assert weight_of(problem, bis_ptas(problem, Fraction(1, 4))) <= opt
+        assert weight_of(problem, bis_fptas_split(problem, Fraction(1, 10))) <= opt

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cbp
-from cbp import bpc, graphs, maxsize, oracle, packing_classic
+from cbp import bis, bpc, graphs, maxsize, oracle, packing_classic
 from cbp import (
     AssignConfig,
     CapabilityError,
@@ -40,7 +40,7 @@ from cbp.bpc import _enumerate_feasible_packings
 from cbp.graphs import restrict_class_info
 from cbp.harness import ALGORITHMS, GeneratorSpec, SizeDist, generate, generate_b3dm, run_algorithm
 from cbp.maxsize import max_size
-from cbp.model import bin_lower_bound, restrict_instance
+from cbp.model import _mask_to_ids, bin_lower_bound, restrict_instance
 from cbp.packing_classic import asymptotic_bp, ffd
 
 import conftest
@@ -520,10 +520,12 @@ def test_split_approx_matches_per_guess_growth():
 
 
 def test_split_approx_matches_every_tail_reference(monkeypatch):
-    # split_approx skips a guess's FFD tail when the guess's bins plus the
-    # L1 bound of its pool reach the best count; the reference computes
-    # every tail over the list-pool growth. Bins, source and flags agree,
-    # and tails were skipped.
+    # split_approx skips a guess's FFD tail when its floor, the guess's
+    # bins plus the L1 bound of its pool, reaches the best count, and
+    # stops its growth once no later guess can win; the reference grows
+    # every bin below the best count and computes every tail, over the
+    # list-pool growth. Bins, source and flags agree, and tails were
+    # skipped.
     decimal = SizeDist(kind="uniform", lo=0.05, hi=0.6)
     cases = []
     for n in (20, 30, 40, 60, 80):
@@ -551,6 +553,125 @@ def test_split_approx_matches_every_tail_reference(monkeypatch):
         got = split_approx(inst, info)
         assert (got.bins, got.source, got.flags) == (want.bins, want.source, want.flags)
     assert tails["_ffd_bins"] < tails["ref_ffd_bins"]
+
+
+def _split_tail_cases():
+    """The instances of ``test_split_approx_matches_every_tail_reference``."""
+    decimal = SizeDist(kind="uniform", lo=0.05, hi=0.6)
+    for n in (20, 30, 40, 60, 80):
+        for density in (0.1, 0.2, 0.5):
+            for seed in range(7600 + n, 10600 + n, 1000):
+                yield seeded_instance("split", n, seed, density=density)
+                yield generate(GeneratorSpec(klass="split", n=n, density=density, size_dist=decimal, seed=seed + 100))
+    for q in (4, 8):
+        spec = GeneratorSpec(
+            klass="b3dm-reduction", x_count=q, y_count=q, z_count=q, t_count=q, guess=q // 2, variant="BPS", seed=7800 + q
+        )
+        yield generate_b3dm(spec)[0]
+
+
+def _split_approx_skipping_tails(instance, initial, class_info, eps):
+    """The bin count of split_approx's loop as it was when it grew every
+    bin below the best count and only skipped the FFD tails whose floor
+    reached it, on the library's growth from ``initial``."""
+    units, den = instance.unit_table
+    singles = sum(1 for b in initial.bins if b)
+    best = None
+    for bins, pool in itertools.islice(maxsize.greedy_growth(instance, initial, class_info, eps), singles, None):
+        if best is not None and len(bins) >= best:
+            break
+        left = _mask_to_ids(pool)
+        if best is not None and len(bins) + bin_lower_bound(map(units.__getitem__, left), den) >= best:
+            continue
+        count = len(bins) + len(packing_classic._ffd_bins(left, units, den))
+        best = count if best is None else min(best, count)
+    return best
+
+
+def test_split_approx_stops_growing_once_no_guess_can_win(monkeypatch):
+    # The growth stops at the first guess whose floor or next bin count
+    # reaches the best count. On each case: the reference's bins, no more
+    # split knapsacks than the reference (which grows every bin below the
+    # best count), and no more knapsacks or FFD tails than the loop that
+    # only skipped tails, replayed from the same start. In all, strictly
+    # fewer knapsacks than either.
+    calls = collections.Counter()
+    for module, name in ((bis, "_fptas_split"), (conftest, "ref_fptas_split"), (packing_classic, "_ffd_bins")):
+
+        def counting(*args, _solve=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _solve(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    starts = []
+    growth = bpc.greedy_growth
+
+    def recording_growth(*args):
+        starts.append(args)
+        return growth(*args)
+
+    monkeypatch.setattr(bpc, "greedy_growth", recording_growth)
+    knapsacks = collections.Counter()
+    for inst in _split_tail_cases():
+        info = recognize(inst)
+        assert info.is_split
+        calls.clear()
+        starts.clear()
+        want = ref_split_approx(inst, info)
+        got = split_approx(inst, info)
+        assert (got.bins, got.source, got.flags) == (want.bins, want.source, want.flags)
+        assert calls["_fptas_split"] <= calls["ref_fptas_split"]
+        new = calls.copy()
+        calls.clear()
+        (start,) = starts
+        assert _split_approx_skipping_tails(*start) == got.bin_count
+        assert new["_fptas_split"] <= calls["_fptas_split"]
+        assert new["_ffd_bins"] <= calls["_ffd_bins"]
+        knapsacks.update(new=new["_fptas_split"], ref=new["ref_fptas_split"], skipping=calls["_fptas_split"])
+    assert knapsacks["new"] < knapsacks["ref"]
+    assert knapsacks["new"] < knapsacks["skipping"]
+
+
+@settings(max_examples=150)
+@given(
+    n=st.integers(1, 14),
+    density=st.sampled_from((0.2, 0.5, 0.8)),
+    sizes=st.sampled_from(("grid", "decimal", "zeros")),
+    full=st.integers(0, 13),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_split_growth_floor_never_falls(n, density, sizes, full, seed):
+    # split_approx stops growing once the floor, the bins plus the L1
+    # bound of the pool, reaches the best count. Past the clique
+    # singletons each state adds one bin grown from empty, which takes at
+    # most one bin of size and one item above 1/2 from the pool, so the
+    # floor never falls along the full growth.
+    dist = {
+        "grid": SizeDist(),
+        "decimal": SizeDist(kind="uniform", lo=0.05, hi=1.0),
+        "zeros": SizeDist(kind="discrete", values=("0", "0", "1/10", "1/4", "2/5", "1/2", "3/5", "7/10")),
+    }[sizes]
+    inst = generate(GeneratorSpec(klass="split", n=n, density=density, size_dist=dist, seed=seed))
+    clique = sorted(recognize(inst).split_partition[0])
+    if clique:
+        inst = ConflictInstance({**inst.sizes, clique[full % len(clique)]: 1}, inst.edges)
+    info = recognize(inst)
+    starts = []
+    growth = bpc.greedy_growth
+
+    def recording_growth(*args):
+        starts.append(args)
+        return growth(*args)
+
+    with mock.patch.object(bpc, "greedy_growth", recording_growth):
+        split_approx(inst, info)
+    units, den = inst.unit_table
+    for _, start, _, eps in starts:
+        singles = sum(1 for b in start.bins if b)
+        states = itertools.islice(growth(inst, start, info, eps), singles, None)
+        floors = [len(bins) + bin_lower_bound(map(units.__getitem__, _mask_to_ids(pool)), den) for bins, pool in states]
+        assert len(floors) == len(start.bins) - singles + 1
+        assert floors == sorted(floors)
 
 
 @settings(max_examples=150)

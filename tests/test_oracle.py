@@ -14,7 +14,7 @@ from cbp import (
 from cbp.harness import GeneratorSpec, SizeDist, generate
 from cbp.rng import SplitMix64
 
-from conftest import CLASSES, bis_brute, brute_opt_bins, make_packing, maxsize_brute, seeded_instance
+from conftest import CLASSES, bis_brute, brute_opt_bins, make_packing, maxsize_brute, seeded_instance, shuffle
 
 
 def test_exact_examples():
@@ -114,7 +114,7 @@ def test_exact_relabel_invariant():
         inst = seeded_instance("bipartite", 9, 1100 + seed)
         _, opt = opt_bpc_exact(inst)
         perm = list(range(inst.n))
-        rng.shuffle(perm)
+        shuffle(rng, perm)
         mapping = dict(zip(inst.items, perm))
         relabeled = ConflictInstance(
             {mapping[i]: inst.sizes[i] for i in inst.items},

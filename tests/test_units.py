@@ -33,7 +33,9 @@ from conftest import (
     mask_pairs,
     ref_best_bins,
     seeded_instance,
+    shuffle,
     single_bin_problem,
+    weight_of,
 )
 
 PRIMES = (101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157)
@@ -232,11 +234,11 @@ def ref_bis_fptas_split(edges, problem, eps) -> frozenset[int]:
             continue
         pool = [u for u in stable if not (adj[v] >> u) & 1]
         chosen = ref_knapsack_fptas(pool, weights, weights, budget - weights[v], eps)
-        total = weights[v] + problem.weight_of(chosen)
+        total = weights[v] + weight_of(problem, chosen)
         if total > best_w:
             best, best_w = frozenset({v}) | chosen, total
     chosen = ref_knapsack_fptas(stable, weights, weights, budget, eps)
-    if problem.weight_of(chosen) > best_w:
+    if weight_of(problem, chosen) > best_w:
         best = chosen
     return best
 
@@ -592,7 +594,7 @@ def test_exact_oracle_on_sizes_with_lcm_above_1e9():
     for _ in range(12):
         n = 6 + rng.below(3)
         primes = list(PRIMES)
-        rng.shuffle(primes)
+        shuffle(rng, primes)
         sizes = {i: Fraction(1 + rng.below(p - 1), p) for i, p in enumerate(primes[:n])}
         edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.below(4) == 0]
         inst = ConflictInstance(sizes, edges)
@@ -709,8 +711,8 @@ def test_bis_solvers_property(klass, n, seed, eps, data):
         chosen = solve(problem, eps)
         assert chosen == ref(inst.edges, problem, eps)
         assert inst.is_independent(chosen)
-        assert problem.weight_of(chosen) <= budget
-        assert problem.weight_of(chosen) >= (1 - eps) * opt
+        assert weight_of(problem, chosen) <= budget
+        assert weight_of(problem, chosen) >= (1 - eps) * opt
 
 
 # --- The instance's unit table ---------------------------------------------
