@@ -6,10 +6,10 @@ scheme for any class with exact weighted independent sets (bipartite,
 split, chordal, cluster, complete multipartite, edgeless), and a faster
 scheme for split graphs built on a knapsack FPTAS. Each knapsack in that
 scheme maximizes the size it packs within a residual budget: an item's
-size is both its profit and its cost. Both schemes and both knapsack dynamic programs run on
-integer sizes over a common denominator. Weights, budgets and eps are
-Fractions at the public interface (``BisProblem``, ``knapsack_fptas``),
-and each public call converts them once with ``model.size_units``;
+size is both its profit and its cost. Both schemes and both knapsack DPs
+run on integer sizes over a common denominator. Weights, budgets and eps
+at the public interface (``BisProblem``, ``knapsack_fptas``) are read by
+``model.as_size`` and converted once per call with ``model.size_units``;
 ``maxsize.greedy_growth`` calls the same integer cores with its
 instance's unit table, so no single-bin subproblem converts sizes again.
 
@@ -56,7 +56,7 @@ from typing import Iterable, Mapping
 
 from .errors import CapabilityError, ParameterError
 from .graphs import GraphClassInfo, _mwis_core
-from .model import _ids_mask, _mask_to_ids, as_size, fits_within, size_units
+from .model import SizeLike, _ids_mask, _mask_to_ids, as_size, fits_within, size_units
 
 DEFAULT_ENUM_CAP = 6
 EXACT_DP_DENOM_LIMIT = 4096
@@ -78,16 +78,17 @@ class BisProblem:
 
     vertices: tuple[int, ...]
     adjacency: Mapping[int, int]
-    weights: Mapping[int, Fraction]
-    budget: Fraction
+    weights: Mapping[int, SizeLike]
+    budget: SizeLike
     class_info: GraphClassInfo
 
     def __post_init__(self):
         for v in self.vertices:
-            if self.weights[v].numerator < 0:
+            if as_size(self.weights[v]) < 0:
                 raise ParameterError(f"negative weight on vertex {v}")
-        if self.budget.numerator < 0:
-            raise ParameterError(f"negative budget {self.budget}")
+        budget = as_size(self.budget)
+        if budget < 0:
+            raise ParameterError(f"negative budget {budget}")
 
 
 def _check_eps(eps) -> Fraction:
@@ -96,7 +97,7 @@ def _check_eps(eps) -> Fraction:
         eps = as_size(eps)
     except ParameterError as exc:
         raise ParameterError(f"eps must be a number in (0, 1), got {eps!r}") from exc
-    if not (0 < eps < 1):
+    if not 0 < eps.numerator < eps.denominator:
         raise ParameterError(f"eps must be in (0, 1), got {eps}")
     return eps
 
@@ -115,8 +116,8 @@ def _enum_cap(eps: Fraction) -> int:
 
 def knapsack_fptas(
     items: Iterable[int],
-    sizes: Mapping[int, Fraction],
-    budget: Fraction,
+    sizes: Mapping[int, SizeLike],
+    budget: SizeLike,
     eps,
 ) -> frozenset[int]:
     """Set of total size <= budget and >= (1 - eps) * the largest such.
@@ -128,12 +129,18 @@ def knapsack_fptas(
     """
     eps = _check_eps(eps)
     ids = sorted(items)
-    units, den = size_units([*(sizes[i] for i in ids), budget])
+    units, limit, den = _units(ids, sizes, budget, "size on item")
+    return _knapsack(ids, units, limit, den, eps)
+
+
+def _units(ids, values, budget, noun) -> tuple[dict[int, int], int, int]:
+    # The ``values`` of ``ids`` and the budget in integer units over one ``den``.
+    units, den = size_units([*(as_size(values[i]) for i in ids), as_size(budget)])
     limit = units.pop()
     for i, u in zip(ids, units):
         if u < 0:
-            raise ParameterError(f"negative size on item {i}")
-    return _knapsack(ids, dict(zip(ids, units)), limit, den, eps)
+            raise ParameterError(f"negative {noun} {i}")
+    return dict(zip(ids, units)), limit, den
 
 
 def _knapsack(ids, units, limit, den, eps) -> frozenset[int]:
@@ -230,9 +237,7 @@ def _solve(core, problem: BisProblem, eps, info) -> frozenset[int]:
     # budget in integer units over ``den``, with ``eps`` checked: it is
     # handed the mask of the vertices within budget and their ``fits``.
     eps = _check_eps(eps)
-    units, den = size_units([*(problem.weights[v] for v in problem.vertices), problem.budget])
-    budget = units.pop()
-    weights = dict(zip(problem.vertices, units))
+    weights, budget, den = _units(problem.vertices, problem.weights, problem.budget, "weight on vertex")
     fits = fits_within(problem.vertices, weights)
     return core(fits(budget), fits, problem.adjacency, info, weights, budget, den, eps)
 

@@ -10,10 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
-from . import harness, oracle
+from . import bis, harness, oracle
 from .errors import CapabilityError, ParameterError, SolverError
 from .graphs import recognize
 from .harness import ALGORITHMS
@@ -27,7 +26,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="run one algorithm on an instance file")
     p_solve.add_argument("--algo", required=True, choices=ALGORITHMS)
     p_solve.add_argument("--in", dest="infile", required=True)
-    p_solve.add_argument("--eps", default=None, help="error parameter as a fraction, e.g. 1/6")
+    p_solve.add_argument("--eps", default=None, help="error parameter in (0, 1), read like a size: 1/6 or 0.2")
     p_solve.add_argument("--oracle", action="store_true", help="also compute the exact optimum")
     p_solve.add_argument("--oracle-limit", type=int, default=oracle.DEFAULT_EXACT_LIMIT)
     p_solve.add_argument("--out", default=None, help="write the packing JSON here instead of stdout")
@@ -54,10 +53,7 @@ def _cmd_solve(args) -> int:
     instance = harness.read_instance(args.infile)
     kw = {}
     if args.eps is not None:
-        try:
-            kw["eps"] = Fraction(args.eps)
-        except ZeroDivisionError as exc:
-            raise ParameterError(f"--eps {args.eps!r} has a zero denominator") from exc
+        kw["eps"] = bis._check_eps(args.eps)
         if args.algo not in harness.EPS_ALGORITHMS:
             raise ParameterError(f"--eps is not accepted by {args.algo}")
     packing = harness.run_algorithm(args.algo, instance, recognize(instance), **kw)

@@ -477,13 +477,11 @@ def _matching_bound_ok(
     return Fraction(packing.bin_count) <= bound
 
 
-def _decomposition_ok(instance: ConflictInstance, info: GraphClassInfo, opt: int, limit: int) -> Optional[bool]:
-    if info.parts is None:
-        return None
+def _decomposition_ok(instance: ConflictInstance, info: GraphClassInfo, opt: int, limit: int) -> bool:
+    # multipartite_pack returned, so ``info.parts`` is set; ``opt`` is set
+    # only when n <= ``limit``, so every part is within the oracle's limit.
     total = 0
     for part in info.parts:
-        if len(part) > limit:
-            return None
         _, part_opt = oracle.opt_bpc_exact(restrict_instance(instance, part), limit_n=limit)
         total += part_opt
     return total == opt

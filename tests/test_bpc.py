@@ -526,18 +526,8 @@ def test_split_approx_matches_every_tail_reference(monkeypatch):
     # every bin below the best count and computes every tail, over the
     # list-pool growth. Bins, source and flags agree, and tails were
     # skipped.
-    decimal = SizeDist(kind="uniform", lo=0.05, hi=0.6)
-    cases = []
-    for n in (20, 30, 40, 60, 80):
-        for density in (0.1, 0.2, 0.5):
-            for seed in range(7600 + n, 10600 + n, 1000):
-                cases.append(seeded_instance("split", n, seed, density=density))
-                cases.append(generate(GeneratorSpec(klass="split", n=n, density=density, size_dist=decimal, seed=seed + 100)))
-    for q in (4, 8):
-        spec = GeneratorSpec(
-            klass="b3dm-reduction", x_count=q, y_count=q, z_count=q, t_count=q, guess=q // 2, variant="BPS", seed=7800 + q
-        )
-        cases.append(generate_b3dm(spec)[0])
+    cases = list(_split_tail_cases())
+    assert len(cases) == 92
     tails = collections.Counter()
     for module, name in ((packing_classic, "_ffd_bins"), (conftest, "ref_ffd_bins")):
 
@@ -556,7 +546,8 @@ def test_split_approx_matches_every_tail_reference(monkeypatch):
 
 
 def _split_tail_cases():
-    """The instances of ``test_split_approx_matches_every_tail_reference``."""
+    """92 seeded split instances: grid and decimal sizes at n 20-80, and
+    b3dm BPS at q 4 and 8."""
     decimal = SizeDist(kind="uniform", lo=0.05, hi=0.6)
     for n in (20, 30, 40, 60, 80):
         for density in (0.1, 0.2, 0.5):

@@ -469,7 +469,7 @@ def test_bench_evaluates_every_instance_before_output(tmp_path, capsys):
     [
         ("0", "eps must be in (0, 1), got 0"),
         ("2", "eps must be in (0, 1), got 2"),
-        ("1/0", "--eps '1/0' has a zero denominator"),
+        ("1/0", "eps must be a number in (0, 1), got '1/0'"),
     ],
 )
 def test_solve_bad_eps_exits_2(tmp_path, capsys, algo, eps, message):

@@ -38,6 +38,8 @@ def test_rng_reference_stream():
     # published splitmix64 test vector for seed 1234567
     rng3 = SplitMix64(1234567)
     assert rng3.next_u64() == 6457827717110365317
+    with pytest.raises(ValueError, match=r"below\(\) needs n >= 1, got 0"):
+        SplitMix64(0).below(0)
 
 
 def _unit_after(seed: int) -> float:
@@ -257,6 +259,12 @@ def test_instance_io_roundtrip(tmp_path):
         instance_from_dict({"items": [{"id": 0, "size": "0.5"}], "edges": [[0, 3]]})
 
 
+@pytest.mark.parametrize("items", [{"0": "1/2"}, "1/2", [["0", "1/2"]], [{"id": 0, "size": "1/2"}, 0]])
+def test_instance_items_must_be_a_list_of_objects(items):
+    with pytest.raises(ParameterError, match="items must be a list of JSON objects"):
+        instance_from_dict({"items": items})
+
+
 def test_spec_parses_valid_size_dists():
     # "klass", the field's own name, is accepted for "class".
     uniform = GeneratorSpec.from_dict(
@@ -398,6 +406,29 @@ def test_ffd_bounds_check_rejects_too_many_bins():
     inst = ConflictInstance({i: "1/20" for i in range(10)})
     assert _ffd_bounds_ok(inst, packing_classic.ffd(inst.items, inst.sizes))
     assert not _ffd_bounds_ok(inst, Packing(tuple(frozenset({v}) for v in inst.items), "singletons"))
+
+
+def test_ffd_bounds_check_on_an_empty_instance():
+    # No item: the empty packing and one empty bin pass, two bins do not.
+    inst = ConflictInstance({})
+    assert _ffd_bounds_ok(inst, Packing(()))
+    assert _ffd_bounds_ok(inst, Packing((frozenset(),)))
+    assert not _ffd_bounds_ok(inst, Packing((frozenset(), frozenset())))
+
+
+@pytest.mark.parametrize("flag, lemma12_ok", [("lemma12:ok", True), ("lemma12:fail", False)])
+def test_run_suite_flags_an_infeasible_packing(tmp_path, monkeypatch, flag, lemma12_ok):
+    # The solver is looked up in bpc at call time. One bin holding every
+    # item of the bipartite instance holds a conflict and is overfull.
+    from cbp import bpc
+
+    monkeypatch.setattr(bpc, "color_sets", lambda instance, info: Packing((frozenset(instance.items),), "one", (flag,)))
+    [row] = run_suite(_suite_config(algorithms=["color_sets"]), tmp_path).rows
+    assert row.bins == 1
+    assert row.fallback_flags == f"{flag};INFEASIBLE"
+    assert row.lemma12_ok is lemma12_ok
+    detail = json.loads((tmp_path / "results" / "bipartite-00000.json").read_text())
+    assert detail["results"][0]["feasible"] is False
 
 
 def test_run_suite_empty(tmp_path):

@@ -60,6 +60,14 @@ def test_instance_validation():
     assert inst.edges == frozenset({(0, 1)})
 
 
+def test_instance_equality_and_repr():
+    inst = ConflictInstance({0: "1/2", 1: "1/3", 2: "1/4"}, edges=[(0, 1), (1, 2)], class_hint="bipartite")
+    assert inst == ConflictInstance({0: "0.5", 1: "1/3", 2: 0.25}, edges=[(1, 2), (0, 1)])
+    # Another type is not equal, not an error.
+    assert inst != "ConflictInstance" and inst.__eq__(inst.sizes) is NotImplemented
+    assert repr(inst) == "ConflictInstance(n=3, edges=2, hint='bipartite')"
+
+
 def test_classify_spec_examples():
     inst = ConflictInstance({0: "0.6", 1: "0.5", 2: "0.2"})
     classes = classify_items(inst)
