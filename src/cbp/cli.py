@@ -8,7 +8,6 @@ verify.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -75,8 +74,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    with open(args.spec) as fh:
-        data = json.load(fh)
+    data = harness.read_json(args.spec)
     # Every spec is read, and every instance built, before the output
     # directory exists.
     specs = [harness.GeneratorSpec.from_dict(d) for d in (data if isinstance(data, list) else [data])]
@@ -96,8 +94,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    with open(args.suite) as fh:
-        config = json.load(fh)
+    config = harness.read_json(args.suite)
     report = harness.run_suite(config, args.out, jobs=args.jobs)
     sys.stdout.write(f"{len(report.rows)} rows -> {args.out}/report.csv\n")
     return 0

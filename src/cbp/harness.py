@@ -172,7 +172,8 @@ class SizeDist:
 @dataclass(frozen=True)
 class GeneratorSpec:
     """One seeded instance. Construction checks the values (class, ``n``,
-    ``density`` and the b3dm counts, each at most :data:`COUNT_CAP`);
+    ``density`` and the b3dm counts, each at most :data:`COUNT_CAP`, as is
+    the b3dm item total 2(x + y + z) + 2t - 4·guess);
     :meth:`from_dict` reads a JSON spec, every field checked for its JSON
     type first."""
 
@@ -208,6 +209,9 @@ class GeneratorSpec:
             raise ParameterError(f"guess {i} needs at least {3 * i} elements, got {x + y + z}")
         if i > min(x, y, z):
             raise ParameterError(f"guess {i} exceeds a ground-set size (planted matching)")
+        total = 2 * (x + y + z) + 2 * t - 4 * i
+        if total > COUNT_CAP:
+            raise ParameterError(f"b3dm spec has {total} items, must be at most {COUNT_CAP}")
         if self.variant not in ("BPB", "BPS"):
             raise ParameterError(f"variant must be BPB or BPS, got {self.variant!r}")
 
@@ -712,13 +716,25 @@ def dump_json(data) -> str:
     return json.dumps(data, indent=1, sort_keys=True) + "\n"
 
 
+def read_json(path):
+    """The JSON value in the file at ``path``; every file ``cbp`` reads
+    goes through here. A file nested too deeply for the parser raises a
+    :class:`ParameterError` naming the file, and one that is not JSON the
+    parser's ``ValueError``."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ParameterError(f"{path}: JSON nested too deeply to read") from None
+
+
 def instance_to_dict(instance: ConflictInstance) -> dict:
     return {
         "items": [
             {"id": i, "size": f"{instance.sizes[i].numerator}/{instance.sizes[i].denominator}"}
             for i in instance.items
         ],
-        "edges": [[u, v] for (u, v) in sorted(instance.edges)],
+        "edges": [[u, v] for (u, v) in instance.edges],
         "class_hint": instance.class_hint,
     }
 
@@ -774,8 +790,7 @@ def write_instance(instance: ConflictInstance, path) -> None:
 
 
 def read_instance(path) -> ConflictInstance:
-    with open(path) as fh:
-        return instance_from_dict(json.load(fh))
+    return instance_from_dict(read_json(path))
 
 
 def packing_to_dict(packing: Packing) -> dict:
@@ -806,8 +821,7 @@ def packing_from_dict(data: dict) -> Packing:
 
 
 def read_packing(path) -> Packing:
-    with open(path) as fh:
-        return packing_from_dict(json.load(fh))
+    return packing_from_dict(read_json(path))
 
 
 def write_packing(packing: Packing, path) -> None:

@@ -16,8 +16,9 @@ The conflict graph is stored once, as one neighbour bitmask per item in
 instance is checked and built from masks by one builder: the public
 constructor first reads its edge list into masks, a generated instance
 hands its masks to :func:`_from_masks`, and a restriction takes its
-parent's. The edge set ``edges`` is filled from the masks on first read;
-no algorithm reads it.
+parent's. ``edges`` is a read-only Set view of the masks that builds and
+keeps nothing; its operators (``|``, ``-``, ``&``) return frozensets. No
+algorithm reads it.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import math
 import numbers
 from bisect import bisect_right
+from collections.abc import Set
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -120,7 +122,7 @@ class ConflictInstance:
     check the same things with the same messages.
     """
 
-    __slots__ = ("items", "sizes", "_edges", "class_hint", "labels", "adjacency", "unit_table")
+    __slots__ = ("items", "sizes", "class_hint", "labels", "adjacency", "unit_table")
 
     def __init__(
         self,
@@ -137,7 +139,11 @@ class ConflictInstance:
             raise ParameterError(f"item ids must be nonnegative, got {pairs[0][0]}")
         size_map = dict(pairs)
         adj = dict.fromkeys(size_map, 0)
-        for u, v in edges:
+        for edge in edges:
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise ParameterError(f"edge {edge!r} is not a pair of item ids") from None
             u, v = _item_id(u), _item_id(v)
             if u not in adj or v not in adj:
                 raise _unknown_edge(u, v)
@@ -167,17 +173,18 @@ class ConflictInstance:
         self.unit_table: tuple[dict[int, int], int] = units
         self.class_hint = class_hint
         self.labels: dict[int, str] = named
-        self._edges: Optional[frozenset[tuple[int, int]]] = None
 
     @property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        """The conflict edges as sorted pairs, filled from the neighbour
-        masks on first read. The algorithms, equality, hashing and
-        ``has_edge`` read ``adjacency`` only, so no hot path builds them.
+    def edges(self) -> Set[tuple[int, int]]:
+        """The conflict edges as pairs ``(u, v)`` with ``u < v``: a
+        read-only Set view of the neighbour masks, which builds and keeps
+        nothing. It tests, counts and probes in place, iterates in
+        ascending order, hashes and compares equal like the frozenset of
+        its pairs, and its operators (``|``, ``-``, ``&``) return
+        frozensets. The algorithms, equality and hashing read
+        ``adjacency`` only.
         """
-        if self._edges is None:
-            self._edges = frozenset(self.conflicting_pairs(self.items))
-        return self._edges
+        return _EdgeView(self)
 
     def bin_state(self, members: Iterable[int]) -> tuple[int, int]:
         """``(blocked, room)`` of a bin holding ``members``.
@@ -238,8 +245,38 @@ class ConflictInstance:
         return hash((self.items, tuple(self.sizes.values()), tuple(self.adjacency.values())))
 
     def __repr__(self) -> str:
-        edges = sum(mask.bit_count() for mask in self.adjacency.values()) // 2
-        return f"ConflictInstance(n={self.n}, edges={edges}, hint={self.class_hint!r})"
+        return f"ConflictInstance(n={self.n}, edges={len(self.edges)}, hint={self.class_hint!r})"
+
+
+class _EdgeView(Set):
+    """``ConflictInstance.edges``: the pairs ``(u, v)``, ``u < v``, of the
+    instance's neighbour masks, read from the masks at each call."""
+
+    __slots__ = ("_instance",)
+
+    def __init__(self, instance: ConflictInstance):
+        self._instance = instance
+
+    def __bool__(self) -> bool:
+        return any(self._instance.adjacency.values())
+
+    def __len__(self) -> int:
+        return sum(mask.bit_count() for mask in self._instance.adjacency.values()) // 2
+
+    def __contains__(self, pair) -> bool:
+        if not (isinstance(pair, tuple) and len(pair) == 2):
+            return False
+        u, v = pair
+        return isinstance(u, int) and isinstance(v, int) and u < v and self._instance.has_edge(u, v)
+
+    def __iter__(self):
+        return iter(self._instance.conflicting_pairs(self._instance.items))
+
+    @classmethod
+    def _from_iterable(cls, it) -> frozenset:
+        return frozenset(it)
+
+    __hash__ = Set._hash
 
 
 def _item_id(value) -> int:
@@ -461,8 +498,8 @@ def restrict_instance(instance: ConflictInstance, subset: Iterable[int]) -> Conf
 
     Item ids are preserved; edges are restricted to the kept items. The
     sub-instance is built from its parent's sizes, masks and unit table by
-    :func:`_from_masks`. Its ``edges`` are filled from its masks on first
-    read.
+    :func:`_from_masks`. Its ``edges``, like every instance's, is a
+    read-only Set view of its masks whose operators return frozensets.
     """
     sub = set(subset)
     unknown = sub - instance.sizes.keys()

@@ -656,3 +656,25 @@ def test_solve_negative_oracle_limit_exits_2(bipartite_file, tmp_path, capsys):
     assert captured.out == ""
     assert "parameter error: --oracle-limit must be at least 0, got -1" in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--algo", "ffd", "--in", "{deep}"],
+        ["verify", "--in", "{deep}", "--packing", "{deep}"],
+        ["verify", "--in", "{instance}", "--packing", "{deep}"],
+        ["generate", "--spec", "{deep}", "--out", "{out}"],
+        ["bench", "--suite", "{deep}", "--out", "{out}"],
+    ],
+)
+def test_deeply_nested_json_exits_2(bipartite_file, tmp_path, capsys, argv):
+    # Too deep for the parser's recursion: a parameter error naming the file.
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    paths = {"deep": deep, "instance": bipartite_file[1], "out": tmp_path / "out"}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"parameter error: {deep}: JSON nested too deeply to read\n"
+    assert not (tmp_path / "out").exists()

@@ -302,6 +302,16 @@ def test_spec_parses_valid_size_dists():
             lambda: GeneratorSpec(klass="b3dm-reduction", x_count=1, y_count=1, z_count=1, t_count=2, guess=2),
             "guess 2 needs at least 6 elements, got 3",
         ),
+        (
+            # Every count under the per-field cap, the item total over it.
+            lambda: GeneratorSpec(klass="b3dm-reduction", x_count=COUNT_CAP, y_count=COUNT_CAP, z_count=COUNT_CAP, t_count=COUNT_CAP),
+            f"b3dm spec has {8 * COUNT_CAP} items, must be at most {COUNT_CAP}",
+        ),
+        (
+            # The guess removes 4 items per planted triple from the total.
+            lambda: GeneratorSpec(klass="b3dm-reduction", x_count=COUNT_CAP, y_count=1, z_count=1, t_count=1, guess=1),
+            f"b3dm spec has {2 * COUNT_CAP + 2} items, must be at most {COUNT_CAP}",
+        ),
     ],
 )
 def test_direct_construction_checks_values(make, message):
@@ -334,10 +344,14 @@ def test_spec_field_of_wrong_json_type_is_rejected(cls, name):
 
 
 def test_counts_at_the_cap_are_accepted():
-    # Construction only: the largest accepted counts draw nothing yet.
-    fields_at_cap = ("n", "x_count", "y_count", "z_count", "t_count")
-    spec = GeneratorSpec(klass="b3dm-reduction", **dict.fromkeys(fields_at_cap, COUNT_CAP))
-    assert [getattr(spec, name) for name in fields_at_cap] == [COUNT_CAP] * 5
+    # Construction only: the largest accepted counts draw nothing yet. A
+    # b3dm spec of x = y = z = t = COUNT_CAP / 8 and no guess has
+    # 2(x + y + z) + 2t = COUNT_CAP items; one more triple is two too many.
+    counts = dict.fromkeys(("x_count", "y_count", "z_count", "t_count"), COUNT_CAP // 8)
+    spec = GeneratorSpec(klass="b3dm-reduction", n=COUNT_CAP, **counts)
+    assert [getattr(spec, name) for name in ("n", *counts)] == [COUNT_CAP] + [COUNT_CAP // 8] * 4
+    with pytest.raises(ParameterError, match=f"b3dm spec has {COUNT_CAP + 2} items, must be at most {COUNT_CAP}$"):
+        GeneratorSpec(klass="b3dm-reduction", **{**counts, "t_count": COUNT_CAP // 8 + 1})
     suite, pairs = expand_suite({"sweep": {"count": COUNT_CAP, "n_min": COUNT_CAP, "n_max": COUNT_CAP, "classes": []}})
     assert (suite.sweep.count, suite.sweep.n_max, pairs) == (COUNT_CAP, COUNT_CAP, [])
     for sweep in ({"count": COUNT_CAP + 1}, {"n_max": COUNT_CAP + 1}):

@@ -1,4 +1,6 @@
 import random
+import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from cbp import (
     restrict_instance,
     validate_packing,
 )
+from cbp.harness import GENERATOR_CLASSES, GeneratorSpec, generate
 from cbp.model import Packing, _from_masks, _mask_to_ids, as_size
 
 from conftest import CLASSES, make_packing, seeded_instance
@@ -56,6 +59,10 @@ def test_instance_validation():
         ConflictInstance({0: "0.5", 1: "0.5"}, edges=[(0, 1.9)])
     with pytest.raises(ParameterError, match="item ids must be integers, got True"):
         ConflictInstance({0: "0.5", True: "0.5"})
+    # An edge that is not a pair is named, as a bad id in one is.
+    for edge, shown in (((0, 1, 2), "(0, 1, 2)"), (5, "5"), ((0,), "(0,)")):
+        with pytest.raises(ParameterError, match=re.escape(f"edge {shown} is not a pair of item ids")):
+            ConflictInstance([0.1, 0.2], [edge])
     inst = ConflictInstance({0: "0.5", 1: "0.5"}, edges=[(1, 0), (0, 1)])
     assert inst.edges == frozenset({(0, 1)})
 
@@ -240,6 +247,65 @@ def test_conflicting_pairs_match_edge_scan(case):
     assert inst.conflicting_pairs(subset) == scan(subset)
     assert inst.conflicting_pairs(ids) == scan(ids)
     assert inst.edges == frozenset(scan(ids))
+
+
+@st.composite
+def generated_and_restricted(draw):
+    """A small instance of any generator class, or a restriction of one to
+    a drawn subset of its items."""
+    klass = draw(st.sampled_from(GENERATOR_CLASSES))
+    seed = draw(st.integers(0, 2**16))
+    if klass == "b3dm-reduction":
+        k = draw(st.integers(1, 4))
+        t = draw(st.integers(0, k))
+        spec = GeneratorSpec(
+            klass=klass, x_count=k, y_count=k, z_count=k, t_count=t, guess=draw(st.integers(0, t)),
+            variant=draw(st.sampled_from(("BPB", "BPS"))), seed=seed,
+        )
+    else:
+        n, density = draw(st.integers(0, 24)), draw(st.sampled_from((0.0, 0.3, 0.8)))
+        spec = GeneratorSpec(klass=klass, n=n, density=density, seed=seed)
+    inst = generate(spec)
+    if draw(st.booleans()):
+        inst = restrict_instance(inst, draw(st.sets(st.sampled_from(inst.items))) if inst.items else ())
+    return inst
+
+
+@settings(max_examples=200)
+@given(inst=generated_and_restricted())
+def test_edges_view_reads_like_the_frozenset_of_its_pairs(inst):
+    edges = inst.edges
+    scan = [(u, v) for u in inst.items for v in inst.items if u < v and inst.has_edge(u, v)]
+    assert list(edges) == scan
+    frozen = frozenset(edges)
+    assert (len(edges), bool(edges)) == (len(frozen), bool(frozen))
+    # Reversed pairs, loops, an unknown id and values that are not pairs.
+    others = [(v, u) for u, v in scan[:5]] + [(u, u) for u in inst.items[:3]]
+    others += [(0, max(inst.items, default=0) + 1), 3, (0,), [0, 1]]
+    for probe in scan + others:
+        assert (probe in edges) == (probe in frozen if isinstance(probe, tuple) else False)
+    assert edges == frozen and frozen == edges and not edges != frozen
+    assert hash(edges) == hash(frozen)
+    extra = {(0, 1), (1, 2)}
+    for got, want in ((edges | extra, frozen | extra), (edges - extra, frozen - extra), (edges & extra, frozen & extra)):
+        assert type(got) is frozenset and got == want
+    assert extra | edges == extra | frozen and extra - edges == extra - frozen
+
+
+def test_edges_view_allocates_nothing_for_bool_len_and_in():
+    inst = seeded_instance("split", 320, 1, density=0.6)
+    # The probe pair is read off the masks, so nothing reads edges first.
+    u, v = inst.conflicting_pairs(inst.items)[0]
+    tracemalloc.start()
+    try:
+        answers = (bool(inst.edges), len(inst.edges), (u, v) in inst.edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert answers == (True, len(frozenset(inst.edges)), True)
+    assert len(inst.edges) > 20_000
+    assert peak < 4096, f"{peak} bytes"
+    assert "_edges" not in ConflictInstance.__slots__
 
 
 @st.composite
