@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Optional
 
 from . import bis, oracle, packing_classic
 from .errors import CapabilityError, ParameterError, SolverError
-from .graphs import GraphClassInfo, maximum_matching_masks, minimum_coloring, recognize
+from .graphs import GraphClassInfo, _coloring, maximum_matching_masks, recognize
 from .maxsize import PRACTICAL_EPS, _check_growth_eps, greedy_growth, validate_initial
 from .model import (
     ConflictInstance,
@@ -24,7 +24,6 @@ from .model import (
     bin_lower_bound,
     classify_items,
     fits_within,
-    restrict_instance,
     ONE,
     ZERO,
 )
@@ -62,12 +61,14 @@ def _best_of(
     return Packing(best.bins, source, best.flags + (f"winner:{best.source}",))
 
 
-def _class_bound_terms(instance: ConflictInstance) -> tuple[int, int, int]:
-    """``(|large|, medium units, small units)``: the large count and the unit
-    sums of the medium and small items, classified as ``classify_items``."""
+def _class_bound_terms(instance: ConflictInstance, items: Iterable[int]) -> tuple[int, int, int]:
+    """``(|large|, medium units, small units)`` of ``items``: the large count
+    and the unit sums of the medium and small items, classified as
+    ``classify_items``."""
     units, den = instance.unit_table
     n_large = medium = small = 0
-    for u in units.values():
+    for i in items:
+        u = units[i]
         if 2 * u > den:
             n_large += 1
         elif 3 * u > den:
@@ -80,7 +81,7 @@ def _class_bound_terms(instance: ConflictInstance) -> tuple[int, int, int]:
 def lemma4_bound(instance: ConflictInstance, chi: int) -> Fraction:
     """Lemma 4's bin bound for packing the classes of a chi-coloring:
     chi + |large| + (3/2) s(medium) + (4/3) s(small)."""
-    n_large, medium, small = _class_bound_terms(instance)
+    n_large, medium, small = _class_bound_terms(instance, instance.items)
     return chi + n_large + Fraction(9 * medium + 8 * small, 6 * instance.unit_table[1])
 
 
@@ -88,22 +89,29 @@ def color_sets(instance: ConflictInstance, info: Optional[GraphClassInfo] = None
     """Pack each color class of a minimum coloring as a separate instance.
 
     Each class is packed by ``asymptotic_bp`` (first-fit decreasing, or
-    the exact optimum when that is strictly better); the concatenation
-    satisfies
+    the exact optimum when that is strictly better, searched only when
+    FFD is above the L1 and L2 bounds); the concatenation satisfies
     #bins <= chi + |large| + (3/2) s(medium) + (4/3) s(small), checked
-    exactly on every run.
+    exactly on every run. It is ``_color_sets`` on all the items.
     """
-    info = _info(instance, info)
-    coloring = minimum_coloring(instance, info)
+    return _color_sets(instance, instance.items, _info(instance, info))
+
+
+def _color_sets(instance: ConflictInstance, items: Iterable[int], info: GraphClassInfo) -> Packing:
+    # ``color_sets`` of the items ``items`` of ``instance``, read off its
+    # masks and unit table: the packing ``color_sets`` gives the instance
+    # they induce.
+    items = frozenset(items)
+    coloring = _coloring(instance, items, info)
     units, den = instance.unit_table
     bins: tuple[frozenset[int], ...] = ()
     for cls in coloring:
         bins += packing_classic._best_bins(cls, units, den, instance.adjacency)
     result = Packing(bins, "color_sets")
     # lemma4_bound in units: bins > chi + large + (9m + 8s) / (6 den).
-    n_large, medium, small = _class_bound_terms(instance)
+    n_large, medium, small = _class_bound_terms(instance, items)
     if 6 * den * (result.bin_count - len(coloring) - n_large) > 9 * medium + 8 * small:
-        bound = lemma4_bound(instance, len(coloring))
+        bound = len(coloring) + n_large + Fraction(9 * medium + 8 * small, 6 * den)
         raise SolverError(f"coloring-based bound violated: {result.bin_count} > {bound}")
     return result
 
@@ -117,14 +125,15 @@ def max_solve(
 
     The singletons are a feasible start by construction: a size is at most
     1, and a singleton has no inner edge. The growth checks ``eps`` before
-    it solves a bin.
+    it solves a bin. The leftovers are packed as ``color_sets`` packs the
+    instance they induce, read off this instance (no sub-instance is built).
     """
     info = _info(instance, info)
     large = sorted(classify_items(instance).large)
     seed = Packing(tuple(frozenset({v}) for v in large), "max_solve")
     for bins, pool in greedy_growth(instance, seed, info, eps):
         pass
-    tail = color_sets(restrict_instance(instance, _mask_to_ids(pool)), info)
+    tail = _color_sets(instance, _mask_to_ids(pool), info)
     return Packing(tuple(bins) + tail.bins, "max_solve")
 
 
@@ -134,7 +143,9 @@ def matching_pack(instance: ConflictInstance, info: Optional[GraphClassInfo] = N
     The auxiliary graph joins two non-conflicting large-or-medium items
     whose sizes sum to at most one; a maximum matching of it gives the
     two-item bins. Each item's auxiliary neighbours are one mask: the
-    items that fit its room, less its conflicts.
+    items that fit its room, less its conflicts. The small items are
+    packed as ``color_sets`` packs the instance they induce, read off this
+    instance (no sub-instance is built).
     """
     return _matching_pack(instance, _info(instance, info))
 
@@ -162,7 +173,7 @@ def _matching_pack(instance: ConflictInstance, info: GraphClassInfo, beat: Optio
         singles = len(lm) - most
         if singles + small_floor >= beat:
             return None
-    tail = color_sets(restrict_instance(instance, classes.small), info)
+    tail = _color_sets(instance, classes.small, info)
     if beat is not None and singles + tail.bin_count >= beat:
         return None
     bins = [frozenset(pair) for pair in sorted(maximum_matching_masks(aux))]
@@ -368,8 +379,9 @@ def assign(
 
     Starts from the coloring-based packing; every enumerated big-item
     packing is extended by LP rounding over ``w_items`` and a coloring-based
-    packing of whatever remains. Enumeration limits trigger a silent
-    fallback to the initialization (flagged, never fatal).
+    packing of whatever remains, the item set read off this instance (no
+    sub-instance is built). Enumeration limits trigger a silent fallback to
+    the initialization (flagged, never fatal).
     """
     info = _info(instance, info)
     if info.bipartition is None:
@@ -407,8 +419,7 @@ def _assign(
         if len(bins) >= best.bin_count:
             continue
         rounded = _round(instance, bins, states, w)
-        rest = restrict_instance(instance, set(instance.items) - rounded.items())
-        tail = color_sets(rest, info)
+        tail = _color_sets(instance, set(instance.items) - rounded.items(), info)
         candidate = Packing(rounded.bins + tail.bins, "assign", rounded.flags)
         if candidate.bin_count < best.bin_count:
             best = candidate

@@ -13,6 +13,9 @@ so a certificate intersected with the items of an induced subgraph
 certifies the subgraph. Readers intersect certificates with their own
 items, so the certificates of an instance serve each of its subinstances
 (:func:`restrict_class_info` does the intersection up front).
+:func:`minimum_coloring` wraps ``_coloring``, which colours a set of items
+of an instance on the instance's own masks, so a caller colours the
+subgraph an item set induces without building it.
 
 :data:`CLASS_TABLE` maps each class name to its certificate field of
 :class:`GraphClassInfo` and the recognizer that computes it;
@@ -306,13 +309,20 @@ def minimum_coloring(instance: ConflictInstance, info: GraphClassInfo) -> tuple[
     exactly clique-number many colors), complete multipartite (one class
     per part). ``info`` may certify a supergraph: each certificate is
     intersected with ``instance.items``, which gives the same classes as
-    :func:`restrict_class_info` to those items.
+    :func:`restrict_class_info` to those items. It is :func:`_coloring`
+    on all the items.
     """
-    if not instance.items:
+    return _coloring(instance, frozenset(instance.items), info)
+
+
+def _coloring(instance: ConflictInstance, items: frozenset[int], info: GraphClassInfo) -> tuple[frozenset[int], ...]:
+    # ``minimum_coloring`` of the subgraph that ``items`` induces, read off
+    # the masks of ``instance``: each mask is only tested against members
+    # of ``items``, so these are the classes of the restricted instance.
+    if not items:
         return ()
     if info.is_edgeless:
-        return (frozenset(instance.items),)
-    items = frozenset(instance.items)
+        return (items,)
     if info.bipartition is not None:
         return tuple(side & items for side in info.bipartition if side & items)
     if info.elimination_order is not None:

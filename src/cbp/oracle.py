@@ -39,7 +39,9 @@ class _BnB:
         max_bins: Optional[int],
         node_budget: Optional[int],
     ):
-        order = sorted(items, key=lambda i: (-units[i], i))
+        # Units descending, ties by ascending id: reverse=True keeps the
+        # second sort stable.
+        order = sorted(sorted(items), key=units.__getitem__, reverse=True)
         self.order = order
         self.n = len(order)
         self.pos = {v: k for k, v in enumerate(order)}

@@ -16,7 +16,7 @@ from hypothesis import settings
 from cbp import BisProblem, CapabilityError, ConflictInstance, bis, bpc, graphs, harness, maxsize, oracle, packing_classic, recognize
 from cbp.errors import ParameterError, SolverError
 from cbp.harness import GeneratorSpec, generate
-from cbp.model import ONE, Packing, ZERO, _mask_to_ids, as_size, classify_items, restrict_instance
+from cbp.model import ONE, Packing, ZERO, _mask_to_ids, as_size, bin_lower_bound, classify_items, restrict_instance
 from cbp.rng import SplitMix64
 from cbp.simplex import LpResult, solve_max_lp
 
@@ -382,11 +382,29 @@ def ref_solve_max_lp(
 # The library must give identical bins, ``source`` and ``flags``.
 
 
-def ref_best_bins(items, units, den, adjacency):
+def ref_eager_best_bins(items, units, den, adjacency):
     """The better of FFD and (up to the exact threshold) the exact search."""
     items = list(items)
     heuristic = ref_ffd_bins(items, units, den)
     if len(items) > packing_classic.DEFAULT_EXACT_THRESHOLD:
+        return heuristic
+    exact = oracle._exact_bins(items, units, den, adjacency)
+    return exact if len(exact) < len(heuristic) else heuristic
+
+
+def ref_best_bins(items, units, den, adjacency):
+    """``packing_classic._best_bins`` as it was before the L2 gate: the exact
+    search runs whenever FFD is above the L1 bound. Verbatim but for the
+    full-scan FFD reference in place of ``_ffd_bins``."""
+    items = list(items)
+    # Units within one bin: FFD puts every item in bin 0, and one bin is optimal.
+    if items and sum(units[i] for i in items) <= den:
+        return (frozenset(items),)
+    heuristic = ref_ffd_bins(items, units, den)
+    if len(items) > packing_classic.DEFAULT_EXACT_THRESHOLD:
+        return heuristic
+    # FFD bins at the lower bound are optimal: no search can beat them.
+    if len(heuristic) <= bin_lower_bound((units[i] for i in items), den):
         return heuristic
     exact = oracle._exact_bins(items, units, den, adjacency)
     return exact if len(exact) < len(heuristic) else heuristic

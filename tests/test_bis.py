@@ -155,6 +155,23 @@ def test_knapsacks_whose_costs_all_fit_match_the_dps(units, slack, eps):
     assert bis._knapsack_scaled(ids, units, limit, eps) == ref_knapsack_scaled_int(ids, units, units, limit, eps)
 
 
+@pytest.mark.parametrize("den", [20, 2 * bis.EXACT_DP_DENOM_LIMIT + 1])
+def test_knapsack_takes_a_lone_kept_item_as_both_dps_do(den):
+    # One kept item (beside one over the limit): size 0, a positive size
+    # and a size exactly at the limit, over a denominator of the exact DP
+    # and one of the scaled DP. Both cores take it exactly when its size
+    # is positive, and so does the dispatch.
+    eps = Fraction(1, 10)
+    cases = [(0, den // 2), (0, 0), (3, den // 2), (den // 2, den // 2), (den, den)]
+    for u, limit in cases:
+        units = {4: u, 9: limit + 1}
+        want = bis._subset_sum([4], [u], limit)
+        assert want == bis._knapsack_scaled([4], [u], limit, eps) == (frozenset({4}) if u else frozenset())
+        assert bis._knapsack([4, 9], units, limit, den, eps) == want
+        sizes = {4: Fraction(u, den), 9: Fraction(limit + 1, den)}
+        assert knapsack_fptas([4, 9], sizes, Fraction(limit, den), eps) == want
+
+
 @pytest.mark.parametrize(
     "n, hi, eps",
     [(60, 20, Fraction(1, 10)), (200, 3, Fraction(1, 2))],

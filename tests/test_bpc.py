@@ -42,6 +42,7 @@ from cbp.harness import ALGORITHMS, GeneratorSpec, SizeDist, generate, generate_
 from cbp.maxsize import max_size
 from cbp.model import _mask_to_ids, bin_lower_bound, restrict_instance
 from cbp.packing_classic import asymptotic_bp, ffd
+from cbp.rng import SplitMix64
 
 import conftest
 from conftest import (
@@ -51,7 +52,7 @@ from conftest import (
     ref_abs_bpb,
     ref_approx_bpc,
     ref_assign,
-    ref_best_bins,
+    ref_eager_best_bins,
     ref_build_assignment_lp,
     ref_enumerate_feasible_packings,
     ref_maximum_matching_general,
@@ -124,7 +125,7 @@ def test_color_sets_bound_check_survives_optimize(monkeypatch):
         "from cbp.harness import GeneratorSpec, generate\n"
         "packing = bpc.approx_bpc(generate(GeneratorSpec(klass='chordal', n=20, density=0.4, seed=2)))\n"
         "print([sorted(b) for b in packing.bins], packing.flags)\n"
-        "bpc._class_bound_terms = lambda instance: (0, 0, 0)\n"
+        "bpc._class_bound_terms = lambda instance, items: (0, 0, 0)\n"
         "try:\n"
         "    bpc.color_sets(ConflictInstance({0: '0.6', 1: '0.6'}))\n"
         "except SolverError as exc:\n"
@@ -1008,7 +1009,7 @@ def assert_best_of_matches_eager_reference(inst) -> list[Packing]:
     packings = []
     for algorithm, reference in runs:
         packing = algorithm(inst, info)
-        with mock.patch.object(packing_classic, "_best_bins", ref_best_bins):
+        with mock.patch.object(packing_classic, "_best_bins", ref_eager_best_bins):
             want = reference(inst, info)
         assert (packing.bins, packing.source, packing.flags) == (want.bins, want.source, want.flags)
         packings.append(packing)
@@ -1233,3 +1234,57 @@ def test_order_preserving_relabeling_keeps_every_algorithm(relabel):
             got = run_algorithm(name, mapped, mapped_info)
             assert got.bins == tuple(frozenset(map(relabel, b)) for b in packing.bins)
             assert (got.source, got.flags) == (packing.source, packing.flags)
+
+
+def item_set_instances():
+    # Every class at three sizes, plus b3dm BPB (bipartite) and BPS (split).
+    for k, klass in enumerate(CLASSES):
+        for n in (8, 16, 30):
+            yield generate(GeneratorSpec(klass=klass, n=n, density=0.4, seed=3500 + 10 * k + n))
+    for variant in ("BPB", "BPS"):
+        for seed in (1, 2):
+            yield generate(
+                GeneratorSpec(
+                    klass="b3dm-reduction", x_count=4, y_count=4, z_count=4, t_count=4, guess=2, variant=variant, seed=seed
+                )
+            )
+
+
+def test_color_sets_of_an_item_set_is_that_of_its_restriction():
+    # The core reads the parent's masks and unit table; the packing, its
+    # source and flags are those of the restricted instance under the
+    # parent's info, as the tails computed them before.
+    rng = SplitMix64(3535)
+    searched = 0
+    for inst in item_set_instances():
+        info = recognize(inst)
+        subsets = [[], list(inst.items)] + [[i for i in inst.items if rng.below(3)] for _ in range(4)]
+        for items in subsets:
+            got = bpc._color_sets(inst, items, info)
+            want = color_sets(restrict_instance(inst, items), info)
+            assert (got.bins, got.source, got.flags) == (want.bins, want.source, want.flags)
+            searched += got.bin_count > len(graphs._coloring(inst, frozenset(items), info))
+    assert searched >= 20
+
+
+def test_tails_build_no_sub_instance(monkeypatch):
+    # max_solve's leftovers, matching_pack's small items and assign's rest
+    # are packed from item sets of the instance itself.
+    def refuse(*args, **kwargs):
+        raise AssertionError("restrict_instance called")
+
+    assert not hasattr(bpc, "restrict_instance")
+    monkeypatch.setattr(bpc, "restrict_instance", refuse, raising=False)
+    monkeypatch.setattr(cbp.model, "restrict_instance", refuse)
+    assign_runs = []
+    real_assign = bpc._assign
+    monkeypatch.setattr(bpc, "_assign", lambda *args: assign_runs.append(args) or real_assign(*args))
+    instances = list(item_set_instances()) + [_assign_wins_instance()]
+    instances += [generate(GeneratorSpec(klass="bipartite", n=18, density=0.6, size_dist=TINY_SIZES, seed=s)) for s in range(4)]
+    for inst in instances:
+        info = recognize(inst)
+        for algorithm in (max_solve, matching_pack, approx_bpc):
+            assert validate_packing(inst, algorithm(inst, info)).feasible
+        if info.bipartition is not None:
+            assert validate_packing(inst, abs_bpb(inst, info)).feasible
+    assert len(assign_runs) >= 8 and any(inst.n > 16 for inst, *_ in assign_runs)

@@ -1,14 +1,16 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cbp import ParameterError, asymptotic_bp, classify_items, ffd, opt_bpc_exact, validate_packing
+from cbp import ConflictInstance, ParameterError, asymptotic_bp, classify_items, ffd, opt_bpc_exact, validate_packing
 from cbp.harness import GeneratorSpec, SizeDist, generate
-from cbp.packing_classic import DEFAULT_EXACT_THRESHOLD, _ffd_bins
+from cbp.model import bin_lower_bound
+from cbp.packing_classic import DEFAULT_EXACT_THRESHOLD, _ffd_bins, _l2_bound
 from cbp.rng import SplitMix64
 
-from conftest import ref_ffd_bins
+from conftest import brute_opt_bins, ref_ffd_bins
 
 
 def random_bp_instance(seed, n_max=16, dist=None):
@@ -147,3 +149,43 @@ def test_ffd_equal_size_runs_match_full_scan(den, runs, shuffle):
     shuffle.shuffle(ids)
     table = dict(zip(ids, units))
     assert _ffd_bins(table, table, den) == ref_ffd_bins(table, table, den)
+
+
+def ref_l2_bound(sizes, den):
+    """Martello & Toth's L2 over every integer threshold k in [0, den/2]:
+    |J1| + |J2| + max(0, ceil((s(J3) - (|J2| den - s(J2))) / den)), with J1
+    the sizes above den - k, J2 those in (den/2, den - k] and J3 those in
+    [k, den/2]."""
+    best = 0
+    for k in range(den // 2 + 1):
+        j1 = [w for w in sizes if w > den - k]
+        j2 = [w for w in sizes if 2 * w > den and w <= den - k]
+        j3 = [w for w in sizes if k <= w and 2 * w <= den]
+        rest = math.ceil(Fraction(sum(j3) - (len(j2) * den - sum(j2)), den))
+        best = max(best, len(j1) + len(j2) + max(0, rest))
+    return best
+
+
+@st.composite
+def unit_sizes(draw):
+    # Zero and full sizes drawn as often as any other.
+    den = draw(st.integers(1, 24))
+    size = st.one_of(st.just(0), st.just(den), st.integers(0, den))
+    return draw(st.lists(size, max_size=9)), den
+
+
+@settings(max_examples=300)
+@given(unit_sizes())
+def test_l2_bound_is_the_all_thresholds_bound_between_l1_and_the_optimum(case):
+    sizes, den = case
+    got = _l2_bound(sizes, den)
+    assert got == ref_l2_bound(sizes, den)
+    assert got >= bin_lower_bound(sizes, den)
+    assert got <= brute_opt_bins(ConflictInstance([Fraction(u, den) for u in sizes]))
+
+
+def test_l2_bound_above_l1():
+    # Two items of 6/10 take a bin each and no 5/10 beside them; the three
+    # 5/10 items need two more bins, where L1 sees 27/10 of size.
+    assert bin_lower_bound([6, 6, 5, 5, 5], 10) == 3
+    assert _l2_bound([6, 6, 5, 5, 5], 10) == 4

@@ -32,6 +32,7 @@ from conftest import (
     make_packing,
     mask_pairs,
     ref_best_bins,
+    ref_eager_best_bins,
     seeded_instance,
     shuffle,
     single_bin_problem,
@@ -307,11 +308,35 @@ def test_best_bins_matches_eager_reference(family):
         units, den = inst.unit_table
         for cls in graphs.minimum_coloring(inst, graphs.recognize(inst)):
             got = packing_classic._best_bins(cls, units, den, inst.adjacency)
-            assert got == ref_best_bins(cls, units, den, inst.adjacency)
+            assert got == ref_eager_best_bins(cls, units, den, inst.adjacency)
             skipped += len(cls) <= packing_classic.DEFAULT_EXACT_THRESHOLD and len(got) == model.bin_lower_bound(
                 (units[i] for i in cls), den
             )
     assert skipped >= 100
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_best_bins_matches_the_l1_gated_reference(family, monkeypatch):
+    # The L2 gate skips the exact search on classes where FFD is above L1;
+    # the bins must be those of the search, which ran there before.
+    searched = []
+    exact_bins = oracle._exact_bins
+    monkeypatch.setattr(oracle, "_exact_bins", lambda *args: searched.append(1) or exact_bins(*args))
+    above_l1 = skipped = 0
+    for inst in family_instances(family, 40, 4, 30, 2727):
+        units, den = inst.unit_table
+        for cls in graphs.minimum_coloring(inst, graphs.recognize(inst)):
+            searched.clear()
+            got = packing_classic._best_bins(cls, units, den, inst.adjacency)
+            gated = searched == []
+            assert got == ref_best_bins(cls, units, den, inst.adjacency)
+            if len(cls) <= packing_classic.DEFAULT_EXACT_THRESHOLD and len(got) > model.bin_lower_bound(
+                (units[i] for i in cls), den
+            ):
+                above_l1 += 1
+                skipped += gated
+                assert gated == (len(got) <= packing_classic._l2_bound([units[i] for i in cls], den))
+    assert above_l1 >= 10 and skipped >= 10
 
 
 @settings(max_examples=200)
@@ -321,7 +346,7 @@ def test_best_bins_matches_eager_reference_on_grid20(numerators):
     # 2/5, 2/5, 3/10 x 4: FFD 3 bins, optimum 2.
     units = dict(enumerate(numerators))
     adjacency = dict.fromkeys(units, 0)
-    assert packing_classic._best_bins(units, units, 20, adjacency) == ref_best_bins(units, units, 20, adjacency)
+    assert packing_classic._best_bins(units, units, 20, adjacency) == ref_eager_best_bins(units, units, 20, adjacency)
 
 
 @settings(max_examples=200)
@@ -333,7 +358,7 @@ def test_best_bins_returns_a_class_within_one_bin_without_ffd(numerators, ids):
     adjacency = dict.fromkeys(units, 0)
     with mock.patch.object(packing_classic, "_ffd_bins", wraps=packing_classic._ffd_bins) as ffd_bins:
         got = packing_classic._best_bins(units, units, 20, adjacency)
-    assert got == ref_best_bins(units, units, 20, adjacency)
+    assert got == ref_eager_best_bins(units, units, 20, adjacency)
     one_bin = bool(units) and sum(numerators) <= 20
     assert ffd_bins.called != one_bin
 
@@ -569,7 +594,7 @@ def test_lemma4_terms_match_fraction_reference(family):
         for sub in (inst, restrict_instance(inst, kept)):
             den = sub.unit_table[1]
             chi = rng.below(5)
-            n_large, medium, small = bpc._class_bound_terms(sub)
+            n_large, medium, small = bpc._class_bound_terms(sub, sub.items)
             ref_large, ref_m, ref_s, ref_bound = ref_lemma4_bound(sub, chi)
             assert (n_large, Fraction(medium, den), Fraction(small, den)) == (ref_large, ref_m, ref_s)
             assert bpc.lemma4_bound(sub, chi) == ref_bound
@@ -581,10 +606,10 @@ def test_color_sets_bound_check_is_exact_at_equality(monkeypatch):
     # Two 3/4 items take two bins of one color class (den 4). Small units
     # 3 put the bound at 1 + 24/24 = 2 bins exactly; units 2 put it below.
     inst = ConflictInstance({0: "3/4", 1: "3/4"})
-    monkeypatch.setattr(bpc, "_class_bound_terms", lambda instance: (0, 0, 3))
+    monkeypatch.setattr(bpc, "_class_bound_terms", lambda instance, items: (0, 0, 3))
     assert bpc.lemma4_bound(inst, 1) == 2
     assert bpc.color_sets(inst).bin_count == 2
-    monkeypatch.setattr(bpc, "_class_bound_terms", lambda instance: (0, 0, 2))
+    monkeypatch.setattr(bpc, "_class_bound_terms", lambda instance, items: (0, 0, 2))
     with pytest.raises(SolverError, match="2 > 5/3"):
         bpc.color_sets(inst)
 
