@@ -21,8 +21,10 @@ untried candidates that are not its neighbours and fit the budget left,
 ``cand & ~banned & fits(budget - w_F)``, and only each guess's light
 residual is decoded, for the exact weighted independent set. The split
 scheme offers each clique vertex v ``stable & ~adj[v] & fits(budget -
-w_v)``. Both schemes stop once their incumbent fills the budget: no set
-weighs more, and only a strictly heavier one replaces the incumbent, so
+w_v)``. Every core returns its choice as a mask with its weight, decoded
+only by the public functions. Both schemes stop once their incumbent
+fills the budget: no set weighs more, and only a strictly heavier one
+replaces the incumbent, so
 the result is unchanged. For the same reason the enumeration stops once
 its incumbent holds every eligible vertex of positive weight, and the
 split scheme skips a clique vertex whose weight plus all it is offered
@@ -43,7 +45,8 @@ the history grows monotonically, and bisection over it finds that k.
 
 A DP whose kept sizes sum to at most the budget returns its set without
 running: the subset-sum every item of positive size, the profit-scaling
-DP every item whose profit scales above 0.
+DP every item whose profit scales above 0; with one candidate neither
+runs, as both take it exactly when its size is positive.
 """
 
 from __future__ import annotations
@@ -125,74 +128,82 @@ def knapsack_fptas(
     Each item's size is both its profit and its cost. When the sizes share
     a small common denominator the exact subset-sum over integer sizes runs
     instead (optimal); otherwise a profit-scaling dynamic program gives the
-    usual FPTAS guarantee. A negative size raises ``ParameterError``.
+    usual FPTAS guarantee. A negative size raises ``ParameterError``. The
+    core's mask of positions in the sorted ``items`` is decoded here.
     """
     eps = _check_eps(eps)
     ids = sorted(items)
     units, limit, den = _units(ids, sizes, budget, "size on item")
-    return _knapsack(ids, units, limit, den, eps)
+    cand = sum(1 << k for k, u in enumerate(units) if u <= limit)
+    return frozenset(ids[k] for k in _mask_to_ids(_knapsack(cand, units, limit, den, eps)[0]))
 
 
-def _units(ids, values, budget, noun) -> tuple[dict[int, int], int, int]:
-    # The ``values`` of ``ids`` and the budget in integer units over one ``den``.
+def _units(ids, values, budget, noun) -> tuple[list[int], int, int]:
+    # The ``values`` of ``ids`` (aligned) and the budget in units over one ``den``.
     units, den = size_units([*(as_size(values[i]) for i in ids), as_size(budget)])
     limit = units.pop()
     for i, u in zip(ids, units):
         if u < 0:
             raise ParameterError(f"negative {noun} {i}")
-    return dict(zip(ids, units)), limit, den
+    return units, limit, den
 
 
-def _knapsack(ids, units, limit, den, eps) -> frozenset[int]:
-    # ``knapsack_fptas`` on ints: sizes and budget over any common multiple
-    # ``den`` of their denominators. The kept sizes' reduced lcm is
-    # den / gcd(den, their units), so the exact-DP test is that of the Fractions.
-    ids = [i for i in ids if units[i] <= limit]
-    if not ids or limit < 0:
-        return frozenset()
+def _knapsack(cand, units, limit, den, eps) -> tuple[int, int]:
+    # ``knapsack_fptas`` on ints over any common multiple ``den`` of their
+    # denominators: the chosen mask among the candidates ``cand`` (each
+    # within ``limit``, ``units`` read by bit) and its units, left for the
+    # API boundary to decode. Their reduced lcm is den / gcd(den, their
+    # units), so the exact-DP test is that of the Fractions.
+    if not cand & (cand - 1):  # both DPs take a lone item exactly when its size is positive
+        u = cand and units[cand.bit_length() - 1]
+        return (cand, u) if u else (0, 0)
+    ids = _mask_to_ids(cand)
     step = math.gcd(den, *(units[i] for i in ids))
     if den // step <= EXACT_DP_DENOM_LIMIT:
         cap = limit // step
         if (cap + 1) * len(ids) <= EXACT_DP_CELL_LIMIT:
-            return _subset_sum(ids, [units[i] // step for i in ids], cap)
+            chosen, total = _subset_sum(ids, [units[i] // step for i in ids], cap)
+            return chosen, total * step
     return _knapsack_scaled(ids, [units[i] for i in ids], limit, eps)
 
 
-def _subset_sum(ids, units, cap) -> frozenset[int]:
-    # The exact DP's set over integer sizes ``units``, aligned with ``ids``
-    # (see the module docstring). Bit x of ``history[k]`` says items 0..k
-    # reach the sum x exactly; the answer is the largest reachable sum.
-    if sum(units) <= cap:
+def _subset_sum(ids, units, cap) -> tuple[int, int]:
+    # The exact DP's set (a mask of the bits ``ids``) and sum over integer
+    # sizes ``units`` (see the module docstring). Bit x of ``history[k]`` says
+    # items 0..k reach the sum x exactly; the answer is the largest reachable sum.
+    total = sum(units)
+    if total <= cap:
         # Every item fits: the DP's best sum takes each item of positive size.
-        return frozenset(i for i, c in zip(ids, units) if c)
+        return sum(1 << i for i, c in zip(ids, units) if c), total
     full = (1 << (cap + 1)) - 1
     reach = 1
     history = []
     for c in units:
         reach |= (reach << c) & full
         history.append(reach)
-    x = reach.bit_length() - 1
-    chosen = []
+    x = total = reach.bit_length() - 1
+    chosen = 0
     while x:
         k = bisect_left(history, 1, key=lambda r: (r >> x) & 1)
-        chosen.append(ids[k])
+        chosen |= 1 << ids[k]
         x -= units[k]
-    return frozenset(chosen)
+    return chosen, total
 
 
-def _knapsack_scaled(ids, units, limit, eps) -> frozenset[int]:
-    # Integer sizes, aligned with ``ids``, are profits and costs alike;
+def _knapsack_scaled(ids, units, limit, eps) -> tuple[int, int]:
+    # Integer sizes, aligned with the bits ``ids``, are profits and costs alike;
     # each positive size u scales to the profit floor(u / (eps * u_max / n)).
     positive = [k for k, u in enumerate(units) if u > 0]
     if not positive:
-        return frozenset()
+        return 0, 0
     num = len(positive) * eps.denominator
     div = eps.numerator * max(units[k] for k in positive)
     scaled = [units[k] * num // div for k in positive]
-    kept = [k for sp, k in zip(scaled, positive) if sp]
-    if sum(units[k] for k in kept) <= limit:
+    kept = [(sp, k) for sp, k in zip(scaled, positive) if sp]
+    total = sum(units[k] for _, k in kept)
+    if total <= limit:
         # Every item the DP reads fits: its best profit takes them all.
-        return frozenset(ids[k] for k in kept)
+        return sum(1 << ids[k] for _, k in kept), total
     top = sum(scaled)
     if top >= SCALED_DP_CELL_LIMIT:
         raise ParameterError(f"eps = {eps} needs {top + 1} knapsack table cells, over the cap {SCALED_DP_CELL_LIMIT}")
@@ -201,18 +212,16 @@ def _knapsack_scaled(ids, units, limit, eps) -> frozenset[int]:
     # Costs are >= 0, so a live entry only comes from a live one: each
     # item extends the live entries alone, descending so that it reads
     # every source before a write can reach it. Every live dp[p] and
-    # take[p] is then that of the full table scan, and an item whose
-    # profit scales to 0 never improves an entry.
+    # take[p] (a mask) is then that of the full table scan; an item whose
+    # profit scales to 0 never improves an entry, so only the kept ones run.
     dp = [limit + 1] * (top + 1)
     dp[0] = 0
     take: list[int] = [0] * (top + 1)
     live = [0]
-    for idx, (sp, k) in enumerate(zip(scaled, positive)):
-        if not sp:
-            continue
+    for sp, k in kept:
         c = units[k]
         room = limit - c
-        bit = 1 << idx
+        bit = 1 << ids[k]
         born = []
         for p in reversed(live):
             cost = dp[p]
@@ -228,18 +237,20 @@ def _knapsack_scaled(ids, units, limit, eps) -> frozenset[int]:
         if born:
             live += born
             live.sort()
-    best = take[live[-1]]
-    return frozenset(ids[positive[j]] for j in range(len(positive)) if (best >> j) & 1)
+    return take[live[-1]], dp[live[-1]]
 
 
 def _solve(core, problem: BisProblem, eps, info) -> frozenset[int]:
     # ``core`` (``_ptas`` or ``_fptas_split``) on the problem's weights and
     # budget in integer units over ``den``, with ``eps`` checked: it is
-    # handed the mask of the vertices within budget and their ``fits``.
+    # handed the mask of the vertices within budget and their ``fits``; its
+    # chosen mask is decoded here.
     eps = _check_eps(eps)
     weights, budget, den = _units(problem.vertices, problem.weights, problem.budget, "weight on vertex")
+    weights = dict(zip(problem.vertices, weights))
     fits = fits_within(problem.vertices, weights)
-    return core(fits(budget), fits, problem.adjacency, info, weights, budget, den, eps)
+    chosen, _ = core(fits(budget), fits, problem.adjacency, info, weights, budget, den, eps)
+    return frozenset(_mask_to_ids(chosen))
 
 
 def bis_ptas(problem: BisProblem, eps) -> frozenset[int]:
@@ -255,13 +266,13 @@ def bis_ptas(problem: BisProblem, eps) -> frozenset[int]:
     return _solve(_ptas, problem, eps, problem.class_info)
 
 
-def _ptas(eligible, fits, adj, info, weights, budget, den, eps) -> frozenset[int]:
+def _ptas(eligible, fits, adj, info, weights, budget, den, eps) -> tuple[int, int]:
     # ``bis_ptas`` on integer weights and budget over ``den``; ``eps`` is
     # checked. ``eligible`` masks the vertices of weight at most ``budget``
-    # and ``fits(c)`` those of weight at most c.
+    # and ``fits(c)`` those of weight at most c. Returns a mask and weight.
     cap = _enum_cap(eps)
     if not eligible:
-        return frozenset()
+        return 0, 0
     # Adjacency is symmetric, so the light vertices outside F and not
     # adjacent to F are those of ``light`` that F's ``banned`` misses.
     light = eligible & fits(eps.numerator * budget // eps.denominator)
@@ -316,7 +327,7 @@ def _ptas(eligible, fits, adj, info, weights, budget, den, eps) -> frozenset[int
         members = frame[1] | low
         banned = frame[2] | adj[v] | low
         w_f = frame[3] + weights[v]
-    return frozenset(_mask_to_ids(best))
+    return best, best_w
 
 
 def bis_fptas_split(problem: BisProblem, eps) -> frozenset[int]:
@@ -335,32 +346,34 @@ def _split_masks(parts) -> tuple[int, int]:
     return _ids_mask(parts[0]), _ids_mask(parts[1])
 
 
-def _fptas_split(eligible, fits, adj, parts, weights, budget, den, eps) -> frozenset[int]:
+def _fptas_split(eligible, fits, adj, parts, weights, budget, den, eps) -> tuple[int, int]:
     # ``bis_fptas_split`` on integer weights and budget over ``den``; ``eps``
     # is checked. ``eligible`` and ``fits`` are as in ``_ptas``; ``parts``
     # holds the ``_split_masks`` of a split certificate, or is None.
     if parts is None:
         raise CapabilityError("split certificate required for the split-graph scheme")
     stable = parts[1] & eligible
-
+    clique = parts[0] & eligible
     # Each knapsack maximizes the units it packs within the residual budget.
-    best: frozenset[int] = frozenset()
-    best_w = 0
-    for v in _mask_to_ids(parts[0] & eligible):
+    best = best_w = 0
+    while clique:
+        low = clique & -clique
+        clique ^= low
+        v = low.bit_length() - 1
         wv = weights[v]
-        offered = _mask_to_ids(stable & ~adj[v] & fits(budget - wv))
-        # v and all it is offered cannot beat the incumbent, only tie it.
-        if wv + sum(weights[u] for u in offered) <= best_w:
+        offered = stable & ~adj[v] & fits(budget - wv)
+        # v and all it is offered (summed on the bits) cannot beat the incumbent, only tie it.
+        total, rest = wv, offered
+        while rest:
+            total += weights[(rest & -rest).bit_length() - 1]
+            rest &= rest - 1
+        if total <= best_w:
             continue
-        chosen = _knapsack(offered, weights, budget - wv, den, eps)
-        total = wv + sum(weights[u] for u in chosen)
-        if total > best_w:
-            best = chosen | {v}
-            best_w = total
+        chosen, total = _knapsack(offered, weights, budget - wv, den, eps)
+        if wv + total > best_w:
+            best, best_w = chosen | low, wv + total
             # No set weighs more than the budget, and only a heavier one wins.
             if best_w == budget:
-                return best
-    chosen = _knapsack(_mask_to_ids(stable), weights, budget, den, eps)
-    if sum(weights[u] for u in chosen) > best_w:
-        best = chosen
-    return best
+                return best, best_w
+    chosen, total = _knapsack(stable, weights, budget, den, eps)
+    return (chosen, total) if total > best_w else (best, best_w)

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Optional
 from . import bis, oracle, packing_classic
 from .errors import CapabilityError, ParameterError, SolverError
 from .graphs import GraphClassInfo, _coloring, maximum_matching_masks, recognize
-from .maxsize import PRACTICAL_EPS, _check_growth_eps, greedy_growth, validate_initial
+from .maxsize import PRACTICAL_EPS, _check_growth_eps, greedy_growth, _grown_bins, validate_initial
 from .model import (
     ConflictInstance,
     Packing,
@@ -131,10 +131,10 @@ def max_solve(
     info = _info(instance, info)
     large = sorted(classify_items(instance).large)
     seed = Packing(tuple(frozenset({v}) for v in large), "max_solve")
-    for bins, pool in greedy_growth(instance, seed, info, eps):
+    for added, pool, _left in greedy_growth(instance, seed, info, eps):
         pass
     tail = _color_sets(instance, _mask_to_ids(pool), info)
-    return Packing(tuple(bins) + tail.bins, "max_solve")
+    return Packing(_grown_bins(seed.bins, added) + tail.bins, "max_solve")
 
 
 def matching_pack(instance: ConflictInstance, info: Optional[GraphClassInfo] = None) -> Packing:
@@ -225,14 +225,16 @@ def split_approx(
     the first |clique| + alpha bins of one growth over the largest guess;
     every guess is read off that single growth. A guess's floor, its bins
     plus the L1 bound of its leftovers, bounds its count, since no FFD
-    tail is below L1. The floor never falls along the growth: each later
-    guess adds one empty bin, which takes at most a bin's worth of size
-    and one item above 1/2 from the leftovers, so their L1 bound falls by
-    at most one. A guess whose floor reaches the best count gets no tail,
-    and the growth stops once the floor or the next guess's bin count
-    reaches it: only a guess with strictly fewer bins replaces the best.
-    The start packing is feasible by construction: the model bounds every
-    size by 1, and a singleton or an empty bin holds no edge.
+    tail is below L1; it is read off the growth's masks and running total,
+    and only a tail's leftovers and the winner's bins are decoded. The
+    floor never falls along the growth: each later guess adds one empty
+    bin, which takes at most a bin's worth of size and one item above 1/2
+    from the leftovers, so their L1 bound falls by at most one. A guess
+    whose floor reaches the best count gets no tail, and the growth stops
+    once the floor or the next guess's bin count reaches it: only a guess
+    with strictly fewer bins replaces the best. The start packing is
+    feasible by construction: the model bounds every size by 1, and a
+    singleton or an empty bin holds no edge.
     """
     bis._check_eps(eps)
     info = _info(instance, info)
@@ -248,18 +250,18 @@ def split_approx(
     singles = tuple(frozenset({v}) for v in sorted(clique))
     alpha_top = -(-2 * total // den) + 1  # ceil(2 s(I)) + 1
     start = Packing(singles + (frozenset(),) * alpha_top, "split_approx")
+    large = sum(1 << v for v, u in units.items() if 2 * u > den)  # above 1/2
     growth = greedy_growth(instance, start, info, eps)
-    best: Optional[Packing] = None
-    for bins, pool in itertools.islice(growth, len(singles), None):
-        left = _mask_to_ids(pool)
-        floor = len(bins) + bin_lower_bound(map(units.__getitem__, left), den)
-        if best is None or floor < best.bin_count:
-            tail = packing_classic._ffd_bins(left, units, den)
-            if best is None or len(bins) + len(tail) < best.bin_count:
-                best = Packing(tuple(bins) + tail, "split_approx")
-        if max(floor, len(bins) + 1) >= best.bin_count:
+    best = kept = tail = None  # the best count, its guess's grown bins and its tail
+    for added, pool, left in itertools.islice(growth, len(singles), None):
+        floor = len(added) + max(-(-left // den), (pool & large).bit_count())
+        if best is None or floor < best:
+            ffd = packing_classic._ffd_bins(_mask_to_ids(pool), units, den)
+            if best is None or len(added) + len(ffd) < best:
+                best, kept, tail = len(added) + len(ffd), len(added), ffd
+        if max(floor, len(added) + 1) >= best:
             break
-    return best
+    return Packing(_grown_bins(start.bins, added[:kept]) + tail, "split_approx")
 
 
 def round_assignment(
@@ -335,36 +337,24 @@ def _enumerate_feasible_packings(
     bin), so each partition appears exactly once.
     """
     items = sorted(items)
-    n = len(items)
     units, den = instance.unit_table
-    loads: list[int] = []
-    blocks: list[int] = []
-    bins: list[list[int]] = []
+    adj = instance.adjacency
+    bins: list[tuple[tuple[int, ...], int, int]] = []  # each open bin's (members, blocked, room)
 
     def dfs(k: int):
-        if k == n:
-            yield tuple(map(frozenset, bins)), [(blocked, den - load) for blocked, load in zip(blocks, loads)]
+        if k == len(items):
+            yield tuple(frozenset(m) for m, _, _ in bins), [(blocked, room) for _, blocked, room in bins]
             return
         v = items[k]
-        s = units[v]
-        for b in range(len(bins)):
-            if loads[b] + s <= den and not (blocks[b] >> v) & 1:
-                bins[b].append(v)
-                loads[b] += s
-                old = blocks[b]
-                blocks[b] |= instance.adjacency[v]
+        for b, (members, blocked, room) in enumerate(bins):
+            if units[v] <= room and not (blocked >> v) & 1:
+                bins[b] = (members + (v,), blocked | adj[v], room - units[v])
                 yield from dfs(k + 1)
-                bins[b].pop()
-                loads[b] -= s
-                blocks[b] = old
+                bins[b] = (members, blocked, room)
         if len(bins) < max_bins:
-            bins.append([v])
-            loads.append(s)
-            blocks.append(instance.adjacency[v])
+            bins.append(((v,), adj[v], den - units[v]))
             yield from dfs(k + 1)
             bins.pop()
-            loads.pop()
-            blocks.pop()
 
     yield from dfs(0)
 

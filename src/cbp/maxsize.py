@@ -6,15 +6,15 @@ Two strategies:
   budgeted-independent-set subproblem over the remaining items, commit.
   With a (1-eps)-approximate single-bin solver the added size is at least
   a (1-eps)/(2-eps) fraction of the optimum. :func:`greedy_growth` keeps
-  the remaining items as one bitmask and yields it with the bins; a bin is
-  offered ``pool & ~blocked & fits(room)``, the items with no edge into it
-  that fit its room, found by bisection over prefix masks of the items
-  sorted by size (``model.fits_within``). Both single-bin solvers drop
-  larger items first, so this choice is theirs on the whole pool; their
-  integer cores take that mask and ``fits`` as they are, and the split
-  certificate as two masks built once per growth. The solvers drop items
-  of size 0 too, so after the solver's pick a bin takes every size-0 pool
-  item with no edge into it.
+  the remaining items as one bitmask and yields it with each bin's gain
+  as a mask; a bin is offered ``pool & ~blocked & fits(room)``, the
+  items with no edge into it that fit its room, found by bisection over
+  prefix masks of the items sorted by size (``model.fits_within``). Both
+  single-bin solvers drop larger items first, so this choice is theirs on
+  the whole pool; their integer cores take that mask and ``fits`` as they
+  are, and the split certificate as two masks built once per growth. The
+  solvers drop items of size 0 too, so after the solver's pick a bin
+  takes every size-0 pool item with no edge into it.
 * config-lp — a configuration LP over feasible sets per bin, priced by an
   exact budgeted-set search and solved by column generation, then
   randomized rounding with first-bin deduplication and a deterministic
@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from . import bis
 from .errors import ParameterError
@@ -112,10 +112,10 @@ def max_size(
         flags += ("config-lp-cap-fallback",)
     else:
         validate_initial(instance, initial)
-    for bins, _pool in greedy_growth(instance, initial, class_info, eps):
+    for added, _pool, _left in greedy_growth(instance, initial, class_info, eps):
         pass
     ratio = float(1 - eps)
-    augmented = Packing(tuple(bins), "max_size/greedy-sequential", flags)
+    augmented = Packing(_grown_bins(initial.bins, added), "max_size/greedy-sequential", flags)
     return _result(instance, initial, augmented, "greedy-sequential", ratio / (1.0 + ratio))
 
 
@@ -131,16 +131,18 @@ def greedy_growth(
     initial: Packing,
     class_info: GraphClassInfo,
     eps,
-) -> Iterator[tuple[list[frozenset[int]], int]]:
+) -> Iterator[tuple[list[int], int, int]]:
     """Greedy-sequential growth of ``initial``, one bin at a time.
 
-    Yields ``(bins, pool)`` for the start state and again after each bin:
-    ``bins`` holds the grown bins so far (one list, extended in place) and
-    ``pool`` is the bitmask of the items no bin holds. Bin k's choice
-    depends only on bins 0..k-1, so when the bins of ``initial`` after the
-    k-th are empty, the state after k bins is the whole growth of its
-    first k bins. ``eps`` is checked before the first yield, against the
-    enumeration scheme's cap when there is no split certificate.
+    Yields ``(added, pool, left)`` for the start state and again after each
+    bin, as masks and units: ``added[k]`` holds the items bin k gained (one
+    list, extended in place), ``pool`` the items no bin holds and ``left``
+    their size. A caller decodes only the bins it returns (``_grown_bins``).
+    Bin k's choice depends only on bins 0..k-1, so when the bins of
+    ``initial`` after the k-th are empty, the state after k bins is the
+    whole growth of its first k bins. ``eps`` is checked before the first
+    yield, against the enumeration scheme's cap when there is no split
+    certificate.
     """
     eps = _check_growth_eps(eps, class_info)
     # The solvers' integer cores, on the instance's unit table: no
@@ -151,32 +153,41 @@ def greedy_growth(
         solve, info = bis._fptas_split, bis._split_masks(class_info.split_partition)
     units, den = instance.unit_table
     fits = fits_within(instance.items, units)
+    packed = initial.items()
     # Every item fits an empty bin, so ``fits(den)`` holds them all.
-    pool = fits(den) & ~_ids_mask(initial.items())
+    pool = fits(den) & ~_ids_mask(packed)
+    left = sum(units.values()) - sum(map(units.__getitem__, packed))
     zeros = fits(0)
-    new_bins: list[frozenset[int]] = []
-    yield new_bins, pool
+    added: list[int] = []
+    yield added, pool, left
     for bin_items in initial.bins:
+        gained = 0
         if pool:
             blocked, room = instance.bin_state(bin_items)
             # The cores take the pool items that fit the room and have no
             # edge into the bin, as a mask: both solvers drop larger items.
             eligible = pool & ~blocked & fits(room) if room > 0 else 0
             if eligible:
-                chosen = solve(eligible, fits, instance.adjacency, info, units, room, den, eps)
-                bin_items = bin_items | chosen
-                pool ^= _ids_mask(chosen)
+                gained, weight = solve(eligible, fits, instance.adjacency, info, units, room, den, eps)
+                pool ^= gained
+                left -= weight
             if pool & zeros:
                 # Both solvers drop items of weight 0: the bin takes each
                 # size-0 pool item with no edge into it, in id order.
-                blocked = instance.bin_state(bin_items)[0]
+                blocked |= instance.bin_state(_mask_to_ids(gained))[0]
                 for v in _mask_to_ids(pool & zeros & ~blocked):
                     if not (blocked >> v) & 1:
-                        bin_items |= {v}
+                        gained |= 1 << v
                         blocked |= instance.adjacency[v]
                         pool ^= 1 << v
-        new_bins.append(bin_items)
-        yield new_bins, pool
+        added.append(gained)
+        yield added, pool, left
+
+
+def _grown_bins(bins: Iterable[frozenset[int]], added: Iterable[int]) -> tuple[frozenset[int], ...]:
+    """``bins`` with the items of the aligned masks ``added`` put in; only
+    the masks of the bins that grew are decoded."""
+    return tuple(b.union(_mask_to_ids(a)) if a else b for b, a in zip(bins, added))
 
 
 def _price_column(
@@ -197,11 +208,11 @@ def _price_column(
     best_profit = ZERO
     best_set: tuple[int, ...] = ()
 
-    def dfs(idx: int, banned: int, cost: int, profit: Fraction, current: list[int]):
+    def dfs(idx: int, banned: int, cost: int, profit: Fraction, current: tuple[int, ...]):
         nonlocal best_profit, best_set
         if profit > best_profit:
             best_profit = profit
-            best_set = tuple(current)
+            best_set = current
         if idx == len(order) or profit + suffix[idx] <= best_profit:
             return
         for j in range(idx, len(order)):
@@ -210,17 +221,9 @@ def _price_column(
             v = order[j]
             if (banned >> v) & 1 or cost + units[v] > room:
                 continue
-            current.append(v)
-            dfs(
-                j + 1,
-                banned | instance.adjacency[v] | (1 << v),
-                cost + units[v],
-                profit + profits[v],
-                current,
-            )
-            current.pop()
+            dfs(j + 1, banned | instance.adjacency[v] | 1 << v, cost + units[v], profit + profits[v], current + (v,))
 
-    dfs(0, 0, 0, ZERO, [])
+    dfs(0, 0, 0, ZERO, ())
     return best_profit, frozenset(best_set)
 
 
@@ -299,24 +302,18 @@ def round_config_lp(solution: ConfigLpSolution, seed: int) -> MaxSizeResult:
     instance = solution.instance
     initial = solution.initial
     rng = SplitMix64(seed)
-    chosen_sets: list[frozenset[int]] = []
-    for cols in solution.columns:
+    new_bins = [frozenset(b) for b in initial.bins]
+    sampled: frozenset[int] = frozenset()
+    for j, cols in enumerate(solution.columns):
+        # One draw per bin; the bin keeps the items no earlier bin sampled.
         r = Fraction(rng.next_u64(), 1 << 64)
         acc = ZERO
-        picked: frozenset[int] = frozenset()
         for cfg, y in cols:
             acc += y
             if r < acc:
-                picked = cfg
+                new_bins[j] |= cfg - sampled
+                sampled |= cfg
                 break
-        chosen_sets.append(picked)
-
-    new_bins = [frozenset(b) for b in initial.bins]
-    sampled: frozenset[int] = frozenset()
-    for j, cfg in enumerate(chosen_sets):
-        fresh = cfg - sampled
-        new_bins[j] |= fresh
-        sampled |= fresh
 
     # Deterministic fill-up with whatever still fits.
     units = instance.unit_table[0]

@@ -483,10 +483,10 @@ def _from_masks(
     ``adjacency`` the same items to their masks; the instance keeps both
     dicts. ``units``, when given, is a unit table of ``sizes`` already
     checked (a restriction's, cut from its parent's); otherwise it is
-    built and every size checked to lie in [0, 1]. Then no mask may have
-    its item's own bit or a bit outside the items, and given labels must
-    cover every item (without them, each item is labelled by its id).
-    These are the public constructor's checks, run by the same code.
+    built and every size checked to lie in [0, 1]. No mask may have its
+    own item's bit or one outside the items, and labels must cover every
+    item (each is labelled by its id without them): the public checks, run
+    by the same code. Symmetric masks are the caller's duty, not checked.
     """
     out = object.__new__(ConflictInstance)
     out._build(sizes, adjacency, class_hint, labels, units)

@@ -4,13 +4,16 @@ The brute-force routines here are deliberately naive (exhaustive scans) so
 they stay independent of the library paths they check.
 """
 
+import faulthandler
 import itertools
 import math
+import os
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+import pytest
 from hypothesis import settings
 
 from cbp import BisProblem, CapabilityError, ConflictInstance, bis, bpc, graphs, harness, maxsize, oracle, packing_classic, recognize
@@ -25,6 +28,32 @@ from cbp.simplex import LpResult, solve_max_lp
 # cannot fail them on a time limit; each test sets only max_examples.
 settings.register_profile("cbp", derandomize=True, deadline=None)
 settings.load_profile("cbp")
+
+# A test that runs this long is taken to hang: the run exits with every
+# thread's traceback instead of waiting to be killed.
+HANG_LIMIT_S = 300
+_hang_out: list[int] = []
+
+
+def pytest_configure(config):
+    # Output capture is suspended while plugins configure, so this copies
+    # the terminal's stderr, where a hang's traceback must go.
+    _hang_out.append(os.dup(2))
+
+
+def pytest_unconfigure(config):
+    while _hang_out:
+        os.close(_hang_out.pop())
+
+
+@pytest.fixture(autouse=True)
+def hang_guard():
+    """Exit the run if one test outlasts HANG_LIMIT_S. The faulthandler
+    timer is a watchdog thread, not a signal, so it cannot clash with a
+    SIGALRM timer such as the benchmark worker's op timeout."""
+    faulthandler.dump_traceback_later(HANG_LIMIT_S, exit=True, file=_hang_out[0])
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 CLASSES = ("edgeless", "bipartite", "split", "cluster", "complete-multipartite", "chordal")
 
@@ -49,6 +78,16 @@ def single_bin_problem(instance: ConflictInstance, info, bin_items, pool) -> Bis
 
 def weight_of(problem: BisProblem, items: Iterable[int]) -> Fraction:
     return sum((problem.weights[v] for v in items), ZERO)
+
+
+def core_set(result: tuple[int, int], units) -> frozenset[int]:
+    """The ids of a single-bin core's ``(mask, total)`` result, decoded as
+    the library's boundary decodes it, after checking that ``total`` is the
+    sum of their ``units`` (read by id)."""
+    mask, total = result
+    chosen = frozenset(_mask_to_ids(mask))
+    assert total == sum(units[i] for i in chosen)
+    return chosen
 
 
 def shuffle(rng: SplitMix64, seq: list) -> None:
@@ -788,7 +827,9 @@ def ref_ptas(vertices, adj, info, weights, budget, eps) -> frozenset[int]:
 # ``bis._fptas_split`` as it was before it took the pool as a mask with its
 # ``fits``: it sorts the vertex list into the two sides and offers each
 # clique vertex all of its stable non-neighbours, with no stop at a full
-# budget. The library must return the identical set.
+# budget. Each knapsack is handed the mask of the offered ids that fit its
+# room, as ``bis._knapsack`` takes them. The library must return the
+# identical set.
 
 
 def ref_fptas_split(vertices, adj, info, weights, budget, den, eps) -> frozenset[int]:
@@ -805,15 +846,21 @@ def ref_fptas_split(vertices, adj, info, weights, budget, den, eps) -> frozenset
         if wv > budget:
             continue
         offered = [u for u in stable if not (adj[v] >> u) & 1]
-        chosen = bis._knapsack(offered, weights, budget - wv, den, eps)
+        chosen = _ref_knapsack(offered, weights, budget - wv, den, eps)
         total = wv + sum(weights[u] for u in chosen)
         if total > best_w:
             best = frozenset({v}) | chosen
             best_w = total
-    chosen = bis._knapsack(stable, weights, budget, den, eps)
+    chosen = _ref_knapsack(stable, weights, budget, den, eps)
     if sum(weights[u] for u in chosen) > best_w:
         best = chosen
     return best
+
+
+def _ref_knapsack(ids, weights, limit, den, eps) -> frozenset[int]:
+    # ``bis._knapsack`` on the ``ids`` that fit ``limit``, decoded.
+    cand = sum(1 << i for i in ids if weights[i] <= limit)
+    return core_set(bis._knapsack(cand, weights, limit, den, eps), weights)
 
 
 # --- List-pool growth, split_approx and edge-list matching references ---------
@@ -946,8 +993,9 @@ def ref_max_size(instance, initial, class_info, eps=Fraction(1, 6), strategy="gr
 
 
 def _ref_greedy_sequential(instance, initial, class_info, eps):
-    for bins, _pool in maxsize.greedy_growth(instance, initial, class_info, eps):
+    for added, _pool, _left in maxsize.greedy_growth(instance, initial, class_info, eps):
         pass
+    bins = (b | frozenset(_mask_to_ids(a)) for b, a in zip(initial.bins, added))
     augmented = Packing(tuple(bins), "max_size/greedy-sequential", initial.flags)
     added = augmented.items() - initial.items()
     ratio = float(1 - eps)

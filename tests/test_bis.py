@@ -24,6 +24,7 @@ from cbp.rng import SplitMix64
 from conftest import (
     CLASSES,
     bis_brute,
+    core_set,
     ref_fptas_split,
     ref_knapsack_exact_int,
     ref_knapsack_scaled_int,
@@ -92,7 +93,8 @@ def test_knapsack_scaled_table_cap(monkeypatch):
     ids, limit, eps = list(range(6)), 10**9, Fraction(1, 1000)
     top = sum(u * len(units) * eps.denominator // (eps.numerator * max(units)) for u in units)
     monkeypatch.setattr(bis, "SCALED_DP_CELL_LIMIT", top + 1)
-    assert bis._knapsack_scaled(ids, units, limit, eps) == ref_knapsack_scaled_int(ids, units, units, limit, eps)
+    got = core_set(bis._knapsack_scaled(ids, units, limit, eps), units)
+    assert got == ref_knapsack_scaled_int(ids, units, units, limit, eps)
     monkeypatch.setattr(bis, "SCALED_DP_CELL_LIMIT", top)
     message = f"eps = 1/1000 needs {top + 1} knapsack table cells, over the cap {top}"
     with pytest.raises(ParameterError, match=re.escape(message)):
@@ -117,7 +119,7 @@ _SIZES = st.one_of(st.just(0), st.integers(1, 8), st.integers(1, 10**6))
 )
 def test_knapsack_scaled_matches_dense_reference(units, limit, eps):
     ids = [10 + 3 * k for k in range(len(units))]
-    got = bis._knapsack_scaled(ids, units, limit, eps)
+    got = core_set(bis._knapsack_scaled(ids, units, limit, eps), dict(zip(ids, units)))
     assert got == ref_knapsack_scaled_int(ids, units, units, limit, eps)
     assert sum(units[ids.index(i)] for i in got) <= limit
 
@@ -133,7 +135,7 @@ def test_subset_sum_matches_exact_dp(costs, cap, scale):
     # the bitset subset-sum returns the table DP's set. Zero costs, cap 0,
     # equal costs and costs over the cap all occur.
     ids = [10 + 3 * k for k in range(len(costs))]
-    got = bis._subset_sum(ids, costs, cap)
+    got = core_set(bis._subset_sum(ids, costs, cap), dict(zip(ids, costs)))
     assert got == ref_knapsack_exact_int(ids, [scale * c for c in costs], costs, cap)
     assert sum(costs[ids.index(i)] for i in got) <= cap
 
@@ -151,8 +153,10 @@ def test_knapsacks_whose_costs_all_fit_match_the_dps(units, slack, eps):
     # sizes and small sizes that scale to 0 beside a large one all occur.
     ids = [10 + 3 * k for k in range(len(units))]
     limit = max(0, sum(units) + slack)
-    assert bis._subset_sum(ids, units, limit) == ref_subset_sum(ids, units, limit)
-    assert bis._knapsack_scaled(ids, units, limit, eps) == ref_knapsack_scaled_int(ids, units, units, limit, eps)
+    table = dict(zip(ids, units))
+    assert core_set(bis._subset_sum(ids, units, limit), table) == ref_subset_sum(ids, units, limit)
+    got = core_set(bis._knapsack_scaled(ids, units, limit, eps), table)
+    assert got == ref_knapsack_scaled_int(ids, units, units, limit, eps)
 
 
 @pytest.mark.parametrize("den", [20, 2 * bis.EXACT_DP_DENOM_LIMIT + 1])
@@ -160,14 +164,17 @@ def test_knapsack_takes_a_lone_kept_item_as_both_dps_do(den):
     # One kept item (beside one over the limit): size 0, a positive size
     # and a size exactly at the limit, over a denominator of the exact DP
     # and one of the scaled DP. Both cores take it exactly when its size
-    # is positive, and so does the dispatch.
+    # is positive, and so does the dispatch, which is handed the mask of
+    # the one candidate that fits.
     eps = Fraction(1, 10)
     cases = [(0, den // 2), (0, 0), (3, den // 2), (den // 2, den // 2), (den, den)]
     for u, limit in cases:
         units = {4: u, 9: limit + 1}
-        want = bis._subset_sum([4], [u], limit)
-        assert want == bis._knapsack_scaled([4], [u], limit, eps) == (frozenset({4}) if u else frozenset())
-        assert bis._knapsack([4, 9], units, limit, den, eps) == want
+        want = core_set(bis._subset_sum([4], [u], limit), units)
+        assert want == (frozenset({4}) if u else frozenset())
+        assert core_set(bis._knapsack_scaled([4], [u], limit, eps), units) == want
+        assert core_set(bis._knapsack(1 << 4, units, limit, den, eps), units) == want
+        assert bis._knapsack(0, units, limit, den, eps) == (0, 0)
         sizes = {4: Fraction(u, den), 9: Fraction(limit + 1, den)}
         assert knapsack_fptas([4, 9], sizes, Fraction(limit, den), eps) == want
 
@@ -184,7 +191,7 @@ def test_knapsack_scaled_large_matches_dense_reference(n, hi, eps, budget):
     units = [1 + rng.below(den // hi) for _ in range(n)]
     ids = list(range(n))
     limit = int(budget * den)
-    got = bis._knapsack_scaled(ids, units, limit, eps)
+    got = core_set(bis._knapsack_scaled(ids, units, limit, eps), units)
     assert got == ref_knapsack_scaled_int(ids, units, units, limit, eps)
     assert got and sum(units[i] for i in got) <= limit
 
@@ -336,7 +343,7 @@ def test_ptas_matches_list_residual_reference(klass):
             for weights in (mixed, light):
                 # The core takes the pool items within budget as a mask.
                 fits = fits_within(pool, weights)
-                got = bis._ptas(fits(budget), fits, inst.adjacency, info, weights, budget, 1, eps)
+                got = core_set(bis._ptas(fits(budget), fits, inst.adjacency, info, weights, budget, 1, eps), weights)
                 assert got == ref_ptas(pool, inst.adjacency, info, weights, budget, eps)
 
 
@@ -390,7 +397,7 @@ def test_ptas_deep_searches_match_the_generator_reference(klass, n, density):
     chosen, weightings = deep_weightings(inst, 8100 + n)
     for name, weights, budget in weightings:
         fits = fits_within(inst.items, weights)
-        got = bis._ptas(fits(budget), fits, inst.adjacency, info, weights, budget, 1, eps)
+        got = core_set(bis._ptas(fits(budget), fits, inst.adjacency, info, weights, budget, 1, eps), weights)
         assert got == ref_ptas(inst.items, inst.adjacency, info, weights, budget, eps), name
         total = sum(weights[v] for v in got)
         if name == "unreached":
@@ -422,7 +429,7 @@ def test_ptas_hands_mwis_the_reference_residuals(monkeypatch):
         fits = fits_within(inst.items, weights)
         monkeypatch.setattr(bis, "_mwis_core", recording("library"))
         monkeypatch.setattr(graphs, "_mwis_core", recording("reference"))
-        got = bis._ptas(fits(budget), fits, inst.adjacency, info, weights, budget, 1, eps)
+        got = core_set(bis._ptas(fits(budget), fits, inst.adjacency, info, weights, budget, 1, eps), weights)
         assert got == ref_ptas(inst.items, inst.adjacency, info, weights, budget, eps)
         assert seen["library"] == seen["reference"], name
         counts.append(len(seen["library"]))
@@ -501,9 +508,9 @@ def test_fptas_split_skips_clique_vertices_that_cannot_win(monkeypatch):
             want = ref_fptas_split(pool, inst.adjacency, info, weights, budget, 20, eps)
             parts = bis._split_masks(info.split_partition)
             monkeypatch.setattr(bis, "_knapsack", counting)
-            got = bis._fptas_split(fits(budget), fits, inst.adjacency, parts, weights, budget, 20, eps)
+            chosen = bis._fptas_split(fits(budget), fits, inst.adjacency, parts, weights, budget, 20, eps)
             monkeypatch.setattr(bis, "_knapsack", knapsack)
-            assert got == want
+            assert core_set(chosen, weights) == want
     # The full-budget stop alone runs 45 of them.
     assert len(calls) == 33
 

@@ -569,7 +569,7 @@ def _split_approx_skipping_tails(instance, initial, class_info, eps):
     units, den = instance.unit_table
     singles = sum(1 for b in initial.bins if b)
     best = None
-    for bins, pool in itertools.islice(maxsize.greedy_growth(instance, initial, class_info, eps), singles, None):
+    for bins, pool, _left in itertools.islice(maxsize.greedy_growth(instance, initial, class_info, eps), singles, None):
         if best is not None and len(bins) >= best:
             break
         left = _mask_to_ids(pool)
@@ -578,6 +578,54 @@ def _split_approx_skipping_tails(instance, initial, class_info, eps):
         count = len(bins) + len(packing_classic._ffd_bins(left, units, den))
         best = count if best is None else min(best, count)
     return best
+
+
+def _split_approx_tail_pools(instance, initial, class_info, eps):
+    """The pools split_approx packs an FFD tail for, by the floor rule on
+    each pool's ``bin_lower_bound``, over the library's growth."""
+    units, den = instance.unit_table
+    singles = sum(1 for b in initial.bins if b)
+    best, pools = None, []
+    for bins, pool, _left in itertools.islice(maxsize.greedy_growth(instance, initial, class_info, eps), singles, None):
+        left = _mask_to_ids(pool)
+        floor = len(bins) + bin_lower_bound(map(units.__getitem__, left), den)
+        if best is None or floor < best:
+            pools.append(left)
+            count = len(bins) + len(packing_classic._ffd_bins(left, units, den))
+            best = count if best is None else min(best, count)
+        if max(floor, len(bins) + 1) >= best:
+            break
+    return pools
+
+
+def test_split_approx_floors_are_the_l1_bounds_of_the_pools():
+    # split_approx reads each floor off masks: the growth's running units
+    # and a popcount of the items above 1/2. It packs a tail for exactly the
+    # pools that the rule on each decoded pool's L1 bound picks, items of
+    # size exactly 1/2 (not above it) included.
+    pools, starts = [], []
+    ffd_bins, growth = packing_classic._ffd_bins, bpc.greedy_growth
+
+    def recording_ffd(items, units, den):
+        pools.append(list(items))
+        return ffd_bins(items, units, den)
+
+    def recording_growth(*args):
+        starts.append(args)
+        return growth(*args)
+
+    halves = 0
+    for inst in _split_tail_cases():
+        pools.clear()
+        starts.clear()
+        with mock.patch.object(packing_classic, "_ffd_bins", recording_ffd):
+            with mock.patch.object(bpc, "greedy_growth", recording_growth):
+                split_approx(inst, recognize(inst))
+        (start,) = starts
+        assert pools == _split_approx_tail_pools(*start)
+        units, den = inst.unit_table
+        halves += any(2 * units[v] == den for pool in pools for v in pool)
+    assert halves > 10
 
 
 def test_split_approx_stops_growing_once_no_guess_can_win(monkeypatch):
@@ -661,7 +709,7 @@ def test_split_growth_floor_never_falls(n, density, sizes, full, seed):
     for _, start, _, eps in starts:
         singles = sum(1 for b in start.bins if b)
         states = itertools.islice(growth(inst, start, info, eps), singles, None)
-        floors = [len(bins) + bin_lower_bound(map(units.__getitem__, _mask_to_ids(pool)), den) for bins, pool in states]
+        floors = [len(bins) + bin_lower_bound(map(units.__getitem__, _mask_to_ids(pool)), den) for bins, pool, _ in states]
         assert len(floors) == len(start.bins) - singles + 1
         assert floors == sorted(floors)
 

@@ -124,13 +124,16 @@ def test_mask_pool_growth_matches_list_reference(klass, n):
     if info.split_partition is not None:
         clique = sorted(info.split_partition[0])
         starts.append((make_packing([{v} for v in clique] + [()] * (2 + n // 4)), Fraction(1, 10)))
+    units = inst.unit_table[0]
     for start, eps in starts:
         steps = 0
-        for (bins, pool), (ref_bins, ref_pool) in zip(
+        for (added, pool, left), (ref_bins, ref_pool) in zip(
             greedy_growth(inst, start, info, eps), ref_greedy_growth(inst, start, info, eps), strict=True
         ):
-            assert bins == ref_bins
+            assert len(added) == len(ref_bins)
+            assert [b | frozenset(_mask_to_ids(a)) for b, a in zip(start.bins, added)] == ref_bins
             assert _mask_to_ids(pool) == ref_pool
+            assert left == sum(units[v] for v in ref_pool)
             steps += 1
         assert steps == start.bin_count + 1
 
@@ -153,14 +156,14 @@ def test_growth_places_every_size_zero_item_a_bin_can_take(klass, n, density, se
         clique = sorted(info.split_partition[0])
         starts.append((make_packing([{v} for v in clique] + [()] * 3), Fraction(1, 10)))
     for start, eps in starts:
-        for bins, pool in greedy_growth(inst, start, info, eps):
+        for added, pool, _left in greedy_growth(inst, start, info, eps):
             pass
-        grown = make_packing(bins)
+        grown = make_packing(b | frozenset(_mask_to_ids(a)) for b, a in zip(start.bins, added))
         assert validate_packing(inst, grown).feasible
         assert grown.items() | frozenset(_mask_to_ids(pool)) == frozenset(inst.items)
         for v in _mask_to_ids(pool):
             if inst.sizes[v] == 0:
-                assert all(inst.adjacency[v] & _ids_mask(b) for b in bins)
+                assert all(inst.adjacency[v] & _ids_mask(b) for b in grown.bins)
 
 
 def test_single_bin_subproblem_structure():

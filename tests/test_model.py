@@ -220,6 +220,35 @@ def test_mask_constructor_builds_the_public_instance():
     assert built.unit_table == inst.unit_table
 
 
+def generated_instances():
+    # Every generator class at several sizes, densities and seeds; b3dm as
+    # BPB and BPS at several triple counts.
+    for klass in GENERATOR_CLASSES:
+        for seed in (1, 2, 3):
+            if klass == "b3dm-reduction":
+                for k in (1, 4, 8, 16):
+                    for variant in ("BPB", "BPS"):
+                        counts = dict(x_count=k, y_count=k, z_count=k, t_count=k, guess=k // 2)
+                        yield GeneratorSpec(klass=klass, variant=variant, seed=seed, **counts)
+            else:
+                for n, density in ((0, 0.5), (1, 0.5), (9, 0.3), (40, 0.8), (160, 0.5)):
+                    yield GeneratorSpec(klass=klass, n=n, density=density, seed=seed)
+
+
+def test_every_generator_gives_symmetric_masks():
+    # ``_from_masks`` leaves symmetry to its caller; every generator writes
+    # each edge into both masks.
+    classes = set()
+    for spec in generated_instances():
+        inst = generate(spec)
+        adj = inst.adjacency
+        for u in inst.items:
+            for v in _mask_to_ids(adj[u]):
+                assert (adj[v] >> u) & 1, (spec, u, v)
+        classes.add((spec.klass, spec.variant) if spec.klass == "b3dm-reduction" else spec.klass)
+    assert classes == {*GENERATOR_CLASSES[:-1], ("b3dm-reduction", "BPB"), ("b3dm-reduction", "BPS")}
+
+
 @st.composite
 def edge_cases(draw):
     """Up to 30 sparse item ids, an edge list on them that holds reversed

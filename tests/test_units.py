@@ -11,6 +11,7 @@ pairwise-coprime denominators whose lcm exceeds 10^9.
 """
 
 import collections
+import itertools
 import math
 from fractions import Fraction
 from unittest import mock
@@ -29,6 +30,7 @@ from conftest import (
     CLASSES,
     bis_brute,
     brute_opt_bins,
+    core_set,
     make_packing,
     mask_pairs,
     ref_best_bins,
@@ -425,9 +427,10 @@ def test_mwis_rejects_a_cluster_only_certificate():
 
 def ref_knapsack_path(items, costs, budget):
     """The DP knapsack_fptas runs on the Fractions: ("exact", cap) or
-    ("scaled", None), or None when nothing fits."""
+    ("scaled", None), or None when at most one item fits: that item, if
+    any, is taken exactly when its size is positive, with no DP."""
     ids = [i for i in items if costs[i] <= budget]
-    if not ids or budget < 0:
+    if len(ids) <= 1 or budget < 0:
         return None
     den = lcm_of(costs[i] for i in ids)
     cap = math.floor(budget * den)
@@ -453,7 +456,9 @@ def knapsack_path_inputs():
     yield list(sizes), sizes, Fraction(1)
 
 
-def test_knapsack_fptas_picks_the_dp_of_the_fraction_reference(monkeypatch):
+def record_knapsack_dps(monkeypatch) -> list:
+    """Patch both knapsack DPs to log each run as ``ref_knapsack_path``
+    names it; returns the log."""
     calls = []
     subset_sum, scaled = bis._subset_sum, bis._knapsack_scaled
 
@@ -467,6 +472,11 @@ def test_knapsack_fptas_picks_the_dp_of_the_fraction_reference(monkeypatch):
 
     monkeypatch.setattr(bis, "_subset_sum", recording_subset_sum)
     monkeypatch.setattr(bis, "_knapsack_scaled", recording_scaled)
+    return calls
+
+
+def test_knapsack_fptas_picks_the_dp_of_the_fraction_reference(monkeypatch):
+    calls = record_knapsack_dps(monkeypatch)
     seen = set()
     for items, sizes, budget in knapsack_path_inputs():
         calls.clear()
@@ -476,6 +486,48 @@ def test_knapsack_fptas_picks_the_dp_of_the_fraction_reference(monkeypatch):
         assert calls == ([want] if want else [])
         seen.add(want[0] if want else None)
     assert seen == {"exact", "scaled", None}
+
+
+def few_candidate_inputs():
+    """(items, sizes, budget) with at most two items that fit the budget,
+    beside items that do not. Sizes come from a palette of 0, a few sizes
+    and 1 over 20 (the exact DP) or the prime 4099 above
+    ``EXACT_DP_DENOM_LIMIT`` (the scaled DP); budgets are 0, each palette
+    size (an item exactly at the budget) and one below every size over
+    1/2. Ids are the positions, so a mask of ids is one of positions."""
+    for den in (20, 4099):
+        palette = (Fraction(0), Fraction(1, den), Fraction(den // 3, den), Fraction(den // 2 + 1, den), Fraction(1))
+        for n in range(4):
+            for drawn in itertools.combinations_with_replacement(palette, n):
+                sizes = dict(enumerate(drawn))
+                for budget in (*palette, Fraction(den // 2, den)):
+                    if sum(s <= budget for s in drawn) <= 2:
+                        yield list(sizes), sizes, budget
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 10), Fraction(99, 100)])
+def test_knapsacks_of_at_most_two_candidates_match_the_fraction_reference(eps, monkeypatch):
+    # With no candidate or one, the knapsack runs no DP and takes the one
+    # exactly when its size is positive, which is what both DPs return; two
+    # candidates run the DP of their sizes. The private core, handed the
+    # candidates' mask, and the public function both give the reference's set.
+    calls = record_knapsack_dps(monkeypatch)
+    seen = collections.Counter()
+    for items, sizes, budget in few_candidate_inputs():
+        want = ref_knapsack_fptas(items, sizes, sizes, budget, eps)
+        calls.clear()
+        assert bis.knapsack_fptas(items, sizes, budget, eps) == want
+        path = ref_knapsack_path(items, sizes, budget)
+        assert calls == ([path] if path else [])
+        units, den = size_units([*(sizes[i] for i in items), budget])
+        limit = units.pop()
+        cand = sum(1 << i for i in items if units[i] <= limit)
+        assert core_set(bis._knapsack(cand, units, limit, den, eps), units) == want
+        seen[cand.bit_count(), path and path[0], bool(want)] += 1
+    assert set(seen) == {
+        (0, None, False), (1, None, False), (1, None, True),
+        (2, "exact", False), (2, "exact", True), (2, "scaled", True),
+    }
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -488,7 +540,7 @@ def test_knapsack_exact_dp_matches_fraction_reference(family):
         sizes = {i: Fraction(rng.below(21), 20) for i in ids}
         units, den = size_units(sizes[i] for i in ids)
         cap = math.floor(Fraction(rng.below(41), 20) * den)
-        got = bis._subset_sum(ids, units, cap)
+        got = core_set(bis._subset_sum(ids, units, cap), dict(zip(ids, units)))
         assert got == ref_knapsack_exact(ids, sizes, sizes, den, cap)
 
 
@@ -499,7 +551,7 @@ def test_knapsack_scaled_dp_matches_fraction_reference(family):
         units, _ = size_units([*(sizes[i] for i in ids), budget])
         limit = units.pop()
         for eps in (Fraction(1, 10), Fraction(1, 3)):
-            got = bis._knapsack_scaled(ids, units, limit, eps)
+            got = core_set(bis._knapsack_scaled(ids, units, limit, eps), dict(zip(ids, units)))
             assert got == ref_knapsack_scaled(ids, sizes, sizes, budget, eps)
 
 
